@@ -583,11 +583,13 @@ def parse_monomial(text: str, variables: list[str]) -> tuple[tuple[int, ...], Fr
         if factor[0].isdigit() or factor[0] in "+-":
             coeff *= Fraction(factor)
             continue
-        name, _, power = factor.partition("^")
-        name = name.strip()
+        name, caret, power = factor.partition("^")
+        name, power = name.strip(), power.strip()
         if name not in variables:
             raise ValueError(f"unknown variable {name!r}")
-        exps[variables.index(name)] += int(power) if power else 1
+        if caret and not (power.isascii() and power.isdigit()):
+            raise ValueError(f"exponent must be a non-negative integer in {factor!r}")
+        exps[variables.index(name)] += int(power) if caret else 1
     return tuple(exps), coeff
 
 

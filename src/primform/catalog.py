@@ -72,8 +72,10 @@ def load_catalog(path: str | None = None) -> dict[str, CatalogEntry]:
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    raw = json.loads(text)
-    entries = [_entry_from_dict(item) for item in raw["entries"]]
+    try:
+        entries = [_entry_from_dict(item) for item in json.loads(text)["entries"]]
+    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed catalog {path or 'catalog.json'}: {exc!r}") from exc
     catalog = {}
     for entry in entries:
         if entry.name in catalog:

@@ -15,8 +15,10 @@ truncated by total degree at the same order as the s-expansion.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import add
 
-from .algebra import SSeries, format_rational, mat_inv, mono_str
+from .algebra import SSeries, format_rational, mat_inv, mono_key, mono_str
 from .milnor import MilnorData
 from .primitive import PrimitiveFormResult
 
@@ -164,64 +166,115 @@ class CheckReport:
         return f"CheckReport({self.name}: {state}, {self.checked} checks)"
 
 
+def _third_derivatives(f0: SSeries, check_order: int) -> dict:
+    """F_abe for a <= b <= e, straight from the terms of f0.
+
+    Each value maps total degree to the (monomial, coefficient) pairs of
+    that degree, ascending; terms above check_order are dropped.
+    """
+    third: dict = {}
+    for mono, coeff in f0.terms.items():
+        if sum(mono) - 3 > check_order:
+            continue
+        support = [i for i, e in enumerate(mono) if e]
+        for key in combinations_with_replacement(support, 3):
+            lowered = list(mono)
+            value = coeff
+            for i in key:
+                value *= lowered[i]
+                lowered[i] -= 1
+            if value:
+                third.setdefault(key, {})[tuple(lowered)] = value
+    return {key: _graded(terms) for key, terms in third.items()}
+
+
+def _graded(terms: dict) -> list:
+    """[(degree, [(monomial, coefficient), ...]), ...] by ascending degree,
+    zero coefficients dropped."""
+    buckets: dict = {}
+    for mono, coeff in terms.items():
+        if coeff:
+            buckets.setdefault(sum(mono), []).append((mono, coeff))
+    return sorted(buckets.items())
+
+
 def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
     """Associativity of the third-derivative tensor, exact modulo truncation.
 
     For every index quadruple (a, b, c, d) the contraction
-    sum_{e,f} F_abe eta^{ef} F_fcd must be symmetric under swapping b and c.
-    Third derivatives of a degree-(<= order) series are exact only through
-    total degree order - 3, so the comparison is restricted to that range.
+    X_abcd = sum_{e,f} F_abe eta^{ef} F_fcd must be symmetric under swapping
+    b and c.  Third derivatives of a degree-(<= order) series are exact only
+    through total degree order - 3, so the comparison is restricted to that
+    range.
+
+    Only products that can be nonzero are formed.  F_abe is built from the
+    terms of f0 for a <= b <= e, and graded by total degree.  The index is
+    raised through the nonzero entries of eta^-1 only.  For one first index
+    a at a time, X_a[(b, c, d)] = sum_f L_ab^f F_fcd (L_ab^f the raised
+    F_abe) is formed for c <= d, skipping term pairs whose degrees add up
+    past order - 3; X_abcd is compared with X_acbd for every b < c and
+    every d, and the slice is dropped before the next a.  ``checked``
+    counts every quadruple compared.
     """
     mu = len(eta)
     check_order = order - 3
     if check_order < 0:
         raise ValueError("WDVV needs the prepotential through order >= 3")
+    if f0.nvars != mu:
+        raise ValueError(f"prepotential has {f0.nvars} variables, pairing has {mu}")
     eta_inv = mat_inv([list(row) for row in eta])
+    raising = [[(fi, v) for fi, v in enumerate(row) if v] for row in eta_inv]
 
-    third: dict = {}
-    for a in range(mu):
-        da = f0.diff(a)
-        for b in range(a, mu):
-            dab = da.diff(b)
-            for e in range(b, mu):
-                series = dab.diff(e).truncate(check_order)
-                for key in {(a, b, e), (a, e, b), (b, a, e), (b, e, a), (e, a, b), (e, b, a)}:
-                    third[key] = series
+    third = _third_derivatives(f0, check_order)
+    # For each f, the (c, d) with c <= d and F_fcd nonzero.
+    pairs: dict = {}
+    for (i, j, k), graded in third.items():
+        for fi, pair in {(i, (j, k)), (j, (i, k)), (k, (i, j))}:
+            pairs.setdefault(fi, []).append((pair, graded))
 
-    def contracted(a, b):
-        row = []
-        for fi in range(mu):
-            acc = SSeries.zero(mu, check_order)
-            for e in range(mu):
-                coeff = eta_inv[e][fi]
-                if coeff:
-                    acc = acc + third[(a, b, e)].scale(coeff)
-            row.append(acc)
-        return row
-
-    t_cache = {}
     violations = []
     checked = 0
     for a in range(mu):
+        x_a: dict = {}
+        for b in range(mu):
+            raised: dict = {}
+            for e in range(mu):
+                graded = third.get(tuple(sorted((a, b, e))))
+                if graded is None:
+                    continue
+                for fi, g in raising[e]:
+                    acc = raised.setdefault(fi, {})
+                    for _, items in graded:
+                        for mono, coeff in items:
+                            acc[mono] = acc.get(mono, 0) + coeff * g
+            for fi, terms in raised.items():
+                left = _graded(terms)
+                for (c, d), right in pairs.get(fi, ()):
+                    acc = x_a.setdefault((b, c, d), {})
+                    for dl, litems in left:
+                        for dr, ritems in right:
+                            if dl + dr > check_order:
+                                break
+                            for ml, cl in litems:
+                                for mr, cr in ritems:
+                                    m = tuple(map(add, ml, mr))
+                                    acc[m] = acc.get(m, 0) + cl * cr
         for b in range(mu):
             for c in range(b + 1, mu):
                 for d in range(mu):
-                    left = t_cache.get((a, b))
-                    if left is None:
-                        left = t_cache[(a, b)] = contracted(a, b)
-                    right = t_cache.get((a, c))
-                    if right is None:
-                        right = t_cache[(a, c)] = contracted(a, c)
-                    diff = SSeries.zero(mu, check_order)
-                    for fi in range(mu):
-                        diff = diff + left[fi] * third[(fi, c, d)] - right[fi] * third[(fi, b, d)]
                     checked += 1
-                    for mono, coeff in diff.truncate(check_order).sorted_terms():
+                    left = x_a.get((b, min(c, d), max(c, d)), {})
+                    right = x_a.get((c, min(b, d), max(b, d)), {})
+                    if left == right:
+                        continue
+                    keys = left.keys() | right.keys()
+                    diff = {m: left.get(m, 0) - right.get(m, 0) for m in keys}
+                    for mono in sorted((m for m, v in diff.items() if v), key=mono_key):
                         violations.append(
                             {
                                 "indices": (a + 1, b + 1, c + 1, d + 1),
                                 "monomial": mono,
-                                "difference": format_rational(coeff),
+                                "difference": format_rational(diff[mono]),
                             }
                         )
     return CheckReport("wdvv", violations, checked)
@@ -247,28 +300,22 @@ def euler_check(f0: SSeries, flat_degrees, c_hat: Fraction) -> CheckReport:
     return CheckReport("euler", violations, checked)
 
 
-def symmetry_check(f0: SSeries) -> CheckReport:
-    """Record-level integrability: normalization and tensor symmetry.
+def normalization_check(f0: SSeries) -> CheckReport:
+    """Record-level integrability: F0 has no terms below total degree 3.
 
-    On a freshly integrated prepotential the substantive curl-free test has
-    already run (prepotential() raises otherwise); on a stored record this
-    validates well-formedness: no terms below total degree 3 and a totally
-    symmetric third-derivative tensor.
+    The substantive curl-free test runs inside prepotential(), which raises
+    on failure; a stored record carries only F0 itself, whose third
+    derivatives commute for every series, so what remains to check on it is
+    the normalization that drops the constant, linear and quadratic parts.
     """
     violations = []
     checked = 0
-    mu = f0.nvars
     for mono, coeff in f0.sorted_terms():
         checked += 1
         if sum(mono) < 3:
             violations.append(
                 {"monomial": mono, "coefficient": format_rational(coeff), "reason": "degree < 3"}
             )
-    for a in range(mu):
-        for b in range(a, mu):
-            checked += 1
-            if f0.diff(a).diff(b) != f0.diff(b).diff(a):
-                violations.append({"indices": (a + 1, b + 1), "reason": "asymmetric"})
     return CheckReport("integrability", violations, checked)
 
 
@@ -305,5 +352,5 @@ def verify_record(record: dict) -> dict[str, CheckReport]:
     return {
         "wdvv": wdvv_check(f0, eta, order),
         "euler": euler_check(f0, flat_degrees, c_hat),
-        "integrability": symmetry_check(f0),
+        "integrability": normalization_check(f0),
     }

@@ -17,8 +17,8 @@ from primform.frobenius import (
     euler_check,
     flat_coordinates,
     four_point_function,
+    normalization_check,
     prepotential,
-    symmetry_check,
     wdvv_check,
 )
 from primform.milnor import central_charge, divide_by_jacobian, milnor_basis
@@ -143,7 +143,7 @@ def test_criterion_5_wdvv_euler_integrability(catalog, milnor_cache, solved_cach
         f0 = frob.prepotential
         assert wdvv_check(f0, data.eta, 4).passed, name
         assert euler_check(f0, [1 - d for d in data.degrees], central_charge(data.f)).passed, name
-        assert symmetry_check(f0).passed, name
+        assert normalization_check(f0).passed, name
 
     # Negative controls on U12: a perturbed coefficient must be flagged.
     data = milnor_cache("U12")

@@ -12,6 +12,7 @@ from primform.algebra import (
     mat_det,
     mat_inv,
     mat_solve,
+    parse_monomial,
     parse_polynomial,
     parse_rational,
     poly_mul,
@@ -224,3 +225,11 @@ class TestParsing:
     def test_unknown_variable(self):
         with pytest.raises(ValueError):
             parse_polynomial("x+w", ["x", "y"])
+
+    @pytest.mark.parametrize("text", ["x^-1", "x^", "x^+2", "x^1.5", "y*x^"])
+    def test_rejects_negative_or_missing_exponent(self, text):
+        # "x^-1" once parsed as x - 1 and "x^" as x.
+        with pytest.raises(ValueError, match="exponent"):
+            parse_polynomial(text, ["x", "y"])
+        with pytest.raises(ValueError, match="exponent"):
+            parse_monomial(text, ["x", "y"])

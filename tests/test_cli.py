@@ -68,7 +68,12 @@ class TestCompute:
         assert code == 0
         record = json.loads(out)
         assert record["terms"] == []
-        assert all(v == "pass" for v in record["checks"].values())
+        # Below order 3 no check runs, so none may read as passed.
+        assert record["checks"] == {
+            "wdvv": "vacuous",
+            "euler": "vacuous",
+            "integrability": "vacuous",
+        }
 
     def test_u12_with_published_basis(self, capsys, tmp_path):
         out_path = tmp_path / "u12.json"
@@ -114,6 +119,13 @@ class TestCompute:
         assert code == 0
         record = json.loads(out)
         assert record["central_charge"] == "22/21"
+
+    @pytest.mark.parametrize("poly", ["x^-1+y^3", "x^+y^3"])
+    def test_bad_exponent_rejected(self, capsys, poly):
+        code, out, err = run_cli(["compute", "--poly", poly, "--vars", "x,y"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "exponent" in err
 
     def test_bad_basis_fails(self, capsys):
         code, _, err = run_cli(
@@ -183,6 +195,16 @@ class TestVerify:
         assert code == 1
         assert "malformed" in err
 
+    def test_pairing_size_mismatch(self, capsys, tmp_path):
+        # Once an IndexError traceback from inside the WDVV check.
+        path = self._compute_record(capsys, tmp_path)
+        record = json.loads(path.read_text())
+        record["eta"] = [row + ["0"] for row in record["eta"]] + [["0"] * 3 + ["1"]]
+        path.write_text(json.dumps(record))
+        code, _, err = run_cli(["verify", str(path)], capsys)
+        assert code == 1
+        assert "malformed" in err
+
 
 class TestMirror:
     def test_q10_transposes_to_e14(self, capsys):
@@ -236,6 +258,31 @@ class TestCatalogResolution:
         code, out, _ = run_cli(["info", "--singularity", "CUSP", "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["milnor_number"] == 2
+
+    @pytest.mark.parametrize("entry", ["no weights", "not an object"])
+    def test_malformed_catalog(self, capsys, tmp_path, entry):
+        raw = {
+            "name": "CUSP",
+            "variables": ["x"],
+            "polynomial": [{"exponents": [3], "coeff": "1"}],
+        }
+        if entry == "not an object":
+            raw = ["CUSP"]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({"entries": [raw]}))
+        code, out, err = run_cli(
+            ["compute", "--catalog", str(path), "--singularity", "CUSP"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: malformed catalog")
+
+    def test_missing_catalog_file(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            ["info", "--catalog", str(tmp_path / "absent.json"), "--singularity", "A1"], capsys
+        )
+        assert code == 1
+        assert err.startswith("error:")
 
     def test_non_isolated_inline_poly_rejected(self, capsys):
         code, _, err = run_cli(

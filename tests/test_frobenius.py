@@ -9,8 +9,8 @@ from primform.frobenius import (
     flat_coordinates,
     four_point_function,
     invert_coordinates,
+    normalization_check,
     prepotential,
-    symmetry_check,
     taylor_compose,
     wdvv_check,
 )
@@ -228,7 +228,7 @@ class TestEuler:
 class TestSymmetry:
     def test_rejects_low_degree_terms(self):
         f0 = SSeries(2, 4, {(1, 1): F(1)})
-        assert not symmetry_check(f0).passed
+        assert not normalization_check(f0).passed
 
     def test_passes_on_computed(self, frobenius_cache):
-        assert symmetry_check(frobenius_cache("A3").prepotential).passed
+        assert normalization_check(frobenius_cache("A3").prepotential).passed
