@@ -5,12 +5,9 @@ from .algebra import (
     LaurentBlock,
     Poly,
     SSeries,
-    block_scale_z,
     format_rational,
     parse_polynomial,
     parse_rational,
-    poly_mul,
-    sseries_mul,
 )
 from .brieskorn import reduce_form, verify_exact_class
 from .catalog import CatalogEntry, load_catalog
@@ -48,7 +45,6 @@ from .primitive import (
     defect,
     defect_is_zero,
     grading_violations,
-    j_components,
     solve_star,
 )
 
@@ -66,7 +62,6 @@ __all__ = [
     "SSeries",
     "UnfoldingState",
     "WeightedPolynomial",
-    "block_scale_z",
     "build_unfolding",
     "central_charge",
     "defect",
@@ -80,17 +75,14 @@ __all__ = [
     "grading_violations",
     "infer_weights",
     "invert_coordinates",
-    "j_components",
     "load_catalog",
     "milnor_basis",
     "parse_polynomial",
     "parse_rational",
-    "poly_mul",
     "prepotential",
     "reduce_form",
     "residue_pairing",
     "solve_star",
-    "sseries_mul",
     "transpose",
     "verify_exact_class",
     "wdvv_check",

@@ -67,12 +67,18 @@ def _terms_to_records(terms: dict) -> list[dict]:
     ]
 
 
-def _records_to_terms(records: list[dict], nvars: int) -> dict:
+def _records_to_terms(records: list[dict], nvars: int, order: int | None = None) -> dict:
+    """Terms from serialized records; every exponent must be a non-negative
+    int, and with an order no term may lie above it."""
     terms = {}
     for rec in records:
-        exps = tuple(int(e) for e in rec["exponents"])
+        exps = tuple(rec["exponents"])
         if len(exps) != nvars:
             raise ValueError(f"expected {nvars} exponents, got {len(exps)}")
+        if not all(type(e) is int and e >= 0 for e in exps):
+            raise ValueError(f"exponents must be non-negative integers, got {list(exps)}")
+        if order is not None and sum(exps) > order:
+            raise ValueError(f"term {list(exps)} lies above order {order}")
         coeff = parse_rational(rec["coeff"])
         if coeff:
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
@@ -169,16 +175,6 @@ class Poly:
                 out[tuple(lowered)] = c * e
         return Poly(self.nvars, out)
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
-    def weighted_components(self, weights: tuple[Fraction, ...]) -> dict[Fraction, "Poly"]:
-        """Split into weighted-homogeneous components keyed by degree."""
-        parts: dict[Fraction, dict] = {}
-        for m, c in self.terms.items():
-            parts.setdefault(weighted_degree(m, weights), {})[m] = c
-        return {d: Poly(self.nvars, t) for d, t in parts.items()}
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda item: mono_key(item[0]))
 
@@ -206,11 +202,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars}, {len(self.terms)} terms)"
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    """Exact product of two polynomials over the same variables."""
-    return a * b
 
 
 class SSeries:
@@ -325,9 +316,6 @@ class SSeries:
         """The homogeneous component of total degree exactly d."""
         return SSeries(self.nvars, self.order, dict(self._buckets().get(d, ())))
 
-    def max_degree_part(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def diff(self, idx: int) -> "SSeries":
         """Formal partial derivative; the result is exact one order lower."""
         out = {}
@@ -360,20 +348,13 @@ class SSeries:
 
     @classmethod
     def from_records(cls, records: list[dict], nvars: int, order: int) -> "SSeries":
-        return cls(nvars, order, _records_to_terms(records, nvars))
+        return cls(nvars, order, _records_to_terms(records, nvars, order))
 
     def render(self, names: Iterable[str]) -> str:
         return Poly(self.nvars, self.terms).render(names)
 
     def __repr__(self):
         return f"SSeries({self.nvars} vars, order {self.order}, {len(self.terms)} terms)"
-
-
-def sseries_mul(a: SSeries, b: SSeries, order: int) -> SSeries:
-    """Product truncated at the given total degree."""
-    if order > min(a.order, b.order):
-        raise ValueError("requested order exceeds the operands' truncation")
-    return (a.truncate(order) * b.truncate(order)).truncate(order)
 
 
 class LaurentBlock:
@@ -485,11 +466,6 @@ class LaurentBlock:
 
     def __repr__(self):
         return f"LaurentBlock(z in {self.z_powers() or '[]'})"
-
-
-def block_scale_z(block: LaurentBlock, m: int) -> LaurentBlock:
-    """Multiplication by z^m on a Laurent block."""
-    return block.shift_z(m)
 
 
 def mat_det(rows: list[list[Fraction]]) -> Fraction:

@@ -82,7 +82,3 @@ def load_catalog(path: str | None = None) -> dict[str, CatalogEntry]:
             raise ValueError(f"duplicate catalog entry {entry.name!r}")
         catalog[entry.name] = entry
     return catalog
-
-
-def exceptional_entries(catalog: dict[str, CatalogEntry]) -> list[CatalogEntry]:
-    return [catalog[name] for name in EXCEPTIONAL_NAMES if name in catalog]

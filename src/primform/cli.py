@@ -138,24 +138,17 @@ def cmd_compute(args) -> int:
     checks = {}
     if args.check_defect:
         checks["defect"] = "pass" if defect_is_zero(result) else "fail"
+    try:
+        frob = prepotential(result, data)
+    except IntegrabilityError as exc:
+        print(f"error: integrability check failed: {exc}", file=sys.stderr)
+        return 1
     if args.order < 3:
-        # Below cubic order the prepotential is identically zero and no
-        # check runs.
-        from .algebra import SSeries
-        from .frobenius import FrobeniusData, flat_coordinates
-
-        t_of_s = flat_coordinates(result) if args.order >= 1 else []
-        frob = FrobeniusData(
-            t_of_s, t_of_s, data.eta, SSeries.zero(data.mu, args.order), args.order
-        )
+        # Below cubic order the prepotential is identically zero and the
+        # checks hold vacuously.
         checks.update({"integrability": "vacuous", "wdvv": "vacuous", "euler": "vacuous"})
     else:
-        try:
-            frob = prepotential(result, data)
-            checks["integrability"] = "pass"
-        except IntegrabilityError as exc:
-            print(f"error: integrability check failed: {exc}", file=sys.stderr)
-            return 1
+        checks["integrability"] = "pass"
         wdvv = wdvv_check(frob.prepotential, data.eta, args.order)
         euler = euler_check(
             frob.prepotential, [1 - d for d in data.degrees], central_charge(f)

@@ -1,15 +1,20 @@
 """Flat structure extraction: flat coordinates, prepotential, and the
 associativity / grading / integrability checks.
 
-The flat coordinates are the z^(-1) components of J; the prepotential is
-integrated from the z^(-2) components contracted with the residue pairing,
+The flat coordinates t(s) are the z^(-1) components of J, and their inverse
+s(t) is the fixed point of s = t - u(s), u the nonlinear part of t(s).  The
+prepotential is integrated from the z^(-2) components contracted with the
+residue pairing,
 
     d F0 / d t_a  =  sum_b eta_ab J_(-2)^b (s(t)),
 
-with the constant, linear, and quadratic parts normalized to zero.  The
-gradient must be exactly curl-free before integration; a failure signals a
-convention bug and is raised, never tolerated.  All series in t are
-truncated by total degree at the same order as the s-expansion.
+with the constant, linear, and quadratic parts normalized to zero.  Each
+pass of the fixed point and J_(-2)(s(t)) itself substitute s(t) directly
+into every monomial, u(s(t)) = sum_J u_J s(t)^J, sharing the powers s(t)^J
+among the series of one substitution.  The gradient must be exactly
+curl-free before integration; a failure signals a convention bug and is
+raised, never tolerated.  All series in t are truncated by total degree at
+the same order as the s-expansion.
 """
 
 from __future__ import annotations
@@ -32,39 +37,38 @@ def flat_coordinates(result: PrimitiveFormResult) -> list[SSeries]:
     return result.j_components(-1)
 
 
-def taylor_compose(u: SSeries, shift: list[SSeries]) -> SSeries:
-    """u evaluated at (t_1 + shift_1, ..., t_n + shift_n), truncated.
+def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
+    """Every u in series evaluated at s = s_of_t(t), as sum_J u_J s(t)^J.
 
-    Every shift component must have minimal degree >= 2, so the Taylor
-    expansion sum_J (d^J u) shift^J / J! has only finitely many
-    contributing multi-indices at a fixed truncation order.
+    Each monomial s^J is visited as its sorted word of variable indices
+    (s_1^2 s_3 is (0, 0, 2)), and the words are walked in sorted order, so
+    consecutive words share their longest common prefix.  A stack holds
+    s(t)^w for the prefixes w of the current word only, each entry the one
+    below it times one coordinate series; the powers are shared by all the
+    series of one call.
     """
-    nv, order = u.nvars, u.order
-    for w in shift:
-        if any(sum(m) < 2 for m in w.terms):
-            raise ValueError("shift components must have minimal degree >= 2")
-    total = SSeries.zero(nv, order)
-
-    def walk(dseries: SSeries, prod: SSeries, min_var: int, last_mult: int, denom: int):
-        nonlocal total
-        term = dseries * prod
-        if denom != 1:
-            term = term.scale(Fraction(1, denom))
-        total = total + term
-        for beta in range(min_var, nv):
-            if not shift[beta]:
-                continue
-            deeper = dseries.diff(beta).truncate(order)
-            if not deeper:
-                continue
-            new_prod = prod * shift[beta]
-            if not new_prod:
-                continue
-            mult = last_mult + 1 if beta == min_var and last_mult else 1
-            walk(deeper, new_prod, beta, mult, denom * mult)
-
-    walk(u, SSeries.const(nv, order, 1), 0, 0, 1)
-    return total
+    nv = s_of_t[0].nvars
+    uses: dict = {}
+    for i, u in enumerate(series):
+        for mono, coeff in u.terms.items():
+            word = tuple(v for v, e in enumerate(mono) for _ in range(e))
+            uses.setdefault(word, []).append((i, coeff))
+    stack = [SSeries.const(nv, s_of_t[0].order, 1)]  # stack[k] = s(t)^word[:k]
+    prev: tuple = ()
+    out = [{} for _ in series]
+    for word in sorted(uses):
+        common = 0
+        while common < min(len(prev), len(word)) and prev[common] == word[common]:
+            common += 1
+        del stack[common + 1:]
+        for v in word[common:]:
+            stack.append(stack[-1] * s_of_t[v])
+        prev = word
+        for i, coeff in uses[word]:
+            acc = out[i]
+            for mono, c in stack[-1].terms.items():
+                acc[mono] = acc.get(mono, 0) + coeff * c
+    return [SSeries(nv, u.order, acc) for u, acc in zip(series, out)]
 
 
 def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
@@ -82,10 +86,10 @@ def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
         if t.degree_part(0):
             raise ValueError("coordinate change must vanish at the origin")
         u.append((t - linear).truncate(order))
-    shift = [SSeries.zero(mu, order) for _ in range(mu)]  # s = t + shift
+    s = identity = [SSeries.variable(mu, a, order) for a in range(mu)]
     for _ in range(max(order - 1, 0)):
-        shift = [-taylor_compose(u[a], shift) for a in range(mu)]
-    return [SSeries.variable(mu, a, order) + shift[a] for a in range(mu)]
+        s = [t_a - w for t_a, w in zip(identity, substitute(u, s))]
+    return s
 
 
 class FrobeniusData:
@@ -102,16 +106,14 @@ class FrobeniusData:
 
 
 def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusData:
-    """Integrate the flat-frame gradient eta * J_(-2) into the prepotential."""
-    if result.order < 3:
-        raise ValueError("prepotential extraction needs s-order >= 3")
+    """Integrate the flat-frame gradient eta * J_(-2) into the prepotential.
+
+    Below order 3 the normalized prepotential is zero.
+    """
     mu, order = milnor.mu, result.order
     t_of_s = flat_coordinates(result)
     s_of_t = invert_coordinates(t_of_s, order)
-    shift = [s_of_t[a] - SSeries.variable(mu, a, order) for a in range(mu)]
-
-    j_minus2 = result.j_components(-2)
-    j_minus2_t = [taylor_compose(series, shift) for series in j_minus2]
+    j_minus2_t = substitute(result.j_components(-2), s_of_t)
     eta = milnor.eta
     gradient = []
     for a in range(mu):
@@ -136,7 +138,7 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
         f0 = f0 + euler_sum.degree_part(d).scale(Fraction(1, d))
 
     for a in range(mu):
-        if (f0.diff(a) - gradient[a].truncate(order - 1)).truncate(order - 1):
+        if f0.diff(a) - gradient[a]:
             raise IntegrabilityError("integrated prepotential does not match its gradient")
 
     return FrobeniusData(t_of_s, s_of_t, milnor.eta, f0, order)

@@ -316,9 +316,6 @@ class MilnorData:
     def basis_strings(self) -> list[str]:
         return [mono_str(m, self.f.variables) for m in self.basis]
 
-    def divide(self, g: Poly):
-        return divide_by_jacobian(g, self)
-
     def reduce_monomial_class(self, mono) -> dict:
         """Basis coefficients of a monomial's class in the Jacobian algebra."""
         basis_part, _ = self._divider.solve_monomial(mono)

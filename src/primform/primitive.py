@@ -188,11 +188,6 @@ def solve_star(state: UnfoldingState) -> PrimitiveFormResult:
     return PrimitiveFormResult(zeta, J, order, state)
 
 
-def j_components(result: PrimitiveFormResult, m: int) -> list[SSeries]:
-    """Component series J_m^a of J at z power m (m <= -1)."""
-    return result.j_components(m)
-
-
 def defect(result: PrimitiveFormResult) -> LaurentBlock:
     """Fully re-reduced exp((F-f)/z) * zeta - J, modulo s-order order+1.
 

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import primform
 from primform.cli import main
 
 
@@ -195,6 +198,21 @@ class TestVerify:
         assert code == 1
         assert "malformed" in err
 
+    @pytest.mark.parametrize(
+        "exponents",
+        [[-1, 0, 0, 5], [3.7, 0, 0, 0], [True, 0, 0, 2], [0, 0, 0, 9]],
+        ids=["negative", "fractional", "bool", "above order"],
+    )
+    def test_misread_term_rejected(self, capsys, tmp_path, exponents):
+        # Once read as a Laurent monomial, as x^3, as x^1, or dropped.
+        path = self._compute_record(capsys, tmp_path, name="A4")
+        record = json.loads(path.read_text())
+        record["terms"].append({"exponents": exponents, "coeff": "1"})
+        path.write_text(json.dumps(record))
+        code, _, err = run_cli(["verify", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: malformed record")
+
     def test_pairing_size_mismatch(self, capsys, tmp_path):
         # Once an IndexError traceback from inside the WDVV check.
         path = self._compute_record(capsys, tmp_path)
@@ -259,7 +277,9 @@ class TestCatalogResolution:
         assert code == 0
         assert json.loads(out)["milnor_number"] == 2
 
-    @pytest.mark.parametrize("entry", ["no weights", "not an object"])
+    @pytest.mark.parametrize(
+        "entry", ["no weights", "not an object", "negative exponent", "fractional exponent"]
+    )
     def test_malformed_catalog(self, capsys, tmp_path, entry):
         raw = {
             "name": "CUSP",
@@ -268,6 +288,9 @@ class TestCatalogResolution:
         }
         if entry == "not an object":
             raw = ["CUSP"]
+        elif entry.endswith("exponent"):
+            raw["weights"] = ["1/3"]
+            raw["polynomial"][0]["exponents"] = [-3] if entry.startswith("negative") else [3.7]
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"entries": [raw]}))
         code, out, err = run_cli(
@@ -295,10 +318,13 @@ class TestCatalogResolution:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child imports the same primform as this process, installed or not.
+        home = str(Path(primform.__file__).resolve().parent.parent)
         proc = subprocess.run(
             [sys.executable, "-m", "primform", "info", "--singularity", "W13", "--format", "json"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=home),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["central_charge"] == "9/8"

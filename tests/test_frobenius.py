@@ -11,7 +11,7 @@ from primform.frobenius import (
     invert_coordinates,
     normalization_check,
     prepotential,
-    taylor_compose,
+    substitute,
     wdvv_check,
 )
 from primform.milnor import central_charge, divide_by_jacobian
@@ -53,7 +53,7 @@ class TestInvertCoordinates:
         with pytest.raises(ValueError):
             invert_coordinates(t, 3)
 
-    def test_taylor_compose_matches_direct_substitution(self):
+    def test_substitute_matches_direct_substitution(self):
         rng = random.Random(55)
         order = 4
         mu = 3
@@ -68,19 +68,20 @@ class TestInvertCoordinates:
                         terms[tuple(exps)] = F(rng.randint(-5, 5), rng.randint(1, 3))
                 return SSeries(mu, order, terms)
 
-            u = rand_series(0)
+            us = [rand_series(0) for _ in range(3)]
             shift = [rand_series(2) for _ in range(mu)]
-            composed = taylor_compose(u, shift)
-            # brute force: substitute t_i + shift_i into every monomial
             substituted = [SSeries.variable(mu, i, order) + shift[i] for i in range(mu)]
-            direct = SSeries.zero(mu, order)
-            for mono, coeff in u.terms.items():
-                term = SSeries.const(mu, order, coeff)
-                for var, e in enumerate(mono):
-                    for _ in range(e):
-                        term = term * substituted[var]
-                direct = direct + term
-            assert composed == direct
+            composed = substitute(us, substituted)
+            # brute force: substitute t_i + shift_i into every monomial
+            for u, got in zip(us, composed):
+                direct = SSeries.zero(mu, order)
+                for mono, coeff in u.terms.items():
+                    term = SSeries.const(mu, order, coeff)
+                    for var, e in enumerate(mono):
+                        for _ in range(e):
+                            term = term * substituted[var]
+                    direct = direct + term
+                assert got == direct
 
     def test_random_roundtrip(self):
         rng = random.Random(77)
@@ -99,9 +100,7 @@ class TestInvertCoordinates:
                     )
                 t.append(series)
             s = invert_coordinates(t, order)
-            shift = [s[a] - SSeries.variable(mu, a, order) for a in range(mu)]
-            for alpha in range(mu):
-                composed = taylor_compose(t[alpha], shift)
+            for alpha, composed in enumerate(substitute(t, s)):
                 assert composed == SSeries.variable(mu, alpha, order), "t(s(t)) != t"
 
 
@@ -151,8 +150,31 @@ class TestPrepotential:
                         assert got == expected, (name, a, b, c)
 
     def test_prepotential_requires_order_three(self, solved_cache, milnor_cache):
-        with pytest.raises(ValueError):
-            prepotential(solved_cache("A2", 2), milnor_cache("A2"))
+        # Below order 3 the prepotential is zero, at the result's order.
+        for order in range(3):
+            frob = prepotential(solved_cache("A2", order), milnor_cache("A2"))
+            assert frob.prepotential == SSeries.zero(2, order)
+            assert frob.order == order
+
+    def test_series_products_pinned(self, solved_cache, milnor_cache, monkeypatch):
+        # Work counter: the powers s(t)^J are built once per substitution
+        # and shared by its series; building them per series raises these.
+        cases = {name: (solved_cache(name, 4), milnor_cache(name)) for name in ("E12", "U12")}
+        calls = []
+        original = SSeries.__mul__
+
+        def counting(a, b):
+            calls.append(None)
+            return original(a, b)
+
+        monkeypatch.setattr(SSeries, "__mul__", counting)
+        monkeypatch.setattr(SSeries, "__rmul__", counting)
+        counts = {}
+        for name, (result, data) in cases.items():
+            calls.clear()
+            prepotential(result, data)
+            counts[name] = len(calls)
+        assert counts == {"E12": 1292, "U12": 1086}
 
     def test_metric_in_flat_frame_is_eta(self, frobenius_cache, milnor_cache):
         for name in ("A3", "U12"):

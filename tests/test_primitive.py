@@ -8,7 +8,6 @@ from primform.primitive import (
     build_unfolding,
     defect_is_zero,
     grading_violations,
-    j_components,
     solve_star,
 )
 
@@ -139,7 +138,7 @@ class TestJComponents:
         for name in ("D4", "S11"):
             result = solved_cache(name, 2)
             mu = result.state.mu
-            jm1 = j_components(result, -1)
+            jm1 = result.j_components(-1)
             for alpha in range(mu):
                 linear = jm1[alpha].degree_part(1)
                 assert linear == SSeries.variable(mu, alpha, result.order).truncate(
