@@ -3,7 +3,6 @@ singularities and the Frobenius structures they induce."""
 
 from .algebra import (
     LaurentBlock,
-    Poly,
     SSeries,
     format_rational,
     parse_polynomial,
@@ -16,7 +15,6 @@ from .frobenius import (
     IntegrabilityError,
     euler_check,
     flat_coordinates,
-    four_point_function,
     invert_coordinates,
     prepotential,
     wdvv_check,
@@ -57,7 +55,6 @@ __all__ = [
     "LaurentBlock",
     "MilnorData",
     "NonIsolatedSingularityError",
-    "Poly",
     "PrimitiveFormResult",
     "SSeries",
     "UnfoldingState",
@@ -71,7 +68,6 @@ __all__ = [
     "euler_check",
     "flat_coordinates",
     "format_rational",
-    "four_point_function",
     "grading_violations",
     "infer_weights",
     "invert_coordinates",

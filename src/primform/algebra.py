@@ -1,15 +1,16 @@
-"""Exact sparse arithmetic: rationals, multivariate polynomials, truncated
-multi-parameter power series, and z-Laurent blocks.
+"""Exact sparse arithmetic: rationals, multivariate polynomials and truncated
+multi-parameter power series (one class), and z-Laurent blocks.
 
 Everything is built on ``fractions.Fraction`` (always in lowest terms,
 positive denominator) and exponent tuples, so all arithmetic in the engine
-is exact; no floating point appears anywhere.
+is exact; no floating point number enters any coefficient.
 
 Representations:
 
   monomial   tuple[int, ...]          one exponent per variable
-  Poly       {monomial: Fraction}     no zero coefficients stored
-  SSeries    {monomial: Fraction}     truncated at a fixed total degree
+  SSeries    {monomial: Fraction}     no zero coefficients stored; truncated
+                                      at a total degree, or a polynomial in
+                                      x or s when the order is None
   LaurentBlock {z_power: {index: coeff}}  finitely many z powers
 
 The canonical term order used for printing and serialization is graded
@@ -20,6 +21,7 @@ The canonical term order used for printing and serialization is graded
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 from typing import Iterable, Iterator
 
 
@@ -60,183 +62,45 @@ def weighted_degree(exps: tuple[int, ...], weights: tuple[Fraction, ...]) -> Fra
     return sum((Fraction(e) * q for e, q in zip(exps, weights)), Fraction(0))
 
 
-def _terms_to_records(terms: dict) -> list[dict]:
-    return [
-        {"exponents": list(m), "coeff": format_rational(c)}
-        for m, c in sorted(terms.items(), key=lambda item: mono_key(item[0]))
-    ]
-
-
-def _records_to_terms(records: list[dict], nvars: int, order: int | None = None) -> dict:
-    """Terms from serialized records; every exponent must be a non-negative
-    int, and with an order no term may lie above it."""
-    terms = {}
-    for rec in records:
-        exps = tuple(rec["exponents"])
-        if len(exps) != nvars:
-            raise ValueError(f"expected {nvars} exponents, got {len(exps)}")
-        if not all(type(e) is int and e >= 0 for e in exps):
-            raise ValueError(f"exponents must be non-negative integers, got {list(exps)}")
-        if order is not None and sum(exps) > order:
-            raise ValueError(f"term {list(exps)} lies above order {order}")
-        coeff = parse_rational(rec["coeff"])
-        if coeff:
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return {m: c for m, c in terms.items() if c}
-
-
-class Poly:
-    """Exact multivariate polynomial with rational coefficients."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms: dict | None = None):
-        self.nvars = nvars
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls(nvars)
-
-    @classmethod
-    def const(cls, nvars: int, value) -> "Poly":
-        c = Fraction(value)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
-
-    @classmethod
-    def variable(cls, nvars: int, idx: int) -> "Poly":
-        exps = [0] * nvars
-        exps[idx] = 1
-        return cls(nvars, {tuple(exps): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, exps: tuple[int, ...], coeff=1) -> "Poly":
-        return cls(len(exps), {tuple(exps): Fraction(coeff)})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def _check_compatible(self, other: "Poly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Poly(self.nvars, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Poly(self.nvars, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        out: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
-        return Poly(self.nvars, out)
-
-    def __pow__(self, n: int) -> "Poly":
-        result = Poly.const(self.nvars, 1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        if not c:
-            return Poly(self.nvars)
-        return Poly(self.nvars, {m: coeff * c for m, coeff in self.terms.items()})
-
-    def diff(self, idx: int) -> "Poly":
-        """Partial derivative with respect to variable idx."""
-        out = {}
-        for m, c in self.terms.items():
-            e = m[idx]
-            if e:
-                lowered = list(m)
-                lowered[idx] = e - 1
-                out[tuple(lowered)] = c * e
-        return Poly(self.nvars, out)
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        return sorted(self.terms.items(), key=lambda item: mono_key(item[0]))
-
-    def to_records(self) -> list[dict]:
-        return _terms_to_records(self.terms)
-
-    @classmethod
-    def from_records(cls, records: list[dict], nvars: int) -> "Poly":
-        return cls(nvars, _records_to_terms(records, nvars))
-
-    def render(self, names: Iterable[str]) -> str:
-        names = list(names)
-        parts = []
-        for m, c in self.sorted_terms():
-            mono = mono_str(m, names)
-            if mono == "1":
-                parts.append(format_rational(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{format_rational(c)}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
-
-    def __repr__(self):
-        return f"Poly({self.nvars}, {len(self.terms)} terms)"
-
-
 class SSeries:
-    """Power series in the deformation parameters, truncated by total degree.
+    """Sparse series in several variables with rational coefficients:
+    a power series truncated by total degree, or a polynomial.
 
-    Stored sparsely; every kept exponent vector has total degree <= order.
-    Multiplication truncates past the order, so ring operations agree with
-    arithmetic in the quotient by (degree > order).
+    One class serves both the polynomials in x of the Milnor algebra and
+    the series in the deformation parameters s.  With an integer order every
+    kept exponent vector has total degree <= order and multiplication
+    truncates past it, so ring operations agree with arithmetic in the
+    quotient by (degree > order).  Order None truncates nothing: the series
+    is a polynomial.  A binary operation keeps the smaller integer order of
+    its operands, and gives None only when both orders are None.
     """
 
     __slots__ = ("nvars", "order", "terms", "_by_degree")
 
-    def __init__(self, nvars: int, order: int, terms: dict | None = None):
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+    def __init__(self, nvars: int, order: int | None, terms: dict | None = None):
+        if order is None:
+            self.terms = {m: c for m, c in (terms or {}).items() if c}
+        else:
+            if order < 0:
+                raise ValueError("truncation order must be >= 0")
+            self.terms = {
+                m: c for m, c in (terms or {}).items() if c and sum(m) <= order
+            }
         self.nvars = nvars
         self.order = order
-        self.terms = {
-            m: c for m, c in (terms or {}).items() if c and sum(m) <= order
-        }
         self._by_degree = None
 
     @classmethod
-    def zero(cls, nvars: int, order: int) -> "SSeries":
+    def zero(cls, nvars: int, order: int | None) -> "SSeries":
         return cls(nvars, order)
 
     @classmethod
-    def const(cls, nvars: int, order: int, value) -> "SSeries":
+    def const(cls, nvars: int, order: int | None, value) -> "SSeries":
         c = Fraction(value)
         return cls(nvars, order, {(0,) * nvars: c} if c else {})
 
     @classmethod
-    def variable(cls, nvars: int, idx: int, order: int) -> "SSeries":
-        if order < 1:
-            return cls(nvars, order)
+    def variable(cls, nvars: int, idx: int, order: int | None) -> "SSeries":
         exps = [0] * nvars
         exps[idx] = 1
         return cls(nvars, order, {tuple(exps): Fraction(1)})
@@ -257,14 +121,18 @@ class SSeries:
 
     def _check_compatible(self, other: "SSeries") -> None:
         if self.nvars != other.nvars:
-            raise ValueError("variable-count mismatch")
+            raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other: "SSeries") -> "SSeries":
         self._check_compatible(other)
-        order = min(self.order, other.order)
-        out = {m: c for m, c in self.terms.items() if sum(m) <= order}
+        try:
+            order = bound = min(self.order, other.order)
+        except TypeError:  # an order of None truncates nothing
+            order = other.order if self.order is None else self.order
+            bound = inf if order is None else order
+        out = {m: c for m, c in self.terms.items() if sum(m) <= bound}
         for m, c in other.terms.items():
-            if sum(m) <= order:
+            if sum(m) <= bound:
                 out[m] = out.get(m, Fraction(0)) + c
         return SSeries(self.nvars, order, out)
 
@@ -286,14 +154,18 @@ class SSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        order = min(self.order, other.order)
+        try:
+            order = bound = min(self.order, other.order)
+        except TypeError:  # an order of None truncates nothing
+            order = other.order if self.order is None else self.order
+            bound = inf if order is None else order
         out: dict = {}
         buckets_b = other._buckets()
         for da, items_a in self._buckets().items():
-            if da > order:
+            if da > bound:
                 continue
             for db, items_b in buckets_b.items():
-                if da + db > order:
+                if da + db > bound:
                     continue
                 for ma, ca in items_a:
                     for mb, cb in items_b:
@@ -317,7 +189,8 @@ class SSeries:
         return SSeries(self.nvars, self.order, dict(self._buckets().get(d, ())))
 
     def diff(self, idx: int) -> "SSeries":
-        """Formal partial derivative; the result is exact one order lower."""
+        """Formal partial derivative; a truncated result is exact one order
+        lower, a polynomial stays a polynomial."""
         out = {}
         for m, c in self.terms.items():
             e = m[idx]
@@ -325,13 +198,15 @@ class SSeries:
                 lowered = list(m)
                 lowered[idx] = e - 1
                 out[tuple(lowered)] = c * e
-        return SSeries(self.nvars, max(self.order - 1, 0), out)
+        order = None if self.order is None else max(self.order - 1, 0)
+        return SSeries(self.nvars, order, out)
 
     def shift_variable(self, idx: int) -> "SSeries":
         """Multiply by the idx-th variable (exponent shift, truncating)."""
+        bound = inf if self.order is None else self.order
         out = {}
         for m, c in self.terms.items():
-            if sum(m) + 1 <= self.order:
+            if sum(m) + 1 <= bound:
                 raised = list(m)
                 raised[idx] += 1
                 out[tuple(raised)] = c
@@ -344,14 +219,42 @@ class SSeries:
         return sorted(self.terms.items(), key=lambda item: mono_key(item[0]))
 
     def to_records(self) -> list[dict]:
-        return _terms_to_records(self.terms)
+        return [
+            {"exponents": list(m), "coeff": format_rational(c)} for m, c in self.sorted_terms()
+        ]
 
     @classmethod
-    def from_records(cls, records: list[dict], nvars: int, order: int) -> "SSeries":
-        return cls(nvars, order, _records_to_terms(records, nvars, order))
+    def from_records(cls, records: list[dict], nvars: int, order: int | None = None) -> "SSeries":
+        """Read serialized terms; every exponent must be a non-negative int,
+        and with an order no term may lie above it."""
+        terms = {}
+        for rec in records:
+            exps = tuple(rec["exponents"])
+            if len(exps) != nvars:
+                raise ValueError(f"expected {nvars} exponents, got {len(exps)}")
+            if not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(f"exponents must be non-negative integers, got {list(exps)}")
+            if order is not None and sum(exps) > order:
+                raise ValueError(f"term {list(exps)} lies above order {order}")
+            coeff = parse_rational(rec["coeff"])
+            if coeff:
+                terms[exps] = terms.get(exps, Fraction(0)) + coeff
+        return cls(nvars, order, terms)
 
     def render(self, names: Iterable[str]) -> str:
-        return Poly(self.nvars, self.terms).render(names)
+        names = list(names)
+        parts = []
+        for m, c in self.sorted_terms():
+            mono = mono_str(m, names)
+            if mono == "1":
+                parts.append(format_rational(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{format_rational(c)}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def __repr__(self):
         return f"SSeries({self.nvars} vars, order {self.order}, {len(self.terms)} terms)"
@@ -439,30 +342,6 @@ class LaurentBlock:
 
     def z_powers(self) -> list[int]:
         return sorted(self.z_terms)
-
-    def to_records(self, width: int) -> list[dict]:
-        """Serialize as z-sorted rows of `width` per-class term arrays."""
-        rows = []
-        for zp in sorted(self.z_terms):
-            vec = self.z_terms[zp]
-            components = []
-            for idx in range(width):
-                coeff = vec.get(idx)
-                components.append(coeff.to_records() if coeff else [])
-            rows.append({"z": zp, "components": components})
-        return rows
-
-    @classmethod
-    def from_records(cls, rows: list[dict], nvars: int, order: int) -> "LaurentBlock":
-        z_terms: dict = {}
-        for row in rows:
-            vec = {}
-            for idx, records in enumerate(row["components"]):
-                if records:
-                    vec[idx] = SSeries.from_records(records, nvars, order)
-            if vec:
-                z_terms[int(row["z"])] = vec
-        return cls(z_terms)
 
     def __repr__(self):
         return f"LaurentBlock(z in {self.z_powers() or '[]'})"
@@ -569,8 +448,8 @@ def parse_monomial(text: str, variables: list[str]) -> tuple[tuple[int, ...], Fr
     return tuple(exps), coeff
 
 
-def parse_polynomial(text: str, variables: list[str]) -> Poly:
-    """Parse "x^3 + 2*x*y^2 - 1/2*z" into an exact Poly."""
+def parse_polynomial(text: str, variables: list[str]) -> SSeries:
+    """Parse "x^3 + 2*x*y^2 - 1/2*z" into an exact polynomial (order None)."""
     terms: dict = {}
     chunk = ""
     sign = 1
@@ -598,4 +477,4 @@ def parse_polynomial(text: str, variables: list[str]) -> Poly:
             terms[exps] = updated
         else:
             terms.pop(exps, None)
-    return Poly(len(variables), terms)
+    return SSeries(len(variables), None, terms)

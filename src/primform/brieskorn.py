@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import LaurentBlock, Poly
+from .algebra import LaurentBlock, SSeries
 from .milnor import MilnorData
 
 
@@ -65,9 +65,10 @@ def monomial_class(mono: tuple, data: MilnorData) -> dict:
 def reduce_form(g, data: MilnorData) -> LaurentBlock:
     """Canonical class of [g d^n x] for g with Fraction or SSeries coefficients.
 
-    `g` is a Poly or a plain {monomial: coefficient} mapping.
+    `g` is a polynomial SSeries in x or a plain {monomial: coefficient}
+    mapping.
     """
-    terms = g.terms if isinstance(g, Poly) else g
+    terms = g.terms if isinstance(g, SSeries) else g
     block = LaurentBlock()
     for mono, coeff in terms.items():
         if not coeff:
@@ -78,7 +79,7 @@ def reduce_form(g, data: MilnorData) -> LaurentBlock:
     return block
 
 
-def verify_exact_class(h: list[Poly], data: MilnorData) -> bool:
+def verify_exact_class(h: list[SSeries], data: MilnorData) -> bool:
     """Check that the (n-1)-form with contraction coefficients h reduces to 0.
 
     For eta = sum_i (-1)^(i-1) h_i dx_1 ^ ... ^ dx_i-hat ^ ... ^ dx_n the
@@ -86,8 +87,8 @@ def verify_exact_class(h: list[Poly], data: MilnorData) -> bool:
     class must vanish; returns whether it does.
     """
     f = data.f
-    pairing_part = Poly.zero(f.nvars)
-    derivative_part = Poly.zero(f.nvars)
+    pairing_part = SSeries.zero(f.nvars, None)
+    derivative_part = SSeries.zero(f.nvars, None)
     for i, h_i in enumerate(h):
         pairing_part = pairing_part + h_i * f.poly.diff(i)
         derivative_part = derivative_part + h_i.diff(i)

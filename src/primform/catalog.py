@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import Poly, parse_rational
+from .algebra import SSeries, parse_rational
 from .milnor import WeightedPolynomial
 
 CATALOG_ENV_VAR = "PRIMFORM_CATALOG"
@@ -32,7 +32,7 @@ class CatalogEntry:
     family: str
     variables: tuple[str, ...]
     weights: tuple[Fraction, ...]
-    poly: Poly
+    poly: SSeries
     expected_central_charge: Fraction | None
     expected_milnor_number: int | None
     expected_transpose: str | None
@@ -40,14 +40,11 @@ class CatalogEntry:
     def weighted_polynomial(self) -> WeightedPolynomial:
         return WeightedPolynomial(self.variables, self.weights, self.poly)
 
-    def render(self) -> str:
-        return self.poly.render(self.variables)
-
 
 def _entry_from_dict(raw: dict) -> CatalogEntry:
     variables = tuple(raw["variables"])
     weights = tuple(parse_rational(w) for w in raw["weights"])
-    poly = Poly.from_records(raw["polynomial"], len(variables))
+    poly = SSeries.from_records(raw["polynomial"], len(variables))
     expected = raw.get("expected", {})
     c_hat = expected.get("central_charge")
     mu = expected.get("milnor_number")

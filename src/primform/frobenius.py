@@ -24,7 +24,7 @@ from itertools import combinations_with_replacement
 from operator import add
 
 from .algebra import SSeries, format_rational, mat_inv, mono_key, mono_str
-from .milnor import MilnorData
+from .milnor import MilnorData, central_charge
 from .primitive import PrimitiveFormResult
 
 
@@ -142,11 +142,6 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
             raise IntegrabilityError("integrated prepotential does not match its gradient")
 
     return FrobeniusData(t_of_s, s_of_t, milnor.eta, f0, order)
-
-
-def four_point_function(f0: SSeries) -> SSeries:
-    """The homogeneous degree-4 part of the prepotential."""
-    return f0.degree_part(4)
 
 
 class CheckReport:
@@ -332,7 +327,7 @@ def prepotential_record(
         "variables": list(f.variables),
         "weights": [format_rational(q) for q in f.weights],
         "order": frob.order,
-        "central_charge": format_rational(milnor.central_charge),
+        "central_charge": format_rational(central_charge(f)),
         "basis": [mono_str(m, f.variables) for m in milnor.basis],
         "flat_degrees": [format_rational(1 - d) for d in milnor.degrees],
         "eta": [[format_rational(v) for v in row] for row in milnor.eta],
@@ -344,7 +339,9 @@ def prepotential_record(
 def verify_record(record: dict) -> dict[str, CheckReport]:
     """Re-run the exact checks on a stored prepotential record."""
     mu = len(record["basis"])
-    order = int(record["order"])
+    order = record["order"]
+    if type(order) is not int or order < 0:
+        raise ValueError(f"order must be a non-negative integer, got {order!r}")
     f0 = SSeries.from_records(record["terms"], mu, order)
     eta = tuple(
         tuple(Fraction(v) for v in row) for row in record["eta"]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from .algebra import (
-    Poly,
+    SSeries,
     format_rational,
     mat_det,
     mat_solve,
@@ -46,7 +46,7 @@ class WeightedPolynomial:
 
     __slots__ = ("variables", "weights", "poly")
 
-    def __init__(self, variables, weights, poly: Poly):
+    def __init__(self, variables, weights, poly: SSeries):
         variables = tuple(variables)
         weights = tuple(Fraction(w) for w in weights)
         if len(variables) != len(weights):
@@ -80,7 +80,7 @@ class WeightedPolynomial:
         return f"WeightedPolynomial({self.render()})"
 
 
-def infer_weights(poly: Poly) -> tuple[Fraction, ...]:
+def infer_weights(poly: SSeries) -> tuple[Fraction, ...]:
     """Solve for the unique weights giving every term weighted degree 1."""
     monos = list(poly.terms)
     rows = [[Fraction(e) for e in m] for m in monos]
@@ -106,14 +106,13 @@ def central_charge(f: WeightedPolynomial) -> Fraction:
 class _DegreeSystem:
     """Echelonized division system for one weighted degree."""
 
-    __slots__ = ("monos", "index", "echelon", "basis_monos", "solutions")
+    __slots__ = ("monos", "index", "echelon", "basis_monos")
 
     def __init__(self, monos, index, echelon, basis_monos):
         self.monos = monos
         self.index = index
         self.echelon = echelon  # pivot row -> (vector, combination)
         self.basis_monos = basis_monos
-        self.solutions = {}
 
 
 class _JacobianDivider:
@@ -250,9 +249,6 @@ class _JacobianDivider:
         """
         sdeg = self.sdeg(mono)
         sys = self.system(sdeg)
-        cached = sys.solutions.get(mono)
-        if cached is not None:
-            return cached
         vec = {sys.index[mono]: Fraction(1)}
         combo: dict = {}
         leftover = self._eliminate(vec, combo, sys.echelon)
@@ -269,16 +265,15 @@ class _JacobianDivider:
                 basis_part[key[1]] = -c
             else:
                 gen_part[(key[1], key[2])] = -c
-        result = (basis_part, gen_part)
-        sys.solutions[mono] = result
-        return result
+        return basis_part, gen_part
 
 
 class MilnorData:
     """Milnor number, graded monomial basis, socle, and residue pairing.
 
-    Immutable after construction apart from internal memoization of division
-    witnesses; intended for single-threaded construction and read-mostly use.
+    Immutable after construction apart from the memo of lattice classes
+    (``_reduce_cache``, filled by brieskorn.monomial_class); intended for
+    single-threaded construction and read-mostly use.
     """
 
     __slots__ = (
@@ -305,10 +300,6 @@ class MilnorData:
         self._divider = divider
         self._basis_index = {m: i for i, m in enumerate(self.basis)}
         self._reduce_cache = {}
-
-    @property
-    def central_charge(self) -> Fraction:
-        return central_charge(self.f)
 
     def basis_index(self, mono) -> int:
         return self._basis_index[mono]
@@ -398,7 +389,7 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
     return data
 
 
-def divide_by_jacobian(g: Poly, data: MilnorData):
+def divide_by_jacobian(g: SSeries, data: MilnorData):
     """Write g = sum(coeffs_a * phi_a) + sum(quotients_i * d_i f) exactly.
 
     Returns (coeffs, quotients): mu rational coefficients and one polynomial
@@ -409,19 +400,18 @@ def divide_by_jacobian(g: Poly, data: MilnorData):
     if g.nvars != f.nvars:
         raise ValueError("polynomial is over a different variable set")
     coeffs = [Fraction(0)] * data.mu
-    quotients = [Poly.zero(f.nvars) for _ in range(f.nvars)]
+    quotients: list[dict] = [{} for _ in range(f.nvars)]
     divider = data._divider
     for mono, c in g.terms.items():
         basis_part, gen_part = divider.solve_monomial(mono)
         for bm, bc in basis_part.items():
             coeffs[data.basis_index(bm)] += c * bc
         for (var, qm), qc in gen_part.items():
-            quotients[var].terms[qm] = quotients[var].terms.get(qm, Fraction(0)) + c * qc
-    quotients = [Poly(f.nvars, q.terms) for q in quotients]
-    return coeffs, quotients
+            quotients[var][qm] = quotients[var].get(qm, Fraction(0)) + c * qc
+    return coeffs, [SSeries(f.nvars, None, q) for q in quotients]
 
 
-def hessian_determinant(f: WeightedPolynomial) -> Poly:
+def hessian_determinant(f: WeightedPolynomial) -> SSeries:
     """det(d_i d_j f) as an exact polynomial."""
     n = f.nvars
     second = [[f.poly.diff(i).diff(j) for j in range(n)] for i in range(n)]
@@ -429,7 +419,7 @@ def hessian_determinant(f: WeightedPolynomial) -> Poly:
     def det(rows_idx, cols_idx):
         if len(rows_idx) == 1:
             return second[rows_idx[0]][cols_idx[0]]
-        total = Poly.zero(n)
+        total = SSeries.zero(n, None)
         sign = 1
         for k, col in enumerate(cols_idx):
             minor = det(rows_idx[1:], cols_idx[:k] + cols_idx[k + 1 :])

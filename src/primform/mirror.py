@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .algebra import Poly, mat_solve, mono_key, mono_str
+from .algebra import SSeries, mat_det, mat_solve, mono_key, mono_str
 
 
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -125,14 +125,13 @@ class InvertiblePolynomial:
                 raise ValueError(
                     f"mixed quadratic monomial {mono_str(row, variables)} is not allowed"
                 )
-        det = _int_det([list(r) for r in rows])
-        if det == 0:
+        if not mat_det(rows):
             raise ValueError("exponent matrix is singular")
         self.variables = variables
         self.exponent_matrix = tuple(rows)
 
     @classmethod
-    def from_poly(cls, poly: Poly, variables) -> "InvertiblePolynomial":
+    def from_poly(cls, poly: SSeries, variables) -> "InvertiblePolynomial":
         return cls(variables, sorted(poly.terms, key=mono_key))
 
     @property
@@ -140,10 +139,10 @@ class InvertiblePolynomial:
         return len(self.variables)
 
     def determinant(self) -> int:
-        return _int_det([list(r) for r in self.exponent_matrix])
+        return int(mat_det(self.exponent_matrix))
 
-    def poly(self) -> Poly:
-        return Poly(self.nvars, {row: Fraction(1) for row in self.exponent_matrix})
+    def poly(self) -> SSeries:
+        return SSeries(self.nvars, None, {row: Fraction(1) for row in self.exponent_matrix})
 
     def render(self) -> str:
         return self.poly().render(self.variables)
@@ -172,13 +171,6 @@ class InvertiblePolynomial:
 
     def __repr__(self):
         return f"InvertiblePolynomial({self.render()})"
-
-
-def _int_det(matrix: list[list[int]]) -> int:
-    from .algebra import mat_det
-
-    det = mat_det([[Fraction(x) for x in row] for row in matrix])
-    return int(det)
 
 
 def transpose(w: InvertiblePolynomial) -> InvertiblePolynomial:

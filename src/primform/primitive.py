@@ -113,27 +113,6 @@ class PrimitiveFormResult:
         state = UnfoldingState(self.state.base, self.state.milnor, order)
         return PrimitiveFormResult(cut(self.zeta), cut(self.J), order, state)
 
-    def to_record(self) -> dict:
-        """Canonical serialization {order, zeta, J}."""
-        mu = self.state.mu
-        return {
-            "order": self.order,
-            "zeta": self.zeta.to_records(mu),
-            "J": self.J.to_records(mu),
-        }
-
-    @staticmethod
-    def parse_record(record: dict) -> tuple[int, LaurentBlock, LaurentBlock]:
-        """Read back (order, zeta, J) from a serialized result."""
-        order = int(record["order"])
-        rows = record["zeta"] or record["J"]
-        if not rows:
-            raise ValueError("record carries no lattice data")
-        mu = len(rows[0]["components"])
-        zeta = LaurentBlock.from_records(record["zeta"], nvars=mu, order=order)
-        j = LaurentBlock.from_records(record["J"], nvars=mu, order=order)
-        return order, zeta, j
-
 
 def _accumulate_product(
     target: LaurentBlock,

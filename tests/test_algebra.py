@@ -5,7 +5,6 @@ import pytest
 
 from primform.algebra import (
     LaurentBlock,
-    Poly,
     SSeries,
     format_rational,
     mat_det,
@@ -55,7 +54,7 @@ class TestPoly:
 
     def test_variable_count_mismatch(self):
         with pytest.raises(ValueError):
-            Poly.variable(2, 0) * Poly.variable(3, 0)
+            SSeries.variable(2, 0, None) * SSeries.variable(3, 0, None)
 
     def _random_poly(self, rng, nvars, max_deg=6, max_terms=5):
         terms = {}
@@ -64,7 +63,7 @@ class TestPoly:
             for _ in range(rng.randint(0, max_deg)):
                 exps[rng.randrange(nvars)] += 1
             terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        return Poly(nvars, terms)
+        return SSeries(nvars, None, terms)
 
     def test_ring_axioms_fuzz(self):
         rng = random.Random(7)
@@ -81,14 +80,14 @@ class TestPoly:
         rng = random.Random(13)
         for _ in range(50):
             a = self._random_poly(rng, 3)
-            again = Poly.from_records(a.to_records(), 3)
+            again = SSeries.from_records(a.to_records(), 3)
             assert again == a
             assert again.to_records() == a.to_records()
 
     def test_render(self):
         xy = ["x", "y"]
         assert P("x^2 - y^2", xy).render(xy) == "x^2 - y^2"
-        assert Poly.zero(2).render(xy) == "0"
+        assert SSeries.zero(2, None).render(xy) == "0"
 
 
 class TestSSeries:
@@ -178,13 +177,6 @@ class TestLaurentBlock:
         b.add_term(0, 1, s)
         b.add_term(0, 1, -s)
         assert not b
-
-    def test_serialization_round_trip(self):
-        b = LaurentBlock({-2: self._vec(), 0: {0: SSeries.const(2, 2, Fraction(1, 3))}})
-        rows = b.to_records(width=2)
-        again = LaurentBlock.from_records(rows, nvars=2, order=2)
-        assert again == b
-        assert again.to_records(width=2) == rows
 
 
 class TestMatrixHelpers:

@@ -213,6 +213,17 @@ class TestVerify:
         assert code == 1
         assert err.startswith("error: malformed record")
 
+    @pytest.mark.parametrize("order", [4.7, "4", True], ids=["fractional", "string", "bool"])
+    def test_misread_order_rejected(self, capsys, tmp_path, order):
+        # Once read by int() as order 4, 4 and 1.
+        path = self._compute_record(capsys, tmp_path, name="A4")
+        record = json.loads(path.read_text())
+        record["order"] = order
+        path.write_text(json.dumps(record))
+        code, _, err = run_cli(["verify", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: malformed record")
+
     def test_pairing_size_mismatch(self, capsys, tmp_path):
         # Once an IndexError traceback from inside the WDVV check.
         path = self._compute_record(capsys, tmp_path)
@@ -328,3 +339,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["central_charge"] == "9/8"
+
+    def test_benchmark_names_exported(self):
+        # perfbench/worker.py and perfbench/tracing.py look these names up;
+        # losing one turns a benchmark metric into null or a case into a
+        # failed operation without failing any other test.
+        for name in primform.__all__:
+            assert hasattr(primform, name), name
+        for name in (
+            "load_catalog", "milnor_basis", "build_unfolding", "solve_star",
+            "defect_is_zero", "prepotential", "wdvv_check", "euler_check",
+            "flat_coordinates", "invert_coordinates", "SSeries",
+        ):
+            assert name in primform.__all__ and callable(getattr(primform, name)), name
+        assert callable(primform.frobenius.prepotential_record)
