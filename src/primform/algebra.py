@@ -27,6 +27,8 @@ from typing import Iterable, Iterator
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or "p") into an exact rational."""
+    if not isinstance(text, str):
+        raise ValueError(f"a rational is written as a string, got {text!r}")
     return Fraction(text.strip())
 
 
@@ -283,9 +285,6 @@ class LaurentBlock:
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentBlock) and self.z_terms == other.z_terms
 
-    def copy(self) -> "LaurentBlock":
-        return LaurentBlock({zp: dict(vec) for zp, vec in self.z_terms.items()})
-
     def add_term(self, zpow: int, idx: int, coeff) -> None:
         """Accumulate coeff onto the (z^zpow, basis idx) slot (in place)."""
         vec = self.z_terms.setdefault(zpow, {})
@@ -298,23 +297,11 @@ class LaurentBlock:
             if not vec:
                 del self.z_terms[zpow]
 
-    def accumulate(self, other: "LaurentBlock", factor=None) -> None:
-        """In-place sum with an optional Fraction factor on `other`."""
+    def accumulate(self, other: "LaurentBlock") -> None:
+        """In-place sum."""
         for zp, vec in other.z_terms.items():
             for idx, c in vec.items():
-                self.add_term(zp, idx, c * factor if factor is not None else c)
-
-    def __add__(self, other: "LaurentBlock") -> "LaurentBlock":
-        out = self.copy()
-        out.accumulate(other)
-        return out
-
-    def __sub__(self, other: "LaurentBlock") -> "LaurentBlock":
-        out = self.copy()
-        for zp, vec in other.z_terms.items():
-            for idx, c in vec.items():
-                out.add_term(zp, idx, -c)
-        return out
+                self.add_term(zp, idx, c)
 
     def scale(self, c) -> "LaurentBlock":
         return LaurentBlock(

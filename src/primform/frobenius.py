@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from operator import add
 
-from .algebra import SSeries, format_rational, mat_inv, mono_key, mono_str
+from .algebra import SSeries, format_rational, mat_inv, mono_key, mono_str, parse_rational
 from .milnor import MilnorData, central_charge
 from .primitive import PrimitiveFormResult
 
@@ -336,20 +336,44 @@ def prepotential_record(
     }
 
 
-def verify_record(record: dict) -> dict[str, CheckReport]:
-    """Re-run the exact checks on a stored prepotential record."""
-    mu = len(record["basis"])
-    order = record["order"]
-    if type(order) is not int or order < 0:
-        raise ValueError(f"order must be a non-negative integer, got {order!r}")
-    f0 = SSeries.from_records(record["terms"], mu, order)
-    eta = tuple(
-        tuple(Fraction(v) for v in row) for row in record["eta"]
-    )
-    flat_degrees = [Fraction(d) for d in record["flat_degrees"]]
-    c_hat = Fraction(record["central_charge"])
+def run_checks(
+    f0: SSeries, eta, flat_degrees, c_hat: Fraction, order: int
+) -> dict[str, CheckReport | None]:
+    """The WDVV, Euler and integrability checks of F0 through `order`.
+
+    Below order 3 the normalized F0 is zero, so each check holds only
+    vacuously and its report is None.
+    """
+    if order < 3:
+        return dict.fromkeys(("wdvv", "euler", "integrability"))
     return {
         "wdvv": wdvv_check(f0, eta, order),
         "euler": euler_check(f0, flat_degrees, c_hat),
         "integrability": normalization_check(f0),
     }
+
+
+def verify_record(record: dict) -> dict[str, CheckReport | None]:
+    """Re-run the exact checks on a stored prepotential record.
+
+    The record's shape is checked first: an object with a basis list, an
+    order that is a non-negative int, mu flat degrees, a mu x mu pairing,
+    every rational a string, and no terms below order 3.
+    """
+    if not isinstance(record, dict) or not isinstance(record["basis"], list):
+        raise ValueError("a record is an object with a basis list")
+    mu = len(record["basis"])
+    order = record["order"]
+    if type(order) is not int or order < 0:
+        raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    f0 = SSeries.from_records(record["terms"], mu, order)
+    if order < 3 and f0:
+        raise ValueError("a prepotential below order 3 has no terms")
+    eta = tuple(tuple(parse_rational(v) for v in row) for row in record["eta"])
+    if len(eta) != mu or any(len(row) != mu for row in eta):
+        raise ValueError(f"eta must be {mu} x {mu}")
+    flat_degrees = [parse_rational(d) for d in record["flat_degrees"]]
+    if len(flat_degrees) != mu:
+        raise ValueError(f"expected {mu} flat degrees, got {len(flat_degrees)}")
+    c_hat = parse_rational(record["central_charge"])
+    return run_checks(f0, eta, flat_degrees, c_hat, order)

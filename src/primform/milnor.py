@@ -88,9 +88,6 @@ def infer_weights(poly: SSeries) -> tuple[Fraction, ...]:
     solution = mat_solve(rows, rhs)
     if solution is None:
         raise ValueError("no weight system makes every term homogeneous of degree 1")
-    for m in monos:
-        if weighted_degree(m, tuple(solution)) != 1:
-            raise ValueError("inconsistent weight system")
     # The solve zeroes free unknowns; a vanishing weight means the system
     # was underdetermined and the caller must pass weights explicitly.
     if any(q <= 0 for q in solution):

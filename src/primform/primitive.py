@@ -9,19 +9,22 @@ for the unique pair with zeta in B[[z]][[s]] normalized to the volume form
 at s = 0 and J in [d^n x] + z^(-1) B[z^(-1)] [[s]].  Order by order in
 total s-degree k the equation reads
 
-    zeta_k + K_k = J_k,   K_k = sum_{m=1..k} (F-f)^m / (m! z^m) * zeta_{k-m},
+    zeta_k + K_k = J_k,   K_k = sum_{m=1..k} E_m z^(-m) * zeta_{k-m},
 
-with the product taken through canonical lattice reduction.  Since zeta_k
-lives at z >= 0 and J_k at z <= -1, the split of the fully reduced K_k
-determines both: zeta_k is minus its nonnegative part, J_k its negative
-part.  Every step is a finite exact computation because (F - f) carries
-exactly one s-degree per factor.
+where E_m = sum_{|n|=m} s^n phi^n / n! is the s-degree-m part of
+exp(F - f) (a sum over multi-indices n, with phi^n = prod_a phi_a^n_a and
+n! = prod_a n_a!), and the product is taken through canonical lattice
+reduction.  Since zeta_k lives at z >= 0 and J_k at z <= -1, the split of
+the fully reduced K_k determines both: zeta_k is minus its nonnegative
+part, J_k its negative part.  Every step is a finite exact computation
+because E_m is homogeneous of s-degree m.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from itertools import combinations_with_replacement
+from math import factorial, prod
 
 from .algebra import LaurentBlock, SSeries, mono_mul, weighted_degree
 from .brieskorn import monomial_class
@@ -31,7 +34,7 @@ from .milnor import MilnorData, WeightedPolynomial
 class UnfoldingState:
     """The unfolding F, its parameter grading, and the truncation order."""
 
-    __slots__ = ("base", "milnor", "order", "s_degrees", "F_minus_f", "_powers")
+    __slots__ = ("base", "milnor", "order", "s_degrees", "_parts")
 
     def __init__(self, base: WeightedPolynomial, milnor: MilnorData, order: int):
         if order < 0:
@@ -40,37 +43,31 @@ class UnfoldingState:
         self.milnor = milnor
         self.order = order
         self.s_degrees = tuple(1 - d for d in milnor.degrees)
-        mu = milnor.mu
-        self.F_minus_f = {
-            mono: SSeries.variable(mu, alpha, order)
-            for alpha, mono in enumerate(milnor.basis)
-        }
-        self._powers = None
+        self._parts = None
 
     @property
     def mu(self) -> int:
         return self.milnor.mu
 
-    def deformation_powers(self) -> list[dict]:
-        """(F - f)^m for m = 0..order, as {x-monomial: s-series} maps."""
-        if self._powers is None:
-            mu, order = self.mu, self.order
+    def exp_parts(self) -> list[dict]:
+        """The s-degree-m parts of exp(F - f) for m = 0..order, each as an
+        {x-monomial: s-series} map: sum over |n| = m of s^n phi^n / n!."""
+        if self._parts is None:
+            mu, order, basis = self.mu, self.order, self.milnor.basis
             unit = (0,) * self.base.nvars
-            powers = [{unit: SSeries.const(mu, order, 1)}]
-            for _ in range(order):
-                prev = powers[-1]
-                nxt: dict = {}
-                for ma, ca in prev.items():
-                    for mb, cb in self.F_minus_f.items():
-                        m = mono_mul(ma, mb)
-                        prod = ca * cb
-                        if m in nxt:
-                            nxt[m] = nxt[m] + prod
-                        else:
-                            nxt[m] = prod
-                powers.append({m: c for m, c in nxt.items() if c})
-            self._powers = powers
-        return self._powers
+            parts = []
+            for m in range(order + 1):
+                part: dict = {}
+                for word in combinations_with_replacement(range(mu), m):
+                    n = [0] * mu
+                    for a in word:
+                        n[a] += 1
+                    x_mono = tuple(map(sum, zip(unit, *(basis[a] for a in word))))
+                    coeff = Fraction(1, prod(map(factorial, n)))
+                    part.setdefault(x_mono, {})[tuple(n)] = coeff
+                parts.append({x: SSeries(mu, order, terms) for x, terms in part.items()})
+            self._parts = parts
+        return self._parts
 
 
 def build_unfolding(f: WeightedPolynomial, milnor: MilnorData, order: int) -> UnfoldingState:
@@ -115,22 +112,19 @@ class PrimitiveFormResult:
 
 
 def _accumulate_product(
-    target: LaurentBlock,
-    power: dict,
-    basis_mono: tuple,
-    coeff: SSeries,
-    data: MilnorData,
-    z_shift: int,
-    scalar: Fraction,
+    target: LaurentBlock, part: dict, block: LaurentBlock, data: MilnorData, z_shift: int
 ) -> None:
-    """target += scalar * z^z_shift * reduce(power * phi * coeff)."""
-    for fmono, fcoeff in power.items():
-        series = coeff * fcoeff
-        if not series:
-            continue
-        for zp, vec in monomial_class(mono_mul(fmono, basis_mono), data).items():
-            for idx, frac in vec.items():
-                target.add_term(zp + z_shift, idx, series * (frac * scalar))
+    """target += z^z_shift * reduce(part * block), for a block of zeta."""
+    basis = data.basis
+    for zq, vec in block.z_terms.items():
+        for beta, coeff in vec.items():
+            for fmono, fcoeff in part.items():
+                series = coeff * fcoeff
+                if not series:
+                    continue
+                for zp, cls in monomial_class(mono_mul(fmono, basis[beta]), data).items():
+                    for idx, frac in cls.items():
+                        target.add_term(zp + zq + z_shift, idx, series * frac)
 
 
 def solve_star(state: UnfoldingState) -> PrimitiveFormResult:
@@ -140,31 +134,24 @@ def solve_star(state: UnfoldingState) -> PrimitiveFormResult:
     identical objects.
     """
     milnor = state.milnor
-    mu, order = state.mu, state.order
-    basis = milnor.basis
-    one = SSeries.const(mu, order, 1)
-    powers = state.deformation_powers()
+    one = SSeries.const(state.mu, state.order, 1)
+    parts = state.exp_parts()
 
     zeta_slices = [LaurentBlock({0: {0: one}})]
     zeta = LaurentBlock({0: {0: one}})
     J = LaurentBlock({0: {0: one}})
 
-    for k in range(1, order + 1):
+    for k in range(1, state.order + 1):
         known = LaurentBlock()
         for m in range(1, k + 1):
-            inv_fact = Fraction(1, factorial(m))
-            for zp, vec in zeta_slices[k - m].z_terms.items():
-                for beta, coeff in vec.items():
-                    _accumulate_product(
-                        known, powers[m], basis[beta], coeff, milnor, zp - m, inv_fact
-                    )
+            _accumulate_product(known, parts[m], zeta_slices[k - m], milnor, -m)
         nonneg, neg = known.split()
         zeta_k = nonneg.scale(Fraction(-1))
         zeta_slices.append(zeta_k)
         zeta.accumulate(zeta_k)
         J.accumulate(neg)
 
-    return PrimitiveFormResult(zeta, J, order, state)
+    return PrimitiveFormResult(zeta, J, state.order, state)
 
 
 def defect(result: PrimitiveFormResult) -> LaurentBlock:
@@ -175,17 +162,9 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
     order-sliced bookkeeping of the solver) and must come out exactly zero.
     """
     state = result.state
-    milnor = state.milnor
-    basis = milnor.basis
-    powers = state.deformation_powers()
     total = LaurentBlock()
-    for m in range(0, state.order + 1):
-        inv_fact = Fraction(1, factorial(m))
-        for zp, vec in result.zeta.z_terms.items():
-            for beta, coeff in vec.items():
-                _accumulate_product(
-                    total, powers[m], basis[beta], coeff, milnor, zp - m, inv_fact
-                )
+    for m, part in enumerate(state.exp_parts()):
+        _accumulate_product(total, part, result.zeta, state.milnor, -m)
     for zp, vec in result.J.z_terms.items():
         for idx, c in vec.items():
             total.add_term(zp, idx, -c)

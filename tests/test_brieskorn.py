@@ -34,7 +34,8 @@ class TestReduce:
         g2 = SSeries(2, None, {m: F(rng.randint(-4, 4)) for m in monos[2:5]})
         a, b = F(2, 3), F(-5, 7)
         lhs = reduce_form(g1.scale(a) + g2.scale(b), data)
-        rhs = reduce_form(g1, data).scale(a) + reduce_form(g2, data).scale(b)
+        rhs = reduce_form(g1, data).scale(a)
+        rhs.accumulate(reduce_form(g2, data).scale(b))
         assert lhs == rhs
 
     def test_z_positivity(self, catalog, milnor_cache):

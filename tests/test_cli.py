@@ -177,12 +177,35 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
-    def test_empty_record_vacuous_with_warning(self, capsys, tmp_path):
+    def test_empty_record_rejected(self, capsys, tmp_path):
+        # A record without terms used to pass vacuously, whatever else it held.
         path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"terms": []}))
+        for record in ({}, {"terms": []}):
+            path.write_text(json.dumps(record))
+            code, _, err = run_cli(["verify", str(path)], capsys)
+            assert code == 1
+            assert err.startswith("error: malformed record")
+
+    def test_below_order_three_vacuous(self, capsys, tmp_path):
+        # The same rule as compute: below order 3 no check runs.
+        path = tmp_path / "a2.json"
+        code, _, _ = run_cli(
+            ["compute", "--singularity", "A2", "--order", "2", "--output", str(path)], capsys
+        )
+        assert code == 0
         code, out, _ = run_cli(["verify", str(path)], capsys)
         assert code == 0
-        assert "warning" in out
+        assert out.splitlines() == ["wdvv: vacuous", "euler: vacuous", "integrability: vacuous"]
+
+    def test_record_without_terms_checked(self, capsys, tmp_path):
+        # At order 4 the checks run on a zero F0; they are not vacuous.
+        path = self._compute_record(capsys, tmp_path, name="A2")
+        record = json.loads(path.read_text())
+        record["terms"] = []
+        path.write_text(json.dumps(record))
+        code, out, _ = run_cli(["verify", str(path)], capsys)
+        assert code == 0
+        assert "wdvv: pass" in out and "vacuous" not in out
 
     def test_unparseable_record(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -209,6 +232,31 @@ class TestVerify:
         record = json.loads(path.read_text())
         record["terms"].append({"exponents": exponents, "coeff": "1"})
         path.write_text(json.dumps(record))
+        code, _, err = run_cli(["verify", str(path)], capsys)
+        assert code == 1
+        assert err.startswith("error: malformed record")
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda r: [r],
+            lambda r: json.dumps(r),
+            lambda r: {**r, "terms": [{**r["terms"][0], "coeff": 1}] + r["terms"][1:]},
+            lambda r: {**r, "flat_degrees": r["flat_degrees"] + ["7"]},
+            lambda r: {**r, "flat_degrees": r["flat_degrees"][:-1]},
+            lambda r: {**r, "eta": [r["eta"][0][:-1]] + r["eta"][1:]},
+            lambda r: {**r, "eta": r["eta"][:-1]},
+            lambda r: {**r, "order": 2, "terms": [{"exponents": [1, 1, 0], "coeff": "1"}]},
+        ],
+        ids=[
+            "list", "string", "int coeff", "extra flat degree", "missing flat degree",
+            "short eta row", "missing eta row", "terms below order 3",
+        ],
+    )
+    def test_malformed_shape_rejected(self, capsys, tmp_path, mutate):
+        # Once a traceback, a pass, or Euler or WDVV violations.
+        path = self._compute_record(capsys, tmp_path, name="A4")
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
         code, _, err = run_cli(["verify", str(path)], capsys)
         assert code == 1
         assert err.startswith("error: malformed record")
@@ -353,3 +401,13 @@ class TestEntryPoint:
         ):
             assert name in primform.__all__ and callable(getattr(primform, name)), name
         assert callable(primform.frobenius.prepotential_record)
+        # The traced counters read these attributes of the results.
+        f = primform.load_catalog()["A2"].weighted_polynomial()
+        data = primform.milnor_basis(f)
+        result = primform.solve_star(primform.build_unfolding(f, data, 3))
+        frob = primform.prepotential(result, data)
+        assert len(result.state.milnor._reduce_cache) > 0
+        blocks = list(result.J.iter_terms())
+        assert blocks and all(isinstance(series.terms, dict) for _, _, series in blocks)
+        assert len(frob.prepotential.terms) > 0
+        assert type(primform.wdvv_check(frob.prepotential, data.eta, 3).checked) is int

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from primform.algebra import SSeries
+from primform.algebra import SSeries, mono_mul
 from primform.milnor import milnor_basis
 from primform.primitive import (
     build_unfolding,
@@ -21,7 +22,12 @@ class TestBuildUnfolding:
             catalog["A1"].weighted_polynomial(), milnor_cache("A1"), 2
         )
         assert state.s_degrees == (F(1),)
-        assert state.F_minus_f == {(0,): SSeries.variable(1, 0, 2)}
+        # phi_0 = 1, so every part sits at x^0: 1, s and s^2/2.
+        assert state.exp_parts() == [
+            {(0,): SSeries.const(1, 2, 1)},
+            {(0,): SSeries.variable(1, 0, 2)},
+            {(0,): SSeries(1, 2, {(2,): F(1, 2)})},
+        ]
 
     def test_u12_parameter_degrees(self, catalog, milnor_cache):
         state = build_unfolding(
@@ -49,6 +55,37 @@ class TestBuildUnfolding:
             catalog["P8"].weighted_polynomial(), milnor_cache("P8"), 0
         )
         assert state.s_degrees.count(F(0)) == 1
+
+    @pytest.mark.parametrize("name", ["A3", "D4", "P8", "U12"])
+    def test_exp_parts_match_repeated_products(self, name, catalog, milnor_cache, monkeypatch):
+        # Reference: (F - f)^m / m!, each power the one below it times F - f.
+        order = 4
+        data = milnor_cache(name)
+        state = build_unfolding(catalog[name].weighted_polynomial(), data, order)
+        mu = data.mu
+        calls = []
+        original = SSeries.__mul__
+
+        def counting(a, b):
+            calls.append(None)
+            return original(a, b)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SSeries, "__mul__", counting)
+            parts = state.exp_parts()
+        assert not calls  # built term by term, with no series product
+        assert len(parts) == order + 1
+        linear = {mono: SSeries.variable(mu, a, order) for a, mono in enumerate(data.basis)}
+        power = {(0,) * state.base.nvars: SSeries.const(mu, order, 1)}
+        for m in range(order + 1):
+            expected = {x: c * F(1, factorial(m)) for x, c in power.items() if c}
+            assert parts[m] == expected, m
+            raised = {}
+            for xa, ca in power.items():
+                for xb, cb in linear.items():
+                    x = mono_mul(xa, xb)
+                    raised[x] = raised.get(x, SSeries.zero(mu, order)) + ca * cb
+            power = raised
 
 
 class TestSolveStar:
@@ -117,7 +154,7 @@ class TestSolveStar:
                 result = solve_star(state)
             j_terms = sum(len(series.terms) for _, _, series in result.J.iter_terms())
             counts[name] = (len(calls), j_terms, len(data._reduce_cache))
-        assert counts == {"E12": (1728, 1054, 105), "U12": (2699, 643, 225)}
+        assert counts == {"E12": (408, 1054, 105), "U12": (659, 643, 225)}
 
     def test_truncation_stability(self, catalog, milnor_cache):
         data = milnor_cache("W12")
