@@ -227,8 +227,9 @@ class SSeries:
 
     @classmethod
     def from_records(cls, records: list[dict], nvars: int, order: int | None = None) -> "SSeries":
-        """Read serialized terms; every exponent must be a non-negative int,
-        and with an order no term may lie above it."""
+        """Read serialized terms in the form to_records writes: every
+        exponent a non-negative int, no monomial twice, no zero coefficient,
+        and with an order no term above it."""
         terms = {}
         for rec in records:
             exps = tuple(rec["exponents"])
@@ -238,9 +239,12 @@ class SSeries:
                 raise ValueError(f"exponents must be non-negative integers, got {list(exps)}")
             if order is not None and sum(exps) > order:
                 raise ValueError(f"term {list(exps)} lies above order {order}")
+            if exps in terms:
+                raise ValueError(f"term {list(exps)} appears twice")
             coeff = parse_rational(rec["coeff"])
-            if coeff:
-                terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            if not coeff:
+                raise ValueError(f"term {list(exps)} has coefficient zero")
+            terms[exps] = coeff
         return cls(nvars, order, terms)
 
     def render(self, names: Iterable[str]) -> str:

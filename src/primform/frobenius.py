@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import add
+from math import lcm
 
 from .algebra import SSeries, format_rational, mat_inv, mono_key, mono_str, parse_rational
 from .milnor import MilnorData, central_charge
@@ -93,14 +93,13 @@ def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
 
 
 class FrobeniusData:
-    """Flat coordinates, their inverse, the flat metric, and the prepotential."""
+    """Flat coordinates, their inverse, and the prepotential."""
 
-    __slots__ = ("t_of_s", "s_of_t", "eta_flat", "prepotential", "order")
+    __slots__ = ("t_of_s", "s_of_t", "prepotential", "order")
 
-    def __init__(self, t_of_s, s_of_t, eta_flat, prepotential, order):
+    def __init__(self, t_of_s, s_of_t, prepotential, order):
         self.t_of_s = t_of_s
         self.s_of_t = s_of_t
-        self.eta_flat = eta_flat
         self.prepotential = prepotential
         self.order = order
 
@@ -141,7 +140,7 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
         if f0.diff(a) - gradient[a]:
             raise IntegrabilityError("integrated prepotential does not match its gradient")
 
-    return FrobeniusData(t_of_s, s_of_t, milnor.eta, f0, order)
+    return FrobeniusData(t_of_s, s_of_t, f0, order)
 
 
 class CheckReport:
@@ -163,36 +162,56 @@ class CheckReport:
         return f"CheckReport({self.name}: {state}, {self.checked} checks)"
 
 
-def _third_derivatives(f0: SSeries, check_order: int) -> dict:
-    """F_abe for a <= b <= e, straight from the terms of f0.
+def _third_derivatives(f0: SSeries, check_order: int, scale: int) -> dict:
+    """F_abe for a <= b <= e, straight from the terms of f0, times `scale`.
 
-    Each value maps total degree to the (monomial, coefficient) pairs of
-    that degree, ascending; terms above check_order are dropped.
+    Each value maps total degree to the (packed monomial, int coefficient)
+    pairs of that degree, ascending; terms above check_order are dropped.
+    Exponent i of a packed monomial is its digit i in base check_order + 1.
+    `scale` must clear every denominator of f0.
     """
+    powers = [(check_order + 1) ** i for i in range(f0.nvars)]
     third: dict = {}
     for mono, coeff in f0.terms.items():
-        if sum(mono) - 3 > check_order:
+        degree = sum(mono) - 3
+        if degree > check_order:
             continue
+        # A digit of mono itself may exceed check_order, but packing is linear,
+        # so subtracting the lowered powers gives the packed lowered monomial.
+        packed = sum(e * p for e, p in zip(mono, powers))
+        scaled = coeff.numerator * (scale // coeff.denominator)
         support = [i for i, e in enumerate(mono) if e]
         for key in combinations_with_replacement(support, 3):
             lowered = list(mono)
-            value = coeff
+            value = scaled
             for i in key:
                 value *= lowered[i]
                 lowered[i] -= 1
             if value:
-                third.setdefault(key, {})[tuple(lowered)] = value
-    return {key: _graded(terms) for key, terms in third.items()}
+                bucket = third.setdefault(key, {}).setdefault(degree, {})
+                bucket[packed - powers[key[0]] - powers[key[1]] - powers[key[2]]] = value
+    return {key: _graded(buckets) for key, buckets in third.items()}
 
 
-def _graded(terms: dict) -> list:
-    """[(degree, [(monomial, coefficient), ...]), ...] by ascending degree,
-    zero coefficients dropped."""
-    buckets: dict = {}
-    for mono, coeff in terms.items():
-        if coeff:
-            buckets.setdefault(sum(mono), []).append((mono, coeff))
-    return sorted(buckets.items())
+def _graded(buckets: dict) -> list:
+    """{degree: {monomial: coefficient}} as [(degree, [(monomial,
+    coefficient), ...]), ...] by ascending degree, zero coefficients and
+    empty degrees dropped."""
+    graded = []
+    for degree in sorted(buckets):
+        items = [(mono, coeff) for mono, coeff in buckets[degree].items() if coeff]
+        if items:
+            graded.append((degree, items))
+    return graded
+
+
+def _unpacked(packed: int, base: int, mu: int) -> tuple:
+    """The exponent tuple of a monomial packed in `base`."""
+    exps = []
+    for _ in range(mu):
+        packed, e = divmod(packed, base)
+        exps.append(e)
+    return tuple(exps)
 
 
 def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
@@ -212,6 +231,15 @@ def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
     past order - 3; X_abcd is compared with X_acbd for every b < c and
     every d, and the slice is dropped before the next a.  ``checked``
     counts every quadruple compared.
+
+    The loops run on Python ints only.  With D the lcm of the denominators
+    of f0 and E that of eta^-1, every F_abe is scaled exactly by D and
+    every entry of eta^-1 by E, so each X formed is D^2 E times the true
+    one and every comparison has the same outcome; a reported difference
+    is divided by D^2 E again.  A monomial is one int whose digit i in base
+    check_order + 1 is exponent i.  Every term formed has total degree at
+    most check_order, so no digit exceeds check_order and none carries:
+    the product of two monomials is the sum of their ints.
     """
     mu = len(eta)
     check_order = order - 3
@@ -220,9 +248,14 @@ def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
     if f0.nvars != mu:
         raise ValueError(f"prepotential has {f0.nvars} variables, pairing has {mu}")
     eta_inv = mat_inv([list(row) for row in eta])
-    raising = [[(fi, v) for fi, v in enumerate(row) if v] for row in eta_inv]
+    d_scale = lcm(*(c.denominator for c in f0.terms.values()))
+    e_scale = lcm(*(v.denominator for row in eta_inv for v in row))
+    raising = [
+        [(fi, v.numerator * (e_scale // v.denominator)) for fi, v in enumerate(row) if v]
+        for row in eta_inv
+    ]
 
-    third = _third_derivatives(f0, check_order)
+    third = _third_derivatives(f0, check_order, d_scale)
     # For each f, the (c, d) with c <= d and F_fcd nonzero.
     pairs: dict = {}
     for (i, j, k), graded in third.items():
@@ -240,12 +273,13 @@ def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
                 if graded is None:
                     continue
                 for fi, g in raising[e]:
-                    acc = raised.setdefault(fi, {})
-                    for _, items in graded:
+                    buckets = raised.setdefault(fi, {})
+                    for degree, items in graded:
+                        acc = buckets.setdefault(degree, {})
                         for mono, coeff in items:
                             acc[mono] = acc.get(mono, 0) + coeff * g
-            for fi, terms in raised.items():
-                left = _graded(terms)
+            for fi, buckets in raised.items():
+                left = _graded(buckets)
                 for (c, d), right in pairs.get(fi, ()):
                     acc = x_a.setdefault((b, c, d), {})
                     for dl, litems in left:
@@ -254,7 +288,7 @@ def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
                                 break
                             for ml, cl in litems:
                                 for mr, cr in ritems:
-                                    m = tuple(map(add, ml, mr))
+                                    m = ml + mr
                                     acc[m] = acc.get(m, 0) + cl * cr
         for b in range(mu):
             for c in range(b + 1, mu):
@@ -264,14 +298,19 @@ def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
                     right = x_a.get((c, min(b, d), max(b, d)), {})
                     if left == right:
                         continue
-                    keys = left.keys() | right.keys()
-                    diff = {m: left.get(m, 0) - right.get(m, 0) for m in keys}
-                    for mono in sorted((m for m, v in diff.items() if v), key=mono_key):
+                    diff = {}
+                    for m in left.keys() | right.keys():
+                        value = left.get(m, 0) - right.get(m, 0)
+                        if value:
+                            diff[_unpacked(m, check_order + 1, mu)] = value
+                    for mono in sorted(diff, key=mono_key):
                         violations.append(
                             {
                                 "indices": (a + 1, b + 1, c + 1, d + 1),
                                 "monomial": mono,
-                                "difference": format_rational(diff[mono]),
+                                "difference": format_rational(
+                                    Fraction(diff[mono], d_scale * d_scale * e_scale)
+                                ),
                             }
                         )
     return CheckReport("wdvv", violations, checked)

@@ -2,12 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import primform
 from primform.cli import main
+
+
+def halved(term):
+    """A serialized term with half its coefficient."""
+    return {**term, "coeff": str(Fraction(term["coeff"]) / 2)}
 
 
 def run_cli(args, capsys):
@@ -247,14 +253,19 @@ class TestVerify:
             lambda r: {**r, "eta": [r["eta"][0][:-1]] + r["eta"][1:]},
             lambda r: {**r, "eta": r["eta"][:-1]},
             lambda r: {**r, "order": 2, "terms": [{"exponents": [1, 1, 0], "coeff": "1"}]},
+            lambda r: {**r, "terms": [halved(r["terms"][0])] * 2 + r["terms"][1:]},
+            lambda r: {**r, "terms": r["terms"] + r["terms"][:1]},
+            lambda r: {**r, "terms": r["terms"] + [{"exponents": [1, 0, 1, 1], "coeff": "0"}]},
         ],
         ids=[
             "list", "string", "int coeff", "extra flat degree", "missing flat degree",
-            "short eta row", "missing eta row", "terms below order 3",
+            "short eta row", "missing eta row", "terms below order 3", "split term",
+            "repeated term", "zero coefficient",
         ],
     )
     def test_malformed_shape_rejected(self, capsys, tmp_path, mutate):
-        # Once a traceback, a pass, or Euler or WDVV violations.
+        # Once a traceback, a pass, or Euler or WDVV violations; a split or
+        # repeated term was summed and a zero term dropped.
         path = self._compute_record(capsys, tmp_path, name="A4")
         path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
         code, _, err = run_cli(["verify", str(path)], capsys)
@@ -337,7 +348,8 @@ class TestCatalogResolution:
         assert json.loads(out)["milnor_number"] == 2
 
     @pytest.mark.parametrize(
-        "entry", ["no weights", "not an object", "negative exponent", "fractional exponent"]
+        "entry",
+        ["no weights", "not an object", "negative exponent", "fractional exponent", "repeated term"],
     )
     def test_malformed_catalog(self, capsys, tmp_path, entry):
         raw = {
@@ -350,6 +362,9 @@ class TestCatalogResolution:
         elif entry.endswith("exponent"):
             raw["weights"] = ["1/3"]
             raw["polynomial"][0]["exponents"] = [-3] if entry.startswith("negative") else [3.7]
+        elif entry == "repeated term":
+            raw["weights"] = ["1/3"]
+            raw["polynomial"].append({"exponents": [3], "coeff": "1"})
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"entries": [raw]}))
         code, out, err = run_cli(

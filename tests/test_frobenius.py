@@ -176,10 +176,6 @@ class TestPrepotential:
             counts[name] = len(calls)
         assert counts == {"E12": 1292, "U12": 1086}
 
-    def test_metric_in_flat_frame_is_eta(self, frobenius_cache, milnor_cache):
-        for name in ("A3", "U12"):
-            assert frobenius_cache(name).eta_flat == milnor_cache(name).eta
-
 
 class TestFourPointFunction:
     def test_cubic_only_gives_zero(self):

@@ -7,6 +7,9 @@ formed and truncated afterwards.  The sparse check must return the same
 violation list, in the same order, and the same ``checked`` count.
 """
 
+from fractions import Fraction
+from math import lcm
+
 import pytest
 
 from primform.algebra import SSeries, format_rational, mat_inv
@@ -68,11 +71,11 @@ def dense_wdvv(f0: SSeries, eta, order: int):
     return violations, checked
 
 
-def perturbed(f0: SSeries, degree: int, which: int = 0) -> SSeries:
-    """f0 with 1 added to its which-th coefficient of the given total degree."""
+def perturbed(f0: SSeries, degree: int, which: int = 0, amount=1) -> SSeries:
+    """f0 with amount added to its which-th coefficient of the given total degree."""
     monos = [m for m, _ in f0.sorted_terms() if sum(m) == degree]
     terms = dict(f0.terms)
-    terms[monos[which]] += 1
+    terms[monos[which]] += amount
     return SSeries(f0.nvars, f0.order, terms)
 
 
@@ -107,3 +110,18 @@ def test_order_six_perturbed_at_degree_five_matches_dense(name, frobenius_cache,
     assert fifth
     for which in range(len(fifth)):
         assert not assert_same_as_dense(perturbed(f0, 5, which), eta, 6).passed, which
+
+
+@pytest.mark.parametrize(
+    "name, order, degree, amount",
+    [("U12", 4, 4, Fraction(1, 7)), ("D4", 6, 5, Fraction(1, 11))],
+)
+def test_perturbation_with_new_denominator_matches_dense(
+    name, order, degree, amount, frobenius_cache, milnor_cache
+):
+    # The check scales f0 by the lcm of its denominators; this amount's
+    # denominator is new to f0, so the perturbed f0 needs a larger scale.
+    f0 = frobenius_cache(name, order).prepotential
+    assert lcm(*(c.denominator for c in f0.terms.values())) % amount.denominator
+    f0 = perturbed(f0, degree, amount=amount)
+    assert not assert_same_as_dense(f0, milnor_cache(name).eta, order).passed
