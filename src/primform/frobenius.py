@@ -11,10 +11,17 @@ residue pairing,
 with the constant, linear, and quadratic parts normalized to zero.  Each
 pass of the fixed point and J_(-2)(s(t)) itself substitute s(t) directly
 into every monomial, u(s(t)) = sum_J u_J s(t)^J, sharing the powers s(t)^J
-among the series of one substitution.  The gradient must be exactly
+among the series of one substitution.  Pass p of the fixed point fixes
+total degree p, so it runs at order p.  The gradient must be exactly
 curl-free before integration; a failure signals a convention bug and is
 raised, never tolerated.  All series in t are truncated by total degree at
 the same order as the s-expansion.
+
+The substitution and the WDVV check run on Python ints: each scales its
+rational inputs by the lcm of their denominators, and divides back only
+once for each output value.  Both pack a monomial into one int whose digit
+i in a base above every exponent is exponent i, so the product of two
+monomials is the sum of their ints.
 """
 
 from __future__ import annotations
@@ -32,6 +39,51 @@ class IntegrabilityError(ArithmeticError):
     """The candidate gradient of the prepotential is not curl-free."""
 
 
+def _packed(mono, base: int) -> int:
+    """The monomial as one int: exponent i is its digit i in `base`."""
+    packed = 0
+    for e in reversed(mono):
+        packed = packed * base + e
+    return packed
+
+
+def _unpacked(packed: int, base: int, mu: int) -> tuple:
+    """The exponent tuple of a monomial packed in `base`."""
+    exps = []
+    for _ in range(mu):
+        packed, e = divmod(packed, base)
+        exps.append(e)
+    return tuple(exps)
+
+
+def _graded(buckets: dict) -> list:
+    """{degree: {monomial: coefficient}} as [(degree, [(monomial,
+    coefficient), ...]), ...] by ascending degree, zero coefficients and
+    empty degrees dropped."""
+    graded = []
+    for degree in sorted(buckets):
+        items = [(mono, coeff) for mono, coeff in buckets[degree].items() if coeff]
+        if items:
+            graded.append((degree, items))
+    return graded
+
+
+def _graded_product(left: list, right: list, bound: int) -> list:
+    """The product of two graded series of packed monomials, through total
+    degree `bound`."""
+    buckets: dict = {}
+    for dl, litems in left:
+        for dr, ritems in right:
+            if dl + dr > bound:
+                break
+            acc = buckets.setdefault(dl + dr, {})
+            for ml, cl in litems:
+                for mr, cr in ritems:
+                    m = ml + mr
+                    acc[m] = acc.get(m, 0) + cl * cr
+    return _graded(buckets)
+
+
 def flat_coordinates(result: PrimitiveFormResult) -> list[SSeries]:
     """t_a(s) = J_(-1)^a; the leading part is s_a itself."""
     return result.j_components(-1)
@@ -43,17 +95,46 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
     Each monomial s^J is visited as its sorted word of variable indices
     (s_1^2 s_3 is (0, 0, 2)), and the words are walked in sorted order, so
     consecutive words share their longest common prefix.  A stack holds
-    s(t)^w for the prefixes w of the current word only, each entry the one
-    below it times one coordinate series; the powers are shared by all the
-    series of one call.
+    the powers for the prefixes w of the current word only, each entry the
+    one below it times one coordinate series; the powers are shared by all
+    the series of one call.
+
+    The walk runs on ints.  With D the lcm of the denominators of s(t), the
+    stack holds D^|w| s(t)^w, graded by total degree.  Each u is scaled by
+    E, the lcm of its own denominators, and its term at a word w by
+    D^(top - |w|) as well, top the length of its longest word, so that
+    every term adds E D^top u_J s(t)^J; each output coefficient is divided
+    by E D^top once.  A monomial is packed in base N + 1, N the order of
+    s(t), which no exponent of a kept term exceeds.  Each result keeps the
+    order of its u and no term above N.
     """
-    nv = s_of_t[0].nvars
-    uses: dict = {}
+    orders = {s.order for s in s_of_t}
+    if len(orders) != 1 or None in orders:
+        raise ValueError(f"s(t) must have one integer order, got {sorted(orders, key=str)}")
+    (order,) = orders
+    nv, base = s_of_t[0].nvars, order + 1
+    d_scale = lcm(*(c.denominator for s in s_of_t for c in s.terms.values()))
+    factors = []
+    for s in s_of_t:
+        buckets: dict = {}
+        for mono, c in s.terms.items():
+            scaled = c.numerator * (d_scale // c.denominator)
+            buckets.setdefault(sum(mono), {})[_packed(mono, base)] = scaled
+        factors.append(_graded(buckets))
+
+    bounds, scales, uses = [], [], {}
     for i, u in enumerate(series):
-        for mono, coeff in u.terms.items():
+        bounds.append(order if u.order is None else min(order, u.order))
+        e_scale = lcm(*(c.denominator for c in u.terms.values()))
+        top = max(map(sum, u.terms), default=0)
+        scales.append(e_scale * d_scale**top)
+        for mono, c in u.terms.items():
             word = tuple(v for v, e in enumerate(mono) for _ in range(e))
-            uses.setdefault(word, []).append((i, coeff))
-    stack = [SSeries.const(nv, s_of_t[0].order, 1)]  # stack[k] = s(t)^word[:k]
+            scaled = c.numerator * (e_scale // c.denominator) * d_scale ** (top - len(word))
+            uses.setdefault(word, []).append((i, scaled))
+    bound = max(bounds, default=order)
+
+    stack = [[(0, [(0, 1)])]]  # stack[k] = D^k s(t)^word[:k]
     prev: tuple = ()
     out = [{} for _ in series]
     for word in sorted(uses):
@@ -62,20 +143,32 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
             common += 1
         del stack[common + 1:]
         for v in word[common:]:
-            stack.append(stack[-1] * s_of_t[v])
+            stack.append(_graded_product(stack[-1], factors[v], bound))
         prev = word
-        for i, coeff in uses[word]:
-            acc = out[i]
-            for mono, c in stack[-1].terms.items():
-                acc[mono] = acc.get(mono, 0) + coeff * c
-    return [SSeries(nv, u.order, acc) for u, acc in zip(series, out)]
+        for i, scaled in uses[word]:
+            acc, top_degree = out[i], bounds[i]
+            for degree, items in stack[-1]:
+                if degree > top_degree:
+                    break
+                for mono, c in items:
+                    acc[mono] = acc.get(mono, 0) + scaled * c
+    return [
+        SSeries(
+            nv,
+            u.order,
+            {_unpacked(m, base, nv): Fraction(a, scale) for m, a in acc.items() if a},
+        )
+        for u, acc, scale in zip(series, out, scales)
+    ]
 
 
 def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
     """Inverse series s(t) of a coordinate change with identity linear part.
 
-    Fixed-point iteration on s = t - u(s) where u is the nonlinear part;
-    each pass fixes one more total degree.
+    Fixed-point iteration on s = t - u(s) where u is the nonlinear part.
+    Pass p fixes total degree p, and runs at order p: u starts at degree 2,
+    so the degree-p part of u(s) needs s only through degree p - 1, which
+    the passes before it have fixed.
     """
     mu = len(t_of_s)
     u = []
@@ -86,9 +179,10 @@ def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
         if t.degree_part(0):
             raise ValueError("coordinate change must vanish at the origin")
         u.append((t - linear).truncate(order))
-    s = identity = [SSeries.variable(mu, a, order) for a in range(mu)]
-    for _ in range(max(order - 1, 0)):
-        s = [t_a - w for t_a, w in zip(identity, substitute(u, s))]
+    s = [SSeries.variable(mu, a, order) for a in range(mu)]
+    for p in range(2, order + 1):
+        nonlinear = substitute([w.truncate(p) for w in u], [x.truncate(p) for x in s])
+        s = [SSeries.variable(mu, a, p) - w for a, w in enumerate(nonlinear)]
     return s
 
 
@@ -170,15 +264,11 @@ def _third_derivatives(f0: SSeries, check_order: int, scale: int) -> dict:
     Exponent i of a packed monomial is its digit i in base check_order + 1.
     `scale` must clear every denominator of f0.
     """
-    powers = [(check_order + 1) ** i for i in range(f0.nvars)]
     third: dict = {}
     for mono, coeff in f0.terms.items():
         degree = sum(mono) - 3
         if degree > check_order:
             continue
-        # A digit of mono itself may exceed check_order, but packing is linear,
-        # so subtracting the lowered powers gives the packed lowered monomial.
-        packed = sum(e * p for e, p in zip(mono, powers))
         scaled = coeff.numerator * (scale // coeff.denominator)
         support = [i for i, e in enumerate(mono) if e]
         for key in combinations_with_replacement(support, 3):
@@ -189,29 +279,8 @@ def _third_derivatives(f0: SSeries, check_order: int, scale: int) -> dict:
                 lowered[i] -= 1
             if value:
                 bucket = third.setdefault(key, {}).setdefault(degree, {})
-                bucket[packed - powers[key[0]] - powers[key[1]] - powers[key[2]]] = value
+                bucket[_packed(lowered, check_order + 1)] = value
     return {key: _graded(buckets) for key, buckets in third.items()}
-
-
-def _graded(buckets: dict) -> list:
-    """{degree: {monomial: coefficient}} as [(degree, [(monomial,
-    coefficient), ...]), ...] by ascending degree, zero coefficients and
-    empty degrees dropped."""
-    graded = []
-    for degree in sorted(buckets):
-        items = [(mono, coeff) for mono, coeff in buckets[degree].items() if coeff]
-        if items:
-            graded.append((degree, items))
-    return graded
-
-
-def _unpacked(packed: int, base: int, mu: int) -> tuple:
-    """The exponent tuple of a monomial packed in `base`."""
-    exps = []
-    for _ in range(mu):
-        packed, e = divmod(packed, base)
-        exps.append(e)
-    return tuple(exps)
 
 
 def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:

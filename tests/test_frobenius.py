@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from primform import frobenius
 from primform.algebra import SSeries, mono_mul
 from primform.frobenius import (
     euler_check,
@@ -16,6 +17,17 @@ from primform.frobenius import (
 from primform.milnor import central_charge, divide_by_jacobian
 
 F = Fraction
+
+
+def full_order_inverse(t_of_s, order):
+    """The fixed point s = t - u(s) as first written: order - 1 passes, each
+    at the full order."""
+    mu = len(t_of_s)
+    u = [(t - t.degree_part(1)).truncate(order) for t in t_of_s]
+    s = identity = [SSeries.variable(mu, a, order) for a in range(mu)]
+    for _ in range(max(order - 1, 0)):
+        s = [t_a - w for t_a, w in zip(identity, substitute(u, s))]
+    return s
 
 
 class TestFlatCoordinates:
@@ -53,25 +65,43 @@ class TestInvertCoordinates:
             invert_coordinates(t, 3)
 
     def test_substitute_matches_direct_substitution(self):
+        # Denominators with the primes 7, 11 and 13 in u and in s(t), and u
+        # at orders below, at and above that of s(t), or a polynomial.
         rng = random.Random(55)
         order = 4
         mu = 3
-        for _ in range(30):
-            def rand_series(min_deg):
-                terms = {}
-                for _ in range(rng.randint(0, 4)):
-                    exps = [0] * mu
-                    for _ in range(rng.randint(min_deg, order)):
-                        exps[rng.randrange(mu)] += 1
-                    if sum(exps) >= min_deg:
-                        terms[tuple(exps)] = F(rng.randint(-5, 5), rng.randint(1, 3))
-                return SSeries(mu, order, terms)
+        denominators = (1, 2, 3, 7, 11, 13, 77, 143)
 
-            us = [rand_series(0) for _ in range(3)]
-            shift = [rand_series(2) for _ in range(mu)]
-            substituted = [SSeries.variable(mu, i, order) + shift[i] for i in range(mu)]
+        def rand_series(min_deg, series_order, max_deg=order):
+            terms = {}
+            for _ in range(rng.randint(0, 5)):
+                exps = [0] * mu
+                for _ in range(rng.randint(min_deg, max_deg)):
+                    exps[rng.randrange(mu)] += 1
+                if sum(exps) >= min_deg:
+                    terms[tuple(exps)] = F(rng.randint(-5, 5), rng.choice(denominators))
+            return SSeries(mu, series_order, terms)
+
+        cases = []
+        for _ in range(60):
+            us = [rand_series(0, u_order, order + 1) for u_order in (2, 3, order, order + 1, None)]
+            us.append(SSeries(mu, order, {(order, 0, 0): F(3, 7), (0, 1, order - 1): F(-2, 13)}))
+            shift = [rand_series(2, order) for _ in range(mu)]
+            cases.append((us, [SSeries.variable(mu, i, order) + shift[i] for i in range(mu)]))
+        # A sum that cancels: s_2(t) = s_0(t) - s_1(t)^2/11 - s_1(t)^3/13, so
+        # u vanishes at s(t), from words of lengths 1, 2 and 3.
+        t0, t1 = SSeries.variable(mu, 0, order), SSeries.variable(mu, 1, order)
+        cancelling = SSeries(
+            mu,
+            order,
+            {(1, 0, 0): F(1, 7), (0, 2, 0): F(-1, 77), (0, 3, 0): F(-1, 91), (0, 0, 1): F(-1, 7)},
+        )
+        s0 = t0 + (t1 * t1).scale(F(1, 11)) + (t1 * t1 * t1).scale(F(1, 13))
+        cases.append(([cancelling], [s0, t1, t0]))
+
+        for us, substituted in cases:
             composed = substitute(us, substituted)
-            # brute force: substitute t_i + shift_i into every monomial
+            # brute force: substitute s(t) into every monomial
             for u, got in zip(us, composed):
                 direct = SSeries.zero(mu, order)
                 for mono, coeff in u.terms.items():
@@ -80,7 +110,36 @@ class TestInvertCoordinates:
                         for _ in range(e):
                             term = term * substituted[var]
                     direct = direct + term
-                assert got == direct
+                assert got == SSeries(mu, u.order, direct.terms)
+        assert substitute([cancelling], [s0, t1, t0]) == [SSeries.zero(mu, order)]
+
+    def test_substitute_needs_one_integer_order(self):
+        u = [SSeries.variable(2, 0, 3)]
+        with pytest.raises(ValueError):
+            substitute(u, [SSeries.variable(2, 0, None), SSeries.variable(2, 1, None)])
+        with pytest.raises(ValueError):
+            substitute(u, [SSeries.variable(2, 0, 3), SSeries.variable(2, 1, 4)])
+
+    def test_growing_order_equals_full_order_fixed_point(self, solved_cache):
+        cases = [
+            (flat_coordinates(solved_cache(name, order)), order)
+            for name, order in (("E12", 6), ("U12", 6), ("W13", 5))
+        ]
+        rng = random.Random(91)
+        mu = 3
+        for order in range(6):
+            t = []
+            for alpha in range(mu):
+                terms = {}
+                for _ in range(rng.randint(0, 4)):
+                    exps = [0] * mu
+                    for _ in range(rng.randint(2, max(order, 2))):
+                        exps[rng.randrange(mu)] += 1
+                    terms[tuple(exps)] = F(rng.randint(-4, 4), rng.choice((1, 2, 7, 11)))
+                t.append(SSeries.variable(mu, alpha, order) + SSeries(mu, order, terms))
+            cases.append((t, order))
+        for t_of_s, order in cases:
+            assert invert_coordinates(t_of_s, order) == full_order_inverse(t_of_s, order)
 
     def test_random_roundtrip(self):
         rng = random.Random(77)
@@ -157,24 +216,32 @@ class TestPrepotential:
             assert frob.order == order
 
     def test_series_products_pinned(self, solved_cache, milnor_cache, monkeypatch):
-        # Work counter: the powers s(t)^J are built once per substitution
-        # and shared by its series; building them per series raises these.
+        # Work counter: the substitutions multiply no SSeries, and build each
+        # power s(t)^w once per call, shared by its series; building the
+        # powers per series raises these counts.
         cases = {name: (solved_cache(name, 4), milnor_cache(name)) for name in ("E12", "U12")}
-        calls = []
-        original = SSeries.__mul__
+        products, series_products = [], []
+        power_product = frobenius._graded_product
+        series_product = SSeries.__mul__
 
-        def counting(a, b):
-            calls.append(None)
-            return original(a, b)
+        def counting_power(*args):
+            products.append(None)
+            return power_product(*args)
 
-        monkeypatch.setattr(SSeries, "__mul__", counting)
-        monkeypatch.setattr(SSeries, "__rmul__", counting)
+        def counting_series(a, b):
+            series_products.append(None)
+            return series_product(a, b)
+
+        monkeypatch.setattr(frobenius, "_graded_product", counting_power)
+        monkeypatch.setattr(SSeries, "__mul__", counting_series)
+        monkeypatch.setattr(SSeries, "__rmul__", counting_series)
         counts = {}
         for name, (result, data) in cases.items():
-            calls.clear()
+            products.clear()
             prepotential(result, data)
-            counts[name] = len(calls)
-        assert counts == {"E12": 1292, "U12": 1086}
+            counts[name] = len(products)
+        assert counts == {"E12": 939, "U12": 694}
+        assert series_products == []
 
 
 class TestFourPointFunction:
