@@ -203,17 +203,6 @@ class SSeries:
         order = None if self.order is None else max(self.order - 1, 0)
         return SSeries(self.nvars, order, out)
 
-    def shift_variable(self, idx: int) -> "SSeries":
-        """Multiply by the idx-th variable (exponent shift, truncating)."""
-        bound = inf if self.order is None else self.order
-        out = {}
-        for m, c in self.terms.items():
-            if sum(m) + 1 <= bound:
-                raised = list(m)
-                raised[idx] += 1
-                out[tuple(raised)] = c
-        return SSeries(self.nvars, self.order, out)
-
     def coefficient(self, exps: tuple[int, ...]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 

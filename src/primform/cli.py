@@ -21,13 +21,7 @@ from .algebra import (
     parse_rational,
 )
 from .catalog import CatalogEntry, EXCEPTIONAL_NAMES, load_catalog
-from .frobenius import (
-    IntegrabilityError,
-    prepotential,
-    prepotential_record,
-    run_checks,
-    verify_record,
-)
+from .frobenius import prepotential, prepotential_record, run_checks, verify_record
 from .milnor import WeightedPolynomial, central_charge, infer_weights, milnor_basis
 from .mirror import (
     InvertiblePolynomial,
@@ -137,11 +131,7 @@ def cmd_compute(args) -> int:
     checks = {}
     if args.check_defect:
         checks["defect"] = "pass" if defect_is_zero(result) else "fail"
-    try:
-        frob = prepotential(result, data)
-    except IntegrabilityError as exc:
-        print(f"error: integrability check failed: {exc}", file=sys.stderr)
-        return 1
+    frob = prepotential(result, data)
     reports = run_checks(
         frob.prepotential, data.eta, [1 - d for d in data.degrees], central_charge(f), args.order
     )
@@ -301,11 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_target_flags(p, with_compute_flags=False, format_default="human"):
+    def add_target_flags(p, with_compute_flags=False, format_default="human", weights=True):
         p.add_argument("--singularity", help="catalog entry name, e.g. U12")
         p.add_argument("--poly", help="inline polynomial, e.g. 'x^3+y^7'")
         p.add_argument("--vars", help="comma-separated variable order for --poly")
-        p.add_argument("--weights", help="comma-separated weights, e.g. '1/3,1/7'")
+        if weights:
+            p.add_argument("--weights", help="comma-separated weights, e.g. '1/3,1/7'")
         p.add_argument("--catalog", help="catalog file path (or set PRIMFORM_CATALOG)")
         p.add_argument("--format", choices=("json", "human"), default=format_default)
         p.add_argument("--output", help="write the canonical JSON record to this path")
@@ -339,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_mirror = sub.add_parser("mirror", help="transpose, weights, diagonal symmetries")
-    add_target_flags(p_mirror)
+    # The weights of an invertible polynomial follow from its exponent matrix.
+    add_target_flags(p_mirror, weights=False)
     p_mirror.set_defaults(func=cmd_mirror)
 
     p_selftest = sub.add_parser(

@@ -13,9 +13,10 @@ pass of the fixed point and J_(-2)(s(t)) itself substitute s(t) directly
 into every monomial, u(s(t)) = sum_J u_J s(t)^J, sharing the powers s(t)^J
 among the series of one substitution.  Pass p of the fixed point fixes
 total degree p, so it runs at order p.  The gradient must be exactly
-curl-free before integration; a failure signals a convention bug and is
-raised, never tolerated.  All series in t are truncated by total degree at
-the same order as the s-expansion.
+curl-free: it is integrated one degree past the order and compared with
+the derivatives of the result, and a mismatch signals a convention bug and
+is raised, never tolerated.  The prepotential is truncated by total degree
+at the same order as the s-expansion.
 
 The substitution and the WDVV check run on Python ints: each scales its
 rational inputs by the lcm of their denominators, and divides back only
@@ -36,7 +37,9 @@ from .primitive import PrimitiveFormResult
 
 
 class IntegrabilityError(ArithmeticError):
-    """The candidate gradient of the prepotential is not curl-free."""
+    """The candidate gradient eta * J_(-2) of the prepotential is not the
+    gradient of any series: it has a constant or linear part, or a part
+    that is not curl-free."""
 
 
 def _packed(mono, base: int) -> int:
@@ -187,13 +190,11 @@ def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
 
 
 class FrobeniusData:
-    """Flat coordinates, their inverse, and the prepotential."""
+    """The prepotential and its order."""
 
-    __slots__ = ("t_of_s", "s_of_t", "prepotential", "order")
+    __slots__ = ("prepotential", "order")
 
-    def __init__(self, t_of_s, s_of_t, prepotential, order):
-        self.t_of_s = t_of_s
-        self.s_of_t = s_of_t
+    def __init__(self, prepotential, order):
         self.prepotential = prepotential
         self.order = order
 
@@ -201,40 +202,35 @@ class FrobeniusData:
 def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusData:
     """Integrate the flat-frame gradient eta * J_(-2) into the prepotential.
 
-    Below order 3 the normalized prepotential is zero.
+    With g_a = sum_b eta_ab J_(-2)^b(s(t)), exact through degree N (the
+    order), F_J = (1/|J|) sum_a g_a[J - e_a] for 3 <= |J| <= N + 1, and
+    dF/dt_a must equal g_a through degree N: exactly when g has no part of
+    degree 0 or 1 and each part of degree 2..N is curl-free.  The
+    prepotential is F through degree N, zero below order 3.
     """
     mu, order = milnor.mu, result.order
-    t_of_s = flat_coordinates(result)
-    s_of_t = invert_coordinates(t_of_s, order)
+    s_of_t = invert_coordinates(flat_coordinates(result), order)
     j_minus2_t = substitute(result.j_components(-2), s_of_t)
-    eta = milnor.eta
-    gradient = []
-    for a in range(mu):
-        g = SSeries.zero(mu, order)
-        for b in range(mu):
-            if eta[a][b]:
-                g = g + j_minus2_t[b].scale(eta[a][b])
-        gradient.append(g)
-
-    for a in range(mu):
-        for b in range(a + 1, mu):
-            if gradient[a].diff(b) != gradient[b].diff(a):
-                raise IntegrabilityError(
-                    f"mixed second derivatives differ for coordinates {a + 1}, {b + 1}"
-                )
-
-    euler_sum = SSeries.zero(mu, order)
-    for a in range(mu):
-        euler_sum = euler_sum + gradient[a].shift_variable(a)
-    f0 = SSeries.zero(mu, order)
-    for d in range(3, order + 1):
-        f0 = f0 + euler_sum.degree_part(d).scale(Fraction(1, d))
-
-    for a in range(mu):
-        if f0.diff(a) - gradient[a]:
-            raise IntegrabilityError("integrated prepotential does not match its gradient")
-
-    return FrobeniusData(t_of_s, s_of_t, f0, order)
+    gradient, f_terms = [], {}
+    for a, row in enumerate(milnor.eta):
+        g: dict = {}
+        for eta_ab, j in zip(row, j_minus2_t):
+            if eta_ab:
+                for mono, c in j.terms.items():
+                    g[mono] = g.get(mono, 0) + eta_ab * c
+        gradient.append(SSeries(mu, order, g))
+        for mono, c in g.items():
+            if sum(mono) >= 2:
+                raised = mono[:a] + (mono[a] + 1,) + mono[a + 1:]
+                f_terms[raised] = f_terms.get(raised, 0) + c
+    f0 = SSeries(mu, order + 1, {mono: c / sum(mono) for mono, c in f_terms.items()})
+    for a, g in enumerate(gradient):
+        if f0.diff(a) != g:
+            raise IntegrabilityError(
+                f"integrability check failed: component t{a + 1} of eta * J_(-2)"
+                f" is not dF0/dt{a + 1}"
+            )
+    return FrobeniusData(f0.truncate(order), order)
 
 
 class CheckReport:
@@ -408,10 +404,12 @@ def euler_check(f0: SSeries, flat_degrees, c_hat: Fraction) -> CheckReport:
 def normalization_check(f0: SSeries) -> CheckReport:
     """Record-level integrability: F0 has no terms below total degree 3.
 
-    The substantive curl-free test runs inside prepotential(), which raises
-    on failure; a stored record carries only F0 itself, whose third
-    derivatives commute for every series, so what remains to check on it is
-    the normalization that drops the constant, linear and quadratic parts.
+    The substantive test runs inside prepotential(), which integrates
+    eta * J_(-2) one degree past the order, compares the derivatives of the
+    result with it, and raises on a mismatch.  A stored record carries only
+    F0 itself, whose third derivatives commute for every series, so what
+    remains to check on it is the normalization that drops the constant,
+    linear and quadratic parts.
     """
     violations = []
     checked = 0
@@ -464,12 +462,14 @@ def run_checks(
 def verify_record(record: dict) -> dict[str, CheckReport | None]:
     """Re-run the exact checks on a stored prepotential record.
 
-    The record's shape is checked first: an object with a basis list, an
-    order that is a non-negative int, mu flat degrees, a mu x mu pairing,
-    every rational a string, and no terms below order 3.
+    The record's shape is checked first: an object with a non-empty basis
+    list (mu >= 1), an order that is a non-negative int, mu flat degrees, a
+    mu x mu pairing, every rational a string, and no terms below order 3.
     """
     if not isinstance(record, dict) or not isinstance(record["basis"], list):
         raise ValueError("a record is an object with a basis list")
+    if not record["basis"]:
+        raise ValueError("the basis is empty, but mu >= 1")
     mu = len(record["basis"])
     order = record["order"]
     if type(order) is not int or order < 0:

@@ -8,7 +8,10 @@ from pathlib import Path
 import pytest
 
 import primform
+from primform import cli
+from primform.algebra import LaurentBlock, SSeries
 from primform.cli import main
+from primform.primitive import PrimitiveFormResult
 
 
 def halved(term):
@@ -144,6 +147,22 @@ class TestCompute:
         assert code == 1
         assert "error" in err
 
+    def test_integrability_failure(self, capsys, monkeypatch):
+        # A constant in J_(-2) is no gradient of a normalized F0; the raise
+        # reaches main like any ArithmeticError.
+        def broken(result, data):
+            J = LaurentBlock(result.J.z_terms)
+            J.add_term(-2, 0, SSeries.const(data.mu, result.order, Fraction(1, 7)))
+            return primform.prepotential(
+                PrimitiveFormResult(result.zeta, J, result.order, result.state), data
+            )
+
+        monkeypatch.setattr(cli, "prepotential", broken)
+        code, out, err = run_cli(["compute", "--singularity", "A3"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: integrability check failed")
+
     def test_repeated_runs_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "one.json", tmp_path / "two.json"]
         for path in paths:
@@ -256,11 +275,12 @@ class TestVerify:
             lambda r: {**r, "terms": [halved(r["terms"][0])] * 2 + r["terms"][1:]},
             lambda r: {**r, "terms": r["terms"] + r["terms"][:1]},
             lambda r: {**r, "terms": r["terms"] + [{"exponents": [1, 0, 1, 1], "coeff": "0"}]},
+            lambda r: {**r, "basis": [], "terms": [], "eta": [], "flat_degrees": []},
         ],
         ids=[
             "list", "string", "int coeff", "extra flat degree", "missing flat degree",
             "short eta row", "missing eta row", "terms below order 3", "split term",
-            "repeated term", "zero coefficient",
+            "repeated term", "zero coefficient", "empty basis",
         ],
     )
     def test_malformed_shape_rejected(self, capsys, tmp_path, mutate):
@@ -312,6 +332,13 @@ class TestMirror:
         record = json.loads(out)
         assert record["transpose_name"] == "E12"
         assert record["j_w"] == ["1/3", "1/7"]
+
+    def test_weights_option_rejected(self, capsys):
+        # Once accepted and ignored: the weights come from the exponent matrix.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mirror", "--poly", "x^3+y^7", "--weights", "1/2,1/2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --weights" in capsys.readouterr().err
 
     def test_non_invertible_rejected(self, capsys):
         code, _, err = run_cli(["mirror", "--poly", "x^3+x*y^2+y^4", "--vars", "x,y"], capsys)

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 
 from primform import frobenius
-from primform.algebra import SSeries, mono_mul
+from primform.algebra import LaurentBlock, SSeries, mat_inv, mono_mul
 from primform.frobenius import (
+    IntegrabilityError,
     euler_check,
     flat_coordinates,
     invert_coordinates,
@@ -15,6 +16,7 @@ from primform.frobenius import (
     wdvv_check,
 )
 from primform.milnor import central_charge, divide_by_jacobian
+from primform.primitive import PrimitiveFormResult
 
 F = Fraction
 
@@ -28,6 +30,44 @@ def full_order_inverse(t_of_s, order):
     for _ in range(max(order - 1, 0)):
         s = [t_a - w for t_a, w in zip(identity, substitute(u, s))]
     return s
+
+
+def two_pass_prepotential(result, milnor):
+    """The integrability check as first written: a curl pass over every pair
+    of coordinates, then F0 integrated through the order by the Euler
+    relation and its gradient compared with eta * J_(-2).  Returns F0, or
+    raises IntegrabilityError where either pass fails."""
+    mu, order = milnor.mu, result.order
+    s_of_t = invert_coordinates(flat_coordinates(result), order)
+    j_minus2_t = substitute(result.j_components(-2), s_of_t)
+    gradient = []
+    for row in milnor.eta:
+        g = SSeries.zero(mu, order)
+        for eta_ab, j in zip(row, j_minus2_t):
+            g = g + j.scale(eta_ab)
+        gradient.append(g)
+    for a in range(mu):
+        for b in range(a + 1, mu):
+            if gradient[a].diff(b) != gradient[b].diff(a):
+                raise IntegrabilityError(f"mixed second derivatives differ for {a + 1}, {b + 1}")
+    euler_sum = SSeries.zero(mu, order)
+    for a, g in enumerate(gradient):
+        euler_sum = euler_sum + g * SSeries.variable(mu, a, order)
+    f0 = SSeries.zero(mu, order)
+    for d in range(3, order + 1):
+        f0 = f0 + euler_sum.degree_part(d).scale(F(1, d))
+    for a, g in enumerate(gradient):
+        if f0.diff(a) - g:
+            raise IntegrabilityError("integrated prepotential does not match its gradient")
+    return f0
+
+
+def with_j_minus2_added(result, extras):
+    """The solved result with extras[b] added to component b of J_(-2)."""
+    J = LaurentBlock(result.J.z_terms)
+    for b, extra in enumerate(extras):
+        J.add_term(-2, b, extra)
+    return PrimitiveFormResult(result.zeta, J, result.order, result.state)
 
 
 class TestFlatCoordinates:
@@ -242,6 +282,63 @@ class TestPrepotential:
             counts[name] = len(products)
         assert counts == {"E12": 939, "U12": 694}
         assert series_products == []
+
+
+class TestIntegrability:
+    CASES = (("A3", 4), ("U12", 4), ("E12", 6))
+
+    def test_raises_where_two_pass_check_raises(self, solved_cache, milnor_cache):
+        # Negative controls: 1/7 added to one s-monomial of one J_(-2)
+        # component, at every s-degree through the order, the top one too.
+        rng = random.Random(7)
+        for name, order in self.CASES:
+            result, data = solved_cache(name, order), milnor_cache(name)
+            mu = data.mu
+            for degree in range(order + 1):
+                exps = [0] * mu
+                for _ in range(degree):
+                    exps[rng.randrange(mu)] += 1
+                extras = [SSeries.zero(mu, order)] * mu
+                extras[rng.randrange(mu)] = SSeries(mu, order, {tuple(exps): F(1, 7)})
+                bad = with_j_minus2_added(result, extras)
+                for check in (prepotential, two_pass_prepotential):
+                    with pytest.raises(IntegrabilityError):
+                        check(bad, data)
+
+    def test_gradient_added_moves_prepotential_by_its_potential(
+        self, solved_cache, milnor_cache
+    ):
+        # eta^-1 grad P for P = (2/11) t^J, pulled back to the s-coordinates
+        # and added to J_(-2), must move F0 by exactly P.  Below degree 3 it
+        # is still a gradient, but of a part that F0 is normalized not to
+        # have, so both checks must raise.
+        rng = random.Random(11)
+        for name, order in self.CASES:
+            result, data = solved_cache(name, order), milnor_cache(name)
+            mu = data.mu
+            eta_inv = mat_inv([list(row) for row in data.eta])
+            base = prepotential(result, data).prepotential
+            assert two_pass_prepotential(result, data) == base
+            for degree in (1, 2, 3, order):
+                exps = [0] * mu
+                for _ in range(degree):
+                    exps[rng.randrange(mu)] += 1
+                potential = SSeries(mu, None, {tuple(exps): F(2, 11)})
+                field = []
+                for row in eta_inv:
+                    component = SSeries.zero(mu, None)
+                    for a, entry in enumerate(row):
+                        component = component + potential.diff(a).scale(entry)
+                    field.append(component)
+                moved = with_j_minus2_added(result, substitute(field, flat_coordinates(result)))
+                if degree < 3:
+                    for check in (prepotential, two_pass_prepotential):
+                        with pytest.raises(IntegrabilityError):
+                            check(moved, data)
+                    continue
+                expected = base + potential
+                assert prepotential(moved, data).prepotential == expected, (name, exps)
+                assert two_pass_prepotential(moved, data) == expected, (name, exps)
 
 
 class TestFourPointFunction:

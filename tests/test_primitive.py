@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from primform import brieskorn, primitive
 from primform.algebra import SSeries, mono_mul
 from primform.milnor import milnor_basis
 from primform.primitive import (
@@ -133,14 +134,22 @@ class TestSolveStar:
         assert r1.zeta == r2.zeta and r1.J == r2.J
 
     def test_work_counters_pinned(self, catalog, monkeypatch):
-        # Series products, J terms and reduction-cache entries of a cold
-        # order-4 solve; a rise in any of them is more work for the same J.
-        calls = []
+        # Series products, J terms, reduction-cache entries, the total
+        # echelon size of the Jacobian division and the monomial_class
+        # lookups answered from the cache, in a cold order-4 solve; a rise
+        # in any of them is more work for the same J.
+        calls, hits = [], []
         original = SSeries.__mul__
+        original_class = brieskorn.monomial_class
 
         def counting(a, b):
             calls.append(None)
             return original(a, b)
+
+        def counting_class(mono, data):
+            if mono in data._reduce_cache:
+                hits.append(None)
+            return original_class(mono, data)
 
         counts = {}
         for name in ("E12", "U12"):
@@ -148,13 +157,17 @@ class TestSolveStar:
             data = milnor_basis(f)
             state = build_unfolding(f, data, 4)
             calls.clear()
+            hits.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(SSeries, "__mul__", counting)
                 patch.setattr(SSeries, "__rmul__", counting)
+                patch.setattr(brieskorn, "monomial_class", counting_class)
+                patch.setattr(primitive, "monomial_class", counting_class)
                 result = solve_star(state)
             j_terms = sum(len(series.terms) for _, _, series in result.J.iter_terms())
-            counts[name] = (len(calls), j_terms, len(data._reduce_cache))
-        assert counts == {"E12": (408, 1054, 105), "U12": (659, 643, 225)}
+            echelon = sum(len(system.echelon) for system in data._divider._systems.values())
+            counts[name] = (len(calls), j_terms, len(data._reduce_cache), echelon, len(hits))
+        assert counts == {"E12": (408, 1054, 105, 182, 203), "U12": (659, 643, 225, 720, 351)}
 
     def test_truncation_stability(self, catalog, milnor_cache):
         data = milnor_cache("W12")
