@@ -327,78 +327,65 @@ class LaurentBlock:
         return f"LaurentBlock(z in {self.z_powers() or '[]'})"
 
 
-def mat_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix by fraction-free-ish elimination."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return det
+def _gauss_jordan(m: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
+    """Reduce the rows of m in place over their first ncols columns.
 
-
-def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix (Gauss-Jordan)."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [a * inv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
-
-
-def mat_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a (possibly rectangular) exact linear system; None if inconsistent.
-
-    When the system is underdetermined the free unknowns are set to zero,
-    so the result is deterministic.
+    Each pivot is the first nonzero entry at or below the next pivot row;
+    its row is scaled to 1 and the column is cleared from every other row.
+    Returns the pivot columns and the determinant of those columns when
+    they are square: the product of the pivots, with the sign of the row
+    swaps, or 0 when a column has no pivot.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    pivots = []
-    r = 0
+    pivots: list[int] = []
+    det = Fraction(1)
     for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][col]), None)
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
         if pivot is None:
+            det = Fraction(0)
             continue
-        m[r], m[pivot] = m[pivot], m[r]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            det = -det
+        det *= m[r][col]
         inv = 1 / m[r][col]
         m[r] = [a * inv for a in m[r]]
-        for i in range(nrows):
+        for i in range(len(m)):
             if i != r and m[i][col]:
                 factor = m[i][col]
                 m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
         pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols]:
-            return None
-    solution = [Fraction(0)] * ncols
-    for row_idx, col in enumerate(pivots):
-        solution[col] = m[row_idx][ncols]
-    return solution
+    return pivots, det
+
+
+def mat_det(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant of a square rational matrix."""
+    return _gauss_jordan([list(map(Fraction, r)) for r in rows], len(rows))[1]
+
+
+def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Exact inverse of a square rational matrix."""
+    n = len(rows)
+    m = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    if not _gauss_jordan(m, n)[1]:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in m]
+
+
+def mat_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
+    """The unique solution of a (possibly rectangular) exact linear system.
+
+    Returns None when the system is inconsistent, and raises ValueError
+    when it has many solutions.
+    """
+    ncols = len(rows[0]) if rows else 0
+    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    pivots, _ = _gauss_jordan(m, ncols)
+    if any(row[ncols] for row in m[len(pivots):]):
+        return None
+    if len(pivots) < ncols:
+        raise ValueError("the linear system has many solutions")
+    return [row[ncols] for row in m[:ncols]]
 
 
 _TOKEN_SPLIT = ("+", "-")

@@ -20,8 +20,8 @@ from .algebra import (
     parse_polynomial,
     parse_rational,
 )
-from .catalog import CatalogEntry, EXCEPTIONAL_NAMES, load_catalog
-from .frobenius import prepotential, prepotential_record, run_checks, verify_record
+from .catalog import EXCEPTIONAL_NAMES, load_catalog
+from .frobenius import prepotential, prepotential_record, verify_record
 from .milnor import WeightedPolynomial, central_charge, infer_weights, milnor_basis
 from .mirror import (
     InvertiblePolynomial,
@@ -47,24 +47,27 @@ def _infer_variable_order(text: str) -> list[str]:
     return seen
 
 
-def _resolve_target(args, catalog) -> tuple[str, WeightedPolynomial, CatalogEntry | None]:
-    """Build the weighted polynomial from --singularity or --poly."""
+def _resolve_target(args, catalog):
+    """The name, variables, polynomial and weights of the target: a catalog
+    entry by --singularity, or --poly with --vars and --weights, whose
+    weights are None when not given."""
+    weights = getattr(args, "weights", None)  # mirror has no --weights
     if args.singularity:
+        if args.poly or args.vars or weights:
+            raise SystemExit("error: --singularity excludes --poly, --vars and --weights")
         entry = catalog.get(args.singularity)
         if entry is None:
             raise SystemExit(f"error: unknown singularity {args.singularity!r}")
-        return entry.name, entry.weighted_polynomial(), entry
+        return entry.name, entry.variables, entry.poly, entry.weights
     if not args.poly:
         raise SystemExit("error: pass --singularity NAME or --poly EXPRESSION")
     variables = args.vars.split(",") if args.vars else _infer_variable_order(args.poly)
     if not variables:
         raise SystemExit("error: could not infer variables; pass --vars")
     poly = parse_polynomial(args.poly, variables)
-    if args.weights:
-        weights = [parse_rational(w) for w in args.weights.split(",")]
-    else:
-        weights = infer_weights(poly)
-    return args.poly, WeightedPolynomial(variables, weights, poly), None
+    if weights:
+        return args.poly, variables, poly, [parse_rational(w) for w in weights.split(",")]
+    return args.poly, variables, poly, None
 
 
 def _parse_basis(text: str, variables) -> list[tuple[int, ...]]:
@@ -91,8 +94,8 @@ def _human_eta(eta) -> str:
 
 
 def cmd_info(args) -> int:
-    catalog = load_catalog(args.catalog)
-    name, f, _ = _resolve_target(args, catalog)
+    name, variables, poly, weights = _resolve_target(args, load_catalog(args.catalog))
+    f = WeightedPolynomial(variables, weights or infer_weights(poly), poly)
     data = milnor_basis(f)
     record = {
         "kind": "singularity-info",
@@ -121,27 +124,23 @@ def cmd_info(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    catalog = load_catalog(args.catalog)
-    name, f, _ = _resolve_target(args, catalog)
+    name, variables, poly, weights = _resolve_target(args, load_catalog(args.catalog))
+    f = WeightedPolynomial(variables, weights or infer_weights(poly), poly)
     basis = _parse_basis(args.basis, f.variables) if args.basis else None
     data = milnor_basis(f, basis=basis)
-    state = build_unfolding(f, data, args.order)
-    result = solve_star(state)
+    result = solve_star(build_unfolding(f, data, args.order))
 
     checks = {}
     if args.check_defect:
         checks["defect"] = "pass" if defect_is_zero(result) else "fail"
     frob = prepotential(result, data)
-    reports = run_checks(
-        frob.prepotential, data.eta, [1 - d for d in data.degrees], central_charge(f), args.order
-    )
-    for check_name, report in reports.items():
+    record = prepotential_record(data, frob, name, checks)
+    # The verdicts are those of `primform verify` on the record written.
+    for check_name, report in verify_record(record).items():
         if report is None:
             checks[check_name] = "vacuous"
         else:
             checks[check_name] = "pass" if report.passed else "fail"
-
-    record = prepotential_record(data, frob, name, checks)
     _emit(record, args)
     if args.format == "human":
         names = [f"t{i + 1}" for i in range(data.mu)]
@@ -195,16 +194,7 @@ def _invertible_catalog_index(catalog) -> dict:
 
 def cmd_mirror(args) -> int:
     catalog = load_catalog(args.catalog)
-    if args.singularity:
-        entry = catalog.get(args.singularity)
-        if entry is None:
-            raise SystemExit(f"error: unknown singularity {args.singularity!r}")
-        name, poly, variables = entry.name, entry.poly, entry.variables
-    elif args.poly:
-        variables = args.vars.split(",") if args.vars else _infer_variable_order(args.poly)
-        name, poly = args.poly, parse_polynomial(args.poly, variables)
-    else:
-        raise SystemExit("error: pass --singularity NAME or --poly EXPRESSION")
+    name, variables, poly, _ = _resolve_target(args, catalog)
     try:
         w = InvertiblePolynomial.from_poly(poly, variables)
     except ValueError as exc:

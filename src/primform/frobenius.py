@@ -442,29 +442,14 @@ def prepotential_record(
     }
 
 
-def run_checks(
-    f0: SSeries, eta, flat_degrees, c_hat: Fraction, order: int
-) -> dict[str, CheckReport | None]:
-    """The WDVV, Euler and integrability checks of F0 through `order`.
-
-    Below order 3 the normalized F0 is zero, so each check holds only
-    vacuously and its report is None.
-    """
-    if order < 3:
-        return dict.fromkeys(("wdvv", "euler", "integrability"))
-    return {
-        "wdvv": wdvv_check(f0, eta, order),
-        "euler": euler_check(f0, flat_degrees, c_hat),
-        "integrability": normalization_check(f0),
-    }
-
-
 def verify_record(record: dict) -> dict[str, CheckReport | None]:
-    """Re-run the exact checks on a stored prepotential record.
+    """The WDVV, Euler and integrability checks of a prepotential record.
 
     The record's shape is checked first: an object with a non-empty basis
     list (mu >= 1), an order that is a non-negative int, mu flat degrees, a
     mu x mu pairing, every rational a string, and no terms below order 3.
+    Below order 3 the normalized F0 is zero, so each check holds only
+    vacuously and its report is None.
     """
     if not isinstance(record, dict) or not isinstance(record["basis"], list):
         raise ValueError("a record is an object with a basis list")
@@ -484,4 +469,10 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
     if len(flat_degrees) != mu:
         raise ValueError(f"expected {mu} flat degrees, got {len(flat_degrees)}")
     c_hat = parse_rational(record["central_charge"])
-    return run_checks(f0, eta, flat_degrees, c_hat, order)
+    if order < 3:
+        return dict.fromkeys(("wdvv", "euler", "integrability"))
+    return {
+        "wdvv": wdvv_check(f0, eta, order),
+        "euler": euler_check(f0, flat_degrees, c_hat),
+        "integrability": normalization_check(f0),
+    }

@@ -81,17 +81,19 @@ class WeightedPolynomial:
 
 
 def infer_weights(poly: SSeries) -> tuple[Fraction, ...]:
-    """Solve for the unique weights giving every term weighted degree 1."""
-    monos = list(poly.terms)
-    rows = [[Fraction(e) for e in m] for m in monos]
-    rhs = [Fraction(1)] * len(monos)
-    solution = mat_solve(rows, rhs)
+    """Solve for the unique weights giving every term weighted degree 1.
+
+    Whether the weights lie in (0, 1/2] is left to the caller.
+    """
+    rows = [[Fraction(e) for e in m] for m in poly.terms]
+    try:
+        solution = mat_solve(rows, [Fraction(1)] * len(rows))
+    except ValueError:
+        raise ValueError(
+            "weights are not determined by the polynomial; pass them explicitly"
+        ) from None
     if solution is None:
         raise ValueError("no weight system makes every term homogeneous of degree 1")
-    # The solve zeroes free unknowns; a vanishing weight means the system
-    # was underdetermined and the caller must pass weights explicitly.
-    if any(q <= 0 for q in solution):
-        raise ValueError("weights are not determined by the polynomial; pass them explicitly")
     return tuple(solution)
 
 
@@ -304,11 +306,6 @@ class MilnorData:
     def basis_strings(self) -> list[str]:
         return [mono_str(m, self.f.variables) for m in self.basis]
 
-    def reduce_monomial_class(self, mono) -> dict:
-        """Basis coefficients of a monomial's class in the Jacobian algebra."""
-        basis_part, _ = self._divider.solve_monomial(mono)
-        return {self._basis_index[m]: c for m, c in basis_part.items()}
-
     def __repr__(self):
         return f"MilnorData({self.f.render()}, mu={self.mu})"
 
@@ -380,7 +377,7 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
     socle = socle_monos[0]
 
     data = MilnorData(f, mu, ordered, degrees, socle, None, None, divider)
-    eta, hess_factor = residue_pairing(data, f)
+    eta, hess_factor = residue_pairing(data)
     data.eta = eta
     data.hessian_socle_factor = hess_factor
     return data
@@ -428,20 +425,19 @@ def hessian_determinant(f: WeightedPolynomial) -> SSeries:
     return det(tuple(range(n)), tuple(range(n)))
 
 
-def residue_pairing(data: MilnorData, f: WeightedPolynomial | None = None):
+def residue_pairing(data: MilnorData):
     """Residue pairing eta on the basis, normalized by Res(hess f) = mu.
 
     eta[a][b] = r_ab * mu / h, where phi_a*phi_b = r_ab*socle and
     hess(f) = h*socle modulo the Jacobian ideal.  Returns (eta, h).
     """
-    f = f or data.f
-    hess = hessian_determinant(f)
+    hess = hessian_determinant(data.f)
     socle_idx = data.basis_index(data.socle)
     hess_coeffs, _ = divide_by_jacobian(hess, data)
     h = hess_coeffs[socle_idx]
     if not h:
         raise ArithmeticError("hessian vanishes in the Jacobian algebra; data is inconsistent")
-    c_hat = central_charge(f)
+    c_hat = central_charge(data.f)
     scale = Fraction(data.mu) / h
     mu = data.mu
     eta = [[Fraction(0)] * mu for _ in range(mu)]
@@ -450,8 +446,7 @@ def residue_pairing(data: MilnorData, f: WeightedPolynomial | None = None):
             if data.degrees[a] + data.degrees[b] != c_hat:
                 continue
             product = mono_mul(data.basis[a], data.basis[b])
-            classes = data.reduce_monomial_class(product)
-            r = classes.get(socle_idx, Fraction(0))
+            r = data._divider.solve_monomial(product)[0].get(data.socle)
             if r:
                 eta[a][b] = eta[b][a] = r * scale
     if not mat_det(eta):

@@ -13,7 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations
 
-from .algebra import SSeries, mat_det, mat_solve, mono_key, mono_str
+from .algebra import SSeries, mat_det, mono_key, mono_str
+from .milnor import infer_weights
 
 
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -177,20 +178,15 @@ def transpose(w: InvertiblePolynomial) -> InvertiblePolynomial:
     """The polynomial whose exponent matrix is the transpose."""
     n = w.nvars
     rows = [[w.exponent_matrix[j][i] for j in range(n)] for i in range(n)]
-    return InvertiblePolynomial(w.variables, rows)
-
-
-def _raw_weights(w: InvertiblePolynomial) -> tuple[Fraction, ...]:
-    rows = [[Fraction(e) for e in row] for row in w.exponent_matrix]
-    solution = mat_solve(rows, [Fraction(1)] * w.nvars)
-    if solution is None:
-        raise ValueError("exponent matrix is singular")
-    return tuple(solution)
+    try:
+        return InvertiblePolynomial(w.variables, rows)
+    except ValueError as exc:
+        raise ValueError(f"the transpose is rejected: {exc}") from None
 
 
 def weights_from_matrix(w: InvertiblePolynomial) -> tuple[Fraction, ...]:
     """The weights q solving E q = (1, ..., 1); each must lie in (0, 1/2]."""
-    solution = _raw_weights(w)
+    solution = infer_weights(w.poly())
     for q in solution:
         if not (0 < q <= Fraction(1, 2)):
             raise ValueError(
@@ -253,7 +249,7 @@ def diagonal_symmetries(w: InvertiblePolynomial) -> DiagonalSymmetryGroup:
             column = tuple(Fraction(v_inv[r][i], d) % 1 for r in range(w.nvars))
             generators.append(column)
             generator_orders.append(d)
-    j_w = tuple(q % 1 for q in _raw_weights(w))
+    j_w = tuple(q % 1 for q in infer_weights(w.poly()))
     return DiagonalSymmetryGroup(
         w.exponent_matrix, tuple(generators), tuple(generator_orders), order, j_w
     )

@@ -137,9 +137,11 @@ def solve_star(state: UnfoldingState) -> PrimitiveFormResult:
     one = SSeries.const(state.mu, state.order, 1)
     parts = state.exp_parts()
 
-    zeta_slices = [LaurentBlock({0: {0: one}})]
-    zeta = LaurentBlock({0: {0: one}})
-    J = LaurentBlock({0: {0: one}})
+    # Both start at the volume form: the monomial 1, wherever the basis puts it.
+    unit = milnor.basis_index((0,) * milnor.f.nvars)
+    zeta_slices = [LaurentBlock({0: {unit: one}})]
+    zeta = LaurentBlock({0: {unit: one}})
+    J = LaurentBlock({0: {unit: one}})
 
     for k in range(1, state.order + 1):
         known = LaurentBlock()

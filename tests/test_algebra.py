@@ -195,6 +195,29 @@ class TestMatrixHelpers:
         m = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
         assert mat_solve(m, [Fraction(1), Fraction(3)]) is None
 
+    def test_singular(self):
+        m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        assert mat_det(m) == 0
+        with pytest.raises(ValueError, match="singular"):
+            mat_inv(m)
+
+    def test_row_swap_sign(self):
+        assert mat_det([[0, 1], [1, 0]]) == -1
+
+    def test_s12_exponent_matrix(self):
+        # x^2*y + y^2*z + x*z^3: |det| is the order of the symmetry group.
+        det = mat_det([[2, 1, 0], [0, 2, 1], [1, 0, 3]])
+        assert det == 13 and det.denominator == 1
+
+    def test_solve_overdetermined_consistent(self):
+        rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]
+        assert mat_solve(rows, [Fraction(2), Fraction(3), Fraction(5)]) == [2, 3]
+
+    def test_solve_underdetermined_raises(self):
+        # Free unknowns were once set to zero.
+        with pytest.raises(ValueError, match="many solutions"):
+            mat_solve([[Fraction(1), Fraction(1)]], [Fraction(1)])
+
 
 class TestParsing:
     def test_signs_and_coefficients(self):

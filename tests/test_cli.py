@@ -11,6 +11,7 @@ import primform
 from primform import cli
 from primform.algebra import LaurentBlock, SSeries
 from primform.cli import main
+from primform.frobenius import FrobeniusData
 from primform.primitive import PrimitiveFormResult
 
 
@@ -59,6 +60,25 @@ class TestInfo:
         _, out1, _ = run_cli(["info", "--singularity", "Q11", "--format", "json"], capsys)
         _, out2, _ = run_cli(["info", "--singularity", "Q11", "--format", "json"], capsys)
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["info", "--poly", "x^2*y^2"],
+             "weights are not determined by the polynomial; pass them explicitly"),
+            (["info", "--poly", "x^3+x^2"],
+             "no weight system makes every term homogeneous of degree 1"),
+            (["info", "--poly", "x^3*y^2+y"], "weight -1/3 outside (0, 1/2]"),
+            (["mirror", "--poly", "x^3*y^2+y"],
+             "weight -1/3 falls outside (0, 1/2]; not a valid singularity weight system"),
+        ],
+        ids=["underdetermined", "inconsistent", "negative", "mirror negative"],
+    )
+    def test_weight_messages(self, capsys, argv, message):
+        # The unique weights (-1/3, 1) of x^3*y^2+y were once reported as
+        # "not determined", the solve's zero for a free unknown looked for.
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestCompute:
@@ -162,6 +182,58 @@ class TestCompute:
         assert code == 1
         assert out == ""
         assert err.startswith("error: integrability check failed")
+
+    @pytest.mark.parametrize("check, mono", [("wdvv", (0, 1, 2, 1)), ("euler", (0, 4, 0, 0))])
+    def test_own_verdicts_fail(self, capsys, tmp_path, monkeypatch, check, mono):
+        # compute's verdicts are verify's on the record it writes.  Adding 1
+        # to the t2*t3^2*t4 coefficient of the A4 order-4 F0 breaks WDVV
+        # only; t2^4 lies off the Euler grading but keeps WDVV.
+        def perturbed(result, data):
+            frob = primform.prepotential(result, data)
+            terms = dict(frob.prepotential.terms)
+            terms[mono] = terms.get(mono, 0) + 1
+            return FrobeniusData(SSeries(data.mu, frob.order, terms), frob.order)
+
+        monkeypatch.setattr(cli, "prepotential", perturbed)
+        path = tmp_path / "a4.json"
+        code, _, err = run_cli(
+            ["compute", "--singularity", "A4", "--order", "4", "--output", str(path)], capsys
+        )
+        assert code == 1
+        assert json.loads(path.read_text())["checks"][check] == "fail"
+        assert err.endswith(f"error: failing checks: {check}\n")
+        assert run_cli(["verify", str(path)], capsys)[0] == 1
+
+    @pytest.mark.parametrize("name, position", [("A3", 1), ("U12", 11), ("E12", 1)])
+    def test_permuted_basis(self, capsys, tmp_path, name, position):
+        # The solve once seeded zeta and J at basis index 0, so a basis not
+        # starting with 1 ended in "coordinate change does not have
+        # identity linear part".
+        def compute(*extra):
+            path = tmp_path / "record.json"
+            argv = ["compute", "--singularity", name, "--order", "4", "--check-defect"]
+            code, _, _ = run_cli([*argv, "--output", str(path), *extra], capsys)
+            assert code == 0
+            return json.loads(path.read_text())
+
+        default = compute()
+        basis = [b for b in default["basis"] if b != "1"]
+        basis.insert(position, "1")
+        permuted = compute("--basis", ",".join(basis))
+        perm = [default["basis"].index(b) for b in basis]
+        assert set(permuted["checks"].values()) == {"pass"}
+        assert permuted == {
+            **default,
+            "basis": basis,
+            "flat_degrees": [default["flat_degrees"][i] for i in perm],
+            "eta": [[default["eta"][i][j] for j in perm] for i in perm],
+            "terms": permuted["terms"],
+        }
+
+        def terms(record, order):
+            return {tuple(t["exponents"][i] for i in order): t["coeff"] for t in record["terms"]}
+
+        assert terms(permuted, range(len(basis))) == terms(default, perm)
 
     def test_repeated_runs_byte_identical(self, capsys, tmp_path):
         paths = [tmp_path / "one.json", tmp_path / "two.json"]
@@ -340,6 +412,13 @@ class TestMirror:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --weights" in capsys.readouterr().err
 
+    def test_rejected_transpose_named(self, capsys):
+        # x*z^2+x*y^2+z^3 is invertible; only its transpose has the mixed
+        # quadratic monomial x*z.
+        code, out, err = run_cli(["mirror", "--poly", "x*z^2+x*y^2+z^3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: the transpose is rejected: mixed quadratic monomial x*z is not allowed\n"
+
     def test_non_invertible_rejected(self, capsys):
         code, _, err = run_cli(["mirror", "--poly", "x^3+x*y^2+y^4", "--vars", "x,y"], capsys)
         assert code == 1
@@ -400,6 +479,23 @@ class TestCatalogResolution:
         assert code == 1
         assert out == ""
         assert err.startswith("error: malformed catalog")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["info", "--singularity", "E12", "--weights", "1/2,1/2", "--vars", "a,b"],
+            ["info", "--singularity", "E12", "--weights", "1/3,1/7"],
+            ["compute", "--singularity", "A2", "--poly", "x^5"],
+            ["mirror", "--singularity", "A2", "--vars", "x"],
+        ],
+    )
+    def test_singularity_excludes_other_target_flags(self, capsys, argv):
+        # --singularity once won silently over --poly, --vars and --weights.
+        # A string exit code is written to stderr, with exit status 1.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == "error: --singularity excludes --poly, --vars and --weights"
+        assert capsys.readouterr().out == ""
 
     def test_missing_catalog_file(self, capsys, tmp_path):
         code, _, err = run_cli(
