@@ -1,9 +1,13 @@
 """Exact sparse arithmetic: rationals, multivariate polynomials and truncated
 multi-parameter power series (one class), and z-Laurent blocks.
 
-Everything is built on ``fractions.Fraction`` (always in lowest terms,
-positive denominator) and exponent tuples, so all arithmetic in the engine
-is exact; no floating point number enters any coefficient.
+Every value the engine returns is a ``fractions.Fraction`` (always in
+lowest terms, positive denominator) over exponent tuples, so all arithmetic
+is exact; no floating point number enters any coefficient.  The hot kernels
+(the primitive-form solve and its defect, the substitution, the WDVV check)
+run on Python ints instead: each scales its rationals by one common
+denominator, packs each monomial into one int (``pack_monomial``), and
+divides back to reduced Fractions only for the values it returns.
 
 Representations:
 
@@ -46,6 +50,27 @@ def mono_key(exps: tuple[int, ...]) -> tuple:
 
 def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def pack_monomial(mono, base: int) -> int:
+    """The monomial as one int: exponent i is its digit i in `base`.
+
+    With `base` above every exponent that can occur, no digit carries, so
+    the product of two monomials is the sum of their ints.
+    """
+    packed = 0
+    for e in reversed(mono):
+        packed = packed * base + e
+    return packed
+
+
+def unpack_monomial(packed: int, base: int, nvars: int) -> tuple[int, ...]:
+    """The exponent tuple of a monomial packed in `base`."""
+    exps = []
+    for _ in range(nvars):
+        packed, e = divmod(packed, base)
+        exps.append(e)
+    return tuple(exps)
 
 
 def mono_str(exps: tuple[int, ...], names: Iterable[str]) -> str:
@@ -307,12 +332,6 @@ class LaurentBlock:
 
     def component(self, zpow: int) -> dict:
         return dict(self.z_terms.get(zpow, {}))
-
-    def split(self) -> tuple["LaurentBlock", "LaurentBlock"]:
-        """Split into the z^(>=0) part and the z^(<=-1) part."""
-        nonneg = {zp: vec for zp, vec in self.z_terms.items() if zp >= 0}
-        neg = {zp: vec for zp, vec in self.z_terms.items() if zp < 0}
-        return LaurentBlock(nonneg), LaurentBlock(neg)
 
     def iter_terms(self) -> Iterator[tuple[int, int, object]]:
         for zp in sorted(self.z_terms):

@@ -54,16 +54,16 @@ def _resolve_target(args, catalog):
     weights = getattr(args, "weights", None)  # mirror has no --weights
     if args.singularity:
         if args.poly or args.vars or weights:
-            raise SystemExit("error: --singularity excludes --poly, --vars and --weights")
+            raise ValueError("--singularity excludes --poly, --vars and --weights")
         entry = catalog.get(args.singularity)
         if entry is None:
-            raise SystemExit(f"error: unknown singularity {args.singularity!r}")
+            raise ValueError(f"unknown singularity {args.singularity!r}")
         return entry.name, entry.variables, entry.poly, entry.weights
     if not args.poly:
-        raise SystemExit("error: pass --singularity NAME or --poly EXPRESSION")
+        raise ValueError("pass --singularity NAME or --poly EXPRESSION")
     variables = args.vars.split(",") if args.vars else _infer_variable_order(args.poly)
     if not variables:
-        raise SystemExit("error: could not infer variables; pass --vars")
+        raise ValueError("could not infer variables; pass --vars")
     poly = parse_polynomial(args.poly, variables)
     if weights:
         return args.poly, variables, poly, [parse_rational(w) for w in weights.split(",")]
@@ -75,7 +75,7 @@ def _parse_basis(text: str, variables) -> list[tuple[int, ...]]:
     for chunk in text.split(","):
         exps, coeff = parse_monomial(chunk, list(variables))
         if coeff != 1:
-            raise SystemExit(f"error: basis entries must be bare monomials, got {chunk!r}")
+            raise ValueError(f"basis entries must be bare monomials, got {chunk!r}")
         basis.append(exps)
     return basis
 

@@ -31,7 +31,16 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
 
-from .algebra import SSeries, format_rational, mat_inv, mono_key, mono_str, parse_rational
+from .algebra import (
+    SSeries,
+    format_rational,
+    mat_inv,
+    mono_key,
+    mono_str,
+    pack_monomial,
+    parse_rational,
+    unpack_monomial,
+)
 from .milnor import MilnorData, central_charge
 from .primitive import PrimitiveFormResult
 
@@ -40,23 +49,6 @@ class IntegrabilityError(ArithmeticError):
     """The candidate gradient eta * J_(-2) of the prepotential is not the
     gradient of any series: it has a constant or linear part, or a part
     that is not curl-free."""
-
-
-def _packed(mono, base: int) -> int:
-    """The monomial as one int: exponent i is its digit i in `base`."""
-    packed = 0
-    for e in reversed(mono):
-        packed = packed * base + e
-    return packed
-
-
-def _unpacked(packed: int, base: int, mu: int) -> tuple:
-    """The exponent tuple of a monomial packed in `base`."""
-    exps = []
-    for _ in range(mu):
-        packed, e = divmod(packed, base)
-        exps.append(e)
-    return tuple(exps)
 
 
 def _graded(buckets: dict) -> list:
@@ -122,7 +114,7 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
         buckets: dict = {}
         for mono, c in s.terms.items():
             scaled = c.numerator * (d_scale // c.denominator)
-            buckets.setdefault(sum(mono), {})[_packed(mono, base)] = scaled
+            buckets.setdefault(sum(mono), {})[pack_monomial(mono, base)] = scaled
         factors.append(_graded(buckets))
 
     bounds, scales, uses = [], [], {}
@@ -159,7 +151,7 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
         SSeries(
             nv,
             u.order,
-            {_unpacked(m, base, nv): Fraction(a, scale) for m, a in acc.items() if a},
+            {unpack_monomial(m, base, nv): Fraction(a, scale) for m, a in acc.items() if a},
         )
         for u, acc, scale in zip(series, out, scales)
     ]
@@ -275,7 +267,7 @@ def _third_derivatives(f0: SSeries, check_order: int, scale: int) -> dict:
                 lowered[i] -= 1
             if value:
                 bucket = third.setdefault(key, {}).setdefault(degree, {})
-                bucket[_packed(lowered, check_order + 1)] = value
+                bucket[pack_monomial(lowered, check_order + 1)] = value
     return {key: _graded(buckets) for key, buckets in third.items()}
 
 
@@ -367,7 +359,7 @@ def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
                     for m in left.keys() | right.keys():
                         value = left.get(m, 0) - right.get(m, 0)
                         if value:
-                            diff[_unpacked(m, check_order + 1, mu)] = value
+                            diff[unpack_monomial(m, check_order + 1, mu)] = value
                     for mono in sorted(diff, key=mono_key):
                         violations.append(
                             {

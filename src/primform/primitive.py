@@ -18,15 +18,30 @@ reduction.  Since zeta_k lives at z >= 0 and J_k at z <= -1, the split of
 the fully reduced K_k determines both: zeta_k is minus its nonnegative
 part, J_k its negative part.  Every step is a finite exact computation
 because E_m is homogeneous of s-degree m.
+
+The solve and the defect run on Python ints.  E_m is stored times m!, so
+its coefficients m!/n! are ints; each zeta_k is kept as int numerators over
+one denominator D_k; each lattice class is scaled by the lcm of its own
+denominators; and the products of order k are summed over one common
+denominator.  An s-monomial is one int whose digit a in base order + 1 is
+the exponent of s_a, so the product of two is the sum of their ints.
+zeta, J and the defect are returned as Fraction series, each coefficient
+a reduced rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import factorial, prod
+from math import factorial, gcd, lcm
 
-from .algebra import LaurentBlock, SSeries, mono_mul, weighted_degree
+from .algebra import (
+    LaurentBlock,
+    SSeries,
+    mono_mul,
+    pack_monomial,
+    unpack_monomial,
+    weighted_degree,
+)
 from .brieskorn import monomial_class
 from .milnor import MilnorData, WeightedPolynomial
 
@@ -50,22 +65,34 @@ class UnfoldingState:
         return self.milnor.mu
 
     def exp_parts(self) -> list[dict]:
-        """The s-degree-m parts of exp(F - f) for m = 0..order, each as an
-        {x-monomial: s-series} map: sum over |n| = m of s^n phi^n / n!."""
+        """The s-degree-m parts of exp(F - f) for m = 0..order, times m!.
+
+        Part m maps each x-monomial to its [(packed n, m!/n!)] over |n| = m,
+        so that it is m! sum_{|n| = m} s^n phi^n / n! with int coefficients;
+        each s-monomial s^n is packed in base order + 1, as by `pack_monomial`.
+        """
         if self._parts is None:
             mu, order, basis = self.mu, self.order, self.milnor.basis
-            unit = (0,) * self.base.nvars
+            digits = [(order + 1) ** a for a in range(mu)]
+            # The words a_1 <= ... <= a_m of part m, each as (a_m, the
+            # multiplicity of a_m, x-monomial, packed n, m!/n!): appending
+            # a to a word of part m - 1 adds digit a to n and multiplies
+            # the coefficient by m / n_a.
+            words = [(0, 0, (0,) * self.base.nvars, 0, 1)]
             parts = []
             for m in range(order + 1):
+                if m:
+                    longer = []
+                    for last, tail, x_mono, packed, coeff in words:
+                        for a in range(last, mu):
+                            run = tail + 1 if a == last else 1
+                            x_a, n_a = mono_mul(x_mono, basis[a]), packed + digits[a]
+                            longer.append((a, run, x_a, n_a, coeff * m // run))
+                    words = longer
                 part: dict = {}
-                for word in combinations_with_replacement(range(mu), m):
-                    n = [0] * mu
-                    for a in word:
-                        n[a] += 1
-                    x_mono = tuple(map(sum, zip(unit, *(basis[a] for a in word))))
-                    coeff = Fraction(1, prod(map(factorial, n)))
-                    part.setdefault(x_mono, {})[tuple(n)] = coeff
-                parts.append({x: SSeries(mu, order, terms) for x, terms in part.items()})
+                for _, _, x_mono, packed, coeff in words:
+                    part.setdefault(x_mono, []).append((packed, coeff))
+                parts.append(part)
             self._parts = parts
         return self._parts
 
@@ -111,49 +138,143 @@ class PrimitiveFormResult:
         return PrimitiveFormResult(cut(self.zeta), cut(self.J), order, state)
 
 
-def _accumulate_product(
-    target: LaurentBlock, part: dict, block: LaurentBlock, data: MilnorData, z_shift: int
-) -> None:
-    """target += z^z_shift * reduce(part * block), for a block of zeta."""
+def _scaled_class(mono: tuple, data: MilnorData) -> tuple:
+    """R and R * monomial_class(mono) as [(z, idx, int)], R the lcm of the
+    class's denominators."""
+    cls = monomial_class(mono, data)
+    scale = lcm(*(c.denominator for vec in cls.values() for c in vec.values()))
+    return scale, [
+        (zp, idx, c.numerator * (scale // c.denominator))
+        for zp, vec in cls.items()
+        for idx, c in vec.items()
+    ]
+
+
+def _reduced_products(
+    parts: list, slices: list, k: int, first: int, data: MilnorData, classes: dict, den: int = 1
+) -> tuple[int, dict]:
+    """L and L * sum_{m=first..k} z^-m reduce(E_m zeta_{k-m}) on ints.
+
+    slices[j] is zeta_j as (D_j, {(z, idx): [(packed, int)]}), its values
+    D_j times the true ones.  The item (m, beta, x-monomial) stands for the
+    product of part m at that x-monomial with zeta_{k-m} at beta, reduced
+    through the class c of the x-monomial times phi_beta; its numerators
+    are D_{k-m} m! R_c times the true ones.  A first pass collects the
+    items and L, the lcm of every D_{k-m} m! R_c and of `den`; the second
+    scales each item up to L and adds its products into
+    {(z, idx): {packed: int}}.  `classes` memoizes _scaled_class.
+    """
     basis = data.basis
-    for zq, vec in block.z_terms.items():
-        for beta, coeff in vec.items():
-            for fmono, fcoeff in part.items():
-                series = coeff * fcoeff
-                if not series:
-                    continue
-                for zp, cls in monomial_class(mono_mul(fmono, basis[beta]), data).items():
-                    for idx, frac in cls.items():
-                        target.add_term(zp + zq + z_shift, idx, series * frac)
+    items, dens = [], {den}
+    for m in range(first, k + 1):
+        d_slice, zeta_terms = slices[k - m]
+        scale = d_slice * factorial(m)
+        for x_mono, part in parts[m].items():
+            for (zq, beta), series in zeta_terms.items():
+                mono = mono_mul(x_mono, basis[beta])
+                cls = classes.get(mono)
+                if cls is None:
+                    cls = classes[mono] = _scaled_class(mono, data)
+                r_c, entries = cls
+                if entries:
+                    d = scale * r_c
+                    dens.add(d)
+                    items.append((d, zq - m, part, series, entries))
+    den = lcm(*dens)
+    acc: dict = {}
+    for d, shift, part, series, entries in items:
+        factor = den // d
+        product: dict = {}
+        for n, a in part:
+            a *= factor
+            for p, b in series:
+                key = n + p
+                product[key] = product.get(key, 0) + a * b
+        for zp, idx, r in entries:
+            slot = acc.setdefault((zp + shift, idx), {})
+            for key, v in product.items():
+                slot[key] = slot.get(key, 0) + v * r
+    return den, acc
+
+
+def _nonzero(acc: dict) -> dict:
+    """{slot: {packed: int}} as {slot: [(packed, int)]}, zeros dropped."""
+    out = {}
+    for slot, terms in acc.items():
+        kept = [(p, v) for p, v in terms.items() if v]
+        if kept:
+            out[slot] = kept
+    return out
+
+
+def _sliced(block: LaurentBlock, order: int) -> list:
+    """A block of s-series as one (D_j, {(z, idx): [(packed, int)]}) for
+    each s-degree j = 0..order, D_j the lcm of that slice's denominators."""
+    slices = [{} for _ in range(order + 1)]
+    for zp, idx, series in block.iter_terms():
+        for mono, c in series.terms.items():
+            terms = slices[sum(mono)].setdefault((zp, idx), [])
+            terms.append((pack_monomial(mono, order + 1), c))
+    out = []
+    for terms in slices:
+        den = lcm(*(c.denominator for series in terms.values() for _, c in series))
+        scaled = {
+            slot: [(p, c.numerator * (den // c.denominator)) for p, c in series]
+            for slot, series in terms.items()
+        }
+        out.append((den, scaled))
+    return out
+
+
+def _block(slices, mu: int, order: int) -> LaurentBlock:
+    """LaurentBlock of Fraction s-series from (den, {(z, idx): [(packed,
+    int)]}) slices of distinct s-degrees."""
+    z_terms: dict = {}
+    monos: dict = {}
+    for den, terms in slices:
+        for (zp, idx), series in terms.items():
+            slot = z_terms.setdefault(zp, {}).setdefault(idx, {})
+            for p, v in series:
+                mono = monos.get(p)
+                if mono is None:
+                    mono = monos[p] = unpack_monomial(p, order + 1, mu)
+                slot[mono] = Fraction(v, den)
+    return LaurentBlock(
+        {
+            zp: {idx: SSeries(mu, order, terms) for idx, terms in vec.items()}
+            for zp, vec in z_terms.items()
+        }
+    )
 
 
 def solve_star(state: UnfoldingState) -> PrimitiveFormResult:
     """Run the recursion order by order in total s-degree.
 
+    Each zeta_k is kept as int numerators over one denominator D_k (the
+    lcm of its reduced denominators), and J_k over the L of its order;
+    both become Fraction series only in the returned result.
     Deterministic: no randomized choices anywhere, so repeated runs produce
     identical objects.
     """
-    milnor = state.milnor
-    one = SSeries.const(state.mu, state.order, 1)
+    milnor, mu, order = state.milnor, state.mu, state.order
     parts = state.exp_parts()
 
     # Both start at the volume form: the monomial 1, wherever the basis puts it.
-    unit = milnor.basis_index((0,) * milnor.f.nvars)
-    zeta_slices = [LaurentBlock({0: {unit: one}})]
-    zeta = LaurentBlock({0: {unit: one}})
-    J = LaurentBlock({0: {unit: one}})
+    volume = {(0, milnor.basis_index((0,) * milnor.f.nvars)): [(0, 1)]}
+    zeta_slices = [(1, volume)]
+    j_slices = [(1, volume)]
+    classes: dict = {}
+    for k in range(1, order + 1):
+        den, acc = _reduced_products(parts, zeta_slices, k, 1, milnor, classes)
+        known = _nonzero(acc)
+        nonneg = {slot: terms for slot, terms in known.items() if slot[0] >= 0}
+        g = gcd(den, *(v for terms in nonneg.values() for _, v in terms))
+        zeta_k = {slot: [(p, -v // g) for p, v in terms] for slot, terms in nonneg.items()}
+        zeta_slices.append((den // g, zeta_k))
+        j_slices.append((den, {slot: terms for slot, terms in known.items() if slot[0] < 0}))
 
-    for k in range(1, state.order + 1):
-        known = LaurentBlock()
-        for m in range(1, k + 1):
-            _accumulate_product(known, parts[m], zeta_slices[k - m], milnor, -m)
-        nonneg, neg = known.split()
-        zeta_k = nonneg.scale(Fraction(-1))
-        zeta_slices.append(zeta_k)
-        zeta.accumulate(zeta_k)
-        J.accumulate(neg)
-
-    return PrimitiveFormResult(zeta, J, state.order, state)
+    zeta, J = _block(zeta_slices, mu, order), _block(j_slices, mu, order)
+    return PrimitiveFormResult(zeta, J, order, state)
 
 
 def defect(result: PrimitiveFormResult) -> LaurentBlock:
@@ -162,15 +283,28 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
     This is the self-consistency oracle: it recombines the solved zeta with
     the exponential factor through genuine lattice reduction (not the
     order-sliced bookkeeping of the solver) and must come out exactly zero.
+    Every product E_m zeta_j with m + j <= order, m = 0 included, is formed
+    again from the Fraction series of the result, on ints as in the solve:
+    slice k runs over the lcm of its products' denominators and of J_k's,
+    and only a nonzero remainder is divided back into Fractions.
     """
     state = result.state
-    total = LaurentBlock()
-    for m, part in enumerate(state.exp_parts()):
-        _accumulate_product(total, part, result.zeta, state.milnor, -m)
-    for zp, vec in result.J.z_terms.items():
-        for idx, c in vec.items():
-            total.add_term(zp, idx, -c)
-    return total
+    milnor, mu, order = state.milnor, state.mu, state.order
+    parts = state.exp_parts()
+    zeta_slices = _sliced(result.zeta, order)
+    classes: dict = {}
+    remainder = []
+    for k, (d_j, j_k) in enumerate(_sliced(result.J, order)):
+        den, acc = _reduced_products(parts, zeta_slices, k, 0, milnor, classes, d_j)
+        factor = den // d_j
+        for slot, terms in j_k.items():
+            acc_slot = acc.setdefault(slot, {})
+            for p, v in terms:
+                acc_slot[p] = acc_slot.get(p, 0) - v * factor
+        left = _nonzero(acc)
+        if left:
+            remainder.append((den, left))
+    return _block(remainder, mu, order)
 
 
 def defect_is_zero(result: PrimitiveFormResult) -> bool:

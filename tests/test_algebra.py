@@ -10,9 +10,12 @@ from primform.algebra import (
     mat_det,
     mat_inv,
     mat_solve,
+    mono_mul,
+    pack_monomial,
     parse_monomial,
     parse_polynomial,
     parse_rational,
+    unpack_monomial,
 )
 
 
@@ -155,6 +158,19 @@ class TestSSeries:
         assert s.diff(1) == SSeries(2, 2, {(1, 0): Fraction(3), (0, 2): Fraction(3)})
 
 
+class TestPackedMonomials:
+    def test_roundtrip_and_product(self):
+        rng = random.Random(7)
+        for _ in range(50):
+            nvars, order = rng.randint(1, 6), rng.randint(0, 8)
+            a = [rng.randint(0, order) for _ in range(nvars)]
+            b = [rng.randint(0, order - e) for e in a]
+            pa, pb = pack_monomial(a, order + 1), pack_monomial(b, order + 1)
+            assert unpack_monomial(pa, order + 1, nvars) == tuple(a)
+            # Below the base no digit carries: the product is the sum.
+            assert unpack_monomial(pa + pb, order + 1, nvars) == mono_mul(a, b)
+
+
 class TestLaurentBlock:
     def _vec(self, order=2):
         return {0: SSeries.const(2, order, 1), 1: SSeries.variable(2, 0, order)}
@@ -164,12 +180,6 @@ class TestLaurentBlock:
         assert b.shift_z(-1).z_powers() == [-1]
         assert b.shift_z(0) == b
         assert b.shift_z(-1).shift_z(-1) == b.shift_z(-2)
-
-    def test_split(self):
-        b = LaurentBlock({-1: self._vec(), 2: self._vec()})
-        nonneg, neg = b.split()
-        assert nonneg.z_powers() == [2]
-        assert neg.z_powers() == [-1]
 
     def test_add_term_prunes_zeros(self):
         b = LaurentBlock()

@@ -48,8 +48,9 @@ class TestInfo:
         assert record["eta"] == [["1/2"]]
 
     def test_unknown_singularity(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["info", "--singularity", "E99"])
+        code, out, err = run_cli(["info", "--singularity", "E99"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: unknown singularity 'E99'\n"
 
     def test_human_format(self, capsys):
         code, out, _ = run_cli(["info", "--singularity", "E12"], capsys)
@@ -203,6 +204,24 @@ class TestCompute:
         assert json.loads(path.read_text())["checks"][check] == "fail"
         assert err.endswith(f"error: failing checks: {check}\n")
         assert run_cli(["verify", str(path)], capsys)[0] == 1
+
+    def test_defect_verdict_fails(self, capsys, tmp_path, monkeypatch):
+        # 1/7 added to zeta leaves J, and so F0, as it was: only the defect
+        # check can see it.
+        def perturbed(state):
+            result = primform.solve_star(state)
+            zeta = LaurentBlock(result.zeta.z_terms)
+            zeta.add_term(0, 0, SSeries.variable(state.mu, 0, state.order).scale(Fraction(1, 7)))
+            return PrimitiveFormResult(zeta, result.J, result.order, state)
+
+        monkeypatch.setattr(cli, "solve_star", perturbed)
+        path = tmp_path / "a3.json"
+        argv = ["compute", "--singularity", "A3", "--check-defect", "--output", str(path)]
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        checks = json.loads(path.read_text())["checks"]
+        assert checks == {"defect": "fail", "euler": "pass", "integrability": "pass", "wdvv": "pass"}
+        assert err == "error: failing checks: defect\n"
 
     @pytest.mark.parametrize("name, position", [("A3", 1), ("U12", 11), ("E12", 1)])
     def test_permuted_basis(self, capsys, tmp_path, name, position):
@@ -491,11 +510,9 @@ class TestCatalogResolution:
     )
     def test_singularity_excludes_other_target_flags(self, capsys, argv):
         # --singularity once won silently over --poly, --vars and --weights.
-        # A string exit code is written to stderr, with exit status 1.
-        with pytest.raises(SystemExit) as exit_info:
-            main(argv)
-        assert exit_info.value.code == "error: --singularity excludes --poly, --vars and --weights"
-        assert capsys.readouterr().out == ""
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --singularity excludes --poly, --vars and --weights\n"
 
     def test_missing_catalog_file(self, capsys, tmp_path):
         code, _, err = run_cli(
