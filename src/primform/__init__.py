@@ -8,7 +8,6 @@ from .algebra import (
     parse_polynomial,
     parse_rational,
 )
-from .brieskorn import reduce_form, verify_exact_class
 from .catalog import CatalogEntry, load_catalog
 from .frobenius import (
     FrobeniusData,
@@ -76,11 +75,9 @@ __all__ = [
     "parse_polynomial",
     "parse_rational",
     "prepotential",
-    "reduce_form",
     "residue_pairing",
     "solve_star",
     "transpose",
-    "verify_exact_class",
     "wdvv_check",
     "weights_from_matrix",
 ]

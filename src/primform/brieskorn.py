@@ -14,28 +14,27 @@ reduction of a polynomial always terminates.  The canonical class of every
 monomial is memoized on the MilnorData, which is what makes the deep
 perturbative recursion affordable.
 
-Coefficients ride along linearly: they may be plain Fractions or truncated
-deformation series (the exterior derivative only acts on x).
+A class is held on ints: its numerators over one denominator R, the lcm
+of its reduced denominators, as the division by the Jacobian ideal
+returns them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
-from .algebra import LaurentBlock, SSeries
 from .milnor import MilnorData
 
 
-def monomial_class(mono: tuple, data: MilnorData) -> dict:
-    """Canonical lattice class of [x^mono d^n x] as {z_power: {index: Fraction}}."""
+def monomial_class(mono: tuple, data: MilnorData) -> tuple[int, list]:
+    """Canonical lattice class of [x^mono d^n x] as (R, [(z_power, index,
+    int)]): the class is the sum of int / R * z^z_power phi_index, R > 0 the
+    lcm of its reduced denominators."""
     cached = data._reduce_cache.get(mono)
     if cached is not None:
         return cached
-    basis_part, gen_part = data._divider.solve_monomial(mono)
-    out: dict = {}
-    if basis_part:
-        out[0] = {data.basis_index(m): c for m, c in basis_part.items()}
-    # Push -sum_i d_i(quotient_i) to the next z power.
+    den, basis_part, gen_part = data._divider.solve_monomial(mono)
+    # Push -sum_i d_i(quotient_i) to the next z power, over den.
     next_terms: dict = {}
     for (var, qm), qc in gen_part.items():
         e = qm[var]
@@ -43,55 +42,16 @@ def monomial_class(mono: tuple, data: MilnorData) -> dict:
             lowered = list(qm)
             lowered[var] = e - 1
             key = tuple(lowered)
-            updated = next_terms.get(key, Fraction(0)) - qc * e
-            if updated:
-                next_terms[key] = updated
-            else:
-                next_terms.pop(key, None)
-    for nm, nc in next_terms.items():
-        for zp, vec in monomial_class(nm, data).items():
-            slot = out.setdefault(zp + 1, {})
-            for idx, c in vec.items():
-                updated = slot.get(idx, Fraction(0)) + nc * c
-                if updated:
-                    slot[idx] = updated
-                else:
-                    slot.pop(idx, None)
-    out = {zp: vec for zp, vec in out.items() if vec}
+            next_terms[key] = next_terms.get(key, 0) - qc * e
+    lower = [(nc, monomial_class(nm, data)) for nm, nc in next_terms.items() if nc]
+    scale = den * lcm(*(r for _, (r, _) in lower))
+    acc = {(0, data.basis_index(m)): c * (scale // den) for m, c in basis_part.items()}
+    for nc, (r, entries) in lower:
+        factor = nc * (scale // (den * r))
+        for zp, idx, c in entries:
+            key = (zp + 1, idx)
+            acc[key] = acc.get(key, 0) + factor * c
+    g = gcd(scale, *acc.values())
+    out = (scale // g, [(zp, idx, c // g) for (zp, idx), c in acc.items() if c])
     data._reduce_cache[mono] = out
     return out
-
-
-def reduce_form(g, data: MilnorData) -> LaurentBlock:
-    """Canonical class of [g d^n x] for g with Fraction or SSeries coefficients.
-
-    `g` is a polynomial SSeries in x or a plain {monomial: coefficient}
-    mapping.
-    """
-    terms = g.terms if isinstance(g, SSeries) else g
-    block = LaurentBlock()
-    for mono, coeff in terms.items():
-        if not coeff:
-            continue
-        for zp, vec in monomial_class(mono, data).items():
-            for idx, frac in vec.items():
-                block.add_term(zp, idx, coeff * frac)
-    return block
-
-
-def verify_exact_class(h: list[SSeries], data: MilnorData) -> bool:
-    """Check that the (n-1)-form with contraction coefficients h reduces to 0.
-
-    For eta = sum_i (-1)^(i-1) h_i dx_1 ^ ... ^ dx_i-hat ^ ... ^ dx_n the
-    element df ^ eta + z d(eta) is exact by construction, so its canonical
-    class must vanish; returns whether it does.
-    """
-    f = data.f
-    pairing_part = SSeries.zero(f.nvars, None)
-    derivative_part = SSeries.zero(f.nvars, None)
-    for i, h_i in enumerate(h):
-        pairing_part = pairing_part + h_i * f.poly.diff(i)
-        derivative_part = derivative_part + h_i.diff(i)
-    block = reduce_form(pairing_part, data)
-    block.accumulate(reduce_form(derivative_part, data).shift_z(1))
-    return not block

@@ -7,15 +7,16 @@ ideal, the socle, and the residue pairing.
 
 Division is organised degree by degree: the weighted grading makes each
 degree a finite exact linear solve, and the echelon form of each degree's
-system is computed once and cached.  Pivoting always prefers the smallest
-monomial in the canonical graded order, so the basis and every division
-witness are deterministic.
+system is computed once and cached.  The elimination runs on ints and
+stops taking ideal generators once the echelon has the ideal's rank.
+Pivoting always prefers the smallest monomial in the canonical graded
+order, so the basis and every division witness are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import (
     SSeries,
@@ -110,19 +111,49 @@ class _DegreeSystem:
     def __init__(self, monos, index, echelon, basis_monos):
         self.monos = monos
         self.index = index
-        self.echelon = echelon  # pivot row -> (vector, combination)
+        self.echelon = echelon  # pivot row -> (pivot value, vector, combination)
         self.basis_monos = basis_monos
 
 
+# Combination key of the monomial that solve_monomial divides.
+_TARGET = ("t",)
+
+
+def _echelon_row(pivot, vec, combo):
+    """(p, vec, combo) divided by their content, signed so that p > 0."""
+    g = gcd(*vec.values(), *combo.values())
+    if vec[pivot] < 0:
+        g = -g
+    return (
+        vec[pivot] // g,
+        {r: c // g for r, c in vec.items()},
+        {k: c // g for k, c in combo.items()},
+    )
+
+
 class _JacobianDivider:
-    """Per-degree exact solver for g = sum(c_a phi_a) + sum(q_i d_i f)."""
+    """Per-degree exact solver for g = sum(c_a phi_a) + sum(q_i d_i f).
+
+    The elimination runs on ints.  A column is a vector over the monomials
+    of one degree together with its combination of generator columns
+    (m * d_i f, keyed ("g", i, m)) and basis unit columns (keyed ("b", m)),
+    and stays an integer combination throughout: each step scales it by an
+    int to clear one entry, and each echelon row is stored divided by its
+    content.
+    """
 
     def __init__(self, f: WeightedPolynomial):
         self.f = f
         self.nvars = f.nvars
         self.scale = lcm(*[q.denominator for q in f.weights])
         self.var_sdegs = tuple(int(q * self.scale) for q in f.weights)
-        self.jacobian = tuple(f.poly.diff(i) for i in range(f.nvars))
+        # Generator column ("g", i, m) is m * d_i f scaled by jacobian_den,
+        # the lcm of the denominators of f, so its entries are ints.
+        self.jacobian_den = lcm(*[c.denominator for c in f.poly.terms.values()])
+        self.jacobian = tuple(
+            {m: int(c * self.jacobian_den) for m, c in f.poly.diff(i).terms.items()}
+            for i in range(f.nvars)
+        )
         self.gen_sdegs = tuple(self.scale - sd for sd in self.var_sdegs)
         self._monos_cache: dict[int, list] = {}
         self._systems: dict[int, _DegreeSystem] = {}
@@ -154,33 +185,52 @@ class _JacobianDivider:
         self._monos_cache[sdeg] = found
         return found
 
+    def quotient_dimension(self, sdeg: int) -> int:
+        """The coefficient of t^sdeg in prod_i (1 - t^g_i) / (1 - t^w_i).
+
+        It is the dimension of C[x]/(df) at that degree when the partials
+        form a regular sequence, as they do for an isolated singularity
+        (Milnor-Orlik): inclusion-exclusion over the subsets S of the
+        generators of the monomial count at sdeg - sum_{i in S} g_i.
+        """
+        total = 0
+        for subset in range(1 << self.nvars):
+            shift, sign = sdeg, 1
+            for i, g in enumerate(self.gen_sdegs):
+                if subset >> i & 1:
+                    shift, sign = shift - g, -sign
+            if shift >= 0:
+                total += sign * len(self.monomials_at(shift))
+        return total
+
     def _eliminate(self, vec, combo, echelon):
-        """Reduce (vec, combo) against the echelon.
+        """Reduce the int column (vec, combo) against the echelon, in place.
 
         Works through the smallest remaining monomial row; each echelon
         vector leads at its pivot row, so the frontier strictly increases.
-        Returns the first uncovered row (the pivot for a new column) or
-        None when the column eliminates completely.
+        Clearing entry c against pivot value p scales the column by p/g and
+        subtracts c/g times the echelon row, g = gcd(p, c).  Returns the
+        first uncovered row (the pivot for a new column) or None when the
+        column eliminates completely.
         """
         while vec:
             r = min(vec)
             hit = echelon.get(r)
             if hit is None:
                 return r
-            c = vec[r]
-            evec, ecombo = hit
-            for rr, cc in evec.items():
-                updated = vec.get(rr, Fraction(0)) - c * cc
-                if updated:
-                    vec[rr] = updated
-                else:
-                    vec.pop(rr, None)
-            for key, cc in ecombo.items():
-                updated = combo.get(key, Fraction(0)) - c * cc
-                if updated:
-                    combo[key] = updated
-                else:
-                    combo.pop(key, None)
+            p, evec, ecombo = hit
+            g = gcd(p, vec[r])
+            a, b = p // g, vec[r] // g
+            for target, row in ((vec, evec), (combo, ecombo)):
+                if a != 1:
+                    for key in target:
+                        target[key] *= a
+                for key, c in row.items():
+                    updated = target.get(key, 0) - b * c
+                    if updated:
+                        target[key] = updated
+                    else:
+                        target.pop(key, None)
         return None
 
     def system(self, sdeg: int) -> _DegreeSystem:
@@ -191,25 +241,27 @@ class _JacobianDivider:
         index = {m: r for r, m in enumerate(monos)}
         echelon: dict = {}
         # Ideal generator columns: mono * d_i(f), variables then monomials
-        # in canonical order.
+        # in canonical order, until the echelon has the rank the Poincare
+        # series gives.  For an isolated f that is the ideal's rank.  Left
+        # out columns can only enlarge the quotient found, so a non-isolated
+        # f is still rejected.
+        rank = len(monos) - self.quotient_dimension(sdeg)
         for i in range(self.nvars):
             shift = sdeg - self.gen_sdegs[i]
             if shift < 0:
                 continue
             for m in self.monomials_at(shift):
+                if len(echelon) == rank:
+                    break
                 vec = {}
-                for jm, jc in self.jacobian[i].terms.items():
+                for jm, jc in self.jacobian[i].items():
                     row = index[mono_mul(m, jm)]
-                    vec[row] = vec.get(row, Fraction(0)) + jc
+                    vec[row] = vec.get(row, 0) + jc
                 vec = {r: c for r, c in vec.items() if c}
-                combo = {("g", i, m): Fraction(1)}
+                combo = {("g", i, m): 1}
                 pivot = self._eliminate(vec, combo, echelon)
                 if pivot is not None:
-                    inv = 1 / vec[pivot]
-                    echelon[pivot] = (
-                        {r: c * inv for r, c in vec.items()},
-                        {k: c * inv for k, c in combo.items()},
-                    )
+                    echelon[pivot] = _echelon_row(pivot, vec, combo)
         if self.designated is not None:
             basis_monos = list(self.designated.get(sdeg, []))
             free = len(monos) - len(echelon)
@@ -223,33 +275,30 @@ class _JacobianDivider:
         # Basis unit columns join the echelon after the ideal columns; a
         # designated monomial that eliminates to zero is dependent.
         for bm in basis_monos:
-            vec = {index[bm]: Fraction(1)}
-            combo = {("b", bm): Fraction(1)}
+            vec = {index[bm]: 1}
+            combo = {("b", bm): 1}
             pivot = self._eliminate(vec, combo, echelon)
             if pivot is None:
                 raise ValueError(
                     f"designated basis monomial {bm} is not independent "
                     "modulo the Jacobian ideal"
                 )
-            inv = 1 / vec[pivot]
-            echelon[pivot] = (
-                {r: c * inv for r, c in vec.items()},
-                {k: c * inv for k, c in combo.items()},
-            )
+            echelon[pivot] = _echelon_row(pivot, vec, combo)
         sys = _DegreeSystem(monos, index, echelon, basis_monos)
         self._systems[sdeg] = sys
         return sys
 
-    def solve_monomial(self, mono) -> tuple[dict, dict]:
+    def solve_monomial(self, mono) -> tuple[int, dict, dict]:
         """Express a monomial as basis combination plus Jacobian-ideal part.
 
-        Returns (basis coefficients {mono: c}, generator combination
-        {(var, mono): c}); the expression is exact.
+        Returns (den, basis numerators {mono: int}, generator numerators
+        {(var, mono): int}), each coefficient its numerator over den > 0,
+        with no common factor; the expression is exact.
         """
         sdeg = self.sdeg(mono)
         sys = self.system(sdeg)
-        vec = {sys.index[mono]: Fraction(1)}
-        combo: dict = {}
+        vec = {sys.index[mono]: 1}
+        combo = {_TARGET: 1}
         leftover = self._eliminate(vec, combo, sys.echelon)
         if leftover is not None:
             raise NonIsolatedSingularityError(
@@ -257,14 +306,13 @@ class _JacobianDivider:
                 f"{sdeg}/{self.scale}: monomial {mono} is not reachable",
                 degree=Fraction(sdeg, self.scale),
             )
-        basis_part = {}
-        gen_part = {}
-        for key, c in combo.items():
-            if key[0] == "b":
-                basis_part[key[1]] = -c
-            else:
-                gen_part[(key[1], key[2])] = -c
-        return basis_part, gen_part
+        # den * mono + sum(combo * columns) = 0, den > 0 as every pivot is.
+        den = combo.pop(_TARGET)
+        parts = {k: -c * (self.jacobian_den if k[0] == "g" else 1) for k, c in combo.items()}
+        g = gcd(den, *parts.values())
+        basis_part = {k[1]: c // g for k, c in parts.items() if k[0] == "b"}
+        gen_part = {k[1:]: c // g for k, c in parts.items() if k[0] == "g"}
+        return den // g, basis_part, gen_part
 
 
 class MilnorData:
@@ -397,11 +445,11 @@ def divide_by_jacobian(g: SSeries, data: MilnorData):
     quotients: list[dict] = [{} for _ in range(f.nvars)]
     divider = data._divider
     for mono, c in g.terms.items():
-        basis_part, gen_part = divider.solve_monomial(mono)
-        for bm, bc in basis_part.items():
-            coeffs[data.basis_index(bm)] += c * bc
-        for (var, qm), qc in gen_part.items():
-            quotients[var][qm] = quotients[var].get(qm, Fraction(0)) + c * qc
+        den, basis_part, gen_part = divider.solve_monomial(mono)
+        for bm, b in basis_part.items():
+            coeffs[data.basis_index(bm)] += c * Fraction(b, den)
+        for (var, qm), q in gen_part.items():
+            quotients[var][qm] = quotients[var].get(qm, Fraction(0)) + c * Fraction(q, den)
     return coeffs, [SSeries(f.nvars, None, q) for q in quotients]
 
 
@@ -446,9 +494,10 @@ def residue_pairing(data: MilnorData):
             if data.degrees[a] + data.degrees[b] != c_hat:
                 continue
             product = mono_mul(data.basis[a], data.basis[b])
-            r = data._divider.solve_monomial(product)[0].get(data.socle)
+            den, basis_part, _ = data._divider.solve_monomial(product)
+            r = basis_part.get(data.socle)
             if r:
-                eta[a][b] = eta[b][a] = r * scale
+                eta[a][b] = eta[b][a] = Fraction(r, den) * scale
     if not mat_det(eta):
         raise ArithmeticError("residue pairing is degenerate; data is inconsistent")
     return tuple(tuple(row) for row in eta), h

@@ -21,12 +21,12 @@ because E_m is homogeneous of s-degree m.
 
 The solve and the defect run on Python ints.  E_m is stored times m!, so
 its coefficients m!/n! are ints; each zeta_k is kept as int numerators over
-one denominator D_k; each lattice class is scaled by the lcm of its own
-denominators; and the products of order k are summed over one common
-denominator.  An s-monomial is one int whose digit a in base order + 1 is
-the exponent of s_a, so the product of two is the sum of their ints.
-zeta, J and the defect are returned as Fraction series, each coefficient
-a reduced rational.
+one denominator D_k; each lattice class comes from `monomial_class` as int
+numerators over R_c, the lcm of its own denominators; and the products of
+order k are summed over one common denominator.  An s-monomial is one int
+whose digit a in base order + 1 is the exponent of s_a, so the product of
+two is the sum of their ints.  zeta, J and the defect are returned as
+Fraction series, each coefficient a reduced rational.
 """
 
 from __future__ import annotations
@@ -138,18 +138,6 @@ class PrimitiveFormResult:
         return PrimitiveFormResult(cut(self.zeta), cut(self.J), order, state)
 
 
-def _scaled_class(mono: tuple, data: MilnorData) -> tuple:
-    """R and R * monomial_class(mono) as [(z, idx, int)], R the lcm of the
-    class's denominators."""
-    cls = monomial_class(mono, data)
-    scale = lcm(*(c.denominator for vec in cls.values() for c in vec.values()))
-    return scale, [
-        (zp, idx, c.numerator * (scale // c.denominator))
-        for zp, vec in cls.items()
-        for idx, c in vec.items()
-    ]
-
-
 def _reduced_products(
     parts: list, slices: list, k: int, first: int, data: MilnorData, classes: dict, den: int = 1
 ) -> tuple[int, dict]:
@@ -162,7 +150,8 @@ def _reduced_products(
     are D_{k-m} m! R_c times the true ones.  A first pass collects the
     items and L, the lcm of every D_{k-m} m! R_c and of `den`; the second
     scales each item up to L and adds its products into
-    {(z, idx): {packed: int}}.  `classes` memoizes _scaled_class.
+    {(z, idx): {packed: int}}.  `classes` memoizes monomial_class for
+    the call, so each class is looked up once.
     """
     basis = data.basis
     items, dens = [], {den}
@@ -174,7 +163,7 @@ def _reduced_products(
                 mono = mono_mul(x_mono, basis[beta])
                 cls = classes.get(mono)
                 if cls is None:
-                    cls = classes[mono] = _scaled_class(mono, data)
+                    cls = classes[mono] = monomial_class(mono, data)
                 r_c, entries = cls
                 if entries:
                     d = scale * r_c
@@ -280,13 +269,17 @@ def solve_star(state: UnfoldingState) -> PrimitiveFormResult:
 def defect(result: PrimitiveFormResult) -> LaurentBlock:
     """Fully re-reduced exp((F-f)/z) * zeta - J, modulo s-order order+1.
 
-    This is the self-consistency oracle: it recombines the solved zeta with
-    the exponential factor through genuine lattice reduction (not the
-    order-sliced bookkeeping of the solver) and must come out exactly zero.
     Every product E_m zeta_j with m + j <= order, m = 0 included, is formed
-    again from the Fraction series of the result, on ints as in the solve:
-    slice k runs over the lcm of its products' denominators and of J_k's,
-    and only a nonzero remainder is divided back into Fractions.
+    again from the Fraction series of the result through the solve's own
+    kernel, `_reduced_products`: slice k runs over the lcm of its products'
+    denominators and of J_k's, and only a nonzero remainder is divided back
+    into Fractions.  On a fresh result the z <= -1 part of the remainder is
+    J's definition and the z >= 0 part is zeta's, so the defect catches
+    faults in the conversions (`_sliced`, `_block`, the gcd step of the
+    solve) and a perturbed zeta or J, but not a fault in the kernel or in
+    the lattice reduction.  Those are checked independently by the x^n
+    oracle, the Fraction reference solve and the exactness of
+    df ^ eta + z d(eta) in the tests.
     """
     state = result.state
     milnor, mu, order = state.milnor, state.mu, state.order

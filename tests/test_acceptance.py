@@ -10,8 +10,8 @@ import time
 from fractions import Fraction
 from itertools import product
 
+from exact_forms import verify_exact_class
 from primform.algebra import SSeries, parse_rational
-from primform.brieskorn import verify_exact_class
 from primform.catalog import EXCEPTIONAL_NAMES, load_catalog
 from primform.frobenius import (
     euler_check,

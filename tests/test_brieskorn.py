@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from primform.algebra import LaurentBlock, SSeries, weighted_degree
-from primform.brieskorn import reduce_form, verify_exact_class
+from exact_forms import reduce_form, verify_exact_class
 from primform.milnor import central_charge
 
 F = Fraction

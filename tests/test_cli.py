@@ -168,6 +168,46 @@ class TestCompute:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "poly, weights, message",
+        [
+            ("x^2*y^2", "1/4,1/4", "5/4, above the socle degree 1"),
+            ("x^2*y^2+z^2", "1/4,1/4,1/2", "5/4, above the socle degree 1"),
+            ("x^2*y+x*z^2", "1/3,1/3,1/3", "4/3, above the socle degree 1"),
+            ("x^5+x^3*y^2", "1/5,1/5", "7/5, above the socle degree 6/5"),
+        ],
+    )
+    def test_non_isolated_rejected(self, capsys, poly, weights, message):
+        # The division stops at the rank a regular sequence of partials
+        # would have; a non-isolated f never reaches it, so its quotient
+        # still shows above the socle degree.
+        code, _, err = run_cli(
+            ["compute", "--poly", poly, "--weights", weights, "--order", "2"], capsys
+        )
+        assert code == 1
+        assert err == f"error: quotient is nonzero at weighted degree {message}\n"
+
+    @pytest.mark.parametrize(
+        "basis, message",
+        [
+            (
+                "1,x,y,x*y",
+                "designated basis monomial (1, 1) is not independent modulo the Jacobian ideal",
+            ),
+            (
+                "1,x,y,x^3",
+                "designated basis has 0 monomials at scaled degree 2, "
+                "but the quotient there has dimension 1",
+            ),
+        ],
+    )
+    def test_dependent_or_misgraded_basis_rejected(self, capsys, basis, message):
+        code, _, err = run_cli(
+            ["compute", "--singularity", "D4", "--order", "1", "--basis", basis], capsys
+        )
+        assert code == 1
+        assert err == f"error: {message}\n"
+
     def test_integrability_failure(self, capsys, monkeypatch):
         # A constant in J_(-2) is no gradient of a normalized F0; the raise
         # reaches main like any ArithmeticError.

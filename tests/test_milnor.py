@@ -3,7 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from primform.algebra import SSeries, mat_det, parse_polynomial, weighted_degree
+from primform.algebra import (
+    SSeries,
+    _gauss_jordan,
+    mat_det,
+    mono_mul,
+    parse_polynomial,
+    weighted_degree,
+)
 from primform.milnor import (
     NonIsolatedSingularityError,
     WeightedPolynomial,
@@ -107,6 +114,30 @@ class TestMilnorBasis:
                 sdeg = data._divider.sdeg(mono)
                 got[sdeg] = got.get(sdeg, 0) + 1
             assert got == expected, name
+
+    def test_rank_formula_matches_elimination(self, catalog, milnor_cache):
+        # The inclusion-exclusion quotient dimension at which the division
+        # stops taking generator columns, against the rank of all of them
+        # from a dense elimination, at every degree up to the socle bound.
+        for name in catalog:
+            data = milnor_cache(name)
+            divider = data._divider
+            cap = int(central_charge(data.f) * divider.scale) + max(divider.gen_sdegs)
+            partials = [data.f.poly.diff(i) for i in range(data.f.nvars)]
+            for sdeg in range(cap + 1):
+                monos = divider.monomials_at(sdeg)
+                index = {m: r for r, m in enumerate(monos)}
+                rows = []
+                for i, g in enumerate(divider.gen_sdegs):
+                    for m in divider.monomials_at(sdeg - g) if sdeg >= g else []:
+                        row = [F(0)] * len(monos)
+                        for jm, jc in partials[i].terms.items():
+                            row[index[mono_mul(m, jm)]] += jc
+                        rows.append(row)
+                rank = len(_gauss_jordan(rows, len(monos))[0])
+                dim = divider.quotient_dimension(sdeg)
+                assert dim == len(monos) - rank, (name, sdeg)
+                assert dim == len(divider.system(sdeg).basis_monos), (name, sdeg)
 
     def test_user_basis_roundtrip(self, catalog):
         # D4 = x^3 + x*y^2 admits x^2 instead of y^2 as the top basis element.
@@ -220,6 +251,26 @@ class TestDivision:
             for i, q in enumerate(quotients):
                 for mono in q.terms:
                     assert divider.sdeg(mono) == sdeg - divider.gen_sdegs[i]
+
+    def test_rational_coefficients_reconstruct(self):
+        # The division scales the partials of f to ints by the lcm of f's
+        # denominators (420 here) and must scale the witnesses back.
+        f = wp(
+            "2/3*x^3+3/4*y^3+1/5*z^4+1/7*x^2*y",
+            ["x", "y", "z"],
+            [F(1, 3), F(1, 3), F(1, 4)],
+        )
+        data = milnor_basis(f)
+        divider = data._divider
+        assert divider.jacobian_den == 420
+        for sdeg in range(int((central_charge(f) + 1) * divider.scale) + 1):
+            for mono in divider.monomials_at(sdeg):
+                g = SSeries(3, None, {mono: F(1)})
+                coeffs, quotients = divide_by_jacobian(g, data)
+                rebuilt = SSeries(3, None, dict(zip(data.basis, coeffs)))
+                for i, q in enumerate(quotients):
+                    rebuilt = rebuilt + q * f.poly.diff(i)
+                assert rebuilt == g, mono
 
     def test_idempotence(self, milnor_cache):
         data = milnor_cache("Q10")

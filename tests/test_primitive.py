@@ -6,7 +6,7 @@ import pytest
 
 from primform import brieskorn, primitive
 from primform.algebra import SSeries, mono_mul, unpack_monomial
-from primform.milnor import milnor_basis
+from primform.milnor import _JacobianDivider, milnor_basis
 from primform.primitive import (
     build_unfolding,
     defect_is_zero,
@@ -152,11 +152,13 @@ class TestSolveStar:
     def test_work_counters_pinned(self, catalog, monkeypatch):
         # Series products, J terms, reduction-cache entries, the total
         # echelon size of the Jacobian division and the monomial_class
-        # lookups answered from the cache, in a cold order-4 solve; a rise
-        # in any of them is more work for the same J.
-        calls, hits = [], []
+        # lookups answered from the cache, in a cold order-4 solve; and the
+        # generator columns eliminated in milnor_basis and that solve.  A
+        # rise in any of them is more work for the same J.
+        calls, hits, columns = [], [], []
         original = SSeries.__mul__
         original_class = brieskorn.monomial_class
+        original_eliminate = _JacobianDivider._eliminate
 
         def counting(a, b):
             calls.append(None)
@@ -167,14 +169,21 @@ class TestSolveStar:
                 hits.append(None)
             return original_class(mono, data)
 
-        counts = {}
+        def counting_eliminate(divider, vec, combo, echelon):
+            if any(key[0] == "g" for key in combo):
+                columns.append(None)
+            return original_eliminate(divider, vec, combo, echelon)
+
+        counts, eliminated = {}, {}
         for name in ("E12", "U12"):
             f = catalog[name].weighted_polynomial()
-            data = milnor_basis(f)
-            state = build_unfolding(f, data, 4)
-            calls.clear()
-            hits.clear()
+            columns.clear()
             with monkeypatch.context() as patch:
+                patch.setattr(_JacobianDivider, "_eliminate", counting_eliminate)
+                data = milnor_basis(f)
+                state = build_unfolding(f, data, 4)
+                calls.clear()
+                hits.clear()
                 patch.setattr(SSeries, "__mul__", counting)
                 patch.setattr(SSeries, "__rmul__", counting)
                 patch.setattr(brieskorn, "monomial_class", counting_class)
@@ -183,9 +192,13 @@ class TestSolveStar:
             j_terms = sum(len(series.terms) for _, _, series in result.J.iter_terms())
             echelon = sum(len(system.echelon) for system in data._divider._systems.values())
             counts[name] = (len(calls), j_terms, len(data._reduce_cache), echelon, len(hits))
+            eliminated[name] = len(columns)
         # The solve forms no series product: it runs on ints, and looks up
         # each lattice class once per call.
         assert counts == {"E12": (0, 1054, 105, 182, 70), "U12": (0, 643, 225, 720, 146)}
+        # The division stops taking generator columns at the ideal's rank
+        # (242 and 1378 columns without the stop).
+        assert eliminated == {"E12": 218, "U12": 1364}
 
     def test_truncation_stability(self, catalog, milnor_cache):
         data = milnor_cache("W12")

@@ -54,9 +54,9 @@ def accumulate_product(target, part, block, data, z_shift):
                 series = coeff * fcoeff
                 if not series:
                     continue
-                for zp, cls in monomial_class(mono_mul(fmono, data.basis[beta]), data).items():
-                    for idx, frac in cls.items():
-                        target.add_term(zp + zq + z_shift, idx, series * frac)
+                den, entries = monomial_class(mono_mul(fmono, data.basis[beta]), data)
+                for zp, idx, c in entries:
+                    target.add_term(zp + zq + z_shift, idx, series * F(c, den))
 
 
 def fraction_solve(state):
