@@ -41,7 +41,6 @@ from .primitive import (
     build_unfolding,
     defect,
     defect_is_zero,
-    grading_violations,
     solve_star,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "euler_check",
     "flat_coordinates",
     "format_rational",
-    "grading_violations",
     "infer_weights",
     "invert_coordinates",
     "load_catalog",

@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--check-defect",
                 action="store_true",
-                help="also re-verify exp((F-f)/z) zeta = J by full reduction",
+                help="also re-verify exp((F-f)/z) zeta = J at z^-2 and above by full reduction",
             )
 
     p_info = sub.add_parser("info", help="weights, central charge, basis, pairing")

@@ -19,6 +19,12 @@ the fully reduced K_k determines both: zeta_k is minus its nonnegative
 part, J_k its negative part.  Every step is a finite exact computation
 because E_m is homogeneous of s-degree m.
 
+J is solved only down to a floor, z^-2 by default: the flat coordinates
+come from J at z^-1 and the gradient of F0 from J at z^-2, and the
+recursion itself reads only zeta.  A product whose weighted degree bound
+puts it below the floor is skipped before its class is computed, and the
+defect checks the z >= floor part of the result.
+
 The solve and the defect run on Python ints.  E_m is stored times m!, so
 its coefficients m!/n! are ints; each zeta_k is kept as int numerators over
 one denominator D_k; each lattice class comes from `monomial_class` as int
@@ -40,7 +46,6 @@ from .algebra import (
     mono_mul,
     pack_monomial,
     unpack_monomial,
-    weighted_degree,
 )
 from .brieskorn import monomial_class
 from .milnor import MilnorData, WeightedPolynomial
@@ -103,75 +108,83 @@ def build_unfolding(f: WeightedPolynomial, milnor: MilnorData, order: int) -> Un
 
 
 class PrimitiveFormResult:
-    """The solved pair (zeta, J) at a given s-order."""
+    """The solved pair (zeta, J) at a given s-order, J held at z >= floor."""
 
-    __slots__ = ("zeta", "J", "order", "state")
+    __slots__ = ("zeta", "J", "order", "state", "floor")
 
-    def __init__(self, zeta: LaurentBlock, J: LaurentBlock, order: int, state: UnfoldingState):
+    def __init__(
+        self, zeta: LaurentBlock, J: LaurentBlock, order: int, state: UnfoldingState, floor: int
+    ):
         self.zeta = zeta
         self.J = J
         self.order = order
         self.state = state
+        self.floor = floor
 
     def j_components(self, m: int) -> list[SSeries]:
-        """The mu component series of J at z power m (m <= -1)."""
+        """The mu component series of J at z power m (floor <= m <= -1)."""
         if m > -1:
             raise ValueError("z^0 and above of J is the fixed volume-form class")
+        if m < self.floor:
+            raise ValueError(f"J was solved only down to z^{self.floor}")
         mu, order = self.state.mu, self.order
         vec = self.J.component(m)
         return [vec.get(a, SSeries.zero(mu, order)) for a in range(mu)]
 
-    def truncated(self, order: int) -> "PrimitiveFormResult":
-        """Restrict to a lower s-order (for truncation-stability checks)."""
-        if order > self.order:
-            raise ValueError("cannot extend a solved result")
-
-        def cut(block: LaurentBlock) -> LaurentBlock:
-            return LaurentBlock(
-                {
-                    zp: {i: c.truncate(order) for i, c in vec.items()}
-                    for zp, vec in block.z_terms.items()
-                }
-            )
-
-        state = UnfoldingState(self.state.base, self.state.milnor, order)
-        return PrimitiveFormResult(cut(self.zeta), cut(self.J), order, state)
-
 
 def _reduced_products(
-    parts: list, slices: list, k: int, first: int, data: MilnorData, classes: dict, den: int = 1
+    parts: list,
+    slices: list,
+    k: int,
+    first: int,
+    data: MilnorData,
+    classes: dict,
+    floor: int,
+    den: int = 1,
 ) -> tuple[int, dict]:
-    """L and L * sum_{m=first..k} z^-m reduce(E_m zeta_{k-m}) on ints.
+    """L and L * sum_{m=first..k} z^-m reduce(E_m zeta_{k-m}) on ints, at
+    z >= floor.
 
     slices[j] is zeta_j as (D_j, {(z, idx): [(packed, int)]}), its values
     D_j times the true ones.  The item (m, beta, x-monomial) stands for the
     product of part m at that x-monomial with zeta_{k-m} at beta, reduced
     through the class c of the x-monomial times phi_beta; its numerators
-    are D_{k-m} m! R_c times the true ones.  A first pass collects the
-    items and L, the lcm of every D_{k-m} m! R_c and of `den`; the second
-    scales each item up to L and adds its products into
-    {(z, idx): {packed: int}}.  `classes` memoizes monomial_class for
-    the call, so each class is looked up once.
+    are D_{k-m} m! R_c times the true ones.  The class of a monomial of
+    weighted degree d lives at z <= d, so an item at zeta's z power zq
+    lands at z <= zq - m + d: one whose bound is below the floor is skipped
+    before its class is looked up, and of the others every class entry
+    below the floor is dropped.  Degrees are compared as ints scaled by the
+    lcm of the weight denominators.  A first pass collects the items and L,
+    the lcm of every D_{k-m} m! R_c and of `den`; the second scales each
+    item up to L and adds its products into {(z, idx): {packed: int}}.
+    `classes` memoizes monomial_class for the call, so each class is looked
+    up once.
     """
-    basis = data.basis
+    basis, divider = data.basis, data._divider
+    basis_sdegs = [divider.sdeg(mono) for mono in basis]
     items, dens = [], {den}
     for m in range(first, k + 1):
         d_slice, zeta_terms = slices[k - m]
         scale = d_slice * factorial(m)
         for x_mono, part in parts[m].items():
+            x_sdeg = divider.sdeg(x_mono)
             for (zq, beta), series in zeta_terms.items():
+                shift = zq - m
+                if (shift - floor) * divider.scale + x_sdeg + basis_sdegs[beta] < 0:
+                    continue
                 mono = mono_mul(x_mono, basis[beta])
                 cls = classes.get(mono)
                 if cls is None:
                     cls = classes[mono] = monomial_class(mono, data)
                 r_c, entries = cls
-                if entries:
+                kept = [(zp + shift, idx, r) for zp, idx, r in entries if zp + shift >= floor]
+                if kept:
                     d = scale * r_c
                     dens.add(d)
-                    items.append((d, zq - m, part, series, entries))
+                    items.append((d, part, series, kept))
     den = lcm(*dens)
     acc: dict = {}
-    for d, shift, part, series, entries in items:
+    for d, part, series, entries in items:
         factor = den // d
         product: dict = {}
         for n, a in part:
@@ -180,7 +193,7 @@ def _reduced_products(
                 key = n + p
                 product[key] = product.get(key, 0) + a * b
         for zp, idx, r in entries:
-            slot = acc.setdefault((zp + shift, idx), {})
+            slot = acc.setdefault((zp, idx), {})
             for key, v in product.items():
                 slot[key] = slot.get(key, 0) + v * r
     return den, acc
@@ -236,15 +249,20 @@ def _block(slices, mu: int, order: int) -> LaurentBlock:
     )
 
 
-def solve_star(state: UnfoldingState) -> PrimitiveFormResult:
-    """Run the recursion order by order in total s-degree.
+def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
+    """Run the recursion order by order in total s-degree, J down to z^floor.
 
-    Each zeta_k is kept as int numerators over one denominator D_k (the
-    lcm of its reduced denominators), and J_k over the L of its order;
-    both become Fraction series only in the returned result.
-    Deterministic: no randomized choices anywhere, so repeated runs produce
-    identical objects.
+    The flat structure reads J only at z^-1 and z^-2, so by default the
+    products below z^-2 are never formed; floor = -state.order gives the
+    whole J.  zeta is exact at any floor <= 0, since the recursion reads
+    only zeta and zeta lives at z >= 0.  Each zeta_k is kept as int
+    numerators over one denominator D_k (the lcm of its reduced
+    denominators), and J_k over the L of its order; both become Fraction
+    series only in the returned result.  Deterministic: no randomized
+    choices anywhere, so repeated runs produce identical objects.
     """
+    if floor > 0:
+        raise ValueError("the J floor must be <= 0: zeta lives at z >= 0")
     milnor, mu, order = state.milnor, state.mu, state.order
     parts = state.exp_parts()
 
@@ -254,7 +272,7 @@ def solve_star(state: UnfoldingState) -> PrimitiveFormResult:
     j_slices = [(1, volume)]
     classes: dict = {}
     for k in range(1, order + 1):
-        den, acc = _reduced_products(parts, zeta_slices, k, 1, milnor, classes)
+        den, acc = _reduced_products(parts, zeta_slices, k, 1, milnor, classes, floor)
         known = _nonzero(acc)
         nonneg = {slot: terms for slot, terms in known.items() if slot[0] >= 0}
         g = gcd(den, *(v for terms in nonneg.values() for _, v in terms))
@@ -263,34 +281,38 @@ def solve_star(state: UnfoldingState) -> PrimitiveFormResult:
         j_slices.append((den, {slot: terms for slot, terms in known.items() if slot[0] < 0}))
 
     zeta, J = _block(zeta_slices, mu, order), _block(j_slices, mu, order)
-    return PrimitiveFormResult(zeta, J, order, state)
+    return PrimitiveFormResult(zeta, J, order, state, floor)
 
 
 def defect(result: PrimitiveFormResult) -> LaurentBlock:
-    """Fully re-reduced exp((F-f)/z) * zeta - J, modulo s-order order+1.
+    """Fully re-reduced exp((F-f)/z) * zeta - J at z >= result.floor,
+    modulo s-order order+1.
 
     Every product E_m zeta_j with m + j <= order, m = 0 included, is formed
     again from the Fraction series of the result through the solve's own
-    kernel, `_reduced_products`: slice k runs over the lcm of its products'
-    denominators and of J_k's, and only a nonzero remainder is divided back
-    into Fractions.  On a fresh result the z <= -1 part of the remainder is
-    J's definition and the z >= 0 part is zeta's, so the defect catches
-    faults in the conversions (`_sliced`, `_block`, the gcd step of the
-    solve) and a perturbed zeta or J, but not a fault in the kernel or in
-    the lattice reduction.  Those are checked independently by the x^n
-    oracle, the Fraction reference solve and the exactness of
+    kernel, `_reduced_products`, with the result's floor: what lands below
+    the floor, and J there, is not checked.  Slice k runs over the lcm of
+    its products' denominators and of J_k's, and only a nonzero remainder
+    is divided back into Fractions.  On a fresh result the z <= -1 part of
+    the remainder is J's definition and the z >= 0 part is zeta's, so the
+    defect catches faults in the conversions (`_sliced`, `_block`, the gcd
+    step of the solve) and a perturbed zeta or J, but not a fault in the
+    kernel or in the lattice reduction.  Those are checked independently
+    by the x^n oracle, the Fraction reference solve and the exactness of
     df ^ eta + z d(eta) in the tests.
     """
-    state = result.state
+    state, floor = result.state, result.floor
     milnor, mu, order = state.milnor, state.mu, state.order
     parts = state.exp_parts()
     zeta_slices = _sliced(result.zeta, order)
     classes: dict = {}
     remainder = []
     for k, (d_j, j_k) in enumerate(_sliced(result.J, order)):
-        den, acc = _reduced_products(parts, zeta_slices, k, 0, milnor, classes, d_j)
+        den, acc = _reduced_products(parts, zeta_slices, k, 0, milnor, classes, floor, d_j)
         factor = den // d_j
         for slot, terms in j_k.items():
+            if slot[0] < floor:
+                continue
             acc_slot = acc.setdefault(slot, {})
             for p, v in terms:
                 acc_slot[p] = acc_slot.get(p, 0) - v * factor
@@ -302,31 +324,3 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
 
 def defect_is_zero(result: PrimitiveFormResult) -> bool:
     return not defect(result)
-
-
-def grading_violations(result: PrimitiveFormResult) -> list[dict]:
-    """Terms violating the quasi-homogeneity of the solved pair.
-
-    With deg z = 1 and deg s_a = 1 - d_a, every stored term z^m phi_a s^k
-    must satisfy  deg(s^k) + m + d_a = 0.  Returns one record per violating
-    term (empty when the grading holds).
-    """
-    state = result.state
-    s_degrees = state.s_degrees
-    degrees = state.milnor.degrees
-    bad = []
-    for name, block in (("zeta", result.zeta), ("J", result.J)):
-        for zp, idx, series in block.iter_terms():
-            for mono in series.terms:
-                total = weighted_degree(mono, s_degrees) + zp + degrees[idx]
-                if total != 0:
-                    bad.append(
-                        {
-                            "part": name,
-                            "z": zp,
-                            "basis_index": idx,
-                            "s_exponents": mono,
-                            "degree_defect": total,
-                        }
-                    )
-    return bad

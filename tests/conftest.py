@@ -25,7 +25,7 @@ def milnor_cache(catalog):
 
 @pytest.fixture(scope="session")
 def solved_cache(catalog, milnor_cache):
-    """Shared solver results keyed by (entry name, order)."""
+    """Shared full-J solver results keyed by (entry name, order)."""
     cache = {}
 
     def get(name, order):
@@ -33,7 +33,9 @@ def solved_cache(catalog, milnor_cache):
         if key not in cache:
             data = milnor_cache(name)
             state = build_unfolding(catalog[name].weighted_polynomial(), data, order)
-            cache[key] = solve_star(state)
+            # The whole J, and at orders 0 and 1 still the z^-2 that the
+            # prepotential reads.
+            cache[key] = solve_star(state, floor=min(-order, -2))
         return cache[key]
 
     return get

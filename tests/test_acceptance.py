@@ -171,7 +171,7 @@ def test_criterion_6_independent_small_oracle(catalog, milnor_cache):
         oracle = oracle_run(n, 4)
         data = milnor_cache(name)
         assert data.basis == tuple((k,) for k in range(n - 1))
-        result = solve_star(build_unfolding(catalog[name].weighted_polynomial(), data, 4))
+        result = solve_star(build_unfolding(catalog[name].weighted_polynomial(), data, 4), floor=-4)
 
         engine_zeta = {
             (zp, idx): series.terms for zp, idx, series in result.zeta.iter_terms()

@@ -215,7 +215,8 @@ class TestCompute:
             J = LaurentBlock(result.J.z_terms)
             J.add_term(-2, 0, SSeries.const(data.mu, result.order, Fraction(1, 7)))
             return primform.prepotential(
-                PrimitiveFormResult(result.zeta, J, result.order, result.state), data
+                PrimitiveFormResult(result.zeta, J, result.order, result.state, result.floor),
+                data,
             )
 
         monkeypatch.setattr(cli, "prepotential", broken)
@@ -252,7 +253,7 @@ class TestCompute:
             result = primform.solve_star(state)
             zeta = LaurentBlock(result.zeta.z_terms)
             zeta.add_term(0, 0, SSeries.variable(state.mu, 0, state.order).scale(Fraction(1, 7)))
-            return PrimitiveFormResult(zeta, result.J, result.order, state)
+            return PrimitiveFormResult(zeta, result.J, result.order, state, result.floor)
 
         monkeypatch.setattr(cli, "solve_star", perturbed)
         path = tmp_path / "a3.json"

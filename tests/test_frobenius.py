@@ -67,7 +67,7 @@ def with_j_minus2_added(result, extras):
     J = LaurentBlock(result.J.z_terms)
     for b, extra in enumerate(extras):
         J.add_term(-2, b, extra)
-    return PrimitiveFormResult(result.zeta, J, result.order, result.state)
+    return PrimitiveFormResult(result.zeta, J, result.order, result.state, result.floor)
 
 
 class TestFlatCoordinates:

@@ -5,14 +5,10 @@ from math import factorial
 import pytest
 
 from primform import brieskorn, primitive
-from primform.algebra import SSeries, mono_mul, unpack_monomial
+from primform.algebra import LaurentBlock, SSeries, mono_mul, unpack_monomial, weighted_degree
+from primform.frobenius import prepotential
 from primform.milnor import _JacobianDivider, milnor_basis
-from primform.primitive import (
-    build_unfolding,
-    defect_is_zero,
-    grading_violations,
-    solve_star,
-)
+from primform.primitive import build_unfolding, defect_is_zero, solve_star
 
 F = Fraction
 
@@ -188,7 +184,7 @@ class TestSolveStar:
                 patch.setattr(SSeries, "__rmul__", counting)
                 patch.setattr(brieskorn, "monomial_class", counting_class)
                 patch.setattr(primitive, "monomial_class", counting_class)
-                result = solve_star(state)
+                result = solve_star(state, floor=-4)
             j_terms = sum(len(series.terms) for _, _, series in result.J.iter_terms())
             echelon = sum(len(system.echelon) for system in data._divider._systems.values())
             counts[name] = (len(calls), j_terms, len(data._reduce_cache), echelon, len(hits))
@@ -200,14 +196,69 @@ class TestSolveStar:
         # (242 and 1378 columns without the stop).
         assert eliminated == {"E12": 218, "U12": 1364}
 
+    def test_floored_work_counters_pinned(self, catalog):
+        # J terms and reduction-cache entries of a cold order-4 solve at the
+        # default floor z^-2; the full J above has 1054/105 and 643/225.
+        counts = {}
+        for name in ("E12", "U12"):
+            f = catalog[name].weighted_polynomial()
+            data = milnor_basis(f)
+            result = solve_star(build_unfolding(f, data, 4))
+            j_terms = sum(len(series.terms) for _, _, series in result.J.iter_terms())
+            counts[name] = (j_terms, len(data._reduce_cache))
+        assert counts == {"E12": (635, 100), "U12": (419, 220)}
+
     def test_truncation_stability(self, catalog, milnor_cache):
         data = milnor_cache("W12")
         f = catalog["W12"].weighted_polynomial()
-        full = solve_star(build_unfolding(f, data, 4))
-        cut = full.truncated(3)
-        fresh = solve_star(build_unfolding(f, data, 3))
-        assert cut.zeta == fresh.zeta
-        assert cut.J == fresh.J
+        full = solve_star(build_unfolding(f, data, 4), floor=-4)
+        fresh = solve_star(build_unfolding(f, data, 3), floor=-3)
+
+        def cut(block):
+            return LaurentBlock(
+                {zp: {i: c.truncate(3) for i, c in vec.items()} for zp, vec in block.z_terms.items()}
+            )
+
+        assert cut(full.zeta) == fresh.zeta
+        assert cut(full.J) == fresh.J
+
+
+class TestFloor:
+    @pytest.fixture
+    def agrees(self, catalog, milnor_cache, solved_cache, frobenius_cache):
+        # The floored solve is the full one cut at z^-2, with the same F0.
+        def check(name, order):
+            data = milnor_cache(name)
+            full = solved_cache(name, order)
+            state = build_unfolding(catalog[name].weighted_polynomial(), data, order)
+            floored = solve_star(state)
+            assert floored.floor == -2 and full.floor == -order
+            assert floored.zeta == full.zeta, name
+            cut = {zp: vec for zp, vec in full.J.z_terms.items() if zp >= -2}
+            assert floored.J.z_terms == cut, name
+            f0 = prepotential(floored, data).prepotential
+            assert f0 == frobenius_cache(name, order).prepotential, name
+
+        return check
+
+    def test_catalog_order_four(self, catalog, agrees):
+        for name in sorted(catalog):
+            agrees(name, 4)
+
+    @pytest.mark.parametrize("name", ["E12", "U12"])
+    def test_order_six(self, name, agrees):
+        agrees(name, 6)
+
+    def test_below_floor_raises(self, catalog, milnor_cache, solved_cache):
+        state = build_unfolding(catalog["E12"].weighted_polynomial(), milnor_cache("E12"), 4)
+        result = solve_star(state)
+        assert any(result.j_components(-2))
+        with pytest.raises(ValueError, match="only down to z\\^-2"):
+            result.j_components(-3)
+        with pytest.raises(ValueError, match="only down to z\\^-4"):
+            solved_cache("E12", 4).j_components(-5)
+        with pytest.raises(ValueError, match="floor must be <= 0"):
+            solve_star(state, floor=1)
 
 
 class TestJComponents:
@@ -257,12 +308,17 @@ class TestDefectIdentity:
 
 class TestGrading:
     def test_no_violations_catalogwide_sample(self, solved_cache):
+        # With deg z = 1 and deg s_a = 1 - d_a, every stored term
+        # z^m phi_a s^k of zeta and the full J has deg(s^k) + m + d_a = 0.
         for name in ("A4", "Z12", "U12", "P8"):
-            assert grading_violations(solved_cache(name, 4)) == [], name
+            result = solved_cache(name, 4)
+            s_degrees, degrees = result.state.s_degrees, result.state.milnor.degrees
+            for block in (result.zeta, result.J):
+                for zp, idx, series in block.iter_terms():
+                    for mono in series.terms:
+                        assert weighted_degree(mono, s_degrees) + zp + degrees[idx] == 0, name
 
     def test_randomized_term_sampling(self, solved_cache, catalog):
-        from primform.algebra import weighted_degree
-
         rng = random.Random(4242)
         names = sorted(catalog)
         checked = 0

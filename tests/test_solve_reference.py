@@ -115,7 +115,7 @@ def perturbed(result, part, j):
     blocks = {"zeta": LaurentBlock(result.zeta.z_terms), "J": LaurentBlock(result.J.z_terms)}
     zp, idx, mono = term_at_degree(blocks[part], j, mu)
     blocks[part].add_term(zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
-    moved = PrimitiveFormResult(blocks["zeta"], blocks["J"], order, result.state)
+    moved = PrimitiveFormResult(blocks["zeta"], blocks["J"], order, result.state, result.floor)
     return moved, (zp, idx, mono)
 
 
@@ -123,7 +123,7 @@ class TestSameSolve:
     @pytest.mark.parametrize("name", ["A1", "A2"])
     def test_order_zero(self, name, catalog, milnor_cache):
         state = build_unfolding(catalog[name].weighted_polynomial(), milnor_cache(name), 0)
-        assert_same_solve(solve_star(state))
+        assert_same_solve(solve_star(state, floor=0))
 
     def test_catalog_order_three(self, catalog, solved_cache):
         for name in sorted(catalog):
@@ -142,7 +142,7 @@ class TestSameSolve:
         basis = list(milnor_basis(f).basis)
         basis[0], basis[1] = basis[1], basis[0]
         data = milnor_basis(f, basis=basis)
-        result = solve_star(build_unfolding(f, data, 4))
+        result = solve_star(build_unfolding(f, data, 4), floor=-4)
         assert data.basis_index((0, 0)) == 1
         assert defect_is_zero(result)
         assert_same_solve(result)
@@ -170,3 +170,38 @@ class TestPerturbedDefect:
         assert defect(moved) == expected
         if order < 6:
             assert fraction_defect(moved) == expected
+
+
+class TestFlooredDefect:
+    """The defect of a result solved down to z^-2 checks z >= -2 only."""
+
+    @pytest.fixture(params=[("U12", 4), ("E12", 6)], ids=["U12-4", "E12-6"])
+    def floored(self, request, catalog, milnor_cache):
+        name, order = request.param
+        state = build_unfolding(catalog[name].weighted_polynomial(), milnor_cache(name), order)
+        result = solve_star(state)
+        assert result.floor == -2 and defect_is_zero(result)
+        return result
+
+    def test_zeta_perturbed_at_each_degree(self, floored):
+        for j in range(1, floored.order + 1):
+            moved, _ = perturbed(floored, "zeta", j)
+            assert not defect_is_zero(moved), j
+
+    @pytest.mark.parametrize("zp", [-1, -2])
+    def test_j_perturbed_gives_minus_one_seventh(self, floored, zp):
+        mu, order = floored.state.mu, floored.order
+        idx, series = min(floored.J.z_terms[zp].items())
+        mono = max(series.terms)
+        J = LaurentBlock(floored.J.z_terms)
+        J.add_term(zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
+        moved = PrimitiveFormResult(floored.zeta, J, order, floored.state, floored.floor)
+        assert defect(moved) == LaurentBlock({zp: {idx: SSeries(mu, order, {mono: F(-1, 7)})}})
+
+    def test_j_below_floor_unchecked(self, floored):
+        # The narrowing itself: a term below the floor is not compared.
+        mu, order = floored.state.mu, floored.order
+        J = LaurentBlock(floored.J.z_terms)
+        J.add_term(-3, 0, SSeries(mu, order, {(order,) + (0,) * (mu - 1): F(1, 7)}))
+        moved = PrimitiveFormResult(floored.zeta, J, order, floored.state, floored.floor)
+        assert defect_is_zero(moved)
