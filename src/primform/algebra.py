@@ -15,7 +15,7 @@ Representations:
   SSeries    {monomial: Fraction}     no zero coefficients stored; truncated
                                       at a total degree, or a polynomial in
                                       x or s when the order is None
-  LaurentBlock {z_power: {index: coeff}}  finitely many z powers
+  LaurentBlock {z_power: {index: SSeries}}  finitely many z powers
 
 The canonical term order used for printing and serialization is graded
 (total degree first), ties broken so that earlier variables come first
@@ -34,6 +34,14 @@ def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str):
         raise ValueError(f"a rational is written as a string, got {text!r}")
     return Fraction(text.strip())
+
+
+def as_list(value, what: str) -> list:
+    """value, which must be a JSON array: a string or an object in its
+    place would be read one character or one key per entry."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -143,9 +151,6 @@ class SSeries:
             and self.terms == other.terms
         )
 
-    def __hash__(self):
-        return hash((self.nvars, self.order, frozenset(self.terms.items())))
-
     def _check_compatible(self, other: "SSeries") -> None:
         if self.nvars != other.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
@@ -228,9 +233,6 @@ class SSeries:
         order = None if self.order is None else max(self.order - 1, 0)
         return SSeries(self.nvars, order, out)
 
-    def coefficient(self, exps: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
-
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         return sorted(self.terms.items(), key=lambda item: mono_key(item[0]))
 
@@ -281,12 +283,8 @@ class SSeries:
 
 
 class LaurentBlock:
-    """Finite sum over z powers of coefficient vectors indexed by basis class.
-
-    Coefficients may be Fractions or SSeries (anything supporting +, unary -,
-    multiplication by Fraction, and truthiness); zero coefficients are never
-    stored.
-    """
+    """Finite sum over z powers of SSeries vectors indexed by basis class;
+    zero coefficients are dropped at construction and never stored."""
 
     __slots__ = ("z_terms",)
 
@@ -302,33 +300,6 @@ class LaurentBlock:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentBlock) and self.z_terms == other.z_terms
-
-    def add_term(self, zpow: int, idx: int, coeff) -> None:
-        """Accumulate coeff onto the (z^zpow, basis idx) slot (in place)."""
-        vec = self.z_terms.setdefault(zpow, {})
-        updated = vec.get(idx, None)
-        updated = coeff if updated is None else updated + coeff
-        if updated:
-            vec[idx] = updated
-        else:
-            vec.pop(idx, None)
-            if not vec:
-                del self.z_terms[zpow]
-
-    def accumulate(self, other: "LaurentBlock") -> None:
-        """In-place sum."""
-        for zp, vec in other.z_terms.items():
-            for idx, c in vec.items():
-                self.add_term(zp, idx, c)
-
-    def scale(self, c) -> "LaurentBlock":
-        return LaurentBlock(
-            {zp: {i: v * c for i, v in vec.items()} for zp, vec in self.z_terms.items()}
-        )
-
-    def shift_z(self, m: int) -> "LaurentBlock":
-        """Multiply by z^m: every z power shifts by m, coefficients unchanged."""
-        return LaurentBlock({zp + m: dict(vec) for zp, vec in self.z_terms.items()})
 
     def component(self, zpow: int) -> dict:
         return dict(self.z_terms.get(zpow, {}))

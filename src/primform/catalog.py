@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
-from .algebra import SSeries, parse_rational
+from .algebra import SSeries, as_list, parse_rational
 from .milnor import WeightedPolynomial
 
 CATALOG_ENV_VAR = "PRIMFORM_CATALOG"
@@ -29,7 +29,6 @@ EXCEPTIONAL_NAMES = (
 @dataclass(frozen=True)
 class CatalogEntry:
     name: str
-    family: str
     variables: tuple[str, ...]
     weights: tuple[Fraction, ...]
     poly: SSeries
@@ -42,20 +41,21 @@ class CatalogEntry:
 
 
 def _entry_from_dict(raw: dict) -> CatalogEntry:
-    variables = tuple(raw["variables"])
-    weights = tuple(parse_rational(w) for w in raw["weights"])
-    poly = SSeries.from_records(raw["polynomial"], len(variables))
+    variables = tuple(as_list(raw["variables"], "variables"))
+    weights = tuple(parse_rational(w) for w in as_list(raw["weights"], "weights"))
+    poly = SSeries.from_records(as_list(raw["polynomial"], "polynomial"), len(variables))
     expected = raw.get("expected", {})
     c_hat = expected.get("central_charge")
     mu = expected.get("milnor_number")
+    if mu is not None and type(mu) is not int:
+        raise ValueError(f"milnor_number must be an integer, got {mu!r}")
     return CatalogEntry(
         name=raw["name"],
-        family=raw.get("family", ""),
         variables=variables,
         weights=weights,
         poly=poly,
         expected_central_charge=parse_rational(c_hat) if c_hat is not None else None,
-        expected_milnor_number=int(mu) if mu is not None else None,
+        expected_milnor_number=mu,
         expected_transpose=expected.get("transpose_name"),
     )
 

@@ -33,6 +33,7 @@ from math import lcm
 
 from .algebra import (
     SSeries,
+    as_list,
     format_rational,
     mat_inv,
     mono_key,
@@ -438,26 +439,30 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
     """The WDVV, Euler and integrability checks of a prepotential record.
 
     The record's shape is checked first: an object with a non-empty basis
-    list (mu >= 1), an order that is a non-negative int, mu flat degrees, a
-    mu x mu pairing, every rational a string, and no terms below order 3.
+    list (mu >= 1), an order that is a non-negative int, a list of terms, a
+    list of mu flat degrees, a mu x mu pairing as a list of lists, every
+    rational a string, and no terms below order 3.
     Below order 3 the normalized F0 is zero, so each check holds only
     vacuously and its report is None.
     """
-    if not isinstance(record, dict) or not isinstance(record["basis"], list):
-        raise ValueError("a record is an object with a basis list")
-    if not record["basis"]:
+    if not isinstance(record, dict):
+        raise ValueError("a record is an object")
+    mu = len(as_list(record["basis"], "basis"))
+    if not mu:
         raise ValueError("the basis is empty, but mu >= 1")
-    mu = len(record["basis"])
     order = record["order"]
     if type(order) is not int or order < 0:
         raise ValueError(f"order must be a non-negative integer, got {order!r}")
-    f0 = SSeries.from_records(record["terms"], mu, order)
+    f0 = SSeries.from_records(as_list(record["terms"], "terms"), mu, order)
     if order < 3 and f0:
         raise ValueError("a prepotential below order 3 has no terms")
-    eta = tuple(tuple(parse_rational(v) for v in row) for row in record["eta"])
+    eta = tuple(
+        tuple(parse_rational(v) for v in as_list(row, "a row of eta"))
+        for row in as_list(record["eta"], "eta")
+    )
     if len(eta) != mu or any(len(row) != mu for row in eta):
         raise ValueError(f"eta must be {mu} x {mu}")
-    flat_degrees = [parse_rational(d) for d in record["flat_degrees"]]
+    flat_degrees = [parse_rational(d) for d in as_list(record["flat_degrees"], "flat_degrees")]
     if len(flat_degrees) != mu:
         raise ValueError(f"expected {mu} flat degrees, got {len(flat_degrees)}")
     c_hat = parse_rational(record["central_charge"])

@@ -106,10 +106,9 @@ def central_charge(f: WeightedPolynomial) -> Fraction:
 class _DegreeSystem:
     """Echelonized division system for one weighted degree."""
 
-    __slots__ = ("monos", "index", "echelon", "basis_monos")
+    __slots__ = ("index", "echelon", "basis_monos")
 
-    def __init__(self, monos, index, echelon, basis_monos):
-        self.monos = monos
+    def __init__(self, index, echelon, basis_monos):
         self.index = index
         self.echelon = echelon  # pivot row -> (pivot value, vector, combination)
         self.basis_monos = basis_monos
@@ -284,7 +283,7 @@ class _JacobianDivider:
                     "modulo the Jacobian ideal"
                 )
             echelon[pivot] = _echelon_row(pivot, vec, combo)
-        sys = _DegreeSystem(monos, index, echelon, basis_monos)
+        sys = _DegreeSystem(index, echelon, basis_monos)
         self._systems[sdeg] = sys
         return sys
 
@@ -330,20 +329,18 @@ class MilnorData:
         "degrees",
         "socle",
         "eta",
-        "hessian_socle_factor",
         "_divider",
         "_basis_index",
         "_reduce_cache",
     )
 
-    def __init__(self, f, mu, basis, degrees, socle, eta, hess_factor, divider):
+    def __init__(self, f, mu, basis, degrees, socle, eta, divider):
         self.f = f
         self.mu = mu
         self.basis = tuple(basis)
         self.degrees = tuple(degrees)
         self.socle = socle
         self.eta = eta
-        self.hessian_socle_factor = hess_factor
         self._divider = divider
         self._basis_index = {m: i for i, m in enumerate(self.basis)}
         self._reduce_cache = {}
@@ -424,10 +421,8 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
         )
     socle = socle_monos[0]
 
-    data = MilnorData(f, mu, ordered, degrees, socle, None, None, divider)
-    eta, hess_factor = residue_pairing(data)
-    data.eta = eta
-    data.hessian_socle_factor = hess_factor
+    data = MilnorData(f, mu, ordered, degrees, socle, None, divider)
+    data.eta = residue_pairing(data)
     return data
 
 
@@ -477,7 +472,8 @@ def residue_pairing(data: MilnorData):
     """Residue pairing eta on the basis, normalized by Res(hess f) = mu.
 
     eta[a][b] = r_ab * mu / h, where phi_a*phi_b = r_ab*socle and
-    hess(f) = h*socle modulo the Jacobian ideal.  Returns (eta, h).
+    hess(f) = h*socle modulo the Jacobian ideal: h is the socle coefficient
+    of divide_by_jacobian(hessian_determinant(f), data).  Returns eta.
     """
     hess = hessian_determinant(data.f)
     socle_idx = data.basis_index(data.socle)
@@ -500,4 +496,4 @@ def residue_pairing(data: MilnorData):
                 eta[a][b] = eta[b][a] = Fraction(r, den) * scale
     if not mat_det(eta):
         raise ArithmeticError("residue pairing is degenerate; data is inconsistent")
-    return tuple(tuple(row) for row in eta), h
+    return tuple(tuple(row) for row in eta)

@@ -198,36 +198,13 @@ def weights_from_matrix(w: InvertiblePolynomial) -> tuple[Fraction, ...]:
 class DiagonalSymmetryGroup:
     """Diagonal symmetries of an invertible polynomial, as phases mod 1."""
 
-    __slots__ = ("exponent_matrix", "generators", "generator_orders", "order", "j_w")
+    __slots__ = ("generators", "generator_orders", "order", "j_w")
 
-    def __init__(self, exponent_matrix, generators, generator_orders, order, j_w):
-        self.exponent_matrix = exponent_matrix
+    def __init__(self, generators, generator_orders, order, j_w):
         self.generators = generators
         self.generator_orders = generator_orders
         self.order = order
         self.j_w = j_w
-
-    def contains(self, theta) -> bool:
-        """Whether the phase vector fixes the polynomial (E theta integral)."""
-        for row in self.exponent_matrix:
-            total = sum((Fraction(e) * t for e, t in zip(row, theta)), Fraction(0))
-            if total.denominator != 1:
-                return False
-        return True
-
-    def elements(self, limit: int = 10000) -> set:
-        """Every group element, by spanning the generators (small groups only)."""
-        if self.order > limit:
-            raise ValueError(f"group order {self.order} exceeds enumeration limit")
-        elems = {tuple(Fraction(0) for _ in range(len(self.j_w)))}
-        for gen, gen_order in zip(self.generators, self.generator_orders):
-            grown = set()
-            for k in range(gen_order):
-                step = tuple((Fraction(k) * g) % 1 for g in gen)
-                for e in elems:
-                    grown.add(tuple((a + b) % 1 for a, b in zip(e, step)))
-            elems = grown
-        return elems
 
 
 def diagonal_symmetries(w: InvertiblePolynomial) -> DiagonalSymmetryGroup:
@@ -250,6 +227,4 @@ def diagonal_symmetries(w: InvertiblePolynomial) -> DiagonalSymmetryGroup:
             generators.append(column)
             generator_orders.append(d)
     j_w = tuple(q % 1 for q in infer_weights(w.poly()))
-    return DiagonalSymmetryGroup(
-        w.exponent_matrix, tuple(generators), tuple(generator_orders), order, j_w
-    )
+    return DiagonalSymmetryGroup(tuple(generators), tuple(generator_orders), order, j_w)

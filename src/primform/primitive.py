@@ -122,10 +122,14 @@ class PrimitiveFormResult:
         self.floor = floor
 
     def j_components(self, m: int) -> list[SSeries]:
-        """The mu component series of J at z power m (floor <= m <= -1)."""
+        """The mu component series of J at z power m <= -1.
+
+        Below z^-order J is zero by degree, since its z^-j part has s-degree
+        >= j; between z^-order and the floor it was not solved.
+        """
         if m > -1:
             raise ValueError("z^0 and above of J is the fixed volume-form class")
-        if m < self.floor:
+        if -self.order <= m < self.floor:
             raise ValueError(f"J was solved only down to z^{self.floor}")
         mu, order = self.state.mu, self.order
         vec = self.J.component(m)

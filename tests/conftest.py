@@ -33,9 +33,7 @@ def solved_cache(catalog, milnor_cache):
         if key not in cache:
             data = milnor_cache(name)
             state = build_unfolding(catalog[name].weighted_polynomial(), data, order)
-            # The whole J, and at orders 0 and 1 still the z^-2 that the
-            # prepotential reads.
-            cache[key] = solve_star(state, floor=min(-order, -2))
+            cache[key] = solve_star(state, floor=-order)
         return cache[key]
 
     return get

@@ -4,6 +4,8 @@
 a ``LaurentBlock``; ``verify_exact_class`` reduces df ^ eta + z d(eta),
 which is exact by construction, and reports whether its class vanishes.
 That is a check of the int reduction that shares none of its bookkeeping.
+``add_term`` and ``plus_term`` accumulate into the ``{z: {index: coeff}}``
+dicts that a ``LaurentBlock`` is built from; the block drops what cancels.
 """
 
 from fractions import Fraction
@@ -12,19 +14,33 @@ from primform.algebra import LaurentBlock, SSeries
 from primform.brieskorn import monomial_class
 
 
+def add_term(z_terms: dict, zp: int, idx: int, coeff) -> None:
+    """z_terms[zp][idx] += coeff, in place; zero sums are left for the
+    LaurentBlock constructor to drop."""
+    vec = z_terms.setdefault(zp, {})
+    vec[idx] = vec[idx] + coeff if idx in vec else coeff
+
+
+def plus_term(block: LaurentBlock, zp: int, idx: int, coeff) -> LaurentBlock:
+    """A new block: `block` with coeff added at (z^zp, basis idx)."""
+    z_terms = {z: dict(vec) for z, vec in block.z_terms.items()}
+    add_term(z_terms, zp, idx, coeff)
+    return LaurentBlock(z_terms)
+
+
 def reduce_form(g, data) -> LaurentBlock:
     """Canonical class of [g d^n x] for g with Fraction or SSeries
     coefficients, given as a polynomial SSeries or a {monomial: coefficient}
     mapping."""
     terms = g.terms if isinstance(g, SSeries) else g
-    block = LaurentBlock()
+    z_terms: dict = {}
     for mono, coeff in terms.items():
         if not coeff:
             continue
         den, entries = monomial_class(mono, data)
         for zp, idx, c in entries:
-            block.add_term(zp, idx, coeff * Fraction(c, den))
-    return block
+            add_term(z_terms, zp, idx, coeff * Fraction(c, den))
+    return LaurentBlock(z_terms)
 
 
 def verify_exact_class(h: list, data) -> bool:
@@ -39,6 +55,7 @@ def verify_exact_class(h: list, data) -> bool:
     for i, h_i in enumerate(h):
         pairing_part = pairing_part + h_i * f.poly.diff(i)
         derivative_part = derivative_part + h_i.diff(i)
-    block = reduce_form(pairing_part, data)
-    block.accumulate(reduce_form(derivative_part, data).shift_z(1))
-    return not block
+    # [df ^ eta] = -z [d(eta)]: the second class shifted one z power up.
+    lowered = reduce_form(-derivative_part, data)
+    raised = LaurentBlock({zp + 1: vec for zp, vec in lowered.z_terms.items()})
+    return reduce_form(pairing_part, data) == raised

@@ -20,7 +20,12 @@ from primform.frobenius import (
     prepotential,
     wdvv_check,
 )
-from primform.milnor import central_charge, divide_by_jacobian, milnor_basis
+from primform.milnor import (
+    central_charge,
+    divide_by_jacobian,
+    hessian_determinant,
+    milnor_basis,
+)
 from primform.mirror import InvertiblePolynomial, diagonal_symmetries, transpose
 from primform.primitive import build_unfolding, defect_is_zero, solve_star
 
@@ -107,8 +112,10 @@ def test_criterion_3_u12_four_point_function():
 
     # Single recorded convention constant: the published table normalizes the
     # flat pairing so that <1, socle> = 1 while the engine fixes
-    # Res(hess f) = mu; the prepotential rescales by hess_factor / mu = 36.
-    convention = F(data.hessian_socle_factor, data.mu)
+    # Res(hess f) = mu; the prepotential rescales by h / mu = 36, h the
+    # socle coefficient of the hessian modulo the Jacobian ideal.
+    hess_coeffs, _ = divide_by_jacobian(hessian_determinant(f), data)
+    convention = hess_coeffs[data.basis_index(data.socle)] / data.mu
     assert convention == 36
 
     scaled = {mono: -coeff * convention for mono, coeff in degree4.terms.items()}

@@ -172,21 +172,12 @@ class TestPackedMonomials:
 
 
 class TestLaurentBlock:
-    def _vec(self, order=2):
-        return {0: SSeries.const(2, order, 1), 1: SSeries.variable(2, 0, order)}
-
-    def test_shift_basics(self):
-        b = LaurentBlock({0: self._vec()})
-        assert b.shift_z(-1).z_powers() == [-1]
-        assert b.shift_z(0) == b
-        assert b.shift_z(-1).shift_z(-1) == b.shift_z(-2)
-
-    def test_add_term_prunes_zeros(self):
-        b = LaurentBlock()
+    def test_constructor_drops_zeros(self):
         s = SSeries.variable(2, 0, 2)
-        b.add_term(0, 1, s)
-        b.add_term(0, 1, -s)
-        assert not b
+        block = LaurentBlock({0: {0: s, 1: s - s}, -1: {0: SSeries.zero(2, 2)}})
+        assert block.z_terms == {0: {0: s}}
+        assert block.z_powers() == [0]
+        assert not LaurentBlock({0: {1: s - s}})
 
 
 class TestMatrixHelpers:

@@ -9,7 +9,8 @@ import pytest
 
 import primform
 from primform import cli
-from primform.algebra import LaurentBlock, SSeries
+from exact_forms import plus_term
+from primform.algebra import SSeries
 from primform.cli import main
 from primform.frobenius import FrobeniusData
 from primform.primitive import PrimitiveFormResult
@@ -212,8 +213,7 @@ class TestCompute:
         # A constant in J_(-2) is no gradient of a normalized F0; the raise
         # reaches main like any ArithmeticError.
         def broken(result, data):
-            J = LaurentBlock(result.J.z_terms)
-            J.add_term(-2, 0, SSeries.const(data.mu, result.order, Fraction(1, 7)))
+            J = plus_term(result.J, -2, 0, SSeries.const(data.mu, result.order, Fraction(1, 7)))
             return primform.prepotential(
                 PrimitiveFormResult(result.zeta, J, result.order, result.state, result.floor),
                 data,
@@ -251,8 +251,8 @@ class TestCompute:
         # check can see it.
         def perturbed(state):
             result = primform.solve_star(state)
-            zeta = LaurentBlock(result.zeta.z_terms)
-            zeta.add_term(0, 0, SSeries.variable(state.mu, 0, state.order).scale(Fraction(1, 7)))
+            extra = SSeries.variable(state.mu, 0, state.order).scale(Fraction(1, 7))
+            zeta = plus_term(result.zeta, 0, 0, extra)
             return PrimitiveFormResult(zeta, result.J, result.order, state, result.floor)
 
         monkeypatch.setattr(cli, "solve_star", perturbed)
@@ -408,16 +408,21 @@ class TestVerify:
             lambda r: {**r, "terms": r["terms"] + r["terms"][:1]},
             lambda r: {**r, "terms": r["terms"] + [{"exponents": [1, 0, 1, 1], "coeff": "0"}]},
             lambda r: {**r, "basis": [], "terms": [], "eta": [], "flat_degrees": []},
+            lambda r: {**r, "eta": ["0" * (len(r["eta"]) - 1) + "1"] + r["eta"][1:]},
+            lambda r: {**r, "flat_degrees": "1" * len(r["flat_degrees"])},
+            lambda r: {**r, "terms": {}},
         ],
         ids=[
             "list", "string", "int coeff", "extra flat degree", "missing flat degree",
             "short eta row", "missing eta row", "terms below order 3", "split term",
-            "repeated term", "zero coefficient", "empty basis",
+            "repeated term", "zero coefficient", "empty basis", "string eta row",
+            "string flat degrees", "object terms",
         ],
     )
     def test_malformed_shape_rejected(self, capsys, tmp_path, mutate):
         # Once a traceback, a pass, or Euler or WDVV violations; a split or
-        # repeated term was summed and a zero term dropped.
+        # repeated term was summed and a zero term dropped; a string row or
+        # list was read one character per entry and an object as its keys.
         path = self._compute_record(capsys, tmp_path, name="A4")
         path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
         code, _, err = run_cli(["verify", str(path)], capsys)
@@ -515,9 +520,15 @@ class TestCatalogResolution:
 
     @pytest.mark.parametrize(
         "entry",
-        ["no weights", "not an object", "negative exponent", "fractional exponent", "repeated term"],
+        [
+            "no weights", "not an object", "negative exponent", "fractional exponent",
+            "repeated term", "string variables", "weights object", "fractional milnor number",
+            "bool milnor number",
+        ],
     )
     def test_malformed_catalog(self, capsys, tmp_path, entry):
+        # A string was once read one character per entry, an object as its
+        # keys, and a milnor number through int().
         raw = {
             "name": "CUSP",
             "variables": ["x"],
@@ -531,6 +542,13 @@ class TestCatalogResolution:
         elif entry == "repeated term":
             raw["weights"] = ["1/3"]
             raw["polynomial"].append({"exponents": [3], "coeff": "1"})
+        elif entry == "string variables":
+            raw["weights"], raw["variables"] = ["1/3"], "x"
+        elif entry == "weights object":
+            raw["weights"] = {"1/3": 1}
+        elif entry.endswith("milnor number"):
+            raw["weights"] = ["1/3"]
+            raw["expected"] = {"milnor_number": 2.7 if entry.startswith("fractional") else True}
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"entries": [raw]}))
         code, out, err = run_cli(
@@ -607,3 +625,5 @@ class TestEntryPoint:
         assert blocks and all(isinstance(series.terms, dict) for _, _, series in blocks)
         assert len(frob.prepotential.terms) > 0
         assert type(primform.wdvv_check(frob.prepotential, data.eta, 3).checked) is int
+        # invert_separately skips the frobenius.invert span without it.
+        assert type(result.order) is int

@@ -284,7 +284,8 @@ class TestResiduePairing:
     def test_a1_normalization(self, milnor_cache):
         # hess(x^2) = 2, socle = 1, so eta_11 = mu/h = 1/2.
         data = milnor_cache("A1")
-        assert data.hessian_socle_factor == 2
+        hess_coeffs, _ = divide_by_jacobian(hessian_determinant(data.f), data)
+        assert hess_coeffs[data.basis_index(data.socle)] == 2
         assert data.eta == ((F(1, 2),),)
 
     def test_grading_zeros(self, catalog, milnor_cache):

@@ -255,8 +255,9 @@ class TestFloor:
         assert any(result.j_components(-2))
         with pytest.raises(ValueError, match="only down to z\\^-2"):
             result.j_components(-3)
-        with pytest.raises(ValueError, match="only down to z\\^-4"):
-            solved_cache("E12", 4).j_components(-5)
+        # Below z^-order J is zero by degree, whatever the floor.
+        full = solved_cache("E12", 4)
+        assert full.j_components(-5) == [SSeries.zero(full.state.mu, 4)] * full.state.mu
         with pytest.raises(ValueError, match="floor must be <= 0"):
             solve_star(state, floor=1)
 

@@ -14,6 +14,7 @@ from math import factorial, prod
 
 import pytest
 
+from exact_forms import add_term, plus_term
 from primform.algebra import LaurentBlock, SSeries, mono_mul
 from primform.brieskorn import monomial_class
 from primform.milnor import milnor_basis
@@ -47,7 +48,8 @@ def fraction_exp_parts(state):
 
 
 def accumulate_product(target, part, block, data, z_shift):
-    """target += z^z_shift * reduce(part * block), for a block of zeta."""
+    """target += z^z_shift * reduce(part * block), for a block of zeta and
+    target a {z: {index: series}} dict."""
     for zq, vec in block.z_terms.items():
         for beta, coeff in vec.items():
             for fmono, fcoeff in part.items():
@@ -56,7 +58,7 @@ def accumulate_product(target, part, block, data, z_shift):
                     continue
                 den, entries = monomial_class(mono_mul(fmono, data.basis[beta]), data)
                 for zp, idx, c in entries:
-                    target.add_term(zp + zq + z_shift, idx, series * F(c, den))
+                    add_term(target, zp + zq + z_shift, idx, series * F(c, den))
 
 
 def fraction_solve(state):
@@ -66,30 +68,30 @@ def fraction_solve(state):
     parts = fraction_exp_parts(state)
     unit = data.basis_index((0,) * data.f.nvars)
     zeta_slices = [LaurentBlock({0: {unit: one}})]
-    zeta = LaurentBlock({0: {unit: one}})
-    J = LaurentBlock({0: {unit: one}})
+    zeta, J = {0: {unit: one}}, {0: {unit: one}}
     for k in range(1, state.order + 1):
-        known = LaurentBlock()
+        known = {}
         for m in range(1, k + 1):
             accumulate_product(known, parts[m], zeta_slices[k - m], data, -m)
-        nonneg = LaurentBlock({zp: vec for zp, vec in known.z_terms.items() if zp >= 0})
-        zeta_k = nonneg.scale(F(-1))
-        zeta_slices.append(zeta_k)
-        zeta.accumulate(zeta_k)
-        J.accumulate(LaurentBlock({zp: vec for zp, vec in known.z_terms.items() if zp < 0}))
-    return zeta, J
+        zeta_k = {zp: {i: -c for i, c in vec.items()} for zp, vec in known.items() if zp >= 0}
+        zeta_slices.append(LaurentBlock(zeta_k))
+        for zp, idx, c in zeta_slices[-1].iter_terms():
+            add_term(zeta, zp, idx, c)
+        for zp, idx, c in LaurentBlock(known).iter_terms():
+            if zp < 0:
+                add_term(J, zp, idx, c)
+    return LaurentBlock(zeta), LaurentBlock(J)
 
 
 def fraction_defect(result):
     """exp((F - f)/z) zeta - J on Fraction series."""
     state = result.state
-    total = LaurentBlock()
+    total = {}
     for m, part in enumerate(fraction_exp_parts(state)):
         accumulate_product(total, part, result.zeta, state.milnor, -m)
-    for zp, vec in result.J.z_terms.items():
-        for idx, c in vec.items():
-            total.add_term(zp, idx, -c)
-    return total
+    for zp, idx, c in result.J.iter_terms():
+        add_term(total, zp, idx, -c)
+    return LaurentBlock(total)
 
 
 def assert_same_solve(result):
@@ -112,9 +114,9 @@ def term_at_degree(block, j, mu):
 def perturbed(result, part, j):
     """The result with 1/7 added to one coefficient of s-degree j of zeta or J."""
     mu, order = result.state.mu, result.order
-    blocks = {"zeta": LaurentBlock(result.zeta.z_terms), "J": LaurentBlock(result.J.z_terms)}
+    blocks = {"zeta": result.zeta, "J": result.J}
     zp, idx, mono = term_at_degree(blocks[part], j, mu)
-    blocks[part].add_term(zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
+    blocks[part] = plus_term(blocks[part], zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
     moved = PrimitiveFormResult(blocks["zeta"], blocks["J"], order, result.state, result.floor)
     return moved, (zp, idx, mono)
 
@@ -193,15 +195,14 @@ class TestFlooredDefect:
         mu, order = floored.state.mu, floored.order
         idx, series = min(floored.J.z_terms[zp].items())
         mono = max(series.terms)
-        J = LaurentBlock(floored.J.z_terms)
-        J.add_term(zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
+        J = plus_term(floored.J, zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
         moved = PrimitiveFormResult(floored.zeta, J, order, floored.state, floored.floor)
         assert defect(moved) == LaurentBlock({zp: {idx: SSeries(mu, order, {mono: F(-1, 7)})}})
 
     def test_j_below_floor_unchecked(self, floored):
         # The narrowing itself: a term below the floor is not compared.
         mu, order = floored.state.mu, floored.order
-        J = LaurentBlock(floored.J.z_terms)
-        J.add_term(-3, 0, SSeries(mu, order, {(order,) + (0,) * (mu - 1): F(1, 7)}))
+        mono = (order,) + (0,) * (mu - 1)
+        J = plus_term(floored.J, -3, 0, SSeries(mu, order, {mono: F(1, 7)}))
         moved = PrimitiveFormResult(floored.zeta, J, order, floored.state, floored.floor)
         assert defect_is_zero(moved)
