@@ -41,6 +41,9 @@ class CatalogEntry:
 
 
 def _entry_from_dict(raw: dict) -> CatalogEntry:
+    name = raw["name"]
+    if type(name) is not str:
+        raise ValueError(f"name must be a string, got {name!r}")
     variables = tuple(as_list(raw["variables"], "variables"))
     weights = tuple(parse_rational(w) for w in as_list(raw["weights"], "weights"))
     poly = SSeries.from_records(as_list(raw["polynomial"], "polynomial"), len(variables))
@@ -49,14 +52,17 @@ def _entry_from_dict(raw: dict) -> CatalogEntry:
     mu = expected.get("milnor_number")
     if mu is not None and type(mu) is not int:
         raise ValueError(f"milnor_number must be an integer, got {mu!r}")
+    transpose = expected.get("transpose_name")
+    if transpose is not None and type(transpose) is not str:
+        raise ValueError(f"transpose_name must be a string, got {transpose!r}")
     return CatalogEntry(
-        name=raw["name"],
+        name=name,
         variables=variables,
         weights=weights,
         poly=poly,
         expected_central_charge=parse_rational(c_hat) if c_hat is not None else None,
         expected_milnor_number=mu,
-        expected_transpose=expected.get("transpose_name"),
+        expected_transpose=transpose,
     )
 
 

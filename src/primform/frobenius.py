@@ -18,6 +18,11 @@ the derivatives of the result, and a mismatch signals a convention bug and
 is raised, never tolerated.  The prepotential is truncated by total degree
 at the same order as the s-expansion.
 
+The WDVV check walks the index multisets {a, b, c, d}: it forms each of
+their pairings X_{ab|cd} = sum F_abe eta^{ef} F_fcd once, compares the
+pairings of one multiset with each other, and keeps values only where they
+disagree.
+
 The substitution and the WDVV check run on Python ints: each scales its
 rational inputs by the lcm of their denominators, and divides back only
 once for each output value.  Both pack a monomial into one int whose digit
@@ -28,7 +33,7 @@ monomials is the sum of their ints.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import lcm
 
 from .algebra import (
@@ -272,23 +277,60 @@ def _third_derivatives(f0: SSeries, check_order: int, scale: int) -> dict:
     return {key: _graded(buckets) for key, buckets in third.items()}
 
 
+def _contract(raised: list, tensor: list, c: int, d: int, bound: int) -> dict:
+    """sum_f L^f F_fcd through total degree `bound`, as {packed monomial:
+    nonzero int}, for raised = [(f, graded L^f), ...] and tensor[f][c][d]
+    the graded F_fcd or None."""
+    acc: dict = {}
+    for fi, left in raised:
+        right = tensor[fi][c][d]
+        if right is None:
+            continue
+        for dl, litems in left:
+            for dr, ritems in right:
+                if dl + dr > bound:
+                    break
+                for ml, cl in litems:
+                    for mr, cr in ritems:
+                        m = ml + mr
+                        acc[m] = acc.get(m, 0) + cl * cr
+    return {m: v for m, v in acc.items() if v}
+
+
+def _pairing_key(a: int, b: int, c: int, d: int) -> tuple:
+    """The pairing {ab|cd} as its two sorted index pairs, in ascending order."""
+    return tuple(sorted(((min(a, b), max(a, b)), (min(c, d), max(c, d)))))
+
+
 def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
     """Associativity of the third-derivative tensor, exact modulo truncation.
 
-    For every index quadruple (a, b, c, d) the contraction
-    X_abcd = sum_{e,f} F_abe eta^{ef} F_fcd must be symmetric under swapping
-    b and c.  Third derivatives of a degree-(<= order) series are exact only
-    through total degree order - 3, so the comparison is restricted to that
-    range.
+    For every index quadruple (a, b, c, d) with b < c, the contraction
+    X_abcd = sum_{e,f} F_abe eta^{ef} F_fcd must equal X_acbd.  Third
+    derivatives of a degree-(<= order) series are exact only through total
+    degree order - 3, so the comparison is restricted to that range.
+    ``checked`` counts these mu^2 C(mu, 2) equations.
+
+    X_abcd is symmetric under a <-> b and c <-> d, and, since eta is
+    symmetric, under (ab) <-> (cd); so it depends only on the pairing
+    {ab|cd} of the multiset {a, b, c, d}, and each equation says that two
+    of the three pairings {ab|cd}, {ac|bd}, {ad|bc} of one multiset agree.
+    A non-symmetric eta is rejected.  The check walks the multisets
+    a <= b <= c <= d, forms each distinct pairing once (a repeated index
+    makes two of them the same), compares them, and keeps their values
+    only when they disagree.  Each X is formed exactly once, and none is
+    held past its multiset unless it takes part in a violation.  The
+    violations are then read off in the order of the quadruples
+    (a, b, c, d), from the kept values alone.
 
     Only products that can be nonzero are formed.  F_abe is built from the
-    terms of f0 for a <= b <= e, and graded by total degree.  The index is
-    raised through the nonzero entries of eta^-1 only.  For one first index
-    a at a time, X_a[(b, c, d)] = sum_f L_ab^f F_fcd (L_ab^f the raised
-    F_abe) is formed for c <= d, skipping term pairs whose degrees add up
-    past order - 3; X_abcd is compared with X_acbd for every b < c and
-    every d, and the slice is dropped before the next a.  ``checked``
-    counts every quadruple compared.
+    terms of f0 for a <= b <= e, graded by total degree, and looked up as
+    F_fcd in a mu x mu x mu table.  The index is raised once for each
+    sorted pair, L_ab^f = sum_e F_abe eta^{ef}, through the nonzero entries
+    of eta^-1 only.  Every pairing of a multiset with least index a puts a
+    in its first pair, so only the L_ab of the current a are held.
+    X_{ab|cd} = sum_f L_ab^f F_fcd skips term pairs whose degrees add up
+    past order - 3.
 
     The loops run on Python ints only.  With D the lcm of the denominators
     of f0 and E that of eta^-1, every F_abe is scaled exactly by D and
@@ -305,6 +347,8 @@ def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
         raise ValueError("WDVV needs the prepotential through order >= 3")
     if f0.nvars != mu:
         raise ValueError(f"prepotential has {f0.nvars} variables, pairing has {mu}")
+    if any(eta[i][j] != eta[j][i] for i in range(mu) for j in range(i)):
+        raise ValueError("the pairing eta is not symmetric")
     eta_inv = mat_inv([list(row) for row in eta])
     d_scale = lcm(*(c.denominator for c in f0.terms.values()))
     e_scale = lcm(*(v.denominator for row in eta_inv for v in row))
@@ -313,65 +357,61 @@ def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
         for row in eta_inv
     ]
 
-    third = _third_derivatives(f0, check_order, d_scale)
-    # For each f, the (c, d) with c <= d and F_fcd nonzero.
-    pairs: dict = {}
-    for (i, j, k), graded in third.items():
-        for fi, pair in {(i, (j, k)), (j, (i, k)), (k, (i, j))}:
-            pairs.setdefault(fi, []).append((pair, graded))
+    # tensor[f][c][d] is F_fcd, None where it is zero.
+    tensor = [[[None] * mu for _ in range(mu)] for _ in range(mu)]
+    for (i, j, k), graded in _third_derivatives(f0, check_order, d_scale).items():
+        for f, c, d in permutations((i, j, k)):
+            tensor[f][c][d] = graded
 
-    violations = []
-    checked = 0
+    kept: dict = {}
+    failing = []
     for a in range(mu):
-        x_a: dict = {}
-        for b in range(mu):
-            raised: dict = {}
-            for e in range(mu):
-                graded = third.get(tuple(sorted((a, b, e))))
+        # raised[b] = [(f, L_ab^f), ...] over the nonzero L_ab^f, for b >= a.
+        raised = [None] * mu
+        for b in range(a, mu):
+            by_f: dict = {}
+            for e, graded in enumerate(tensor[a][b]):
                 if graded is None:
                     continue
                 for fi, g in raising[e]:
-                    buckets = raised.setdefault(fi, {})
+                    buckets = by_f.setdefault(fi, {})
                     for degree, items in graded:
                         acc = buckets.setdefault(degree, {})
                         for mono, coeff in items:
                             acc[mono] = acc.get(mono, 0) + coeff * g
-            for fi, buckets in raised.items():
-                left = _graded(buckets)
-                for (c, d), right in pairs.get(fi, ()):
-                    acc = x_a.setdefault((b, c, d), {})
-                    for dl, litems in left:
-                        for dr, ritems in right:
-                            if dl + dr > check_order:
-                                break
-                            for ml, cl in litems:
-                                for mr, cr in ritems:
-                                    m = ml + mr
-                                    acc[m] = acc.get(m, 0) + cl * cr
-        for b in range(mu):
-            for c in range(b + 1, mu):
-                for d in range(mu):
-                    checked += 1
-                    left = x_a.get((b, min(c, d), max(c, d)), {})
-                    right = x_a.get((c, min(b, d), max(b, d)), {})
-                    if left == right:
-                        continue
-                    diff = {}
-                    for m in left.keys() | right.keys():
-                        value = left.get(m, 0) - right.get(m, 0)
-                        if value:
-                            diff[unpack_monomial(m, check_order + 1, mu)] = value
-                    for mono in sorted(diff, key=mono_key):
-                        violations.append(
-                            {
-                                "indices": (a + 1, b + 1, c + 1, d + 1),
-                                "monomial": mono,
-                                "difference": format_rational(
-                                    Fraction(diff[mono], d_scale * d_scale * e_scale)
-                                ),
-                            }
-                        )
-    return CheckReport("wdvv", violations, checked)
+            raised[b] = [(fi, _graded(buckets)) for fi, buckets in by_f.items()]
+        for b, c, d in combinations_with_replacement(range(a, mu), 3):
+            first = _contract(raised[b], tensor, c, d, check_order)
+            values = {((a, b), (c, d)): first}
+            if b != c:
+                values[(a, c), (b, d)] = _contract(raised[c], tensor, b, d, check_order)
+            if a != b and c != d:
+                values[(a, d), (b, c)] = _contract(raised[d], tensor, b, c, check_order)
+            if any(value != first for value in values.values()):
+                kept.update(values)
+                failing.append((a, b, c, d))
+
+    violations = []
+    quadruples = {q for m in failing for q in permutations(m) if q[1] < q[2]}
+    for a, b, c, d in sorted(quadruples):
+        left = kept[_pairing_key(a, b, c, d)]
+        right = kept[_pairing_key(a, c, b, d)]
+        diff = {}
+        for m in left.keys() | right.keys():
+            value = left.get(m, 0) - right.get(m, 0)
+            if value:
+                diff[unpack_monomial(m, check_order + 1, mu)] = value
+        for mono in sorted(diff, key=mono_key):
+            violations.append(
+                {
+                    "indices": (a + 1, b + 1, c + 1, d + 1),
+                    "monomial": mono,
+                    "difference": format_rational(
+                        Fraction(diff[mono], d_scale * d_scale * e_scale)
+                    ),
+                }
+            )
+    return CheckReport("wdvv", violations, mu * mu * mu * (mu - 1) // 2)
 
 
 def euler_check(f0: SSeries, flat_degrees, c_hat: Fraction) -> CheckReport:

@@ -166,20 +166,19 @@ class _JacobianDivider:
         cached = self._monos_cache.get(sdeg)
         if cached is not None:
             return cached
+        # A stack, not a recursive closure: a closure that calls itself is a
+        # reference cycle, which would keep self and its systems alive until
+        # the cyclic garbage collector happens to run.
         found = []
-
-        def fill(pos, remaining, prefix):
-            if pos == self.nvars - 1:
-                w = self.var_sdegs[pos]
+        stack = [((), sdeg)] if sdeg >= 0 else []
+        while stack:
+            prefix, remaining = stack.pop()
+            w = self.var_sdegs[len(prefix)]
+            if len(prefix) == self.nvars - 1:
                 if remaining % w == 0:
-                    found.append(tuple(prefix + [remaining // w]))
-                return
-            w = self.var_sdegs[pos]
-            for e in range(remaining // w + 1):
-                fill(pos + 1, remaining - e * w, prefix + [e])
-
-        if sdeg >= 0:
-            fill(0, sdeg, [])
+                    found.append(prefix + (remaining // w,))
+            else:
+                stack.extend((prefix + (e,), remaining - e * w) for e in range(remaining // w + 1))
         found.sort(key=mono_key)
         self._monos_cache[sdeg] = found
         return found

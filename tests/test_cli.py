@@ -411,18 +411,20 @@ class TestVerify:
             lambda r: {**r, "eta": ["0" * (len(r["eta"]) - 1) + "1"] + r["eta"][1:]},
             lambda r: {**r, "flat_degrees": "1" * len(r["flat_degrees"])},
             lambda r: {**r, "terms": {}},
+            lambda r: {**r, "eta": [["1/5", "1/3"] + r["eta"][0][2:]] + r["eta"][1:]},
         ],
         ids=[
             "list", "string", "int coeff", "extra flat degree", "missing flat degree",
             "short eta row", "missing eta row", "terms below order 3", "split term",
             "repeated term", "zero coefficient", "empty basis", "string eta row",
-            "string flat degrees", "object terms",
+            "string flat degrees", "object terms", "non-symmetric eta",
         ],
     )
     def test_malformed_shape_rejected(self, capsys, tmp_path, mutate):
         # Once a traceback, a pass, or Euler or WDVV violations; a split or
         # repeated term was summed and a zero term dropped; a string row or
-        # list was read one character per entry and an object as its keys.
+        # list was read one character per entry and an object as its keys; a
+        # non-symmetric eta got WDVV violations.
         path = self._compute_record(capsys, tmp_path, name="A4")
         path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
         code, _, err = run_cli(["verify", str(path)], capsys)
@@ -523,12 +525,13 @@ class TestCatalogResolution:
         [
             "no weights", "not an object", "negative exponent", "fractional exponent",
             "repeated term", "string variables", "weights object", "fractional milnor number",
-            "bool milnor number",
+            "bool milnor number", "list name", "list transpose name",
         ],
     )
     def test_malformed_catalog(self, capsys, tmp_path, entry):
         # A string was once read one character per entry, an object as its
-        # keys, and a milnor number through int().
+        # keys, and a milnor number through int(); a list name ended in a
+        # TypeError traceback, and a list transpose name was read as a name.
         raw = {
             "name": "CUSP",
             "variables": ["x"],
@@ -549,6 +552,10 @@ class TestCatalogResolution:
         elif entry.endswith("milnor number"):
             raw["weights"] = ["1/3"]
             raw["expected"] = {"milnor_number": 2.7 if entry.startswith("fractional") else True}
+        elif entry == "list name":
+            raw["weights"], raw["name"] = ["1/3"], ["CUSP"]
+        elif entry == "list transpose name":
+            raw["weights"], raw["expected"] = ["1/3"], {"transpose_name": ["CUSP"]}
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"entries": [raw]}))
         code, out, err = run_cli(

@@ -379,6 +379,14 @@ class TestWdvv:
         report = wdvv_check(cubic, data.eta, 3)
         assert report.passed and report.checked > 0
 
+    def test_non_symmetric_pairing_rejected(self, frobenius_cache, milnor_cache):
+        # The check reads X_{ab|cd} = X_{cd|ab}, which needs eta = eta^T; an
+        # invertible non-symmetric eta once got WDVV violations instead.
+        eta = [list(row) for row in milnor_cache("A3").eta]
+        eta[0][0], eta[0][1] = F(1, 5), F(1, 3)
+        with pytest.raises(ValueError, match="not symmetric"):
+            wdvv_check(frobenius_cache("A3").prepotential, eta, 4)
+
 
 class TestEuler:
     def test_u12_boxed_term_degree(self, milnor_cache):

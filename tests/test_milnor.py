@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -161,6 +163,22 @@ class TestMilnorBasis:
         entry = catalog["D4"]
         with pytest.raises(ValueError):
             milnor_basis(entry.weighted_polynomial(), basis=[(0, 0), (1, 0), (0, 1)])
+
+    def test_freed_without_the_cycle_collector(self, catalog):
+        # The Jacobian divider holds every degree's echelon.  A reference
+        # cycle through it would keep them alive until the cyclic collector
+        # happened to run, so the peak memory of the next case would depend
+        # on when that is.
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            data = milnor_basis(catalog["E12"].weighted_polynomial())
+            divider = weakref.ref(data._divider)
+            del data
+            assert divider() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _one_minus_power(k):

@@ -125,3 +125,12 @@ def test_perturbation_with_new_denominator_matches_dense(
     assert lcm(*(c.denominator for c in f0.terms.values())) % amount.denominator
     f0 = perturbed(f0, degree, amount=amount)
     assert not assert_same_as_dense(f0, milnor_cache(name).eta, order).passed
+
+
+def test_q10_order_six_perturbed_at_degree_five_matches_dense(frobenius_cache, milnor_cache):
+    # The shape that `primform verify` runs on the perturbed Q10 order-6
+    # record: mu = 10, where pairings of every repetition pattern occur.
+    f0 = perturbed(frobenius_cache("Q10", 6).prepotential, 5)
+    report = assert_same_as_dense(f0, milnor_cache("Q10").eta, 6)
+    assert report.checked == 4500  # mu^2 * C(mu, 2) for mu = 10
+    assert len(report.violations) == 380
