@@ -1,18 +1,17 @@
 """Catalog of named singularities: the fourteen exceptional unimodular
 polynomials plus ADE and simple-elliptic examples.
 
-Entries carry the expected central charge, Milnor number, and transpose
-partner so the catalog doubles as a self-test fixture.  A custom catalog
-file can be supplied through the CLI flag or the PRIMFORM_CATALOG
-environment variable.
+Each entry is an immutable named tuple that carries the expected central
+charge, Milnor number, and transpose partner, so the catalog doubles as a
+self-test fixture.  A custom catalog file can be supplied through the CLI
+flag or the PRIMFORM_CATALOG environment variable.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from importlib import resources
 
 from .algebra import SSeries, as_list, parse_rational
@@ -26,15 +25,16 @@ EXCEPTIONAL_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    variables: tuple[str, ...]
-    weights: tuple[Fraction, ...]
-    poly: SSeries
-    expected_central_charge: Fraction | None
-    expected_milnor_number: int | None
-    expected_transpose: str | None
+class CatalogEntry(
+    namedtuple(
+        "CatalogEntry",
+        "name variables weights poly expected_central_charge"
+        " expected_milnor_number expected_transpose",
+    )
+):
+    """A named polynomial; an expected_* field is None if the catalog has none."""
+
+    __slots__ = ()
 
     def weighted_polynomial(self) -> WeightedPolynomial:
         return WeightedPolynomial(self.variables, self.weights, self.poly)

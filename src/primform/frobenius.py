@@ -188,13 +188,16 @@ def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
 
 
 class FrobeniusData:
-    """The prepotential and its order."""
+    """The prepotential; its order is the series' own."""
 
-    __slots__ = ("prepotential", "order")
+    __slots__ = ("prepotential",)
 
-    def __init__(self, prepotential, order):
+    def __init__(self, prepotential: SSeries):
         self.prepotential = prepotential
-        self.order = order
+
+    @property
+    def order(self) -> int:
+        return self.prepotential.order
 
 
 def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusData:
@@ -228,7 +231,7 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
                 f"integrability check failed: component t{a + 1} of eta * J_(-2)"
                 f" is not dF0/dt{a + 1}"
             )
-    return FrobeniusData(f0.truncate(order), order)
+    return FrobeniusData(f0.truncate(order))
 
 
 class CheckReport:
@@ -254,15 +257,13 @@ def _third_derivatives(f0: SSeries, check_order: int, scale: int) -> dict:
     """F_abe for a <= b <= e, straight from the terms of f0, times `scale`.
 
     Each value maps total degree to the (packed monomial, int coefficient)
-    pairs of that degree, ascending; terms above check_order are dropped.
+    pairs of that degree, ascending, none above check_order = f0.order - 3.
     Exponent i of a packed monomial is its digit i in base check_order + 1.
     `scale` must clear every denominator of f0.
     """
     third: dict = {}
     for mono, coeff in f0.terms.items():
         degree = sum(mono) - 3
-        if degree > check_order:
-            continue
         scaled = coeff.numerator * (scale // coeff.denominator)
         support = [i for i, e in enumerate(mono) if e]
         for key in combinations_with_replacement(support, 3):
@@ -302,23 +303,32 @@ def _pairing_key(a: int, b: int, c: int, d: int) -> tuple:
     return tuple(sorted(((min(a, b), max(a, b)), (min(c, d), max(c, d)))))
 
 
-def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
+def _pairing_inverse(eta) -> list:
+    """eta^-1; ValueError unless the pairing eta is symmetric and invertible."""
+    mu = len(eta)
+    if any(eta[i][j] != eta[j][i] for i in range(mu) for j in range(i)):
+        raise ValueError("the pairing eta is not symmetric")
+    return mat_inv([list(row) for row in eta])
+
+
+def wdvv_check(f0: SSeries, eta) -> CheckReport:
     """Associativity of the third-derivative tensor, exact modulo truncation.
 
     For every index quadruple (a, b, c, d) with b < c, the contraction
     X_abcd = sum_{e,f} F_abe eta^{ef} F_fcd must equal X_acbd.  Third
-    derivatives of a degree-(<= order) series are exact only through total
-    degree order - 3, so the comparison is restricted to that range.
+    derivatives of a series of order N = f0.order are exact only through
+    total degree N - 3, so the comparison is restricted to that range; N
+    must be at least 3, and a lower range is checked on f0.truncate(M).
     ``checked`` counts these mu^2 C(mu, 2) equations.
 
     X_abcd is symmetric under a <-> b and c <-> d, and, since eta is
     symmetric, under (ab) <-> (cd); so it depends only on the pairing
     {ab|cd} of the multiset {a, b, c, d}, and each equation says that two
     of the three pairings {ab|cd}, {ac|bd}, {ad|bc} of one multiset agree.
-    A non-symmetric eta is rejected.  The check walks the multisets
-    a <= b <= c <= d, forms each distinct pairing once (a repeated index
-    makes two of them the same), compares them, and keeps their values
-    only when they disagree.  Each X is formed exactly once, and none is
+    A non-symmetric or singular eta is rejected.  The check walks the
+    multisets a <= b <= c <= d, forms each distinct pairing once (a
+    repeated index makes two of them the same), compares them, and keeps
+    their values only when they disagree.  Each X is formed exactly once, and none is
     held past its multiset unless it takes part in a violation.  The
     violations are then read off in the order of the quadruples
     (a, b, c, d), from the kept values alone.
@@ -342,14 +352,12 @@ def wdvv_check(f0: SSeries, eta, order: int) -> CheckReport:
     the product of two monomials is the sum of their ints.
     """
     mu = len(eta)
-    check_order = order - 3
-    if check_order < 0:
+    if f0.order is None or f0.order < 3:
         raise ValueError("WDVV needs the prepotential through order >= 3")
+    check_order = f0.order - 3
     if f0.nvars != mu:
         raise ValueError(f"prepotential has {f0.nvars} variables, pairing has {mu}")
-    if any(eta[i][j] != eta[j][i] for i in range(mu) for j in range(i)):
-        raise ValueError("the pairing eta is not symmetric")
-    eta_inv = mat_inv([list(row) for row in eta])
+    eta_inv = _pairing_inverse(eta)
     d_scale = lcm(*(c.denominator for c in f0.terms.values()))
     e_scale = lcm(*(v.denominator for row in eta_inv for v in row))
     raising = [
@@ -481,9 +489,9 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
     The record's shape is checked first: an object with a non-empty basis
     list (mu >= 1), an order that is a non-negative int, a list of terms, a
     list of mu flat degrees, a mu x mu pairing as a list of lists, every
-    rational a string, and no terms below order 3.
-    Below order 3 the normalized F0 is zero, so each check holds only
-    vacuously and its report is None.
+    rational a string, no terms below order 3, and at every order an eta
+    that is symmetric and invertible.  Below order 3 the normalized F0 is
+    zero, so each check holds only vacuously and its report is None.
     """
     if not isinstance(record, dict):
         raise ValueError("a record is an object")
@@ -507,9 +515,10 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
         raise ValueError(f"expected {mu} flat degrees, got {len(flat_degrees)}")
     c_hat = parse_rational(record["central_charge"])
     if order < 3:
+        _pairing_inverse(eta)
         return dict.fromkeys(("wdvv", "euler", "integrability"))
     return {
-        "wdvv": wdvv_check(f0, eta, order),
+        "wdvv": wdvv_check(f0, eta),
         "euler": euler_check(f0, flat_degrees, c_hat),
         "integrability": normalization_check(f0),
     }

@@ -16,7 +16,8 @@ order, so the basis and every division witness are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations, permutations
+from math import gcd, lcm, prod
 
 from .algebra import (
     SSeries,
@@ -142,7 +143,6 @@ class _JacobianDivider:
     """
 
     def __init__(self, f: WeightedPolynomial):
-        self.f = f
         self.nvars = f.nvars
         self.scale = lcm(*[q.denominator for q in f.weights])
         self.var_sdegs = tuple(int(q * self.scale) for q in f.weights)
@@ -413,7 +413,7 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
         ordered = [m for _, m in sorted(found, key=lambda sm: (sm[0], mono_key(sm[1])))]
     degrees = [weighted_degree(m, f.weights) for m in ordered]
 
-    socle_monos = [m for m in ordered if weighted_degree(m, f.weights) == c_hat]
+    socle_monos = [m for m, d in zip(ordered, degrees) if d == c_hat]
     if len(socle_monos) != 1:
         raise NonIsolatedSingularityError(
             f"expected a one-dimensional socle, found {len(socle_monos)} monomials"
@@ -448,23 +448,20 @@ def divide_by_jacobian(g: SSeries, data: MilnorData):
 
 
 def hessian_determinant(f: WeightedPolynomial) -> SSeries:
-    """det(d_i d_j f) as an exact polynomial."""
+    """det(d_i d_j f) as an exact polynomial: the Leibniz sum over the
+    permutations p of prod_i d_i d_p(i) f, signed by the parity of p,
+    skipping each p that meets a zero second derivative."""
     n = f.nvars
     second = [[f.poly.diff(i).diff(j) for j in range(n)] for i in range(n)]
-
-    def det(rows_idx, cols_idx):
-        if len(rows_idx) == 1:
-            return second[rows_idx[0]][cols_idx[0]]
-        total = SSeries.zero(n, None)
-        sign = 1
-        for k, col in enumerate(cols_idx):
-            minor = det(rows_idx[1:], cols_idx[:k] + cols_idx[k + 1 :])
-            term = second[rows_idx[0]][col] * minor
-            total = total + term.scale(sign)
-            sign = -sign
-        return total
-
-    return det(tuple(range(n)), tuple(range(n)))
+    total = SSeries.zero(n, None)
+    for perm in permutations(range(n)):
+        factors = [second[i][j] for i, j in enumerate(perm)]
+        if not all(factors):
+            continue
+        term = prod(factors[1:], start=factors[0])
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total = total + term.scale((-1) ** inversions)
+    return total
 
 
 def residue_pairing(data: MilnorData):

@@ -108,18 +108,19 @@ def build_unfolding(f: WeightedPolynomial, milnor: MilnorData, order: int) -> Un
 
 
 class PrimitiveFormResult:
-    """The solved pair (zeta, J) at a given s-order, J held at z >= floor."""
+    """The solved pair (zeta, J) at the unfolding's s-order, J held at z >= floor."""
 
-    __slots__ = ("zeta", "J", "order", "state", "floor")
+    __slots__ = ("zeta", "J", "state", "floor")
 
-    def __init__(
-        self, zeta: LaurentBlock, J: LaurentBlock, order: int, state: UnfoldingState, floor: int
-    ):
+    def __init__(self, zeta: LaurentBlock, J: LaurentBlock, state: UnfoldingState, floor: int):
         self.zeta = zeta
         self.J = J
-        self.order = order
         self.state = state
         self.floor = floor
+
+    @property
+    def order(self) -> int:
+        return self.state.order
 
     def j_components(self, m: int) -> list[SSeries]:
         """The mu component series of J at z power m <= -1.
@@ -142,7 +143,6 @@ def _reduced_products(
     k: int,
     first: int,
     data: MilnorData,
-    classes: dict,
     floor: int,
     den: int = 1,
 ) -> tuple[int, dict]:
@@ -161,10 +161,10 @@ def _reduced_products(
     lcm of the weight denominators.  A first pass collects the items and L,
     the lcm of every D_{k-m} m! R_c and of `den`; the second scales each
     item up to L and adds its products into {(z, idx): {packed: int}}.
-    `classes` memoizes monomial_class for the call, so each class is looked
-    up once.
+    Each class is read from ``data._reduce_cache``, the memo that
+    `monomial_class` fills, and computed only when it is not there yet.
     """
-    basis, divider = data.basis, data._divider
+    basis, divider, cache = data.basis, data._divider, data._reduce_cache
     basis_sdegs = [divider.sdeg(mono) for mono in basis]
     items, dens = [], {den}
     for m in range(first, k + 1):
@@ -177,10 +177,7 @@ def _reduced_products(
                 if (shift - floor) * divider.scale + x_sdeg + basis_sdegs[beta] < 0:
                     continue
                 mono = mono_mul(x_mono, basis[beta])
-                cls = classes.get(mono)
-                if cls is None:
-                    cls = classes[mono] = monomial_class(mono, data)
-                r_c, entries = cls
+                r_c, entries = cache.get(mono) or monomial_class(mono, data)
                 kept = [(zp + shift, idx, r) for zp, idx, r in entries if zp + shift >= floor]
                 if kept:
                     d = scale * r_c
@@ -234,17 +231,14 @@ def _sliced(block: LaurentBlock, order: int) -> list:
 
 def _block(slices, mu: int, order: int) -> LaurentBlock:
     """LaurentBlock of Fraction s-series from (den, {(z, idx): [(packed,
-    int)]}) slices of distinct s-degrees."""
+    int)]}) slices of distinct s-degrees; each packed monomial is unpacked
+    where it is read, as the same int seldom recurs within one block."""
     z_terms: dict = {}
-    monos: dict = {}
     for den, terms in slices:
         for (zp, idx), series in terms.items():
             slot = z_terms.setdefault(zp, {}).setdefault(idx, {})
             for p, v in series:
-                mono = monos.get(p)
-                if mono is None:
-                    mono = monos[p] = unpack_monomial(p, order + 1, mu)
-                slot[mono] = Fraction(v, den)
+                slot[unpack_monomial(p, order + 1, mu)] = Fraction(v, den)
     return LaurentBlock(
         {
             zp: {idx: SSeries(mu, order, terms) for idx, terms in vec.items()}
@@ -274,9 +268,8 @@ def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
     volume = {(0, milnor.basis_index((0,) * milnor.f.nvars)): [(0, 1)]}
     zeta_slices = [(1, volume)]
     j_slices = [(1, volume)]
-    classes: dict = {}
     for k in range(1, order + 1):
-        den, acc = _reduced_products(parts, zeta_slices, k, 1, milnor, classes, floor)
+        den, acc = _reduced_products(parts, zeta_slices, k, 1, milnor, floor)
         known = _nonzero(acc)
         nonneg = {slot: terms for slot, terms in known.items() if slot[0] >= 0}
         g = gcd(den, *(v for terms in nonneg.values() for _, v in terms))
@@ -285,7 +278,7 @@ def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
         j_slices.append((den, {slot: terms for slot, terms in known.items() if slot[0] < 0}))
 
     zeta, J = _block(zeta_slices, mu, order), _block(j_slices, mu, order)
-    return PrimitiveFormResult(zeta, J, order, state, floor)
+    return PrimitiveFormResult(zeta, J, state, floor)
 
 
 def defect(result: PrimitiveFormResult) -> LaurentBlock:
@@ -309,10 +302,9 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
     milnor, mu, order = state.milnor, state.mu, state.order
     parts = state.exp_parts()
     zeta_slices = _sliced(result.zeta, order)
-    classes: dict = {}
     remainder = []
     for k, (d_j, j_k) in enumerate(_sliced(result.J, order)):
-        den, acc = _reduced_products(parts, zeta_slices, k, 0, milnor, classes, floor, d_j)
+        den, acc = _reduced_products(parts, zeta_slices, k, 0, milnor, floor, d_j)
         factor = den // d_j
         for slot, terms in j_k.items():
             if slot[0] < floor:

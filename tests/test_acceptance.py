@@ -147,7 +147,7 @@ def test_criterion_5_wdvv_euler_integrability(catalog, milnor_cache, solved_cach
         result = solved_cache(name, 4)
         frob = prepotential(result, data)  # raises if integrability fails
         f0 = frob.prepotential
-        assert wdvv_check(f0, data.eta, 4).passed, name
+        assert wdvv_check(f0, data.eta).passed, name
         assert euler_check(f0, [1 - d for d in data.degrees], central_charge(data.f)).passed, name
         assert normalization_check(f0).passed, name
 
@@ -157,7 +157,7 @@ def test_criterion_5_wdvv_euler_integrability(catalog, milnor_cache, solved_cach
     terms = dict(f0.terms)
     mono = next(m for m in sorted(terms) if sum(m) == 4)
     terms[mono] = terms[mono] + 1
-    assert not wdvv_check(SSeries(data.mu, 4, terms), data.eta, 4).passed
+    assert not wdvv_check(SSeries(data.mu, 4, terms), data.eta).passed
     terms2 = dict(f0.terms)
     terms2[(4,) + (0,) * (data.mu - 1)] = F(1)  # t1^4 has flat degree 4 != 3 - c_hat
     assert not euler_check(

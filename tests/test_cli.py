@@ -215,7 +215,7 @@ class TestCompute:
         def broken(result, data):
             J = plus_term(result.J, -2, 0, SSeries.const(data.mu, result.order, Fraction(1, 7)))
             return primform.prepotential(
-                PrimitiveFormResult(result.zeta, J, result.order, result.state, result.floor),
+                PrimitiveFormResult(result.zeta, J, result.state, result.floor),
                 data,
             )
 
@@ -234,7 +234,7 @@ class TestCompute:
             frob = primform.prepotential(result, data)
             terms = dict(frob.prepotential.terms)
             terms[mono] = terms.get(mono, 0) + 1
-            return FrobeniusData(SSeries(data.mu, frob.order, terms), frob.order)
+            return FrobeniusData(SSeries(data.mu, frob.order, terms))
 
         monkeypatch.setattr(cli, "prepotential", perturbed)
         path = tmp_path / "a4.json"
@@ -253,7 +253,7 @@ class TestCompute:
             result = primform.solve_star(state)
             extra = SSeries.variable(state.mu, 0, state.order).scale(Fraction(1, 7))
             zeta = plus_term(result.zeta, 0, 0, extra)
-            return PrimitiveFormResult(zeta, result.J, result.order, state, result.floor)
+            return PrimitiveFormResult(zeta, result.J, state, result.floor)
 
         monkeypatch.setattr(cli, "solve_star", perturbed)
         path = tmp_path / "a3.json"
@@ -431,6 +431,32 @@ class TestVerify:
         assert code == 1
         assert err.startswith("error: malformed record")
 
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda r: {**r, "terms": [{"exponents": [1, 1, 0], "coeff": "1"}]},
+                "a prepotential below order 3 has no terms",
+            ),
+            (
+                lambda r: {**r, "eta": [["1/5", "1/3", r["eta"][0][2]]] + r["eta"][1:]},
+                "the pairing eta is not symmetric",
+            ),
+            (lambda r: {**r, "eta": [["0"] * 3] * 3}, "matrix is singular"),
+        ],
+        ids=["terms below order 3", "non-symmetric eta", "singular eta"],
+    )
+    def test_below_order_three_malformed(self, capsys, tmp_path, mutate, message):
+        # Below order 3 no check runs, but the pairing is still read: a
+        # non-symmetric or singular eta once passed as vacuous three times.
+        path = tmp_path / "a3.json"
+        argv = ["compute", "--singularity", "A3", "--order", "2", "--output", str(path)]
+        assert run_cli(argv, capsys)[0] == 0
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        code, out, err = run_cli(["verify", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed record: ValueError({message!r})\n"
+
     @pytest.mark.parametrize("order", [4.7, "4", True], ids=["fractional", "string", "bool"])
     def test_misread_order_rejected(self, capsys, tmp_path, order):
         # Once read by int() as order 4, 4 and 1.
@@ -497,6 +523,49 @@ class TestCatalogSelftest:
         code, out, _ = run_cli(["catalog-selftest"], capsys)
         assert code == 0
         assert "FAIL" not in out
+
+    def test_failures_reported(self, capsys, tmp_path):
+        # E13 holds E12's polynomial, and the E12 copy expects the wrong
+        # central charge, Milnor number and transpose: x^3+y^7 is its own
+        # transpose, named after the last entry that holds it, E12.  A
+        # non-invertible entry has no transpose to check and passes.
+        e12 = {
+            "variables": ["x", "y"],
+            "weights": ["1/3", "1/7"],
+            "polynomial": [
+                {"exponents": [3, 0], "coeff": "1"},
+                {"exponents": [0, 7], "coeff": "1"},
+            ],
+        }
+        entries = [
+            {"name": "E13", **e12},
+            {
+                "name": "E12",
+                **e12,
+                "expected": {"central_charge": "1", "milnor_number": 11, "transpose_name": "E13"},
+            },
+            {
+                "name": "X9",
+                "variables": ["x", "y"],
+                "weights": ["1/4", "1/4"],
+                "polynomial": [
+                    {"exponents": [4, 0], "coeff": "1"},
+                    {"exponents": [2, 2], "coeff": "1"},
+                    {"exponents": [0, 4], "coeff": "1"},
+                ],
+            },
+        ]
+        path = tmp_path / "selftest.json"
+        path.write_text(json.dumps({"entries": entries}))
+        code, out, _ = run_cli(["catalog-selftest", "--catalog", str(path)], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            "E13: FAIL: milnor number 12 != type subscript 13",
+            "E12: FAIL: central charge 22/21 != 1; milnor number 12 != 11;"
+            " transpose 'E12' != 'E13'",
+            "X9: ok",
+            "1/3 entries ok",
+        ]
 
 
 class TestCatalogResolution:
@@ -609,6 +678,22 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["central_charge"] == "9/8"
 
+    def test_import_leaves_out_dataclasses(self):
+        # dataclasses imports inspect, ast, dis and tokenize, which every
+        # primform process would pay for at start-up.
+        home = str(Path(primform.__file__).resolve().parent.parent)
+        code = (
+            "import sys, primform, primform.cli; primform.load_catalog(); "
+            "print('dataclasses' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=home),
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
+
     def test_benchmark_names_exported(self):
         # perfbench/worker.py and perfbench/tracing.py look these names up;
         # losing one turns a benchmark metric into null or a case into a
@@ -631,6 +716,6 @@ class TestEntryPoint:
         blocks = list(result.J.iter_terms())
         assert blocks and all(isinstance(series.terms, dict) for _, _, series in blocks)
         assert len(frob.prepotential.terms) > 0
-        assert type(primform.wdvv_check(frob.prepotential, data.eta, 3).checked) is int
+        assert type(primform.wdvv_check(frob.prepotential, data.eta).checked) is int
         # invert_separately skips the frobenius.invert span without it.
         assert type(result.order) is int

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -13,11 +14,13 @@ from primform.frobenius import (
     invert_coordinates,
     normalization_check,
     prepotential,
+    prepotential_record,
     substitute,
+    verify_record,
     wdvv_check,
 )
-from primform.milnor import central_charge, divide_by_jacobian
-from primform.primitive import PrimitiveFormResult
+from primform.milnor import central_charge, divide_by_jacobian, milnor_basis
+from primform.primitive import PrimitiveFormResult, build_unfolding, solve_star
 
 F = Fraction
 
@@ -68,7 +71,7 @@ def with_j_minus2_added(result, extras):
     J = result.J
     for b, extra in enumerate(extras):
         J = plus_term(J, -2, b, extra)
-    return PrimitiveFormResult(result.zeta, J, result.order, result.state, result.floor)
+    return PrimitiveFormResult(result.zeta, J, result.state, result.floor)
 
 
 class TestFlatCoordinates:
@@ -356,7 +359,7 @@ class TestWdvv:
     def test_passes_on_computed_prepotentials(self, frobenius_cache, milnor_cache):
         for name in ("A3", "D4", "W12"):
             frob = frobenius_cache(name)
-            report = wdvv_check(frob.prepotential, milnor_cache(name).eta, 4)
+            report = wdvv_check(frob.prepotential, milnor_cache(name).eta)
             assert report.passed
             assert report.checked > 0
 
@@ -367,7 +370,7 @@ class TestWdvv:
         mono = next(m for m in terms if sum(m) == 4)
         terms[mono] = terms[mono] + 1
         corrupted = SSeries(data.mu, 4, terms)
-        report = wdvv_check(corrupted, data.eta, 4)
+        report = wdvv_check(corrupted, data.eta)
         assert not report.passed
         assert report.violations[0]["monomial"] is not None
 
@@ -376,8 +379,16 @@ class TestWdvv:
         # associativity of the Jacobian algebra, which always holds.
         data = milnor_cache("U12")
         cubic = frobenius_cache("U12").prepotential.degree_part(3).truncate(3)
-        report = wdvv_check(cubic, data.eta, 3)
+        report = wdvv_check(cubic, data.eta)
         assert report.passed and report.checked > 0
+
+    @pytest.mark.parametrize("order", [None, 2])
+    def test_order_below_three_rejected(self, frobenius_cache, milnor_cache, order):
+        # The degrees compared run through F0's own order minus 3: a
+        # polynomial (order None) sets no range, and below 3 it is empty.
+        f0 = frobenius_cache("A3").prepotential.truncate(order)
+        with pytest.raises(ValueError, match="order >= 3"):
+            wdvv_check(f0, milnor_cache("A3").eta)
 
     def test_non_symmetric_pairing_rejected(self, frobenius_cache, milnor_cache):
         # The check reads X_{ab|cd} = X_{cd|ab}, which needs eta = eta^T; an
@@ -385,7 +396,7 @@ class TestWdvv:
         eta = [list(row) for row in milnor_cache("A3").eta]
         eta[0][0], eta[0][1] = F(1, 5), F(1, 3)
         with pytest.raises(ValueError, match="not symmetric"):
-            wdvv_check(frobenius_cache("A3").prepotential, eta, 4)
+            wdvv_check(frobenius_cache("A3").prepotential, eta)
 
 
 class TestEuler:
@@ -423,3 +434,23 @@ class TestSymmetry:
 
     def test_passes_on_computed(self, frobenius_cache):
         assert normalization_check(frobenius_cache("A3").prepotential).passed
+
+
+class TestNoCyclicGarbage:
+    def test_library_path(self, catalog):
+        # Cyclic garbage lives until the collector happens to run, so the
+        # peak memory of the next case would depend on when that is.
+        f = catalog["E12"].weighted_polynomial()
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            data = milnor_basis(f)
+            result = solve_star(build_unfolding(f, data, 4))
+            record = prepotential_record(data, prepotential(result, data), "E12", {})
+            verify_record(record)
+            del data, result, record
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

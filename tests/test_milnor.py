@@ -39,6 +39,19 @@ class TestWeightedPolynomial:
         with pytest.raises(ValueError, match="outside"):
             wp("x", ["x"], [F(1)])
 
+    @pytest.mark.parametrize(
+        "variables, poly, message",
+        [
+            (["x", "y"], SSeries(2, None, {(3, 0): F(1)}), "one weight per variable"),
+            (["x"], SSeries(2, None, {(3, 0): F(1)}), "variable count does not match"),
+            (["x"], SSeries.zero(1, None), "zero polynomial"),
+        ],
+        ids=["weight count", "variable count", "zero polynomial"],
+    )
+    def test_rejects_malformed_shape(self, variables, poly, message):
+        with pytest.raises(ValueError, match=message):
+            WeightedPolynomial(variables, [F(1, 3)], poly)
+
     def test_infer_weights(self):
         poly = parse_polynomial("x^2*y+y^3*z+z^3", ["x", "y", "z"])
         assert infer_weights(poly) == (F(7, 18), F(2, 9), F(1, 3))

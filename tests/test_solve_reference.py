@@ -117,7 +117,7 @@ def perturbed(result, part, j):
     blocks = {"zeta": result.zeta, "J": result.J}
     zp, idx, mono = term_at_degree(blocks[part], j, mu)
     blocks[part] = plus_term(blocks[part], zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
-    moved = PrimitiveFormResult(blocks["zeta"], blocks["J"], order, result.state, result.floor)
+    moved = PrimitiveFormResult(blocks["zeta"], blocks["J"], result.state, result.floor)
     return moved, (zp, idx, mono)
 
 
@@ -196,7 +196,7 @@ class TestFlooredDefect:
         idx, series = min(floored.J.z_terms[zp].items())
         mono = max(series.terms)
         J = plus_term(floored.J, zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
-        moved = PrimitiveFormResult(floored.zeta, J, order, floored.state, floored.floor)
+        moved = PrimitiveFormResult(floored.zeta, J, floored.state, floored.floor)
         assert defect(moved) == LaurentBlock({zp: {idx: SSeries(mu, order, {mono: F(-1, 7)})}})
 
     def test_j_below_floor_unchecked(self, floored):
@@ -204,5 +204,5 @@ class TestFlooredDefect:
         mu, order = floored.state.mu, floored.order
         mono = (order,) + (0,) * (mu - 1)
         J = plus_term(floored.J, -3, 0, SSeries(mu, order, {mono: F(1, 7)}))
-        moved = PrimitiveFormResult(floored.zeta, J, order, floored.state, floored.floor)
+        moved = PrimitiveFormResult(floored.zeta, J, floored.state, floored.floor)
         assert defect_is_zero(moved)

@@ -80,7 +80,7 @@ def perturbed(f0: SSeries, degree: int, which: int = 0, amount=1) -> SSeries:
 
 
 def assert_same_as_dense(f0, eta, order):
-    report = wdvv_check(f0, eta, order)
+    report = wdvv_check(f0, eta)
     violations, checked = dense_wdvv(f0, eta, order)
     assert report.violations == violations
     assert report.checked == checked
