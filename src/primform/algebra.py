@@ -3,11 +3,12 @@ multi-parameter power series (one class), and z-Laurent blocks.
 
 Every value the engine returns is a ``fractions.Fraction`` (always in
 lowest terms, positive denominator) over exponent tuples, so all arithmetic
-is exact; no floating point number enters any coefficient.  The hot kernels
+is exact; no floating point number enters any coefficient.  The hot paths
 (the primitive-form solve and its defect, the substitution, the WDVV check)
 run on Python ints instead: each scales its rationals by one common
-denominator, packs each monomial into one int (``pack_monomial``), and
-divides back to reduced Fractions only for the values it returns.
+denominator, packs each monomial into one int (``pack_monomial``), forms
+every product with the one kernel ``graded_dot``, and divides back to
+reduced Fractions only for the values it returns.
 
 Representations:
 
@@ -16,6 +17,8 @@ Representations:
                                       at a total degree, or a polynomial in
                                       x or s when the order is None
   LaurentBlock {z_power: {index: SSeries}}  finitely many z powers
+  graded     [(degree, [(packed, int)])]    packed monomials by ascending
+                                      total degree, the kernel's operands
 
 The canonical term order used for printing and serialization is graded
 (total degree first), ties broken so that earlier variables come first
@@ -33,7 +36,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse "p/q" (or "p") into an exact rational."""
     if not isinstance(text, str):
         raise ValueError(f"a rational is written as a string, got {text!r}")
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def as_list(value, what: str) -> list:
@@ -79,6 +85,43 @@ def unpack_monomial(packed: int, base: int, nvars: int) -> tuple[int, ...]:
         packed, e = divmod(packed, base)
         exps.append(e)
     return tuple(exps)
+
+
+def graded(buckets: dict) -> list:
+    """{degree: {packed: int}} as a graded series, zero coefficients and
+    empty degrees dropped."""
+    series = []
+    for degree in sorted(buckets):
+        items = [(mono, coeff) for mono, coeff in buckets[degree].items() if coeff]
+        if items:
+            series.append((degree, items))
+    return series
+
+
+def graded_dot(lefts, rights, bound: int) -> dict:
+    """sum_f left_f * rights[f] over (f, left_f) in lefts, through total
+    degree `bound`, as {degree: {packed: int}}, cancelled terms kept as 0.
+
+    The operands are graded series packed in one base; a right operand may
+    be None or empty for zero.  No exponent of a product through `bound`
+    may reach the base, so that no digit carries.
+    """
+    buckets: dict = {}
+    for f, left in lefts:
+        right = rights[f]
+        if not right:
+            continue
+        for dl, litems in left:
+            for dr, ritems in right:
+                degree = dl + dr
+                if degree > bound:
+                    break
+                acc = buckets.setdefault(degree, {})
+                for ml, cl in litems:
+                    for mr, cr in ritems:
+                        m = ml + mr
+                        acc[m] = acc.get(m, 0) + cl * cr
+    return buckets
 
 
 def mono_str(exps: tuple[int, ...], names: Iterable[str]) -> str:
@@ -393,7 +436,7 @@ def parse_monomial(text: str, variables: list[str]) -> tuple[tuple[int, ...], Fr
         if not factor:
             raise ValueError(f"malformed monomial {text!r}")
         if factor[0].isdigit() or factor[0] in "+-":
-            coeff *= Fraction(factor)
+            coeff *= parse_rational(factor)
             continue
         name, caret, power = factor.partition("^")
         name, power = name.strip(), power.strip()

@@ -182,13 +182,14 @@ def cmd_verify(args) -> int:
 
 
 def _invertible_catalog_index(catalog) -> dict:
+    """The name of the first invertible entry that holds each polynomial."""
     index = {}
     for entry in catalog.values():
         try:
             w = InvertiblePolynomial.from_poly(entry.poly, entry.variables)
         except ValueError:
             continue
-        index[w.canonical_key()] = entry.name
+        index.setdefault(w.canonical_key(), entry.name)
     return index
 
 
@@ -258,6 +259,9 @@ def cmd_catalog_selftest(args) -> int:
         except ValueError:
             w = None
         if w is not None:
+            first = names[w.canonical_key()]
+            if first != entry.name:
+                problems.append(f"same polynomial as {first}")
             partner = names.get(transpose(w).canonical_key())
             if entry.expected_transpose is not None and partner != entry.expected_transpose:
                 problems.append(f"transpose {partner!r} != {entry.expected_transpose!r}")

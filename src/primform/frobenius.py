@@ -25,9 +25,9 @@ disagree.
 
 The substitution and the WDVV check run on Python ints: each scales its
 rational inputs by the lcm of their denominators, and divides back only
-once for each output value.  Both pack a monomial into one int whose digit
-i in a base above every exponent is exponent i, so the product of two
-monomials is the sum of their ints.
+once for each output value.  Both form their products (the powers s(t)^w,
+the raised index, the contractions) with the one kernel
+`algebra.graded_dot`, on monomials packed in a base above every exponent.
 """
 
 from __future__ import annotations
@@ -40,6 +40,8 @@ from .algebra import (
     SSeries,
     as_list,
     format_rational,
+    graded,
+    graded_dot,
     mat_inv,
     mono_key,
     mono_str,
@@ -55,34 +57,6 @@ class IntegrabilityError(ArithmeticError):
     """The candidate gradient eta * J_(-2) of the prepotential is not the
     gradient of any series: it has a constant or linear part, or a part
     that is not curl-free."""
-
-
-def _graded(buckets: dict) -> list:
-    """{degree: {monomial: coefficient}} as [(degree, [(monomial,
-    coefficient), ...]), ...] by ascending degree, zero coefficients and
-    empty degrees dropped."""
-    graded = []
-    for degree in sorted(buckets):
-        items = [(mono, coeff) for mono, coeff in buckets[degree].items() if coeff]
-        if items:
-            graded.append((degree, items))
-    return graded
-
-
-def _graded_product(left: list, right: list, bound: int) -> list:
-    """The product of two graded series of packed monomials, through total
-    degree `bound`."""
-    buckets: dict = {}
-    for dl, litems in left:
-        for dr, ritems in right:
-            if dl + dr > bound:
-                break
-            acc = buckets.setdefault(dl + dr, {})
-            for ml, cl in litems:
-                for mr, cr in ritems:
-                    m = ml + mr
-                    acc[m] = acc.get(m, 0) + cl * cr
-    return _graded(buckets)
 
 
 def flat_coordinates(result: PrimitiveFormResult) -> list[SSeries]:
@@ -121,7 +95,7 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
         for mono, c in s.terms.items():
             scaled = c.numerator * (d_scale // c.denominator)
             buckets.setdefault(sum(mono), {})[pack_monomial(mono, base)] = scaled
-        factors.append(_graded(buckets))
+        factors.append(graded(buckets))
 
     bounds, scales, uses = [], [], {}
     for i, u in enumerate(series):
@@ -144,7 +118,7 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
             common += 1
         del stack[common + 1:]
         for v in word[common:]:
-            stack.append(_graded_product(stack[-1], factors[v], bound))
+            stack.append(graded(graded_dot([(v, stack[-1])], factors, bound)))
         prev = word
         for i, scaled in uses[word]:
             acc, top_degree = out[i], bounds[i]
@@ -254,13 +228,9 @@ class CheckReport:
 
 
 def _third_derivatives(f0: SSeries, check_order: int, scale: int) -> dict:
-    """F_abe for a <= b <= e, straight from the terms of f0, times `scale`.
-
-    Each value maps total degree to the (packed monomial, int coefficient)
-    pairs of that degree, ascending, none above check_order = f0.order - 3.
-    Exponent i of a packed monomial is its digit i in base check_order + 1.
-    `scale` must clear every denominator of f0.
-    """
+    """F_abe for a <= b <= e, straight from the terms of f0, times `scale`,
+    as graded series through check_order = f0.order - 3, packed in base
+    check_order + 1.  `scale` must clear every denominator of f0."""
     third: dict = {}
     for mono, coeff in f0.terms.items():
         degree = sum(mono) - 3
@@ -275,27 +245,12 @@ def _third_derivatives(f0: SSeries, check_order: int, scale: int) -> dict:
             if value:
                 bucket = third.setdefault(key, {}).setdefault(degree, {})
                 bucket[pack_monomial(lowered, check_order + 1)] = value
-    return {key: _graded(buckets) for key, buckets in third.items()}
+    return {key: graded(buckets) for key, buckets in third.items()}
 
 
-def _contract(raised: list, tensor: list, c: int, d: int, bound: int) -> dict:
-    """sum_f L^f F_fcd through total degree `bound`, as {packed monomial:
-    nonzero int}, for raised = [(f, graded L^f), ...] and tensor[f][c][d]
-    the graded F_fcd or None."""
-    acc: dict = {}
-    for fi, left in raised:
-        right = tensor[fi][c][d]
-        if right is None:
-            continue
-        for dl, litems in left:
-            for dr, ritems in right:
-                if dl + dr > bound:
-                    break
-                for ml, cl in litems:
-                    for mr, cr in ritems:
-                        m = ml + mr
-                        acc[m] = acc.get(m, 0) + cl * cr
-    return {m: v for m, v in acc.items() if v}
+def _flat(buckets: dict) -> dict:
+    """{degree: {packed: int}} as one {packed: nonzero int}."""
+    return {m: v for bucket in buckets.values() for m, v in bucket.items() if v}
 
 
 def _pairing_key(a: int, b: int, c: int, d: int) -> tuple:
@@ -333,23 +288,25 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
     violations are then read off in the order of the quadruples
     (a, b, c, d), from the kept values alone.
 
-    Only products that can be nonzero are formed.  F_abe is built from the
-    terms of f0 for a <= b <= e, graded by total degree, and looked up as
-    F_fcd in a mu x mu x mu table.  The index is raised once for each
-    sorted pair, L_ab^f = sum_e F_abe eta^{ef}, through the nonzero entries
-    of eta^-1 only.  Every pairing of a multiset with least index a puts a
-    in its first pair, so only the L_ab of the current a are held.
-    X_{ab|cd} = sum_f L_ab^f F_fcd skips term pairs whose degrees add up
-    past order - 3.
+    Only products that can be nonzero are formed, each by `graded_dot`.
+    F_abe is built from the terms of f0 for a <= b <= e, graded by total
+    degree, and looked up as F_fcd in a mu x mu x mu table whose column
+    [c][d] is indexed by f.  The index is raised once for each sorted pair,
+    L_ab^f = sum_e eta^{fe} F_abe, through the nonzero entries of eta^-1
+    only, held as constant series.  Every pairing of a multiset with least
+    index a puts a in its first pair, so only the L_ab of the current a are
+    held.  X_{ab|cd} = sum_f L_ab^f F_fcd skips term pairs whose degrees
+    add up past order - 3, and is compared degree by degree as the kernel
+    returns it; only pairings that differ there are compared again without
+    their cancelled terms.
 
     The loops run on Python ints only.  With D the lcm of the denominators
     of f0 and E that of eta^-1, every F_abe is scaled exactly by D and
     every entry of eta^-1 by E, so each X formed is D^2 E times the true
     one and every comparison has the same outcome; a reported difference
-    is divided by D^2 E again.  A monomial is one int whose digit i in base
-    check_order + 1 is exponent i.  Every term formed has total degree at
-    most check_order, so no digit exceeds check_order and none carries:
-    the product of two monomials is the sum of their ints.
+    is divided by D^2 E again.  A monomial is packed in base
+    check_order + 1, which no exponent of a term through check_order
+    reaches.
     """
     mu = len(eta)
     if f0.order is None or f0.order < 3:
@@ -360,16 +317,15 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
     eta_inv = _pairing_inverse(eta)
     d_scale = lcm(*(c.denominator for c in f0.terms.values()))
     e_scale = lcm(*(v.denominator for row in eta_inv for v in row))
-    raising = [
-        [(fi, v.numerator * (e_scale // v.denominator)) for fi, v in enumerate(row) if v]
-        for row in eta_inv
-    ]
+    # raising[f] = [(e, E eta^{fe} as a constant series), ...] where it is nonzero.
+    scaled = [[v.numerator * (e_scale // v.denominator) for v in row] for row in eta_inv]
+    raising = [[(e, [(0, [(0, g)])]) for e, g in enumerate(row) if g] for row in scaled]
 
-    # tensor[f][c][d] is F_fcd, None where it is zero.
+    # tensor[c][d][f] is F_fcd, None where it is zero.
     tensor = [[[None] * mu for _ in range(mu)] for _ in range(mu)]
-    for (i, j, k), graded in _third_derivatives(f0, check_order, d_scale).items():
+    for (i, j, k), series in _third_derivatives(f0, check_order, d_scale).items():
         for f, c, d in permutations((i, j, k)):
-            tensor[f][c][d] = graded
+            tensor[c][d][f] = series
 
     kept: dict = {}
     failing = []
@@ -377,27 +333,21 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
         # raised[b] = [(f, L_ab^f), ...] over the nonzero L_ab^f, for b >= a.
         raised = [None] * mu
         for b in range(a, mu):
-            by_f: dict = {}
-            for e, graded in enumerate(tensor[a][b]):
-                if graded is None:
-                    continue
-                for fi, g in raising[e]:
-                    buckets = by_f.setdefault(fi, {})
-                    for degree, items in graded:
-                        acc = buckets.setdefault(degree, {})
-                        for mono, coeff in items:
-                            acc[mono] = acc.get(mono, 0) + coeff * g
-            raised[b] = [(fi, _graded(buckets)) for fi, buckets in by_f.items()]
+            lifted = (graded(graded_dot(row, tensor[a][b], check_order)) for row in raising)
+            raised[b] = [(f, series) for f, series in enumerate(lifted) if series]
         for b, c, d in combinations_with_replacement(range(a, mu), 3):
-            first = _contract(raised[b], tensor, c, d, check_order)
+            first = graded_dot(raised[b], tensor[c][d], check_order)
             values = {((a, b), (c, d)): first}
             if b != c:
-                values[(a, c), (b, d)] = _contract(raised[c], tensor, b, d, check_order)
+                values[(a, c), (b, d)] = graded_dot(raised[c], tensor[b][d], check_order)
             if a != b and c != d:
-                values[(a, d), (b, c)] = _contract(raised[d], tensor, b, c, check_order)
+                values[(a, d), (b, c)] = graded_dot(raised[d], tensor[b][c], check_order)
             if any(value != first for value in values.values()):
-                kept.update(values)
-                failing.append((a, b, c, d))
+                values = {key: _flat(value) for key, value in values.items()}
+                first = values[(a, b), (c, d)]
+                if any(value != first for value in values.values()):
+                    kept.update(values)
+                    failing.append((a, b, c, d))
 
     violations = []
     quadruples = {q for m in failing for q in permutations(m) if q[1] < q[2]}

@@ -29,10 +29,10 @@ The solve and the defect run on Python ints.  E_m is stored times m!, so
 its coefficients m!/n! are ints; each zeta_k is kept as int numerators over
 one denominator D_k; each lattice class comes from `monomial_class` as int
 numerators over R_c, the lcm of its own denominators; and the products of
-order k are summed over one common denominator.  An s-monomial is one int
-whose digit a in base order + 1 is the exponent of s_a, so the product of
-two is the sum of their ints.  zeta, J and the defect are returned as
-Fraction series, each coefficient a reduced rational.
+order k are summed over one common denominator.  An s-monomial is packed
+in base order + 1 and each product of a part of E_m with a slice of zeta
+is formed by `algebra.graded_dot`.  zeta, J and the defect are returned
+as Fraction series, each coefficient a reduced rational.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from math import factorial, gcd, lcm
 from .algebra import (
     LaurentBlock,
     SSeries,
+    graded_dot,
     mono_mul,
     pack_monomial,
     unpack_monomial,
@@ -159,8 +160,9 @@ def _reduced_products(
     before its class is looked up, and of the others every class entry
     below the floor is dropped.  Degrees are compared as ints scaled by the
     lcm of the weight denominators.  A first pass collects the items and L,
-    the lcm of every D_{k-m} m! R_c and of `den`; the second scales each
-    item up to L and adds its products into {(z, idx): {packed: int}}.
+    the lcm of every D_{k-m} m! R_c and of `den`; the second forms each
+    item's product once with `graded_dot` and adds it, times each class
+    entry scaled up to L, into {(z, idx): {packed: int}}.
     Each class is read from ``data._reduce_cache``, the memo that
     `monomial_class` fills, and computed only when it is not there yet.
     """
@@ -182,18 +184,14 @@ def _reduced_products(
                 if kept:
                     d = scale * r_c
                     dens.add(d)
-                    items.append((d, part, series, kept))
+                    items.append((d, (m, part), (k - m, series), kept))
     den = lcm(*dens)
     acc: dict = {}
-    for d, part, series, entries in items:
+    for d, left, right, entries in items:
         factor = den // d
-        product: dict = {}
-        for n, a in part:
-            a *= factor
-            for p, b in series:
-                key = n + p
-                product[key] = product.get(key, 0) + a * b
+        product = graded_dot([(0, [left])], [[right]], k)[k]
         for zp, idx, r in entries:
+            r *= factor
             slot = acc.setdefault((zp, idx), {})
             for key, v in product.items():
                 slot[key] = slot.get(key, 0) + v * r

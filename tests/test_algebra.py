@@ -7,6 +7,8 @@ from primform.algebra import (
     LaurentBlock,
     SSeries,
     format_rational,
+    graded,
+    graded_dot,
     mat_det,
     mat_inv,
     mat_solve,
@@ -169,6 +171,61 @@ class TestPackedMonomials:
             assert unpack_monomial(pa, order + 1, nvars) == tuple(a)
             # Below the base no digit carries: the product is the sum.
             assert unpack_monomial(pa + pb, order + 1, nvars) == mono_mul(a, b)
+
+    @staticmethod
+    def _random_polynomial(rng, nvars, top):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exps = [0] * nvars
+            for _ in range(rng.randint(0, top)):
+                exps[rng.randrange(nvars)] += 1
+            terms[tuple(exps)] = Fraction(rng.randint(-3, 3))
+        return SSeries(nvars, None, terms)
+
+    @staticmethod
+    def _by_degree(series):
+        return {degree: dict(items) for degree, items in series}
+
+    @staticmethod
+    def _packed(series, base, bound):
+        buckets = {}
+        for mono, c in series.terms.items():
+            if sum(mono) <= bound:
+                assert c.denominator == 1
+                buckets.setdefault(sum(mono), {})[pack_monomial(mono, base)] = c.numerator
+        return graded(buckets)
+
+    def test_graded_dot_matches_series_product(self):
+        # The reference is SSeries.__mul__, which multiplies Fractions over
+        # exponent tuples and shares no code with the kernel.
+        rng = random.Random(11)
+        top = 4
+        base = 2 * top + 1
+        for _ in range(60):
+            nvars = rng.randint(2, 4)
+            lefts = [self._random_polynomial(rng, nvars, top) for _ in range(2)]
+            rights = [self._random_polynomial(rng, nvars, top) for _ in range(2)]
+            full = lefts[0] * rights[0] + lefts[1] * rights[1]
+            lowest = min((sum(m) for m in full.terms), default=0)
+            highest = max((sum(m) for m in full.terms), default=0)
+            packed_lefts = [(f, self._packed(s, base, 2 * top)) for f, s in enumerate(lefts)]
+            packed_rights = [self._packed(s, base, 2 * top) for s in rights]
+            for bound in (lowest - 1, lowest, highest - 1, highest, 2 * top):
+                got = graded(graded_dot(packed_lefts, packed_rights, bound))
+                want = self._packed(full, base, bound)
+                assert self._by_degree(got) == self._by_degree(want)
+                # One term of the sum alone, and a zero right operand.
+                one = graded(graded_dot(packed_lefts[:1], packed_rights, bound))
+                want = self._packed(lefts[0] * rights[0], base, bound)
+                assert self._by_degree(one) == self._by_degree(want)
+                for zero in ([], None):
+                    assert graded_dot(packed_lefts[:1], [zero], bound) == {}
+
+    def test_graded_dot_below_lowest_degree_is_empty(self):
+        x, y = (pack_monomial(m, 3) for m in ((1, 0), (0, 1)))
+        left, right = [(1, [(x, 2)])], [(1, [(y, 3)])]
+        assert graded_dot([(0, left)], [right], 1) == {}
+        assert graded_dot([(0, left)], [right], 2) == {2: {x + y: 6}}
 
 
 class TestLaurentBlock:

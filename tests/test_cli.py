@@ -154,6 +154,16 @@ class TestCompute:
         record = json.loads(out)
         assert record["central_charge"] == "22/21"
 
+    @pytest.mark.parametrize(
+        "target",
+        [["--poly", "x^3+y^7", "--weights", "1/0,1/7"], ["--poly", "1/0*x^3+y^7"]],
+        ids=["weight", "coefficient"],
+    )
+    def test_zero_denominator_rejected(self, capsys, target):
+        # Once "error: Fraction(1, 0)", which did not say what was wrong.
+        code, out, err = run_cli(["compute", *target], capsys)
+        assert (code, out, err) == (1, "", "error: zero denominator in '1/0'\n")
+
     @pytest.mark.parametrize("poly", ["x^-1+y^3", "x^+y^3"])
     def test_bad_exponent_rejected(self, capsys, poly):
         code, out, err = run_cli(["compute", "--poly", poly, "--vars", "x,y"], capsys)
@@ -394,42 +404,53 @@ class TestVerify:
         assert err.startswith("error: malformed record")
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, detail",
         [
-            lambda r: [r],
-            lambda r: json.dumps(r),
-            lambda r: {**r, "terms": [{**r["terms"][0], "coeff": 1}] + r["terms"][1:]},
-            lambda r: {**r, "flat_degrees": r["flat_degrees"] + ["7"]},
-            lambda r: {**r, "flat_degrees": r["flat_degrees"][:-1]},
-            lambda r: {**r, "eta": [r["eta"][0][:-1]] + r["eta"][1:]},
-            lambda r: {**r, "eta": r["eta"][:-1]},
-            lambda r: {**r, "order": 2, "terms": [{"exponents": [1, 1, 0], "coeff": "1"}]},
-            lambda r: {**r, "terms": [halved(r["terms"][0])] * 2 + r["terms"][1:]},
-            lambda r: {**r, "terms": r["terms"] + r["terms"][:1]},
-            lambda r: {**r, "terms": r["terms"] + [{"exponents": [1, 0, 1, 1], "coeff": "0"}]},
-            lambda r: {**r, "basis": [], "terms": [], "eta": [], "flat_degrees": []},
-            lambda r: {**r, "eta": ["0" * (len(r["eta"]) - 1) + "1"] + r["eta"][1:]},
-            lambda r: {**r, "flat_degrees": "1" * len(r["flat_degrees"])},
-            lambda r: {**r, "terms": {}},
-            lambda r: {**r, "eta": [["1/5", "1/3"] + r["eta"][0][2:]] + r["eta"][1:]},
+            (lambda r: [r], ""),
+            (lambda r: json.dumps(r), ""),
+            (lambda r: {**r, "terms": [{**r["terms"][0], "coeff": 1}] + r["terms"][1:]}, ""),
+            (lambda r: {**r, "flat_degrees": r["flat_degrees"] + ["7"]}, ""),
+            (lambda r: {**r, "flat_degrees": r["flat_degrees"][:-1]}, ""),
+            (lambda r: {**r, "eta": [r["eta"][0][:-1]] + r["eta"][1:]}, ""),
+            (lambda r: {**r, "eta": r["eta"][:-1]}, ""),
+            (
+                lambda r: {**r, "order": 2, "terms": [{"exponents": [1, 1, 0, 0], "coeff": "1"}]},
+                "ValueError('a prepotential below order 3 has no terms')",
+            ),
+            (lambda r: {**r, "terms": [halved(r["terms"][0])] * 2 + r["terms"][1:]}, ""),
+            (lambda r: {**r, "terms": r["terms"] + r["terms"][:1]}, ""),
+            (
+                lambda r: {**r, "terms": r["terms"] + [{"exponents": [1, 0, 1, 1], "coeff": "0"}]},
+                "",
+            ),
+            (lambda r: {**r, "basis": [], "terms": [], "eta": [], "flat_degrees": []}, ""),
+            (lambda r: {**r, "eta": ["0" * (len(r["eta"]) - 1) + "1"] + r["eta"][1:]}, ""),
+            (lambda r: {**r, "flat_degrees": "1" * len(r["flat_degrees"])}, ""),
+            (lambda r: {**r, "terms": {}}, ""),
+            (lambda r: {**r, "eta": [["1/5", "1/3"] + r["eta"][0][2:]] + r["eta"][1:]}, ""),
+            (
+                lambda r: {**r, "eta": [["1/0"] + r["eta"][0][1:]] + r["eta"][1:]},
+                "ValueError(\"zero denominator in '1/0'\")",
+            ),
         ],
         ids=[
             "list", "string", "int coeff", "extra flat degree", "missing flat degree",
             "short eta row", "missing eta row", "terms below order 3", "split term",
             "repeated term", "zero coefficient", "empty basis", "string eta row",
-            "string flat degrees", "object terms", "non-symmetric eta",
+            "string flat degrees", "object terms", "non-symmetric eta", "zero denominator",
         ],
     )
-    def test_malformed_shape_rejected(self, capsys, tmp_path, mutate):
+    def test_malformed_shape_rejected(self, capsys, tmp_path, mutate, detail):
         # Once a traceback, a pass, or Euler or WDVV violations; a split or
         # repeated term was summed and a zero term dropped; a string row or
         # list was read one character per entry and an object as its keys; a
-        # non-symmetric eta got WDVV violations.
+        # non-symmetric eta got WDVV violations; a zero denominator ended in
+        # "error: Fraction(1, 0)".  A detail given is the reason's start.
         path = self._compute_record(capsys, tmp_path, name="A4")
         path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
         code, _, err = run_cli(["verify", str(path)], capsys)
         assert code == 1
-        assert err.startswith("error: malformed record")
+        assert err.startswith(f"error: malformed record: {detail}")
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -525,10 +546,11 @@ class TestCatalogSelftest:
         assert "FAIL" not in out
 
     def test_failures_reported(self, capsys, tmp_path):
-        # E13 holds E12's polynomial, and the E12 copy expects the wrong
-        # central charge, Milnor number and transpose: x^3+y^7 is its own
-        # transpose, named after the last entry that holds it, E12.  A
-        # non-invertible entry has no transpose to check and passes.
+        # E13 holds E12's polynomial, so E12 is reported as its duplicate,
+        # and the E12 copy expects the wrong central charge, Milnor number
+        # and transpose: x^3+y^7 is its own transpose, named after the
+        # first entry that holds it, E13.  A non-invertible entry has no
+        # transpose to check and passes.
         e12 = {
             "variables": ["x", "y"],
             "weights": ["1/3", "1/7"],
@@ -542,7 +564,7 @@ class TestCatalogSelftest:
             {
                 "name": "E12",
                 **e12,
-                "expected": {"central_charge": "1", "milnor_number": 11, "transpose_name": "E13"},
+                "expected": {"central_charge": "1", "milnor_number": 11, "transpose_name": "E12"},
             },
             {
                 "name": "X9",
@@ -562,7 +584,7 @@ class TestCatalogSelftest:
         assert out.splitlines() == [
             "E13: FAIL: milnor number 12 != type subscript 13",
             "E12: FAIL: central charge 22/21 != 1; milnor number 12 != 11;"
-            " transpose 'E12' != 'E13'",
+            " same polynomial as E13; transpose 'E13' != 'E12'",
             "X9: ok",
             "1/3 entries ok",
         ]

@@ -265,7 +265,7 @@ class TestPrepotential:
         # powers per series raises these counts.
         cases = {name: (solved_cache(name, 4), milnor_cache(name)) for name in ("E12", "U12")}
         products, series_products = [], []
-        power_product = frobenius._graded_product
+        power_product = frobenius.graded_dot
         series_product = SSeries.__mul__
 
         def counting_power(*args):
@@ -276,7 +276,7 @@ class TestPrepotential:
             series_products.append(None)
             return series_product(a, b)
 
-        monkeypatch.setattr(frobenius, "_graded_product", counting_power)
+        monkeypatch.setattr(frobenius, "graded_dot", counting_power)
         monkeypatch.setattr(SSeries, "__mul__", counting_series)
         monkeypatch.setattr(SSeries, "__rmul__", counting_series)
         counts = {}
