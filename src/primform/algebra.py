@@ -50,6 +50,18 @@ def as_list(value, what: str) -> list:
     return value
 
 
+def variable_names(names) -> tuple[str, ...]:
+    """names as a tuple of distinct non-empty strings: a repeated or empty
+    name would stand for a variable that no term can reach."""
+    names = tuple(names)
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or not name:
+            raise ValueError(f"variable {i + 1} must be a non-empty name, got {name!r}")
+        if name in names[:i]:
+            raise ValueError(f"variable {name!r} is named twice")
+    return names
+
+
 def format_rational(value: Fraction) -> str:
     """Format a rational as "p/q", or "p" when the denominator is 1."""
     if value.denominator == 1:
@@ -450,6 +462,7 @@ def parse_monomial(text: str, variables: list[str]) -> tuple[tuple[int, ...], Fr
 
 def parse_polynomial(text: str, variables: list[str]) -> SSeries:
     """Parse "x^3 + 2*x*y^2 - 1/2*z" into an exact polynomial (order None)."""
+    variable_names(variables)
     terms: dict = {}
     chunk = ""
     sign = 1
@@ -467,6 +480,8 @@ def parse_polynomial(text: str, variables: list[str]) -> SSeries:
             chunk += ch
     if chunk:
         pending.append((sign, chunk))
+    elif pending:
+        raise ValueError(f"polynomial {text!r} ends in an operator")
     if not pending:
         raise ValueError("empty polynomial")
     for sgn, part in pending:

@@ -14,7 +14,7 @@ import os
 from collections import namedtuple
 from importlib import resources
 
-from .algebra import SSeries, as_list, parse_rational
+from .algebra import SSeries, as_list, parse_rational, variable_names
 from .milnor import WeightedPolynomial
 
 CATALOG_ENV_VAR = "PRIMFORM_CATALOG"
@@ -44,7 +44,7 @@ def _entry_from_dict(raw: dict) -> CatalogEntry:
     name = raw["name"]
     if type(name) is not str:
         raise ValueError(f"name must be a string, got {name!r}")
-    variables = tuple(as_list(raw["variables"], "variables"))
+    variables = variable_names(as_list(raw["variables"], "variables"))
     weights = tuple(parse_rational(w) for w in as_list(raw["weights"], "weights"))
     poly = SSeries.from_records(as_list(raw["polynomial"], "polynomial"), len(variables))
     expected = raw.get("expected", {})

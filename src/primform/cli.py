@@ -9,6 +9,7 @@ every check that ran passed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -33,18 +34,11 @@ from .primitive import build_unfolding, defect_is_zero, solve_star
 
 
 def _infer_variable_order(text: str) -> list[str]:
-    seen = []
-    name = ""
-    for ch in text:
-        if ch.isalpha() or (name and ch.isdigit()):
-            name += ch
-        else:
-            if name and not name[0].isdigit() and name not in seen:
-                seen.append(name)
-            name = ""
-    if name and not name[0].isdigit() and name not in seen:
-        seen.append(name)
-    return seen
+    """The names in text in order of first use.  A name is a run of letters
+    and digits that starts with a letter; a run that starts with a digit,
+    such as 1e3, is a number."""
+    runs = "".join(ch if ch.isalpha() or ch.isdigit() else " " for ch in text).split()
+    return list(dict.fromkeys(run for run in runs if not run[0].isdigit()))
 
 
 def _resolve_target(args, catalog):
@@ -275,7 +269,10 @@ def cmd_catalog_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each build leaves cyclic garbage behind."""
     parser = argparse.ArgumentParser(
         prog="primform",
         description=(

@@ -373,23 +373,25 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
 
 
 def euler_check(f0: SSeries, flat_degrees, c_hat: Fraction) -> CheckReport:
-    """Every prepotential monomial must have flat weighted degree 3 - c_hat."""
+    """Every prepotential monomial must have flat weighted degree 3 - c_hat,
+    compared as int numerators over the lcm of all their denominators."""
     target = 3 - c_hat
+    scale = lcm(target.denominator, *(d.denominator for d in flat_degrees))
+    weights = [d.numerator * (scale // d.denominator) for d in flat_degrees]
+    goal = target.numerator * (scale // target.denominator)
     violations = []
-    checked = 0
     for mono, coeff in f0.sorted_terms():
-        checked += 1
-        degree = sum((Fraction(k) * d for k, d in zip(mono, flat_degrees)), Fraction(0))
-        if degree != target:
+        degree = sum(k * w for k, w in zip(mono, weights))
+        if degree != goal:
             violations.append(
                 {
                     "monomial": mono,
                     "coefficient": format_rational(coeff),
-                    "degree": format_rational(degree),
+                    "degree": format_rational(Fraction(degree, scale)),
                     "expected": format_rational(target),
                 }
             )
-    return CheckReport("euler", violations, checked)
+    return CheckReport("euler", violations, len(f0.terms))
 
 
 def normalization_check(f0: SSeries) -> CheckReport:
@@ -403,14 +405,12 @@ def normalization_check(f0: SSeries) -> CheckReport:
     linear and quadratic parts.
     """
     violations = []
-    checked = 0
     for mono, coeff in f0.sorted_terms():
-        checked += 1
         if sum(mono) < 3:
             violations.append(
                 {"monomial": mono, "coefficient": format_rational(coeff), "reason": "degree < 3"}
             )
-    return CheckReport("integrability", violations, checked)
+    return CheckReport("integrability", violations, len(f0.terms))
 
 
 def prepotential_record(

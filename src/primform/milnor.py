@@ -11,6 +11,17 @@ system is computed once and cached.  The elimination runs on ints and
 stops taking ideal generators once the echelon has the ideal's rank.
 Pivoting always prefers the smallest monomial in the canonical graded
 order, so the basis and every division witness are deterministic.
+
+The division also gives the classes of the formal Brieskorn lattice
+Omega^n[[z]] / (df + z d)Omega^(n-1)[[z]].  For an (n-1)-form with
+contraction coefficients h_i the quotient relation reads
+
+    [sum_i h_i d_i(f) d^n x]  =  -z [sum_i d_i(h_i) d^n x],
+
+so `monomial_class` splits x^m into basis part plus ideal part and pushes
+the ideal part one z power up, lowering the weighted degree by exactly 1
+each time.  A class, int numerators over one denominator, depends on f
+alone and is memoized on the MilnorData for every solve and defect.
 """
 
 from __future__ import annotations
@@ -317,8 +328,8 @@ class MilnorData:
     """Milnor number, graded monomial basis, socle, and residue pairing.
 
     Immutable after construction apart from the memo of lattice classes
-    (``_reduce_cache``, filled by brieskorn.monomial_class); intended for
-    single-threaded construction and read-mostly use.
+    (``_reduce_cache``, which only `monomial_class` reads and fills);
+    intended for single-threaded construction and read-mostly use.
     """
 
     __slots__ = (
@@ -352,6 +363,37 @@ class MilnorData:
 
     def __repr__(self):
         return f"MilnorData({self.f.render()}, mu={self.mu})"
+
+
+def monomial_class(mono: tuple, data: MilnorData) -> tuple[int, list]:
+    """Canonical lattice class of [x^mono d^n x] as (R, [(z_power, index,
+    int)]): the class is the sum of int / R * z^z_power phi_index, R > 0 the
+    lcm of its reduced denominators."""
+    cached = data._reduce_cache.get(mono)
+    if cached is not None:
+        return cached
+    den, basis_part, gen_part = data._divider.solve_monomial(mono)
+    # Push -sum_i d_i(quotient_i) to the next z power, over den.
+    next_terms: dict = {}
+    for (var, qm), qc in gen_part.items():
+        e = qm[var]
+        if e:
+            lowered = list(qm)
+            lowered[var] = e - 1
+            key = tuple(lowered)
+            next_terms[key] = next_terms.get(key, 0) - qc * e
+    lower = [(nc, monomial_class(nm, data)) for nm, nc in next_terms.items() if nc]
+    scale = den * lcm(*(r for _, (r, _) in lower))
+    acc = {(0, data.basis_index(m)): c * (scale // den) for m, c in basis_part.items()}
+    for nc, (r, entries) in lower:
+        factor = nc * (scale // (den * r))
+        for zp, idx, c in entries:
+            key = (zp + 1, idx)
+            acc[key] = acc.get(key, 0) + factor * c
+    g = gcd(scale, *acc.values())
+    out = (scale // g, [(zp, idx, c // g) for (zp, idx), c in acc.items() if c])
+    data._reduce_cache[mono] = out
+    return out
 
 
 def _expected_milnor_number(f: WeightedPolynomial) -> Fraction:

@@ -27,9 +27,9 @@ defect checks the z >= floor part of the result.
 
 The solve and the defect run on Python ints.  E_m is stored times m!, so
 its coefficients m!/n! are ints; each zeta_k is kept as int numerators over
-one denominator D_k; each lattice class comes from `monomial_class` as int
-numerators over R_c, the lcm of its own denominators; and the products of
-order k are summed over one common denominator.  An s-monomial is packed
+one denominator D_k; each lattice class comes from `milnor.monomial_class`
+as int numerators over R_c, the lcm of its own denominators; and the
+products of order k are summed over one common denominator.  An s-monomial is packed
 in base order + 1 and each product of a part of E_m with a slice of zeta
 is formed by `algebra.graded_dot`.  zeta, J and the defect are returned
 as Fraction series, each coefficient a reduced rational.
@@ -48,8 +48,7 @@ from .algebra import (
     pack_monomial,
     unpack_monomial,
 )
-from .brieskorn import monomial_class
-from .milnor import MilnorData, WeightedPolynomial
+from .milnor import MilnorData, WeightedPolynomial, monomial_class
 
 
 class UnfoldingState:
@@ -162,11 +161,10 @@ def _reduced_products(
     lcm of the weight denominators.  A first pass collects the items and L,
     the lcm of every D_{k-m} m! R_c and of `den`; the second forms each
     item's product once with `graded_dot` and adds it, times each class
-    entry scaled up to L, into {(z, idx): {packed: int}}.
-    Each class is read from ``data._reduce_cache``, the memo that
-    `monomial_class` fills, and computed only when it is not there yet.
+    entry scaled up to L, into {(z, idx): {packed: int}}.  Every class comes
+    from `monomial_class`, which memoizes it on `data`.
     """
-    basis, divider, cache = data.basis, data._divider, data._reduce_cache
+    basis, divider = data.basis, data._divider
     basis_sdegs = [divider.sdeg(mono) for mono in basis]
     items, dens = [], {den}
     for m in range(first, k + 1):
@@ -179,7 +177,7 @@ def _reduced_products(
                 if (shift - floor) * divider.scale + x_sdeg + basis_sdegs[beta] < 0:
                     continue
                 mono = mono_mul(x_mono, basis[beta])
-                r_c, entries = cache.get(mono) or monomial_class(mono, data)
+                r_c, entries = monomial_class(mono, data)
                 kept = [(zp + shift, idx, r) for zp, idx, r in entries if zp + shift >= floor]
                 if kept:
                     d = scale * r_c

@@ -11,7 +11,7 @@ dicts that a ``LaurentBlock`` is built from; the block drops what cancels.
 from fractions import Fraction
 
 from primform.algebra import LaurentBlock, SSeries
-from primform.brieskorn import monomial_class
+from primform.milnor import monomial_class
 
 
 def add_term(z_terms: dict, zp: int, idx: int, coeff) -> None:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -14,6 +15,9 @@ from primform.algebra import SSeries
 from primform.cli import main
 from primform.frobenius import FrobeniusData
 from primform.primitive import PrimitiveFormResult
+
+
+RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "records"
 
 
 def halved(term):
@@ -81,6 +85,31 @@ class TestInfo:
         # "not determined", the solve's zero for a free unknown looked for.
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--poly", "x^3+y^7+"], "polynomial 'x^3+y^7+' ends in an operator"),
+            (["--poly", "x^3+y^7-"], "polynomial 'x^3+y^7-' ends in an operator"),
+            (["--poly", "x^3+y^7", "--vars", "x,y,x"], "variable 'x' is named twice"),
+            (["--poly", "x^3+y^7", "--vars", "x,,y"],
+             "variable 2 must be a non-empty name, got ''"),
+        ],
+        ids=["trailing plus", "trailing minus", "repeated var", "empty var"],
+    )
+    def test_misread_input_rejected(self, capsys, argv, message):
+        # A trailing operator was once dropped, and a repeated or empty
+        # variable ended in the misleading "weights are not determined".
+        code, out, err = run_cli(["info", *argv], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_exponent_coefficient_is_a_number(self, capsys):
+        # The e3 of 1e3 was once inferred as a variable.
+        code, out, err = run_cli(["info", "--poly", "1e3*x^3+y^7", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["polynomial"] == "1000*x^3 + y^7"
+        assert (record["variables"], record["milnor_number"]) == (["x", "y"], 12)
 
 
 class TestCompute:
@@ -656,6 +685,26 @@ class TestCatalogResolution:
         assert out == ""
         assert err.startswith("error: malformed catalog")
 
+    def test_repeated_catalog_variable(self, capsys, tmp_path):
+        # ["x", "x"] once loaded, and info printed "D: x^3 + x^7" with mu 12.
+        raw = {
+            "name": "D",
+            "variables": ["x", "x"],
+            "weights": ["1/3", "1/7"],
+            "polynomial": [
+                {"exponents": [3, 0], "coeff": "1"},
+                {"exponents": [0, 7], "coeff": "1"},
+            ],
+        }
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({"entries": [raw]}))
+        code, out, err = run_cli(["info", "--catalog", str(path), "--singularity", "D"], capsys)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: malformed catalog {path}: "
+            "ValueError(\"variable 'x' is named twice\")\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -715,6 +764,22 @@ class TestEntryPoint:
             env=dict(os.environ, PYTHONPATH=home),
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    def test_repeated_call_leaves_no_cyclic_garbage(self, capsys):
+        # The parser is built once per process; each build left 275 cyclic
+        # objects behind on `verify`, for the collector to find later.
+        argv = ["verify", str(RECORDS / "deep-o6" / "E12.json")]
+        assert main(argv) == 0
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        capsys.readouterr()
 
     def test_benchmark_names_exported(self):
         # perfbench/worker.py and perfbench/tracing.py look these names up;

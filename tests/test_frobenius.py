@@ -1,12 +1,14 @@
 import gc
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from primform import frobenius
 from exact_forms import plus_term
-from primform.algebra import SSeries, mat_inv, mono_mul
+from primform.algebra import SSeries, format_rational, mat_inv, mono_mul
 from primform.frobenius import (
     IntegrabilityError,
     euler_check,
@@ -23,6 +25,14 @@ from primform.milnor import central_charge, divide_by_jacobian, milnor_basis
 from primform.primitive import PrimitiveFormResult, build_unfolding, solve_star
 
 F = Fraction
+
+# The order-6 golden records of the benchmark, only read.
+RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "records"
+ORDER6_RECORDS = [
+    RECORDS / "deep-o6" / "E12.json",
+    RECORDS / "deep-o6" / "U12.json",
+    RECORDS / "verify-o6" / "Q10.json",
+]
 
 
 def full_order_inverse(t_of_s, order):
@@ -425,6 +435,38 @@ class TestEuler:
         report = euler_check(bad, [1 - d for d in data.degrees], central_charge(data.f))
         assert not report.passed
         assert report.violations[0]["degree"] == "3"
+
+    @pytest.mark.parametrize("record_path", ORDER6_RECORDS, ids=lambda p: p.stem)
+    @pytest.mark.parametrize(
+        "flat_shift, c_hat_shift", [(F(0), F(0)), (F(1, 7), F(0)), (F(0), F(1, 5))]
+    )
+    def test_int_degrees_match_fraction_sums(self, record_path, flat_shift, c_hat_shift):
+        # The check compares int numerators over one denominator; the
+        # reference is the Fraction sum it replaced.  A shifted flat degree
+        # or central charge must give the same violations in the same order.
+        record = json.loads(record_path.read_text())
+        mu = len(record["basis"])
+        f0 = SSeries.from_records(record["terms"], mu, record["order"])
+        flat = [F(d) for d in record["flat_degrees"]]
+        flat[1] += flat_shift
+        c_hat = F(record["central_charge"]) + c_hat_shift
+        target = 3 - c_hat
+        expected = []
+        for mono, coeff in f0.sorted_terms():
+            degree = sum((F(k) * d for k, d in zip(mono, flat)), F(0))
+            if degree != target:
+                expected.append(
+                    {
+                        "monomial": mono,
+                        "coefficient": format_rational(coeff),
+                        "degree": format_rational(degree),
+                        "expected": format_rational(target),
+                    }
+                )
+        report = euler_check(f0, flat, c_hat)
+        assert report.violations == expected
+        assert report.checked == len(f0.terms)
+        assert bool(expected) == bool(flat_shift or c_hat_shift)
 
 
 class TestSymmetry:

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from primform import brieskorn, primitive
+from primform import milnor, primitive
 from primform.algebra import LaurentBlock, SSeries, mono_mul, unpack_monomial, weighted_degree
 from primform.frobenius import prepotential
 from primform.milnor import _JacobianDivider, milnor_basis
@@ -148,12 +148,14 @@ class TestSolveStar:
     def test_work_counters_pinned(self, catalog, monkeypatch):
         # Series products, J terms, reduction-cache entries, the total
         # echelon size of the Jacobian division and the monomial_class
-        # lookups answered from the cache, in a cold order-4 solve; and the
+        # calls answered from the cache, in a cold order-4 solve; and the
         # generator columns eliminated in milnor_basis and that solve.  A
-        # rise in any of them is more work for the same J.
+        # rise in any of them is more work for the same J.  The solve gets
+        # every class through monomial_class, so the hits are every memo
+        # hit: the solve's own repeats and those inside the recursion.
         calls, hits, columns = [], [], []
         original = SSeries.__mul__
-        original_class = brieskorn.monomial_class
+        original_class = milnor.monomial_class
         original_eliminate = _JacobianDivider._eliminate
 
         def counting(a, b):
@@ -182,7 +184,7 @@ class TestSolveStar:
                 hits.clear()
                 patch.setattr(SSeries, "__mul__", counting)
                 patch.setattr(SSeries, "__rmul__", counting)
-                patch.setattr(brieskorn, "monomial_class", counting_class)
+                patch.setattr(milnor, "monomial_class", counting_class)
                 patch.setattr(primitive, "monomial_class", counting_class)
                 result = solve_star(state, floor=-4)
             j_terms = sum(len(series.terms) for _, _, series in result.J.iter_terms())
@@ -191,7 +193,7 @@ class TestSolveStar:
             eliminated[name] = len(columns)
         # The solve forms no series product: it runs on ints, and looks up
         # each lattice class once per call.
-        assert counts == {"E12": (0, 1054, 105, 182, 70), "U12": (0, 643, 225, 720, 146)}
+        assert counts == {"E12": (0, 1054, 105, 182, 203), "U12": (0, 643, 225, 720, 351)}
         # The division stops taking generator columns at the ideal's rank
         # (242 and 1378 columns without the stop).
         assert eliminated == {"E12": 218, "U12": 1364}

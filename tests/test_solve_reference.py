@@ -16,8 +16,7 @@ import pytest
 
 from exact_forms import add_term, plus_term
 from primform.algebra import LaurentBlock, SSeries, mono_mul
-from primform.brieskorn import monomial_class
-from primform.milnor import milnor_basis
+from primform.milnor import milnor_basis, monomial_class
 from primform.primitive import (
     PrimitiveFormResult,
     build_unfolding,
