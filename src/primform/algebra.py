@@ -28,7 +28,6 @@ The canonical term order used for printing and serialization is graded
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
 from typing import Iterable, Iterator
 
 
@@ -157,15 +156,16 @@ class SSeries:
     a power series truncated by total degree, or a polynomial.
 
     One class serves both the polynomials in x of the Milnor algebra and
-    the series in the deformation parameters s.  With an integer order every
-    kept exponent vector has total degree <= order and multiplication
-    truncates past it, so ring operations agree with arithmetic in the
-    quotient by (degree > order).  Order None truncates nothing: the series
-    is a polynomial.  A binary operation keeps the smaller integer order of
-    its operands, and gives None only when both orders are None.
+    the series in the deformation parameters s.  The constructor is the
+    only place that drops terms: it keeps no zero coefficient and, with an
+    integer order, no term of total degree above it, so ring operations
+    agree with arithmetic in the quotient by (degree > order).  Order None
+    truncates nothing: the series is a polynomial.  A binary operation
+    keeps the smaller integer order of its operands, and gives None only
+    when both orders are None.
     """
 
-    __slots__ = ("nvars", "order", "terms", "_by_degree")
+    __slots__ = ("nvars", "order", "terms")
 
     def __init__(self, nvars: int, order: int | None, terms: dict | None = None):
         if order is None:
@@ -178,16 +178,6 @@ class SSeries:
             }
         self.nvars = nvars
         self.order = order
-        self._by_degree = None
-
-    @classmethod
-    def zero(cls, nvars: int, order: int | None) -> "SSeries":
-        return cls(nvars, order)
-
-    @classmethod
-    def const(cls, nvars: int, order: int | None, value) -> "SSeries":
-        c = Fraction(value)
-        return cls(nvars, order, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def variable(cls, nvars: int, idx: int, order: int | None) -> "SSeries":
@@ -206,21 +196,22 @@ class SSeries:
             and self.terms == other.terms
         )
 
-    def _check_compatible(self, other: "SSeries") -> None:
+    def _joint_order(self, other: "SSeries") -> int | None:
+        """The order of a binary result: the smaller integer order, None
+        only when both orders are None."""
         if self.nvars != other.nvars:
             raise ValueError(f"variable-count mismatch: {self.nvars} vs {other.nvars}")
+        if self.order is None:
+            return other.order
+        if other.order is None:
+            return self.order
+        return min(self.order, other.order)
 
     def __add__(self, other: "SSeries") -> "SSeries":
-        self._check_compatible(other)
-        try:
-            order = bound = min(self.order, other.order)
-        except TypeError:  # an order of None truncates nothing
-            order = other.order if self.order is None else self.order
-            bound = inf if order is None else order
-        out = {m: c for m, c in self.terms.items() if sum(m) <= bound}
+        order = self._joint_order(other)
+        out = dict(self.terms)
         for m, c in other.terms.items():
-            if sum(m) <= bound:
-                out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, Fraction(0)) + c
         return SSeries(self.nvars, order, out)
 
     def __sub__(self, other: "SSeries") -> "SSeries":
@@ -229,35 +220,15 @@ class SSeries:
     def __neg__(self) -> "SSeries":
         return SSeries(self.nvars, self.order, {m: -c for m, c in self.terms.items()})
 
-    def _buckets(self) -> dict[int, list]:
-        if self._by_degree is None:
-            buckets: dict[int, list] = {}
-            for m, c in self.terms.items():
-                buckets.setdefault(sum(m), []).append((m, c))
-            self._by_degree = buckets
-        return self._by_degree
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_compatible(other)
-        try:
-            order = bound = min(self.order, other.order)
-        except TypeError:  # an order of None truncates nothing
-            order = other.order if self.order is None else self.order
-            bound = inf if order is None else order
+        order = self._joint_order(other)
         out: dict = {}
-        buckets_b = other._buckets()
-        for da, items_a in self._buckets().items():
-            if da > bound:
-                continue
-            for db, items_b in buckets_b.items():
-                if da + db > bound:
-                    continue
-                for ma, ca in items_a:
-                    for mb, cb in items_b:
-                        m = mono_mul(ma, mb)
-                        out[m] = out.get(m, Fraction(0)) + ca * cb
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
+                m = mono_mul(ma, mb)
+                out[m] = out.get(m, Fraction(0)) + ca * cb
         return SSeries(self.nvars, order, out)
 
     __rmul__ = __mul__
@@ -273,7 +244,7 @@ class SSeries:
 
     def degree_part(self, d: int) -> "SSeries":
         """The homogeneous component of total degree exactly d."""
-        return SSeries(self.nvars, self.order, dict(self._buckets().get(d, ())))
+        return SSeries(self.nvars, self.order, {m: c for m, c in self.terms.items() if sum(m) == d})
 
     def diff(self, idx: int) -> "SSeries":
         """Formal partial derivative; a truncated result is exact one order

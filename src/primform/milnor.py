@@ -495,7 +495,7 @@ def hessian_determinant(f: WeightedPolynomial) -> SSeries:
     skipping each p that meets a zero second derivative."""
     n = f.nvars
     second = [[f.poly.diff(i).diff(j) for j in range(n)] for i in range(n)]
-    total = SSeries.zero(n, None)
+    total = SSeries(n, None)
     for perm in permutations(range(n)):
         factors = [second[i][j] for i, j in enumerate(perm)]
         if not all(factors):

@@ -134,7 +134,7 @@ class PrimitiveFormResult:
             raise ValueError(f"J was solved only down to z^{self.floor}")
         mu, order = self.state.mu, self.order
         vec = self.J.component(m)
-        return [vec.get(a, SSeries.zero(mu, order)) for a in range(mu)]
+        return [vec.get(a, SSeries(mu, order)) for a in range(mu)]
 
 
 def _reduced_products(

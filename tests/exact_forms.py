@@ -6,12 +6,18 @@ which is exact by construction, and reports whether its class vanishes.
 That is a check of the int reduction that shares none of its bookkeeping.
 ``add_term`` and ``plus_term`` accumulate into the ``{z: {index: coeff}}``
 dicts that a ``LaurentBlock`` is built from; the block drops what cancels.
+``const`` is the constant series.
 """
 
 from fractions import Fraction
 
 from primform.algebra import LaurentBlock, SSeries
 from primform.milnor import monomial_class
+
+
+def const(nvars: int, order: int | None, value) -> SSeries:
+    """The constant `value` as a series in nvars variables at `order`."""
+    return SSeries(nvars, order, {(0,) * nvars: Fraction(value)})
 
 
 def add_term(z_terms: dict, zp: int, idx: int, coeff) -> None:
@@ -50,8 +56,8 @@ def verify_exact_class(h: list, data) -> bool:
     element df ^ eta + z d(eta) is exact, so its canonical class must vanish.
     """
     f = data.f
-    pairing_part = SSeries.zero(f.nvars, None)
-    derivative_part = SSeries.zero(f.nvars, None)
+    pairing_part = SSeries(f.nvars, None)
+    derivative_part = SSeries(f.nvars, None)
     for i, h_i in enumerate(h):
         pairing_part = pairing_part + h_i * f.poly.diff(i)
         derivative_part = derivative_part + h_i.diff(i)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from exact_forms import const
 from primform.algebra import (
     LaurentBlock,
     SSeries,
@@ -92,12 +93,12 @@ class TestPoly:
     def test_render(self):
         xy = ["x", "y"]
         assert P("x^2 - y^2", xy).render(xy) == "x^2 - y^2"
-        assert SSeries.zero(2, None).render(xy) == "0"
+        assert SSeries(2, None).render(xy) == "0"
 
 
 class TestSSeries:
     def test_difference_of_squares_truncated(self):
-        one = SSeries.const(1, 2, 1)
+        one = const(1, 2, 1)
         s1 = SSeries.variable(1, 0, 2)
         assert (one + s1) * (one - s1) == one - s1 * s1
 
@@ -109,7 +110,7 @@ class TestSSeries:
 
     def test_hand_expansion(self):
         # (1 + s + s^2)(1 + s) at order 2 -> 1 + 2s + 2s^2
-        one = SSeries.const(1, 2, 1)
+        one = const(1, 2, 1)
         s = SSeries.variable(1, 0, 2)
         product = (one + s + s * s) * (one + s)
         assert product == SSeries(1, 2, {(0,): Fraction(1), (1,): Fraction(2), (2,): Fraction(2)})
@@ -153,6 +154,54 @@ class TestSSeries:
             assert (a * b) * c == a * (b * c)
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
+
+    def test_order_rule_mixed_orders_fuzz(self):
+        # Operands whose orders differ, None among them, against a
+        # term-by-term reference of the rule: no zero coefficient, nothing
+        # above the smaller integer order, None only when both are None.
+        rng = random.Random(41)
+
+        def kept(terms, order):
+            return {m: c for m, c in terms.items() if c and (order is None or sum(m) <= order)}
+
+        def raw_terms(nvars):
+            terms = {}
+            for _ in range(rng.randint(0, 6)):
+                exps = [0] * nvars
+                for _ in range(rng.randint(0, 7)):
+                    exps[rng.randrange(nvars)] += 1
+                terms[tuple(exps)] = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+            return terms
+
+        orders = [None, 0, 1, 2, 3, 4, 5]
+        for _ in range(300):
+            nvars = rng.randint(1, 3)
+            oa, ob = rng.choice(orders), rng.choice(orders)
+            ta, tb = raw_terms(nvars), raw_terms(nvars)
+            a, b = SSeries(nvars, oa, ta), SSeries(nvars, ob, tb)
+            assert a.order == oa and a.terms == kept(ta, oa)
+            joint = ob if oa is None else oa if ob is None else min(oa, ob)
+
+            sums, diffs, products = {}, {}, {}
+            for m in set(a.terms) | set(b.terms):
+                ca, cb = a.terms.get(m, 0), b.terms.get(m, 0)
+                sums[m], diffs[m] = ca + cb, ca - cb
+            for ma, ca in a.terms.items():
+                for mb, cb in b.terms.items():
+                    m = tuple(x + y for x, y in zip(ma, mb))
+                    products[m] = products.get(m, 0) + ca * cb
+            for got, want in ((a + b, sums), (a - b, diffs), (a * b, products), (b * a, products)):
+                assert got.order == joint and got.nvars == nvars
+                assert got.terms == kept(want, joint)
+            for d in range(-1, 9):
+                part = a.degree_part(d)
+                assert part.order == oa
+                assert part.terms == {m: c for m, c in a.terms.items() if sum(m) == d}
+        with pytest.raises(ValueError, match="variable-count mismatch"):
+            SSeries(2, 3) + SSeries(3, None)
+        with pytest.raises(ValueError, match="truncation order"):
+            SSeries(2, -1)
+        assert SSeries(2, None, {(9, 9): Fraction(1)}).terms == {(9, 9): Fraction(1)}
 
     def test_degree_part_and_diff(self):
         s = SSeries(2, 3, {(1, 0): Fraction(2), (1, 1): Fraction(3), (0, 3): Fraction(1)})
@@ -231,7 +280,7 @@ class TestPackedMonomials:
 class TestLaurentBlock:
     def test_constructor_drops_zeros(self):
         s = SSeries.variable(2, 0, 2)
-        block = LaurentBlock({0: {0: s, 1: s - s}, -1: {0: SSeries.zero(2, 2)}})
+        block = LaurentBlock({0: {0: s, 1: s - s}, -1: {0: SSeries(2, 2)}})
         assert block.z_terms == {0: {0: s}}
         assert block.z_powers() == [0]
         assert not LaurentBlock({0: {1: s - s}})

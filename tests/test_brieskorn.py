@@ -70,7 +70,7 @@ class TestReduce:
 class TestExactness:
     def test_zero_form(self, milnor_cache):
         data = milnor_cache("E12")
-        assert verify_exact_class([SSeries.zero(2, None), SSeries.zero(2, None)], data)
+        assert verify_exact_class([SSeries(2, None), SSeries(2, None)], data)
 
     def test_one_variable_hand_case(self, milnor_cache):
         # h = (x) for f = x^3: df ^ eta + z d(eta) = 3x^3 + z, both reductions

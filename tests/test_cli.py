@@ -10,7 +10,7 @@ import pytest
 
 import primform
 from primform import cli
-from exact_forms import plus_term
+from exact_forms import const, plus_term
 from primform.algebra import SSeries
 from primform.cli import main
 from primform.frobenius import FrobeniusData
@@ -252,7 +252,7 @@ class TestCompute:
         # A constant in J_(-2) is no gradient of a normalized F0; the raise
         # reaches main like any ArithmeticError.
         def broken(result, data):
-            J = plus_term(result.J, -2, 0, SSeries.const(data.mu, result.order, Fraction(1, 7)))
+            J = plus_term(result.J, -2, 0, const(data.mu, result.order, Fraction(1, 7)))
             return primform.prepotential(
                 PrimitiveFormResult(result.zeta, J, result.state, result.floor),
                 data,
@@ -794,6 +794,10 @@ class TestEntryPoint:
         ):
             assert name in primform.__all__ and callable(getattr(primform, name)), name
         assert callable(primform.frobenius.prepotential_record)
+        # The tracer wraps the product through the class __dict__: an
+        # inherited or deleted __mul__ turns algebra.series_mul_calls null.
+        for name in ("__mul__", "__rmul__"):
+            assert name in vars(primform.SSeries), name
         # The traced counters read these attributes of the results.
         f = primform.load_catalog()["A2"].weighted_polynomial()
         data = primform.milnor_basis(f)

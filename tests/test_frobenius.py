@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from primform import frobenius
-from exact_forms import plus_term
+from exact_forms import const, plus_term
 from primform.algebra import SSeries, format_rational, mat_inv, mono_mul
 from primform.frobenius import (
     IntegrabilityError,
@@ -56,7 +56,7 @@ def two_pass_prepotential(result, milnor):
     j_minus2_t = substitute(result.j_components(-2), s_of_t)
     gradient = []
     for row in milnor.eta:
-        g = SSeries.zero(mu, order)
+        g = SSeries(mu, order)
         for eta_ab, j in zip(row, j_minus2_t):
             g = g + j.scale(eta_ab)
         gradient.append(g)
@@ -64,10 +64,10 @@ def two_pass_prepotential(result, milnor):
         for b in range(a + 1, mu):
             if gradient[a].diff(b) != gradient[b].diff(a):
                 raise IntegrabilityError(f"mixed second derivatives differ for {a + 1}, {b + 1}")
-    euler_sum = SSeries.zero(mu, order)
+    euler_sum = SSeries(mu, order)
     for a, g in enumerate(gradient):
         euler_sum = euler_sum + g * SSeries.variable(mu, a, order)
-    f0 = SSeries.zero(mu, order)
+    f0 = SSeries(mu, order)
     for d in range(3, order + 1):
         f0 = f0 + euler_sum.degree_part(d).scale(F(1, d))
     for a, g in enumerate(gradient):
@@ -115,7 +115,13 @@ class TestInvertCoordinates:
 
     def test_rejects_non_identity_linear_part(self):
         t = [SSeries.variable(2, 1, 3), SSeries.variable(2, 0, 3)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="identity linear part"):
+            invert_coordinates(t, 3)
+
+    def test_rejects_constant_term(self):
+        # The linear part is the identity, so only the constant can fail.
+        t = [SSeries.variable(2, 0, 3) + const(2, 3, F(1, 5)), SSeries.variable(2, 1, 3)]
+        with pytest.raises(ValueError, match="must vanish at the origin"):
             invert_coordinates(t, 3)
 
     def test_substitute_matches_direct_substitution(self):
@@ -157,15 +163,15 @@ class TestInvertCoordinates:
             composed = substitute(us, substituted)
             # brute force: substitute s(t) into every monomial
             for u, got in zip(us, composed):
-                direct = SSeries.zero(mu, order)
+                direct = SSeries(mu, order)
                 for mono, coeff in u.terms.items():
-                    term = SSeries.const(mu, order, coeff)
+                    term = const(mu, order, coeff)
                     for var, e in enumerate(mono):
                         for _ in range(e):
                             term = term * substituted[var]
                     direct = direct + term
                 assert got == SSeries(mu, u.order, direct.terms)
-        assert substitute([cancelling], [s0, t1, t0]) == [SSeries.zero(mu, order)]
+        assert substitute([cancelling], [s0, t1, t0]) == [SSeries(mu, order)]
 
     def test_substitute_needs_one_integer_order(self):
         u = [SSeries.variable(2, 0, 3)]
@@ -266,7 +272,7 @@ class TestPrepotential:
         # Below order 3 the prepotential is zero, at the result's order.
         for order in range(3):
             frob = prepotential(solved_cache("A2", order), milnor_cache("A2"))
-            assert frob.prepotential == SSeries.zero(2, order)
+            assert frob.prepotential == SSeries(2, order)
             assert frob.order == order
 
     def test_series_products_pinned(self, solved_cache, milnor_cache, monkeypatch):
@@ -312,7 +318,7 @@ class TestIntegrability:
                 exps = [0] * mu
                 for _ in range(degree):
                     exps[rng.randrange(mu)] += 1
-                extras = [SSeries.zero(mu, order)] * mu
+                extras = [SSeries(mu, order)] * mu
                 extras[rng.randrange(mu)] = SSeries(mu, order, {tuple(exps): F(1, 7)})
                 bad = with_j_minus2_added(result, extras)
                 for check in (prepotential, two_pass_prepotential):
@@ -340,7 +346,7 @@ class TestIntegrability:
                 potential = SSeries(mu, None, {tuple(exps): F(2, 11)})
                 field = []
                 for row in eta_inv:
-                    component = SSeries.zero(mu, None)
+                    component = SSeries(mu, None)
                     for a, entry in enumerate(row):
                         component = component + potential.diff(a).scale(entry)
                     field.append(component)

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from exact_forms import const
 from primform import milnor, primitive
 from primform.algebra import LaurentBlock, SSeries, mono_mul, unpack_monomial, weighted_degree
 from primform.frobenius import prepotential
@@ -37,7 +38,7 @@ class TestBuildUnfolding:
         # m! and with s^n packed as n.
         assert state.exp_parts() == [{(0,): [(0, 1)]}, {(0,): [(1, 1)]}, {(0,): [(2, 1)]}]
         assert [as_series(state, m) for m in range(3)] == [
-            {(0,): SSeries.const(1, 2, 1)},
+            {(0,): const(1, 2, 1)},
             {(0,): SSeries.variable(1, 0, 2)},
             {(0,): SSeries(1, 2, {(2,): F(1, 2)})},
         ]
@@ -89,7 +90,7 @@ class TestBuildUnfolding:
         assert not calls  # built term by term, with no series product
         assert len(parts) == order + 1
         linear = {mono: SSeries.variable(mu, a, order) for a, mono in enumerate(data.basis)}
-        power = {(0,) * state.base.nvars: SSeries.const(mu, order, 1)}
+        power = {(0,) * state.base.nvars: const(mu, order, 1)}
         for m in range(order + 1):
             expected = {x: c * F(1, factorial(m)) for x, c in power.items() if c}
             assert as_series(state, m) == expected, m
@@ -97,7 +98,7 @@ class TestBuildUnfolding:
             for xa, ca in power.items():
                 for xb, cb in linear.items():
                     x = mono_mul(xa, xb)
-                    raised[x] = raised.get(x, SSeries.zero(mu, order)) + ca * cb
+                    raised[x] = raised.get(x, SSeries(mu, order)) + ca * cb
             power = raised
 
 
@@ -109,7 +110,7 @@ class TestSolveStar:
             )
             result = solve_star(state)
             mu = state.mu
-            one = SSeries.const(mu, 0, 1)
+            one = const(mu, 0, 1)
             assert result.zeta.z_terms == {0: {0: one}}
             assert result.J.z_terms == {0: {0: one}}
 
@@ -119,7 +120,7 @@ class TestSolveStar:
         )
         result = solve_star(state)
         # zeta gets no correction; J_(-1) = s_1 phi_1 + s_2 phi_2.
-        assert result.zeta.z_terms == {0: {0: SSeries.const(2, 1, 1)}}
+        assert result.zeta.z_terms == {0: {0: const(2, 1, 1)}}
         jm1 = result.j_components(-1)
         assert jm1[0] == SSeries.variable(2, 0, 1)
         assert jm1[1] == SSeries.variable(2, 1, 1)
@@ -130,13 +131,13 @@ class TestSolveStar:
             mu = result.state.mu
             # zeta's s-degree-0 part is exactly the volume class.
             constant = result.zeta.component(0).get(0)
-            assert constant.degree_part(0) == SSeries.const(mu, 3, 1)
+            assert constant.degree_part(0) == const(mu, 3, 1)
             for zp in result.zeta.z_powers():
                 assert zp >= 0
             # J's nonnegative part is the bare volume class.
             for zp in result.J.z_powers():
                 assert zp <= 0
-            assert result.J.component(0) == {0: SSeries.const(mu, 3, 1)}
+            assert result.J.component(0) == {0: const(mu, 3, 1)}
 
     def test_determinism(self, catalog, milnor_cache):
         data = milnor_cache("Q10")
@@ -259,7 +260,7 @@ class TestFloor:
             result.j_components(-3)
         # Below z^-order J is zero by degree, whatever the floor.
         full = solved_cache("E12", 4)
-        assert full.j_components(-5) == [SSeries.zero(full.state.mu, 4)] * full.state.mu
+        assert full.j_components(-5) == [SSeries(full.state.mu, 4)] * full.state.mu
         with pytest.raises(ValueError, match="floor must be <= 0"):
             solve_star(state, floor=1)
 

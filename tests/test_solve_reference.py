@@ -14,7 +14,7 @@ from math import factorial, prod
 
 import pytest
 
-from exact_forms import add_term, plus_term
+from exact_forms import add_term, const, plus_term
 from primform.algebra import LaurentBlock, SSeries, mono_mul
 from primform.milnor import milnor_basis, monomial_class
 from primform.primitive import (
@@ -63,7 +63,7 @@ def accumulate_product(target, part, block, data, z_shift):
 def fraction_solve(state):
     """(zeta, J) of the recursion on Fraction series."""
     data = state.milnor
-    one = SSeries.const(state.mu, state.order, 1)
+    one = const(state.mu, state.order, 1)
     parts = fraction_exp_parts(state)
     unit = data.basis_index((0,) * data.f.nvars)
     zeta_slices = [LaurentBlock({0: {unit: one}})]

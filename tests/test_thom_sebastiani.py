@@ -1,0 +1,103 @@
+"""A Thom-Sebastiani oracle: x_1^n_1 + ... + x_k^n_k against closed forms.
+
+For one variable, x^n has the Milnor basis x^i for 0 <= i <= n - 2, x^i of
+degree i/n, and the residue pairing eta(x^i, x^j) = 1/n when i + j = n - 2
+and 0 otherwise.  A sum of polynomials in separate variables has the tensor
+product of their Milnor algebras: the basis is the products of the factors'
+bases, a degree is the sum of the factors' degrees, and the pairing is the
+product of theirs.  The cubic part of F0 is (1/6) sum_abc C_abc t_a t_b t_c
+with C_abc = eta(phi_a phi_b, phi_c) = prod_k (1/n_k)[i_k + j_k + l_k = n_k - 2],
+so the monomial t^m of degree 3 has the coefficient C / prod_a m_a!.
+
+Nothing here is computed by the engine: it is read only for the values
+that are compared.
+"""
+
+from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement, product
+from math import factorial, prod
+
+import pytest
+
+from primform import build_unfolding, load_catalog, milnor_basis, prepotential, solve_star
+
+ORDER = 3
+CASES = {"A4": (5,), "E12": (3, 7), "P8": (3, 3, 3), "U12": (3, 3, 4)}
+
+
+def closed_forms(exponents, pairing_scale=1, swap_degrees=False):
+    """(basis, degrees, eta, cubic) of the sum of the x_k^n_k.
+
+    basis is a set of exponent tuples, degrees and eta are keyed by basis
+    elements and pairs of them, cubic by sorted triples.  pairing_scale
+    multiplies the first factor's pairing; swap_degrees exchanges the
+    degrees of the first two basis elements of different degree.  Both are
+    for negative controls.
+    """
+    basis = list(product(*(range(n - 1) for n in exponents)))
+    degrees = {b: sum(Fraction(i, n) for i, n in zip(b, exponents)) for b in basis}
+    if swap_degrees:
+        first = basis[0]
+        other = next(b for b in basis if degrees[b] != degrees[first])
+        degrees[first], degrees[other] = degrees[other], degrees[first]
+
+    def pairing(*monos):
+        value = Fraction(pairing_scale)
+        for k, n in enumerate(exponents):
+            if sum(m[k] for m in monos) != n - 2:
+                return Fraction(0)
+            value /= n
+        return value
+
+    eta = {(a, b): pairing(a, b) for a in basis for b in basis}
+    cubic = {}
+    for triple in combinations_with_replacement(sorted(basis), 3):
+        c = pairing(*triple)
+        if c:
+            cubic[triple] = c / prod(factorial(triple.count(m)) for m in set(triple))
+    return set(basis), degrees, eta, cubic
+
+
+@cache
+def engine_values(name):
+    """The same four values as the engine computes them at ORDER."""
+    entry = load_catalog()[name]
+    f = entry.weighted_polynomial()
+    data = milnor_basis(f)
+    f0 = prepotential(solve_star(build_unfolding(f, data, ORDER)), data).prepotential
+    basis = data.basis
+    degrees = dict(zip(basis, data.degrees))
+    eta = {(a, b): data.eta[i][j] for i, a in enumerate(basis) for j, b in enumerate(basis)}
+    cubic = {}
+    for exps, c in f0.terms.items():
+        assert sum(exps) == 3, f"{name}: F0 at order 3 has a term of degree {sum(exps)}"
+        triple = tuple(sorted(m for m, e in zip(basis, exps) for _ in range(e)))
+        cubic[triple] = c
+    return entry.poly.terms, (set(basis), degrees, eta, cubic)
+
+
+FIELDS = ("basis", "degrees", "eta", "cubic F0")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_engine_matches_closed_forms(name):
+    exponents = CASES[name]
+    poly, got = engine_values(name)
+    k = len(exponents)
+    diagonal = {tuple(n if j == i else 0 for j in range(k)): 1 for i, n in enumerate(exponents)}
+    assert poly == diagonal
+    want = closed_forms(exponents)
+    assert [what for what, g, w in zip(FIELDS, got, want) if g != w] == []
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize(
+    "perturbation, fails",
+    [({"pairing_scale": 2}, ["eta", "cubic F0"]), ({"swap_degrees": True}, ["degrees"])],
+    ids=["pairing", "degrees"],
+)
+def test_perturbed_closed_forms_fail(name, perturbation, fails):
+    _, got = engine_values(name)
+    want = closed_forms(CASES[name], **perturbation)
+    assert [what for what, g, w in zip(FIELDS, got, want) if g != w] == fails

@@ -35,7 +35,7 @@ def dense_wdvv(f0: SSeries, eta, order: int):
     def contracted(a, b):
         row = []
         for fi in range(mu):
-            acc = SSeries.zero(mu, check_order)
+            acc = SSeries(mu, check_order)
             for e in range(mu):
                 coeff = eta_inv[e][fi]
                 if coeff:
@@ -56,7 +56,7 @@ def dense_wdvv(f0: SSeries, eta, order: int):
                     right = t_cache.get((a, c))
                     if right is None:
                         right = t_cache[(a, c)] = contracted(a, c)
-                    diff = SSeries.zero(mu, check_order)
+                    diff = SSeries(mu, check_order)
                     for fi in range(mu):
                         diff = diff + left[fi] * third[(fi, c, d)] - right[fi] * third[(fi, b, d)]
                     checked += 1
