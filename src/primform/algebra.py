@@ -28,6 +28,7 @@ The canonical term order used for printing and serialization is graded
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 from typing import Iterable, Iterator
 
 
@@ -159,7 +160,8 @@ class SSeries:
     the series in the deformation parameters s.  The constructor is the
     only place that drops terms: it keeps no zero coefficient and, with an
     integer order, no term of total degree above it, so ring operations
-    agree with arithmetic in the quotient by (degree > order).  Order None
+    agree with arithmetic in the quotient by (degree > order); a product
+    skips a term pair above that order before forming it.  Order None
     truncates nothing: the series is a polynomial.  A binary operation
     keeps the smaller integer order of its operands, and gives None only
     when both orders are None.
@@ -224,11 +226,15 @@ class SSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         order = self._joint_order(other)
+        top = inf if order is None else order
+        rights = [(sum(mb), mb, cb) for mb, cb in other.terms.items()]
         out: dict = {}
         for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = mono_mul(ma, mb)
-                out[m] = out.get(m, Fraction(0)) + ca * cb
+            room = top - sum(ma)
+            for db, mb, cb in rights:
+                if db <= room:
+                    m = mono_mul(ma, mb)
+                    out[m] = out.get(m, Fraction(0)) + ca * cb
         return SSeries(self.nvars, order, out)
 
     __rmul__ = __mul__

@@ -25,6 +25,14 @@ recursion itself reads only zeta.  A product whose weighted degree bound
 puts it below the floor is skipped before its class is computed, and the
 defect checks the z >= floor part of the result.
 
+The floor also bounds E_m.  Every term s^n z^p phi_b of zeta and J has
+p + deg_s(n) + deg(phi_b) = 0, and zeta lives at p >= 0, so a term of
+zeta_j has p + deg(phi_b) <= j nu, nu = max(0, -min_a deg s_a).  A product
+of s^n in E_m with zeta_(k-m) thus lands at z <= (order - m) nu - deg_s(n),
+and `exp_parts(floor)` builds only the s^n with deg_s(n) <= -floor +
+(order - m) nu: what it drops, the kernel would skip.  With floor = -order
+it drops nothing.
+
 The solve and the defect run on Python ints.  E_m is stored times m!, so
 its coefficients m!/n! are ints; each zeta_k is kept as int numerators over
 one denominator D_k; each lattice class comes from `milnor.monomial_class`
@@ -63,43 +71,60 @@ class UnfoldingState:
         self.milnor = milnor
         self.order = order
         self.s_degrees = tuple(1 - d for d in milnor.degrees)
-        self._parts = None
+        self._parts = {}
 
     @property
     def mu(self) -> int:
         return self.milnor.mu
 
-    def exp_parts(self) -> list[dict]:
-        """The s-degree-m parts of exp(F - f) for m = 0..order, times m!.
+    def exp_parts(self, floor: int) -> list[dict]:
+        """The s-degree-m parts of exp(F - f) for m = 0..order, times m!,
+        where a product with zeta can reach z >= floor.
 
-        Part m maps each x-monomial to its [(packed n, m!/n!)] over |n| = m,
-        so that it is m! sum_{|n| = m} s^n phi^n / n! with int coefficients;
-        each s-monomial s^n is packed in base order + 1, as by `pack_monomial`.
+        Part m maps each x-monomial to its [(packed n, m!/n!)] over |n| = m
+        and deg_s(n) <= -floor + (order - m) nu (the bound of the module
+        docstring), so that it is m! sum s^n phi^n / n! with int
+        coefficients; each s^n is packed in base order + 1, as by
+        `pack_monomial`.  With floor = -order it is the whole exp(F - f).
+        Degrees are ints scaled by the lcm of the weight denominators, and
+        the parts are cached per floor.
         """
-        if self._parts is None:
+        parts = self._parts.get(floor)
+        if parts is None:
             mu, order, basis = self.mu, self.order, self.milnor.basis
+            divider = self.milnor._divider
             digits = [(order + 1) ** a for a in range(mu)]
+            # Appending a costs deg s_a + nu >= 0 of the slack -floor +
+            # order nu: a word that overdraws it is dropped with every word
+            # that extends it.  A basis need not be sorted by degree, so the
+            # loop over a is not cut short.
+            sdegs = [divider.scale - divider.sdeg(mono) for mono in basis]
+            nu = max(0, -min(sdegs))
+            costs = [sd + nu for sd in sdegs]
             # The words a_1 <= ... <= a_m of part m, each as (a_m, the
-            # multiplicity of a_m, x-monomial, packed n, m!/n!): appending
-            # a to a word of part m - 1 adds digit a to n and multiplies
-            # the coefficient by m / n_a.
-            words = [(0, 0, (0,) * self.base.nvars, 0, 1)]
+            # multiplicity of a_m, x-monomial, packed n, m!/n!, slack):
+            # appending a to a word of part m - 1 adds digit a to n and
+            # multiplies the coefficient by m / n_a.
+            words = [(0, 0, (0,) * self.base.nvars, 0, 1, -floor * divider.scale + order * nu)]
             parts = []
             for m in range(order + 1):
                 if m:
                     longer = []
-                    for last, tail, x_mono, packed, coeff in words:
+                    for last, tail, x_mono, packed, coeff, slack in words:
                         for a in range(last, mu):
+                            left = slack - costs[a]
+                            if left < 0:
+                                continue
                             run = tail + 1 if a == last else 1
                             x_a, n_a = mono_mul(x_mono, basis[a]), packed + digits[a]
-                            longer.append((a, run, x_a, n_a, coeff * m // run))
+                            longer.append((a, run, x_a, n_a, coeff * m // run, left))
                     words = longer
                 part: dict = {}
-                for _, _, x_mono, packed, coeff in words:
+                for _, _, x_mono, packed, coeff, _ in words:
                     part.setdefault(x_mono, []).append((packed, coeff))
                 parts.append(part)
-            self._parts = parts
-        return self._parts
+            self._parts[floor] = parts
+        return parts
 
 
 def build_unfolding(f: WeightedPolynomial, milnor: MilnorData, order: int) -> UnfoldingState:
@@ -258,7 +283,7 @@ def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
     if floor > 0:
         raise ValueError("the J floor must be <= 0: zeta lives at z >= 0")
     milnor, mu, order = state.milnor, state.mu, state.order
-    parts = state.exp_parts()
+    parts = state.exp_parts(floor)
 
     # Both start at the volume form: the monomial 1, wherever the basis puts it.
     volume = {(0, milnor.basis_index((0,) * milnor.f.nvars)): [(0, 1)]}
@@ -283,8 +308,11 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
 
     Every product E_m zeta_j with m + j <= order, m = 0 included, is formed
     again from the Fraction series of the result through the solve's own
-    kernel, `_reduced_products`, with the result's floor: what lands below
-    the floor, and J there, is not checked.  Slice k runs over the lcm of
+    kernel, `_reduced_products`, with the result's floor and
+    `exp_parts(result.floor)`: what lands below the floor, and J there, is
+    not checked.  The parts rest on the grading of zeta; a zeta perturbed
+    off it is still caught at its lowest perturbed s-degree, where every
+    other product reads only unperturbed slices.  Slice k runs over the lcm of
     its products' denominators and of J_k's, and only a nonzero remainder
     is divided back into Fractions.  On a fresh result the z <= -1 part of
     the remainder is J's definition and the z >= 0 part is zeta's, so the
@@ -296,7 +324,7 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
     """
     state, floor = result.state, result.floor
     milnor, mu, order = state.milnor, state.mu, state.order
-    parts = state.exp_parts()
+    parts = state.exp_parts(floor)
     zeta_slices = _sliced(result.zeta, order)
     remainder = []
     for k, (d_j, j_k) in enumerate(_sliced(result.J, order)):

@@ -9,14 +9,14 @@ from primform import milnor, primitive
 from primform.algebra import LaurentBlock, SSeries, mono_mul, unpack_monomial, weighted_degree
 from primform.frobenius import prepotential
 from primform.milnor import _JacobianDivider, milnor_basis
-from primform.primitive import build_unfolding, defect_is_zero, solve_star
+from primform.primitive import UnfoldingState, build_unfolding, defect_is_zero, solve_star
 
 F = Fraction
 
 
-def as_series(state, m):
-    """Part m of exp(F - f) as {x-monomial: s-series}: each packed s^n
-    unpacked, each int coefficient divided by m!."""
+def as_series(state, m, floor):
+    """Part m of exp(F - f) at the floor as {x-monomial: s-series}: each
+    packed s^n unpacked, each int coefficient divided by m!."""
     mu, order = state.mu, state.order
     return {
         x: SSeries(
@@ -24,8 +24,12 @@ def as_series(state, m):
             order,
             {unpack_monomial(n, order + 1, mu): F(c, factorial(m)) for n, c in terms},
         )
-        for x, terms in state.exp_parts()[m].items()
+        for x, terms in state.exp_parts(floor)[m].items()
     }
+
+
+def exp_terms(parts):
+    return sum(len(terms) for part in parts for terms in part.values())
 
 
 class TestBuildUnfolding:
@@ -36,8 +40,10 @@ class TestBuildUnfolding:
         assert state.s_degrees == (F(1),)
         # phi_0 = 1, so every part sits at x^0: 1, s and s^2/2, each times
         # m! and with s^n packed as n.
-        assert state.exp_parts() == [{(0,): [(0, 1)]}, {(0,): [(1, 1)]}, {(0,): [(2, 1)]}]
-        assert [as_series(state, m) for m in range(3)] == [
+        assert state.exp_parts(-2) == [{(0,): [(0, 1)]}, {(0,): [(1, 1)]}, {(0,): [(2, 1)]}]
+        # deg s = 1 and nu = 0: at floor -1 the part of s-degree 2 is empty.
+        assert state.exp_parts(-1) == [{(0,): [(0, 1)]}, {(0,): [(1, 1)]}, {}]
+        assert [as_series(state, m, -2) for m in range(3)] == [
             {(0,): const(1, 2, 1)},
             {(0,): SSeries.variable(1, 0, 2)},
             {(0,): SSeries(1, 2, {(2,): F(1, 2)})},
@@ -72,7 +78,9 @@ class TestBuildUnfolding:
 
     @pytest.mark.parametrize("name", ["A3", "D4", "P8", "U12"])
     def test_exp_parts_match_repeated_products(self, name, catalog, milnor_cache, monkeypatch):
-        # Reference: (F - f)^m / m!, each power the one below it times F - f.
+        # Reference: (F - f)^m / m!, each power the one below it times F - f;
+        # whole at floor -order, and at floor -2 only its s^n in part m with
+        # deg_s(n) <= 2 + (order - m) nu, nu = max(0, -min deg s_a).
         order = 4
         data = milnor_cache(name)
         state = build_unfolding(catalog[name].weighted_polynomial(), data, order)
@@ -86,14 +94,23 @@ class TestBuildUnfolding:
 
         with monkeypatch.context() as patch:
             patch.setattr(SSeries, "__mul__", counting)
-            parts = state.exp_parts()
+            parts = [state.exp_parts(-order), state.exp_parts(-2)]
         assert not calls  # built term by term, with no series product
-        assert len(parts) == order + 1
+        assert [len(p) for p in parts] == [order + 1] * 2
+        s_degrees = state.s_degrees
+        nu = max(0, -min(s_degrees))
         linear = {mono: SSeries.variable(mu, a, order) for a, mono in enumerate(data.basis)}
         power = {(0,) * state.base.nvars: const(mu, order, 1)}
         for m in range(order + 1):
             expected = {x: c * F(1, factorial(m)) for x, c in power.items() if c}
-            assert as_series(state, m) == expected, m
+            assert as_series(state, m, -order) == expected, m
+            bound = 2 + (order - m) * nu
+            cut = {}
+            for x, c in expected.items():
+                kept = {n: v for n, v in c.terms.items() if weighted_degree(n, s_degrees) <= bound}
+                if kept:
+                    cut[x] = SSeries(mu, order, kept)
+            assert as_series(state, m, -2) == cut, m
             raised = {}
             for xa, ca in power.items():
                 for xb, cb in linear.items():
@@ -211,6 +228,22 @@ class TestSolveStar:
             counts[name] = (j_terms, len(data._reduce_cache))
         assert counts == {"E12": (635, 100), "U12": (419, 220)}
 
+    def test_exp_terms_pinned(self, catalog, milnor_cache):
+        # The (packed, coefficient) pairs of exp(F - f) at floor -2 and at
+        # -order, where the whole of degree <= order is C(mu + order, order).
+        counts = {}
+        for name in ("E12", "U12"):
+            for order in (4, 6):
+                f = catalog[name].weighted_polynomial()
+                state = build_unfolding(f, milnor_cache(name), order)
+                counts[name, order] = tuple(exp_terms(state.exp_parts(fl)) for fl in (-2, -order))
+        assert counts == {
+            ("E12", 4): (1184, 1820),
+            ("U12", 4): (1409, 1820),
+            ("E12", 6): (4809, 18564),
+            ("U12", 6): (7847, 18564),
+        }
+
     def test_truncation_stability(self, catalog, milnor_cache):
         data = milnor_cache("W12")
         f = catalog["W12"].weighted_polynomial()
@@ -251,6 +284,35 @@ class TestFloor:
     @pytest.mark.parametrize("name", ["E12", "U12"])
     def test_order_six(self, name, agrees):
         agrees(name, 6)
+
+    @pytest.mark.parametrize(
+        "name, order", [("E12", 6), ("U12", 6), ("A4", 4), ("P8", 4), ("W13", 4)]
+    )
+    def test_parts_one_floor_too_high_change_j(
+        self, name, order, catalog, milnor_cache, monkeypatch
+    ):
+        # Negative control: parts built for floor + 1 lack s-monomials whose
+        # products reach z^-2, so the bound has no room to spare.
+        state = build_unfolding(catalog[name].weighted_polynomial(), milnor_cache(name), order)
+        right = solve_star(state)
+        original = UnfoldingState.exp_parts
+        monkeypatch.setattr(UnfoldingState, "exp_parts", lambda st, floor: original(st, floor + 1))
+        strict = solve_star(state)
+        assert strict.zeta == right.zeta
+        assert strict.J.component(-1) == right.J.component(-1)
+        assert strict.J.component(-2) != right.J.component(-2)
+
+    @pytest.mark.parametrize("name, terms", [("E12", 2636), ("U12", 3599), ("W13", 4464)])
+    def test_reversed_basis(self, name, terms, catalog):
+        # The pruning does not assume a basis sorted by degree.
+        f = catalog[name].weighted_polynomial()
+        data = milnor_basis(f, basis=list(reversed(milnor_basis(f).basis)))
+        state = build_unfolding(f, data, 5)
+        full, floored = solve_star(state, floor=-5), solve_star(state)
+        assert floored.zeta == full.zeta
+        assert floored.J.z_terms == {zp: vec for zp, vec in full.J.z_terms.items() if zp >= -2}
+        assert defect_is_zero(floored)
+        assert exp_terms(state.exp_parts(-2)) == terms
 
     def test_below_floor_raises(self, catalog, milnor_cache, solved_cache):
         state = build_unfolding(catalog["E12"].weighted_polynomial(), milnor_cache("E12"), 4)
