@@ -100,8 +100,9 @@ def unpack_monomial(packed: int, base: int, nvars: int) -> tuple[int, ...]:
 
 
 def graded(buckets: dict) -> list:
-    """{degree: {packed: int}} as a graded series, zero coefficients and
-    empty degrees dropped."""
+    """{key: {packed: int}} as [(key, [(packed, int)])] by ascending key,
+    zero coefficients and empty keys dropped.  A key may be any sortable
+    value: a degree, for a graded series, or a (z, index) slot of the solve."""
     series = []
     for degree in sorted(buckets):
         items = [(mono, coeff) for mono, coeff in buckets[degree].items() if coeff]
@@ -241,8 +242,6 @@ class SSeries:
 
     def scale(self, c) -> "SSeries":
         c = Fraction(c)
-        if not c:
-            return SSeries(self.nvars, self.order)
         return SSeries(self.nvars, self.order, {m: coeff * c for m, coeff in self.terms.items()})
 
     def truncate(self, order: int) -> "SSeries":

@@ -77,7 +77,9 @@ def load_catalog(path: str | None = None) -> dict[str, CatalogEntry]:
             text = handle.read()
     try:
         entries = [_entry_from_dict(item) for item in json.loads(text)["entries"]]
-    except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (
+        AttributeError, KeyError, RecursionError, TypeError, ValueError, ZeroDivisionError
+    ) as exc:
         raise ValueError(f"malformed catalog {path or 'catalog.json'}: {exc!r}") from exc
     catalog = {}
     for entry in entries:

@@ -154,7 +154,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.record, "r", encoding="utf-8") as handle:
             record = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: cannot read record: {exc}", file=sys.stderr)
         return 1
     try:

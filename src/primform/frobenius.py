@@ -80,8 +80,9 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
     D^(top - |w|) as well, top the length of its longest word, so that
     every term adds E D^top u_J s(t)^J; each output coefficient is divided
     by E D^top once.  A monomial is packed in base N + 1, N the order of
-    s(t), which no exponent of a kept term exceeds.  Each result keeps the
-    order of its u and no term above N.
+    s(t), which no exponent of a kept term exceeds.  N is the one bound:
+    the powers and the sums are formed through total degree N, and the
+    SSeries constructor truncates each result at the order of its u.
     """
     orders = {s.order for s in s_of_t}
     if len(orders) != 1 or None in orders:
@@ -97,9 +98,8 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
             buckets.setdefault(sum(mono), {})[pack_monomial(mono, base)] = scaled
         factors.append(graded(buckets))
 
-    bounds, scales, uses = [], [], {}
+    scales, uses = [], {}
     for i, u in enumerate(series):
-        bounds.append(order if u.order is None else min(order, u.order))
         e_scale = lcm(*(c.denominator for c in u.terms.values()))
         top = max(map(sum, u.terms), default=0)
         scales.append(e_scale * d_scale**top)
@@ -107,7 +107,6 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
             word = tuple(v for v, e in enumerate(mono) for _ in range(e))
             scaled = c.numerator * (e_scale // c.denominator) * d_scale ** (top - len(word))
             uses.setdefault(word, []).append((i, scaled))
-    bound = max(bounds, default=order)
 
     stack = [[(0, [(0, 1)])]]  # stack[k] = D^k s(t)^word[:k]
     prev: tuple = ()
@@ -118,13 +117,11 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
             common += 1
         del stack[common + 1:]
         for v in word[common:]:
-            stack.append(graded(graded_dot([(v, stack[-1])], factors, bound)))
+            stack.append(graded(graded_dot([(v, stack[-1])], factors, order)))
         prev = word
         for i, scaled in uses[word]:
-            acc, top_degree = out[i], bounds[i]
-            for degree, items in stack[-1]:
-                if degree > top_degree:
-                    break
+            acc = out[i]
+            for _, items in stack[-1]:
                 for mono, c in items:
                     acc[mono] = acc.get(mono, 0) + scaled * c
     return [
@@ -211,10 +208,9 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
 class CheckReport:
     """Outcome of an exact verification pass; violations are data, not errors."""
 
-    __slots__ = ("name", "violations", "checked")
+    __slots__ = ("violations", "checked")
 
-    def __init__(self, name: str, violations: list, checked: int):
-        self.name = name
+    def __init__(self, violations: list, checked: int):
         self.violations = violations
         self.checked = checked
 
@@ -224,7 +220,7 @@ class CheckReport:
 
     def __repr__(self):
         state = "pass" if self.passed else f"{len(self.violations)} violations"
-        return f"CheckReport({self.name}: {state}, {self.checked} checks)"
+        return f"CheckReport({state}, {self.checked} checks)"
 
 
 def _third_derivatives(f0: SSeries, check_order: int, scale: int) -> dict:
@@ -369,7 +365,7 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
                     ),
                 }
             )
-    return CheckReport("wdvv", violations, mu * mu * mu * (mu - 1) // 2)
+    return CheckReport(violations, mu * mu * mu * (mu - 1) // 2)
 
 
 def euler_check(f0: SSeries, flat_degrees, c_hat: Fraction) -> CheckReport:
@@ -391,7 +387,7 @@ def euler_check(f0: SSeries, flat_degrees, c_hat: Fraction) -> CheckReport:
                     "expected": format_rational(target),
                 }
             )
-    return CheckReport("euler", violations, len(f0.terms))
+    return CheckReport(violations, len(f0.terms))
 
 
 def normalization_check(f0: SSeries) -> CheckReport:
@@ -410,7 +406,7 @@ def normalization_check(f0: SSeries) -> CheckReport:
             violations.append(
                 {"monomial": mono, "coefficient": format_rational(coeff), "reason": "degree < 3"}
             )
-    return CheckReport("integrability", violations, len(f0.terms))
+    return CheckReport(violations, len(f0.terms))
 
 
 def prepotential_record(

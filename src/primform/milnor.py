@@ -45,10 +45,6 @@ from .algebra import (
 class NonIsolatedSingularityError(ValueError):
     """The Jacobian quotient persists above the socle degree bound."""
 
-    def __init__(self, message, degree=None):
-        super().__init__(message)
-        self.degree = degree
-
 
 class WeightedPolynomial:
     """A polynomial together with weights making it weighted homogeneous.
@@ -150,10 +146,11 @@ class _JacobianDivider:
     (m * d_i f, keyed ("g", i, m)) and basis unit columns (keyed ("b", m)),
     and stays an integer combination throughout: each step scales it by an
     int to clear one entry, and each echelon row is stored divided by its
-    content.
+    content.  A designated `basis` (int exponent tuples) replaces the
+    canonical choice; the constructor groups it by scaled degree.
     """
 
-    def __init__(self, f: WeightedPolynomial):
+    def __init__(self, f: WeightedPolynomial, basis=None):
         self.nvars = f.nvars
         self.scale = lcm(*[q.denominator for q in f.weights])
         self.var_sdegs = tuple(int(q * self.scale) for q in f.weights)
@@ -168,6 +165,10 @@ class _JacobianDivider:
         self._monos_cache: dict[int, list] = {}
         self._systems: dict[int, _DegreeSystem] = {}
         self.designated: dict[int, list] | None = None  # degree -> basis monos
+        if basis is not None:
+            self.designated = {}
+            for m in basis:
+                self.designated.setdefault(self.sdeg(m), []).append(m)
 
     def sdeg(self, mono) -> int:
         return sum(e * w for e, w in zip(mono, self.var_sdegs))
@@ -312,8 +313,7 @@ class _JacobianDivider:
         if leftover is not None:
             raise NonIsolatedSingularityError(
                 "Jacobian quotient persists at scaled degree "
-                f"{sdeg}/{self.scale}: monomial {mono} is not reachable",
-                degree=Fraction(sdeg, self.scale),
+                f"{sdeg}/{self.scale}: monomial {mono} is not reachable"
             )
         # den * mono + sum(combo * columns) = 0, den > 0 as every pivot is.
         den = combo.pop(_TARGET)
@@ -327,9 +327,11 @@ class _JacobianDivider:
 class MilnorData:
     """Milnor number, graded monomial basis, socle, and residue pairing.
 
-    Immutable after construction apart from the memo of lattice classes
-    (``_reduce_cache``, which only `monomial_class` reads and fills);
-    intended for single-threaded construction and read-mostly use.
+    mu is the length of the basis and eta is computed last, from the rest,
+    so the object is whole when its constructor returns.  Immutable after
+    construction apart from the memo of lattice classes (``_reduce_cache``,
+    which only `monomial_class` reads and fills); intended for
+    single-threaded construction and read-mostly use.
     """
 
     __slots__ = (
@@ -344,16 +346,16 @@ class MilnorData:
         "_reduce_cache",
     )
 
-    def __init__(self, f, mu, basis, degrees, socle, eta, divider):
+    def __init__(self, f, basis, degrees, socle, divider):
         self.f = f
-        self.mu = mu
         self.basis = tuple(basis)
+        self.mu = len(self.basis)
         self.degrees = tuple(degrees)
         self.socle = socle
-        self.eta = eta
         self._divider = divider
         self._basis_index = {m: i for i, m in enumerate(self.basis)}
         self._reduce_cache = {}
+        self.eta = residue_pairing(self)
 
     def basis_index(self, mono) -> int:
         return self._basis_index[mono]
@@ -396,13 +398,6 @@ def monomial_class(mono: tuple, data: MilnorData) -> tuple[int, list]:
     return out
 
 
-def _expected_milnor_number(f: WeightedPolynomial) -> Fraction:
-    mu = Fraction(1)
-    for q in f.weights:
-        mu *= 1 / q - 1
-    return mu
-
-
 def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
     """Compute the graded monomial basis of C[x]/(df) and the pairing.
 
@@ -416,17 +411,12 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
             raise NonIsolatedSingularityError(
                 f"f does not depend on {f.variables[i]}; the singularity is not isolated"
             )
-    divider = _JacobianDivider(f)
+    if basis is not None:
+        basis = [tuple(int(e) for e in m) for m in basis]
+    divider = _JacobianDivider(f, basis)
     c_hat = central_charge(f)
     socle_sdeg = int(c_hat * divider.scale)
     cap = socle_sdeg + max(divider.gen_sdegs)
-
-    if basis is not None:
-        designated: dict[int, list] = {}
-        for m in basis:
-            m = tuple(int(e) for e in m)
-            designated.setdefault(divider.sdeg(m), []).append(m)
-        divider.designated = designated
 
     found = []
     for sdeg in range(cap + 1):
@@ -435,36 +425,30 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
             raise NonIsolatedSingularityError(
                 "quotient is nonzero at weighted degree "
                 f"{format_rational(Fraction(sdeg, divider.scale))}, above the "
-                f"socle degree {format_rational(c_hat)}",
-                degree=Fraction(sdeg, divider.scale),
+                f"socle degree {format_rational(c_hat)}"
             )
         for m in sys.basis_monos:
             found.append((sdeg, m))
 
-    expected = _expected_milnor_number(f)
+    expected = prod(1 / q - 1 for q in f.weights)
     if expected.denominator != 1 or len(found) != expected:
         raise NonIsolatedSingularityError(
             f"quotient dimension {len(found)} does not match the weight "
             f"formula {format_rational(expected)}"
         )
-    mu = int(expected)
 
-    if basis is not None:
-        ordered = [tuple(int(e) for e in m) for m in basis]
-    else:
-        ordered = [m for _, m in sorted(found, key=lambda sm: (sm[0], mono_key(sm[1])))]
-    degrees = [weighted_degree(m, f.weights) for m in ordered]
+    if basis is None:
+        basis = [m for _, m in sorted(found, key=lambda sm: (sm[0], mono_key(sm[1])))]
+    elif len(basis) != len(found):
+        raise ValueError("designated basis has monomials above the socle degree")
+    degrees = [weighted_degree(m, f.weights) for m in basis]
 
-    socle_monos = [m for m, d in zip(ordered, degrees) if d == c_hat]
+    socle_monos = [m for m, d in zip(basis, degrees) if d == c_hat]
     if len(socle_monos) != 1:
         raise NonIsolatedSingularityError(
             f"expected a one-dimensional socle, found {len(socle_monos)} monomials"
         )
-    socle = socle_monos[0]
-
-    data = MilnorData(f, mu, ordered, degrees, socle, None, divider)
-    data.eta = residue_pairing(data)
-    return data
+    return MilnorData(f, basis, degrees, socle_monos[0], divider)
 
 
 def divide_by_jacobian(g: SSeries, data: MilnorData):

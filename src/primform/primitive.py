@@ -51,6 +51,7 @@ from math import factorial, gcd, lcm
 from .algebra import (
     LaurentBlock,
     SSeries,
+    graded,
     graded_dot,
     mono_mul,
     pack_monomial,
@@ -92,20 +93,20 @@ class UnfoldingState:
         parts = self._parts.get(floor)
         if parts is None:
             mu, order, basis = self.mu, self.order, self.milnor.basis
-            divider = self.milnor._divider
+            scale = self.milnor._divider.scale
             digits = [(order + 1) ** a for a in range(mu)]
             # Appending a costs deg s_a + nu >= 0 of the slack -floor +
             # order nu: a word that overdraws it is dropped with every word
             # that extends it.  A basis need not be sorted by degree, so the
             # loop over a is not cut short.
-            sdegs = [divider.scale - divider.sdeg(mono) for mono in basis]
+            sdegs = [int(d * scale) for d in self.s_degrees]
             nu = max(0, -min(sdegs))
             costs = [sd + nu for sd in sdegs]
             # The words a_1 <= ... <= a_m of part m, each as (a_m, the
             # multiplicity of a_m, x-monomial, packed n, m!/n!, slack):
             # appending a to a word of part m - 1 adds digit a to n and
             # multiplies the coefficient by m / n_a.
-            words = [(0, 0, (0,) * self.base.nvars, 0, 1, -floor * divider.scale + order * nu)]
+            words = [(0, 0, (0,) * self.base.nvars, 0, 1, -floor * scale + order * nu)]
             parts = []
             for m in range(order + 1):
                 if m:
@@ -221,16 +222,6 @@ def _reduced_products(
     return den, acc
 
 
-def _nonzero(acc: dict) -> dict:
-    """{slot: {packed: int}} as {slot: [(packed, int)]}, zeros dropped."""
-    out = {}
-    for slot, terms in acc.items():
-        kept = [(p, v) for p, v in terms.items() if v]
-        if kept:
-            out[slot] = kept
-    return out
-
-
 def _sliced(block: LaurentBlock, order: int) -> list:
     """A block of s-series as one (D_j, {(z, idx): [(packed, int)]}) for
     each s-degree j = 0..order, D_j the lcm of that slice's denominators."""
@@ -291,7 +282,7 @@ def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
     j_slices = [(1, volume)]
     for k in range(1, order + 1):
         den, acc = _reduced_products(parts, zeta_slices, k, 1, milnor, floor)
-        known = _nonzero(acc)
+        known = dict(graded(acc))
         nonneg = {slot: terms for slot, terms in known.items() if slot[0] >= 0}
         g = gcd(den, *(v for terms in nonneg.values() for _, v in terms))
         zeta_k = {slot: [(p, -v // g) for p, v in terms] for slot, terms in nonneg.items()}
@@ -336,7 +327,7 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
             acc_slot = acc.setdefault(slot, {})
             for p, v in terms:
                 acc_slot[p] = acc_slot.get(p, 0) - v * factor
-        left = _nonzero(acc)
+        left = dict(graded(acc))
         if left:
             remainder.append((den, left))
     return _block(remainder, mu, order)

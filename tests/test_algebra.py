@@ -340,6 +340,18 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_polynomial("x+w", ["x", "y"])
 
+    def test_rejects_blank_polynomial(self):
+        with pytest.raises(ValueError, match="empty polynomial"):
+            parse_polynomial("  ", ["x"])
+
+    def test_rejects_empty_factor(self):
+        with pytest.raises(ValueError, match="malformed monomial"):
+            parse_monomial("x**y", ["x", "y"])
+
+    def test_rejects_short_exponent_record(self):
+        with pytest.raises(ValueError, match="expected 2 exponents, got 1"):
+            SSeries.from_records([{"exponents": [1], "coeff": "1"}], 2)
+
     @pytest.mark.parametrize("text", ["x^-1", "x^", "x^+2", "x^1.5", "y*x^"])
     def test_rejects_negative_or_missing_exponent(self, text):
         # "x^-1" once parsed as x - 1 and "x^" as x.

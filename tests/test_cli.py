@@ -94,8 +94,11 @@ class TestInfo:
             (["--poly", "x^3+y^7", "--vars", "x,y,x"], "variable 'x' is named twice"),
             (["--poly", "x^3+y^7", "--vars", "x,,y"],
              "variable 2 must be a non-empty name, got ''"),
+            ([], "pass --singularity NAME or --poly EXPRESSION"),
+            (["--poly", "3"], "could not infer variables; pass --vars"),
         ],
-        ids=["trailing plus", "trailing minus", "repeated var", "empty var"],
+        ids=["trailing plus", "trailing minus", "repeated var", "empty var", "no target",
+             "no variables"],
     )
     def test_misread_input_rejected(self, capsys, argv, message):
         # A trailing operator was once dropped, and a repeated or empty
@@ -200,6 +203,42 @@ class TestCompute:
         assert out == ""
         assert err.startswith("error:") and "exponent" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--order", "-1"], "truncation order must be >= 0"),
+            (["--order", "2", "--basis", "2*x"], "basis entries must be bare monomials, got '2*x'"),
+        ],
+        ids=["negative order", "basis coefficient"],
+    )
+    def test_rejected_arguments(self, capsys, argv, message):
+        code, out, err = run_cli(["compute", "--singularity", "E12", *argv], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_human_format_pinned(self, capsys):
+        code, out, err = run_cli(
+            ["compute", "--singularity", "E12", "--order", "3", "--format", "human"], capsys
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "E12: prepotential through total degree 3",
+            "  flat coordinate degrees: 1, 6/7, 5/7, 2/3, 4/7, 11/21, 3/7, 8/21, 2/7, 5/21,"
+            " 2/21, -1/21",
+            "  1/42 * t1^2*t12",
+            "  1/21 * t1*t2*t11",
+            "  1/21 * t1*t3*t10",
+            "  1/21 * t1*t4*t9",
+            "  1/21 * t1*t5*t8",
+            "  1/21 * t1*t6*t7",
+            "  1/42 * t2^2*t10",
+            "  1/21 * t2*t3*t8",
+            "  1/21 * t2*t4*t7",
+            "  1/21 * t2*t5*t6",
+            "  1/42 * t3^2*t6",
+            "  1/21 * t3*t4*t5",
+            "  checks: {'wdvv': 'pass', 'euler': 'pass', 'integrability': 'pass'}",
+        ]
+
     def test_bad_basis_fails(self, capsys):
         code, _, err = run_cli(
             ["compute", "--singularity", "A2", "--order", "3", "--basis", "1,x^2"],
@@ -239,6 +278,9 @@ class TestCompute:
                 "designated basis has 0 monomials at scaled degree 2, "
                 "but the quotient there has dimension 1",
             ),
+            # x^5 lies above every degree the division visits; it once
+            # ended in a degenerate pairing.
+            ("1,x,y,y^2,x^5", "designated basis has monomials above the socle degree"),
         ],
     )
     def test_dependent_or_misgraded_basis_rejected(self, capsys, basis, message):
@@ -410,6 +452,14 @@ class TestVerify:
         assert code == 1
         assert "error" in err
 
+    def test_deeply_nested_record(self, capsys, tmp_path):
+        # Nesting past the recursion limit once ended in a RecursionError traceback.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        code, out, err = run_cli(["verify", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read record: ")
+
     def test_malformed_record(self, capsys, tmp_path):
         path = tmp_path / "partial.json"
         path.write_text(json.dumps({"terms": [{"exponents": [3], "coeff": "1"}]}))
@@ -548,6 +598,18 @@ class TestMirror:
         assert record["transpose_name"] == "E12"
         assert record["j_w"] == ["1/3", "1/7"]
 
+    def test_human_format_pinned(self, capsys):
+        code, out, err = run_cli(["mirror", "--singularity", "Q10", "--format", "human"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "Q10: x^2*y + z^3 + y^4",
+            "  transpose: x^2 + y^3 + x*z^4 (E14)",
+            "  weights: 3/8, 1/4, 1/3",
+            "  central charge: 13/12",
+            "  |Aut|: 24",
+            "  j_W: (3/8, 1/4, 1/3)",
+        ]
+
     def test_weights_option_rejected(self, capsys):
         # Once accepted and ignored: the weights come from the exponent matrix.
         with pytest.raises(SystemExit) as exit_info:
@@ -684,6 +746,32 @@ class TestCatalogResolution:
         assert code == 1
         assert out == ""
         assert err.startswith("error: malformed catalog")
+
+    @pytest.mark.parametrize("via", ["flag", "environment"])
+    def test_deeply_nested_catalog(self, capsys, tmp_path, monkeypatch, via):
+        # Nesting past the recursion limit once ended in a RecursionError traceback.
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 3000 + "]" * 3000)
+        argv = ["info", "--singularity", "A2"]
+        if via == "flag":
+            argv += ["--catalog", str(path)]
+        else:
+            monkeypatch.setenv("PRIMFORM_CATALOG", str(path))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: malformed catalog {path}: RecursionError(")
+
+    def test_duplicate_entry(self, capsys, tmp_path):
+        a2 = {
+            "name": "A2",
+            "variables": ["x"],
+            "weights": ["1/3"],
+            "polynomial": [{"exponents": [3], "coeff": "1"}],
+        }
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"entries": [a2, a2]}))
+        code, out, err = run_cli(["info", "--catalog", str(path), "--singularity", "A2"], capsys)
+        assert (code, out, err) == (1, "", "error: duplicate catalog entry 'A2'\n")
 
     def test_repeated_catalog_variable(self, capsys, tmp_path):
         # ["x", "x"] once loaded, and info printed "D: x^3 + x^7" with mu 12.

@@ -406,6 +406,11 @@ class TestWdvv:
         with pytest.raises(ValueError, match="order >= 3"):
             wdvv_check(f0, milnor_cache("A3").eta)
 
+    def test_variable_count_mismatch_rejected(self):
+        f0 = SSeries(3, 3, {(0, 0, 3): F(1), (1, 1, 1): F(1, 2)})
+        with pytest.raises(ValueError, match="prepotential has 3 variables"):
+            wdvv_check(f0, [[F(0), F(1)], [F(1), F(0)]])
+
     def test_non_symmetric_pairing_rejected(self, frobenius_cache, milnor_cache):
         # The check reads X_{ab|cd} = X_{cd|ab}, which needs eta = eta^T; an
         # invertible non-symmetric eta once got WDVV violations instead.

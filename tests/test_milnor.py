@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from exact_forms import const
+from primform import milnor
 from primform.algebra import (
     SSeries,
     _gauss_jordan,
@@ -15,6 +16,7 @@ from primform.algebra import (
     weighted_degree,
 )
 from primform.milnor import (
+    MilnorData,
     NonIsolatedSingularityError,
     WeightedPolynomial,
     central_charge,
@@ -22,6 +24,7 @@ from primform.milnor import (
     hessian_determinant,
     infer_weights,
     milnor_basis,
+    _JacobianDivider,
 )
 
 F = Fraction
@@ -101,9 +104,8 @@ class TestMilnorBasis:
 
     def test_rejects_non_isolated(self):
         f = wp("x^2*y^2", ["x", "y"], [F(1, 4), F(1, 4)])
-        with pytest.raises(NonIsolatedSingularityError) as err:
+        with pytest.raises(NonIsolatedSingularityError, match="weighted degree 5/4, above"):
             milnor_basis(f)
-        assert err.value.degree is not None
 
     def test_rejects_missing_variable(self):
         f = wp("x^2", ["x", "y"], [F(1, 2), F(1, 3)])
@@ -226,6 +228,56 @@ def _poly1_divide_exact(numer, denom):
             numer[i - lead + j] -= q * denom[j]
     assert not any(numer)
     return out
+
+
+class TestConsistencyChecks:
+    """Each check that the Milnor data is consistent, forced to fire by a
+    fault in one of its inputs."""
+
+    def test_hessian_in_the_ideal(self, catalog, monkeypatch):
+        # d_x f lies in the Jacobian ideal, so its socle coefficient is 0.
+        monkeypatch.setattr(milnor, "hessian_determinant", lambda f: f.poly.diff(0))
+        with pytest.raises(ArithmeticError, match="hessian vanishes in the Jacobian algebra"):
+            milnor_basis(catalog["E12"].weighted_polynomial())
+
+    def test_dimension_off_the_weight_formula(self, catalog, monkeypatch):
+        # A Poincare coefficient one too large at x^2 (scaled degree 14 of
+        # x^3 + y^7) stops the division before it takes the column of x^2,
+        # which then joins the basis.
+        original = _JacobianDivider.quotient_dimension
+        monkeypatch.setattr(
+            _JacobianDivider,
+            "quotient_dimension",
+            lambda self, sdeg: original(self, sdeg) + (sdeg == 14),
+        )
+        with pytest.raises(
+            NonIsolatedSingularityError,
+            match="quotient dimension 13 does not match the weight formula 12",
+        ):
+            milnor_basis(catalog["E12"].weighted_polynomial())
+
+    def test_socle_off_the_central_charge(self, catalog, monkeypatch):
+        # 1/100 more leaves the socle's scaled degree where it was, but no
+        # basis degree equals it.
+        original = milnor.central_charge
+        monkeypatch.setattr(milnor, "central_charge", lambda f: original(f) + F(1, 100))
+        with pytest.raises(
+            NonIsolatedSingularityError, match="expected a one-dimensional socle, found 0"
+        ):
+            milnor_basis(catalog["E12"].weighted_polynomial())
+
+    def test_unreachable_monomial(self, catalog):
+        # An echelon without its row for the monomial 1 no longer spans degree 0.
+        divider = milnor_basis(catalog["A2"].weighted_polynomial())._divider
+        divider.system(0).echelon.clear()
+        with pytest.raises(NonIsolatedSingularityError, match=r"monomial \(0,\) is not reachable"):
+            divider.solve_monomial((0,))
+
+    def test_degenerate_pairing(self, catalog):
+        # With every degree 0, no two basis degrees add up to the central charge.
+        data = milnor_basis(catalog["E12"].weighted_polynomial())
+        with pytest.raises(ArithmeticError, match="residue pairing is degenerate"):
+            MilnorData(data.f, data.basis, [F(0)] * data.mu, data.socle, data._divider)
 
 
 class TestDivision:

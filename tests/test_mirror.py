@@ -75,6 +75,14 @@ class TestInvertiblePolynomial:
         with pytest.raises(ValueError, match="quadratic"):
             InvertiblePolynomial(["x", "y"], [[1, 1], [0, 3]])
 
+    def test_rejects_short_row(self):
+        with pytest.raises(ValueError, match="exponent rows must match"):
+            InvertiblePolynomial(["x", "y"], [(3,), (0, 7)])
+
+    def test_rejects_negative_exponent(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            InvertiblePolynomial(["x", "y"], [(3, -1), (0, 7)])
+
     def test_rejects_singular_matrix(self):
         with pytest.raises(ValueError, match="singular"):
             InvertiblePolynomial(["x", "y"], [[1, 2], [2, 4]])

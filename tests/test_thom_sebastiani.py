@@ -9,21 +9,36 @@ product of theirs.  The cubic part of F0 is (1/6) sum_abc C_abc t_a t_b t_c
 with C_abc = eta(phi_a phi_b, phi_c) = prod_k (1/n_k)[i_k + j_k + l_k = n_k - 2],
 so the monomial t^m of degree 3 has the coefficient C / prod_a m_a!.
 
+D4 + z^3 = x^3 + x*y^2 + z^3 has a factor that is not of the form x^n, so
+it is checked against a residue table instead: eta(phi_a, phi_b) =
+Res(phi_a phi_b) and C_abc = Res(phi_a phi_b phi_c), evaluated on the
+engine's own basis monomials (D4's socle may be x^2 or y^2).
+
 Nothing here is computed by the engine: it is read only for the values
 that are compared.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations_with_replacement, product
 from math import factorial, prod
 
 import pytest
 
-from primform import build_unfolding, load_catalog, milnor_basis, prepotential, solve_star
+from primform import (
+    WeightedPolynomial,
+    build_unfolding,
+    infer_weights,
+    load_catalog,
+    milnor_basis,
+    parse_polynomial,
+    prepotential,
+    solve_star,
+)
 
 ORDER = 3
 CASES = {"A4": (5,), "E12": (3, 7), "P8": (3, 3, 3), "U12": (3, 3, 4)}
+D4_Z3 = "x^3 + x*y^2 + z^3"
 
 
 def closed_forms(exponents, pairing_scale=1, swap_degrees=False):
@@ -59,11 +74,43 @@ def closed_forms(exponents, pairing_scale=1, swap_degrees=False):
     return set(basis), degrees, eta, cubic
 
 
+def d4_z3_residue(mono, flip=False):
+    """Res(x^a y^b z^c) on D4 + z^3: R(a, b) [c = 1] / 3.
+
+    For D4, J = (3x^2 + y^2, 2xy), so y^2 = -3x^2, x*y = 0 and hess =
+    12x^2 - 4y^2 = 24x^2 modulo J: Res(x^2) = mu / 24 = 1/6, R(1, 1) = 0 and
+    R(0, 2) = -1/2, and R is 0 off degree 2.  For z^3, Res(z) = 1/3.  flip
+    changes the sign of R(0, 2), for a negative control.
+    """
+    a, b, c = mono
+    table = {(2, 0): Fraction(1, 6), (0, 2): Fraction(1 if flip else -1, 2)}
+    return table.get((a, b), Fraction(0)) / 3 if c == 1 else Fraction(0)
+
+
+def residue_forms(basis, residue):
+    """eta and the cubic F0 coefficients on basis from a residue alone."""
+
+    def res(*monos):
+        return residue(tuple(map(sum, zip(*monos))))
+
+    eta = {(a, b): res(a, b) for a in basis for b in basis}
+    cubic = {}
+    for triple in combinations_with_replacement(sorted(basis), 3):
+        c = res(*triple)
+        if c:
+            cubic[triple] = c / prod(factorial(triple.count(m)) for m in set(triple))
+    return eta, cubic
+
+
 @cache
 def engine_values(name):
-    """The same four values as the engine computes them at ORDER."""
-    entry = load_catalog()[name]
-    f = entry.weighted_polynomial()
+    """The same four values as the engine computes them at ORDER, for a
+    catalog entry or for D4_Z3."""
+    if name == D4_Z3:
+        poly = parse_polynomial(D4_Z3, ["x", "y", "z"])
+        f = WeightedPolynomial(["x", "y", "z"], infer_weights(poly), poly)
+    else:
+        f = load_catalog()[name].weighted_polynomial()
     data = milnor_basis(f)
     f0 = prepotential(solve_star(build_unfolding(f, data, ORDER)), data).prepotential
     basis = data.basis
@@ -74,7 +121,7 @@ def engine_values(name):
         assert sum(exps) == 3, f"{name}: F0 at order 3 has a term of degree {sum(exps)}"
         triple = tuple(sorted(m for m, e in zip(basis, exps) for _ in range(e)))
         cubic[triple] = c
-    return entry.poly.terms, (set(basis), degrees, eta, cubic)
+    return f.poly.terms, (set(basis), degrees, eta, cubic)
 
 
 FIELDS = ("basis", "degrees", "eta", "cubic F0")
@@ -101,3 +148,18 @@ def test_perturbed_closed_forms_fail(name, perturbation, fails):
     _, got = engine_values(name)
     want = closed_forms(CASES[name], **perturbation)
     assert [what for what, g, w in zip(FIELDS, got, want) if g != w] == fails
+
+
+def test_d4_plus_z3_matches_residue_table():
+    _, (basis, degrees, eta, cubic) = engine_values(D4_Z3)
+    third = Fraction(1, 3)
+    d4, z3 = (0, third, third, 2 * third), (0, third)
+    assert sorted(degrees.values()) == sorted(a + b for a in d4 for b in z3)
+    assert (eta, cubic) == residue_forms(basis, d4_z3_residue)
+
+
+def test_d4_plus_z3_flipped_table_fails():
+    _, (basis, _, eta, cubic) = engine_values(D4_Z3)
+    want_eta, want_cubic = residue_forms(basis, partial(d4_z3_residue, flip=True))
+    assert eta != want_eta
+    assert cubic != want_cubic
