@@ -44,22 +44,23 @@ def _infer_variable_order(text: str) -> list[str]:
 def _resolve_target(args, catalog):
     """The name, variables, polynomial and weights of the target: a catalog
     entry by --singularity, or --poly with --vars and --weights, whose
-    weights are None when not given."""
+    weights are None when not given.  An option given as '' is read as
+    given, and rejected where it is parsed, never as absent."""
     weights = getattr(args, "weights", None)  # mirror has no --weights
-    if args.singularity:
-        if args.poly or args.vars or weights:
+    if args.singularity is not None:
+        if (args.poly, args.vars, weights) != (None, None, None):
             raise ValueError("--singularity excludes --poly, --vars and --weights")
         entry = catalog.get(args.singularity)
         if entry is None:
             raise ValueError(f"unknown singularity {args.singularity!r}")
         return entry.name, entry.variables, entry.poly, entry.weights
-    if not args.poly:
+    if args.poly is None:
         raise ValueError("pass --singularity NAME or --poly EXPRESSION")
-    variables = args.vars.split(",") if args.vars else _infer_variable_order(args.poly)
+    variables = args.vars.split(",") if args.vars is not None else _infer_variable_order(args.poly)
     if not variables:
         raise ValueError("could not infer variables; pass --vars")
     poly = parse_polynomial(args.poly, variables)
-    if weights:
+    if weights is not None:
         return args.poly, variables, poly, [parse_rational(w) for w in weights.split(",")]
     return args.poly, variables, poly, None
 
@@ -76,10 +77,10 @@ def _parse_basis(text: str, variables) -> list[tuple[int, ...]]:
 
 def _emit(record: dict, args) -> None:
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
-    if args.format == "json" and not args.output:
+    if args.format == "json" and args.output is None:
         sys.stdout.write(text)
 
 
@@ -120,7 +121,7 @@ def cmd_info(args) -> int:
 def cmd_compute(args) -> int:
     name, variables, poly, weights = _resolve_target(args, load_catalog(args.catalog))
     f = WeightedPolynomial(variables, weights or infer_weights(poly), poly)
-    basis = _parse_basis(args.basis, f.variables) if args.basis else None
+    basis = _parse_basis(args.basis, f.variables) if args.basis is not None else None
     data = milnor_basis(f, basis=basis)
     result = solve_star(build_unfolding(f, data, args.order))
 

@@ -12,22 +12,25 @@ with the constant, linear, and quadratic parts normalized to zero.  Each
 pass of the fixed point and J_(-2)(s(t)) itself substitute s(t) directly
 into every monomial, u(s(t)) = sum_J u_J s(t)^J, sharing the powers s(t)^J
 among the series of one substitution.  Pass p of the fixed point fixes
-total degree p, so it runs at order p.  The gradient must be exactly
+total degree p, so it runs at order p; for the prepotential at order N the
+passes stop at N - 1, since every word of J_(-2) has length >= 2 and the
+degree-N part of s(t) is never read.  The gradient must be exactly
 curl-free: it is integrated one degree past the order and compared with
-the derivatives of the result, and a mismatch signals a convention bug and
-is raised, never tolerated.  The prepotential is truncated by total degree
-at the same order as the s-expansion.
+the derivatives of the result, and a mismatch signals a convention bug
+and is raised, never tolerated.  The prepotential is truncated by total
+degree at the same order as the s-expansion.
 
 The WDVV check walks the index multisets {a, b, c, d}: it forms each of
 their pairings X_{ab|cd} = sum F_abe eta^{ef} F_fcd once, compares the
 pairings of one multiset with each other, and keeps values only where they
 disagree.
 
-The substitution and the WDVV check run on Python ints: each scales its
-rational inputs by the lcm of their denominators, and divides back only
-once for each output value.  Both form their products (the powers s(t)^w,
-the raised index, the contractions) with the one kernel
-`algebra.graded_dot`, on monomials packed in a base above every exponent.
+The substitution, the integration and the WDVV check run on Python ints:
+each scales its rational inputs by the lcm of their denominators, and
+divides back only once for each output value.  The substitution and the
+WDVV check form their products (the powers s(t)^w, the raised index, the
+contractions) with the one kernel `algebra.graded_dot`, on monomials
+packed in a base above every exponent.
 """
 
 from __future__ import annotations
@@ -64,8 +67,10 @@ def flat_coordinates(result: PrimitiveFormResult) -> list[SSeries]:
     return result.j_components(-1)
 
 
-def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
-    """Every u in series evaluated at s = s_of_t(t), as sum_J u_J s(t)^J.
+def _substitute_ints(series: list[SSeries], s_of_t: list[SSeries]) -> tuple[int, list]:
+    """Every u in series at s = s_of_t(t), on ints: (base, [(acc, scale)]),
+    with acc = scale * u(s(t)) as {degree: {packed: int}} by total degree,
+    cancelled terms kept as 0.
 
     Each monomial s^J is visited as its sorted word of variable indices
     (s_1^2 s_3 is (0, 0, 2)), and the words are walked in sorted order, so
@@ -74,21 +79,20 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
     one below it times one coordinate series; the powers are shared by all
     the series of one call.
 
-    The walk runs on ints.  With D the lcm of the denominators of s(t), the
-    stack holds D^|w| s(t)^w, graded by total degree.  Each u is scaled by
-    E, the lcm of its own denominators, and its term at a word w by
-    D^(top - |w|) as well, top the length of its longest word, so that
-    every term adds E D^top u_J s(t)^J; each output coefficient is divided
-    by E D^top once.  A monomial is packed in base N + 1, N the order of
-    s(t), which no exponent of a kept term exceeds.  N is the one bound:
-    the powers and the sums are formed through total degree N, and the
-    SSeries constructor truncates each result at the order of its u.
+    With D the lcm of the denominators of s(t), the stack holds
+    D^|w| s(t)^w, graded by total degree.  Each u is scaled by E, the lcm
+    of its own denominators, and its term at a word w by D^(top - |w|) as
+    well, top the length of its longest word, so that every term adds
+    E D^top u_J s(t)^J, and scale is E D^top.  N, the order of s(t), is the
+    one bound: the powers and the sums are formed through total degree N.
+    A monomial is packed in base N + 2, so that a kept monomial raised by
+    one more variable, as the prepotential does, carries no digit either.
     """
     orders = {s.order for s in s_of_t}
     if len(orders) != 1 or None in orders:
         raise ValueError(f"s(t) must have one integer order, got {sorted(orders, key=str)}")
     (order,) = orders
-    nv, base = s_of_t[0].nvars, order + 1
+    base = order + 2
     d_scale = lcm(*(c.denominator for s in s_of_t for c in s.terms.values()))
     factors = []
     for s in s_of_t:
@@ -121,21 +125,31 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
         prev = word
         for i, scaled in uses[word]:
             acc = out[i]
-            for _, items in stack[-1]:
+            for degree, items in stack[-1]:
+                bucket = acc.setdefault(degree, {})
                 for mono, c in items:
-                    acc[mono] = acc.get(mono, 0) + scaled * c
+                    bucket[mono] = bucket.get(mono, 0) + scaled * c
+    return base, list(zip(out, scales))
+
+
+def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
+    """Every u in series evaluated at s = s_of_t(t), as sum_J u_J s(t)^J,
+    through the order of s(t) and of u; see `_substitute_ints`.  Each
+    output coefficient is divided by its scale once."""
+    base, parts = _substitute_ints(series, s_of_t)
+    nv = s_of_t[0].nvars
     return [
-        SSeries(
-            nv,
-            u.order,
-            {unpack_monomial(m, base, nv): Fraction(a, scale) for m, a in acc.items() if a},
-        )
-        for u, acc, scale in zip(series, out, scales)
+        SSeries(nv, u.order, {
+            unpack_monomial(m, base, nv): Fraction(a, scale)
+            for bucket in acc.values() for m, a in bucket.items() if a
+        })
+        for u, (acc, scale) in zip(series, parts)
     ]
 
 
 def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
-    """Inverse series s(t) of a coordinate change with identity linear part.
+    """Inverse series s(t) of a coordinate change with identity linear part,
+    through total degree `order`.
 
     Fixed-point iteration on s = t - u(s) where u is the nonlinear part.
     Pass p fixes total degree p, and runs at order p: u starts at degree 2,
@@ -179,30 +193,59 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
     dF/dt_a must equal g_a through degree N: exactly when g has no part of
     degree 0 or 1 and each part of degree 2..N is curl-free.  The
     prepotential is F through degree N, zero below order 3.
+
+    s(t) is needed only through degree N - 1 (at least 1): every word of
+    J_(-2) has length >= 2, so the degree-N part of one factor lands above
+    N, and a shorter word gives g a part of degree 0 or 1, rejected anyway.
+    On ints, with L the lcm of the substitution's scales and E that of the
+    denominators of eta, G_a = E L g_a and H_J = |J| E L F_J, so the check
+    is (d + 1) G_a[m] = J_a H_J, J = m + e_a, at every degree d <= N, and
+    each F_J is divided out once.
     """
     mu, order = milnor.mu, result.order
-    s_of_t = invert_coordinates(flat_coordinates(result), order)
-    j_minus2_t = substitute(result.j_components(-2), s_of_t)
-    gradient, f_terms = [], {}
+    s_of_t = invert_coordinates(flat_coordinates(result), max(order - 1, 1))
+    base, parts = _substitute_ints(result.j_components(-2), [s.truncate(order) for s in s_of_t])
+    e_scale = lcm(*(v.denominator for row in milnor.eta for v in row))
+    l_scale = lcm(*(scale for _, scale in parts))
+    steps = [base**a for a in range(mu)]
+    gradient, lifted = [], {}
     for a, row in enumerate(milnor.eta):
         g: dict = {}
-        for eta_ab, j in zip(row, j_minus2_t):
+        for eta_ab, (acc, scale) in zip(row, parts):
             if eta_ab:
-                for mono, c in j.terms.items():
-                    g[mono] = g.get(mono, 0) + eta_ab * c
-        gradient.append(SSeries(mu, order, g))
-        for mono, c in g.items():
-            if sum(mono) >= 2:
-                raised = mono[:a] + (mono[a] + 1,) + mono[a + 1:]
-                f_terms[raised] = f_terms.get(raised, 0) + c
-    f0 = SSeries(mu, order + 1, {mono: c / sum(mono) for mono, c in f_terms.items()})
+                k = eta_ab.numerator * (e_scale // eta_ab.denominator) * (l_scale // scale)
+                for degree, bucket in acc.items():
+                    g_d = g.setdefault(degree, {})
+                    for mono, v in bucket.items():
+                        g_d[mono] = g_d.get(mono, 0) + k * v
+        gradient.append(g)
+        for degree, bucket in g.items():
+            if degree >= 2:
+                h = lifted.setdefault(degree + 1, {})
+                for mono, v in bucket.items():
+                    raised = mono + steps[a]
+                    h[raised] = h.get(raised, 0) + v
+    exps = {m: unpack_monomial(m, base, mu) for h in lifted.values() for m in h}
     for a, g in enumerate(gradient):
-        if f0.diff(a) != g:
-            raise IntegrabilityError(
-                f"integrability check failed: component t{a + 1} of eta * J_(-2)"
-                f" is not dF0/dt{a + 1}"
-            )
-    return FrobeniusData(f0.truncate(order))
+        for degree in range(order + 1):
+            derivative = {
+                m - steps[a]: exps[m][a] * v
+                for m, v in lifted.get(degree + 1, {}).items()
+                if v and exps[m][a]
+            }
+            if derivative != {m: (degree + 1) * v for m, v in g.get(degree, {}).items() if v}:
+                raise IntegrabilityError(
+                    f"integrability check failed: component t{a + 1} of eta * J_(-2)"
+                    f" is not dF0/dt{a + 1}"
+                )
+    scale = e_scale * l_scale
+    f0 = {
+        exps[m]: Fraction(v, degree * scale)
+        for degree in range(3, order + 1)
+        for m, v in lifted.get(degree, {}).items()
+        if v
+    }
+    return FrobeniusData(SSeries(mu, order, f0))
 
 
 class CheckReport:

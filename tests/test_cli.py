@@ -106,6 +106,25 @@ class TestInfo:
         code, out, err = run_cli(["info", *argv], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compute", "--singularity", "E12", "--order", "3", "--basis", ""],
+             "empty monomial"),
+            (["info", "--poly", "x^3+y^3", "--vars", ""],
+             "variable 1 must be a non-empty name, got ''"),
+            (["info", "--poly", "x^3+y^3", "--weights", ""], "Invalid literal for Fraction"),
+            (["info", "--poly", "x^3+y^3", "--output", ""], "No such file or directory"),
+        ],
+        ids=["basis", "vars", "weights", "output"],
+    )
+    def test_empty_option_value_rejected(self, capsys, argv, message):
+        # An option given as '' was once read as absent: the canonical
+        # basis, inferred variables and weights, or the record on stdout.
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
     def test_exponent_coefficient_is_a_number(self, capsys):
         # The e3 of 1e3 was once inferred as a variable.
         code, out, err = run_cli(["info", "--poly", "1e3*x^3+y^7", "--format", "json"], capsys)

@@ -278,7 +278,8 @@ class TestPrepotential:
     def test_series_products_pinned(self, solved_cache, milnor_cache, monkeypatch):
         # Work counter: the substitutions multiply no SSeries, and build each
         # power s(t)^w once per call, shared by its series; building the
-        # powers per series raises these counts.
+        # powers per series, or inverting s(t) through the order rather than
+        # one below it, raises these counts.
         cases = {name: (solved_cache(name, 4), milnor_cache(name)) for name in ("E12", "U12")}
         products, series_products = [], []
         power_product = frobenius.graded_dot
@@ -300,12 +301,45 @@ class TestPrepotential:
             products.clear()
             prepotential(result, data)
             counts[name] = len(products)
-        assert counts == {"E12": 939, "U12": 694}
+        assert counts == {"E12": 714, "U12": 469}
         assert series_products == []
 
 
 class TestIntegrability:
     CASES = (("A3", 4), ("U12", 4), ("E12", 6))
+
+    def test_j_terms_start_at_their_z_degree(self, solved_cache):
+        # prepotential inverts s(t) only through order - 1: with every term
+        # of J_(-2) of s-degree >= 2, the top degree of one factor s(t) in a
+        # word of J_(-2) lands above the order.
+        for name, order in self.CASES:
+            result = solved_cache(name, order)
+            for m in (-2, -1):
+                components = result.j_components(m)
+                assert any(components), (name, m)
+                for series in components:
+                    assert min(map(sum, series.terms), default=-m) >= -m, (name, m)
+
+    @pytest.mark.parametrize(
+        "name, order, reverse",
+        [
+            ("W13", 5, False),
+            ("Q10", 6, False),
+            ("P8", 6, False),
+            ("E14", 5, False),
+            ("Q10", 6, True),
+            ("E12", 5, True),
+        ],
+    )
+    def test_matches_fraction_reference(self, catalog, milnor_cache, name, order, reverse):
+        # The reversed basis puts the monomial 1 last.
+        f = catalog[name].weighted_polynomial()
+        data = milnor_cache(name)
+        if reverse:
+            data = milnor_basis(f, basis=data.basis[::-1])
+            assert not any(data.basis[-1])
+        result = solve_star(build_unfolding(f, data, order))
+        assert prepotential(result, data).prepotential == two_pass_prepotential(result, data)
 
     def test_raises_where_two_pass_check_raises(self, solved_cache, milnor_cache):
         # Negative controls: 1/7 added to one s-monomial of one J_(-2)
@@ -324,6 +358,18 @@ class TestIntegrability:
                 for check in (prepotential, two_pass_prepotential):
                     with pytest.raises(IntegrabilityError):
                         check(bad, data)
+
+    def test_raises_at_orders_one_and_two(self, solved_cache, milnor_cache):
+        # s(t) is inverted through max(order - 1, 1): at order 1 its linear
+        # part is still what carries a degree-1 term of J_(-2) into g.
+        data = milnor_cache("A3")
+        for order in (1, 2):
+            result = solved_cache("A3", order)
+            for exps in ((0, 0, 0), (0, 1, 0)):
+                extras = [SSeries(3, order)] * 3
+                extras[0] = SSeries(3, order, {exps: F(1, 7)})
+                with pytest.raises(IntegrabilityError):
+                    prepotential(with_j_minus2_added(result, extras), data)
 
     def test_gradient_added_moves_prepotential_by_its_potential(
         self, solved_cache, milnor_cache
