@@ -22,6 +22,15 @@ so `monomial_class` splits x^m into basis part plus ideal part and pushes
 the ideal part one z power up, lowering the weighted degree by exactly 1
 each time.  A class, int numerators over one denominator, depends on f
 alone and is memoized on the MilnorData for every solve and defect.
+
+Above the socle degree sigma the quotient is zero.  A monomial there sheds
+x^a, variables last to first, the largest power of each that keeps the
+rest above sigma; the rest lies in the band (sigma, sigma + max w_j], whose
+systems `milnor_basis` builds, and x^a times its witness is the monomial's,
+so no solve builds a system.  Two witnesses differ by a Koszul syzygy
+h (d_j f e_i - d_i f e_j) of df, an isolated f having no others, whose push
+d_i(h) d_j(f) - d_j(h) d_i(f) to the next z power is the d of an (n-1)-form:
+a class does not depend on the witness.
 """
 
 from __future__ import annotations
@@ -162,6 +171,8 @@ class _JacobianDivider:
             for i in range(f.nvars)
         )
         self.gen_sdegs = tuple(self.scale - sd for sd in self.var_sdegs)
+        # The central charge sum(1 - 2 q_i) in scaled degree.
+        self.socle_sdeg = self.nvars * self.scale - 2 * sum(self.var_sdegs)
         self._monos_cache: dict[int, list] = {}
         self._systems: dict[int, _DegreeSystem] = {}
         self.designated: dict[int, list] | None = None  # degree -> basis monos
@@ -303,24 +314,30 @@ class _JacobianDivider:
 
         Returns (den, basis numerators {mono: int}, generator numerators
         {(var, mono): int}), each coefficient its numerator over den > 0,
-        with no common factor; the expression is exact.
+        with no common factor; the expression is exact.  Above the socle
+        degree it divides the band monomial left after shedding x^a (see the
+        module docstring) and multiplies its witness by x^a.
         """
-        sdeg = self.sdeg(mono)
+        sdeg, shed = self.sdeg(mono), [0] * self.nvars
+        for j in reversed(range(self.nvars)):
+            shed[j] = max(0, min(mono[j], (sdeg - self.socle_sdeg - 1) // self.var_sdegs[j]))
+            sdeg -= shed[j] * self.var_sdegs[j]
+        rest = tuple(e - k for e, k in zip(mono, shed))
         sys = self.system(sdeg)
-        vec = {sys.index[mono]: 1}
+        vec = {sys.index[rest]: 1}
         combo = {_TARGET: 1}
         leftover = self._eliminate(vec, combo, sys.echelon)
         if leftover is not None:
             raise NonIsolatedSingularityError(
                 "Jacobian quotient persists at scaled degree "
-                f"{sdeg}/{self.scale}: monomial {mono} is not reachable"
+                f"{sdeg}/{self.scale}: monomial {rest} is not reachable"
             )
-        # den * mono + sum(combo * columns) = 0, den > 0 as every pivot is.
+        # den * rest + sum(combo * columns) = 0, den > 0 as every pivot is.
         den = combo.pop(_TARGET)
         parts = {k: -c * (self.jacobian_den if k[0] == "g" else 1) for k, c in combo.items()}
         g = gcd(den, *parts.values())
         basis_part = {k[1]: c // g for k, c in parts.items() if k[0] == "b"}
-        gen_part = {k[1:]: c // g for k, c in parts.items() if k[0] == "g"}
+        gen_part = {(k[1], mono_mul(k[2], shed)): c // g for k, c in parts.items() if k[0] == "g"}
         return den // g, basis_part, gen_part
 
 
@@ -415,13 +432,12 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
         basis = [tuple(int(e) for e in m) for m in basis]
     divider = _JacobianDivider(f, basis)
     c_hat = central_charge(f)
-    socle_sdeg = int(c_hat * divider.scale)
-    cap = socle_sdeg + max(divider.gen_sdegs)
+    cap = divider.socle_sdeg + max(divider.gen_sdegs)
 
     found = []
     for sdeg in range(cap + 1):
         sys = divider.system(sdeg)
-        if sys.basis_monos and sdeg > socle_sdeg:
+        if sys.basis_monos and sdeg > divider.socle_sdeg:
             raise NonIsolatedSingularityError(
                 "quotient is nonzero at weighted degree "
                 f"{format_rational(Fraction(sdeg, divider.scale))}, above the "

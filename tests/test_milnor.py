@@ -24,8 +24,10 @@ from primform.milnor import (
     hessian_determinant,
     infer_weights,
     milnor_basis,
+    monomial_class,
     _JacobianDivider,
 )
+from primform.primitive import build_unfolding, solve_star
 
 F = Fraction
 
@@ -101,6 +103,8 @@ class TestMilnorBasis:
             data = milnor_cache(name)
             assert max(data.degrees) == central_charge(data.f)
             assert weighted_degree(data.socle, data.f.weights) == central_charge(data.f)
+            divider = data._divider
+            assert divider.socle_sdeg == central_charge(data.f) * divider.scale
 
     def test_rejects_non_isolated(self):
         f = wp("x^2*y^2", ["x", "y"], [F(1, 4), F(1, 4)])
@@ -257,8 +261,8 @@ class TestConsistencyChecks:
             milnor_basis(catalog["E12"].weighted_polynomial())
 
     def test_socle_off_the_central_charge(self, catalog, monkeypatch):
-        # 1/100 more leaves the socle's scaled degree where it was, but no
-        # basis degree equals it.
+        # 1/100 more leaves the divider's socle degree, read off the
+        # weights, where it was, but no basis degree equals it.
         original = milnor.central_charge
         monkeypatch.setattr(milnor, "central_charge", lambda f: original(f) + F(1, 100))
         with pytest.raises(
@@ -362,6 +366,125 @@ class TestDivision:
         coeffs, quotients = divide_by_jacobian(combo, data)
         assert coeffs == [F(idx + 1, 3) for idx in range(data.mu)]
         assert all(not q for q in quotients)
+
+
+def _shed(divider, mono):
+    """The power x^a a monomial sheds above the socle: variables last to
+    first, the largest power of each that keeps x^(mono - a) above it."""
+    low, shed = divider.sdeg(mono), [0] * len(mono)
+    for j in reversed(range(len(mono))):
+        shed[j] = max(0, min(mono[j], (low - divider.socle_sdeg - 1) // divider.var_sdegs[j]))
+        low -= shed[j] * divider.var_sdegs[j]
+    return tuple(shed)
+
+
+def _rebuilt(partials, gen_part, shift):
+    """sum_i q_i d_i f over the generator numerators, each quotient monomial
+    multiplied by x^shift."""
+    n = len(partials)
+    quotients: list[dict] = [{} for _ in range(n)]
+    for (i, qm), c in gen_part.items():
+        quotients[i][mono_mul(qm, shift)] = F(c)
+    total = SSeries(n, None)
+    for q, partial in zip(quotients, partials):
+        total = total + SSeries(n, None, q) * partial
+    return total
+
+
+def _reference_class(mono, data, memo):
+    """The lattice class of x^mono as {(z power, index): Fraction}, every
+    witness taken from the full system of the monomial's own degree."""
+    if mono in memo:
+        return memo[mono]
+    divider = data._divider
+    sys = divider.system(divider.sdeg(mono))
+    vec, combo = {sys.index[mono]: 1}, {("t",): 1}
+    assert divider._eliminate(vec, combo, sys.echelon) is None
+    den = combo.pop(("t",))
+    out: dict = {}
+    for key, c in combo.items():
+        if key[0] == "b":
+            out[0, data.basis_index(key[1])] = -F(c, den)
+            continue
+        # x^mono carries -c * jacobian_den / den * x^qm * d_i f, which the
+        # lattice relation trades for +z * that times d_i(x^qm).
+        _, i, qm = key
+        if qm[i]:
+            factor = F(c * divider.jacobian_den * qm[i], den)
+            lowered = qm[:i] + (qm[i] - 1,) + qm[i + 1:]
+            for (zp, idx), v in _reference_class(lowered, data, memo).items():
+                out[zp + 1, idx] = out.get((zp + 1, idx), 0) + factor * v
+    memo[mono] = {k: v for k, v in out.items() if v}
+    return memo[mono]
+
+
+class TestAboveTheSocle:
+    """Above the socle degree a monomial's witness is the band witness of
+    what it keeps, shifted by the power it sheds."""
+
+    CASES = [
+        ("U12", None),
+        ("W13", None),
+        ("S12", None),
+        ("E14", None),
+        ("D4", [(0, 0), (1, 0), (0, 1), (2, 0)]),
+    ]
+
+    def test_shifted_witnesses(self, catalog, monkeypatch):
+        wrong = 0
+        for name, basis in self.CASES:
+            f = catalog[name].weighted_polynomial()
+            data = milnor_basis(f, basis)
+            divider = data._divider
+            partials = [f.poly.diff(i) for i in range(f.nvars)]
+            divided = []
+            original = _JacobianDivider.solve_monomial
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    _JacobianDivider,
+                    "solve_monomial",
+                    lambda self, mono: divided.append(self.sdeg(mono)) or original(self, mono),
+                )
+                solve_star(build_unfolding(f, data, 6))
+            for sdeg in range(divider.socle_sdeg + 1, max(divided) + 1):
+                for mono in divider.monomials_at(sdeg):
+                    den, basis_part, gen_part = divider.solve_monomial(mono)
+                    assert basis_part == {}, (name, mono)
+                    for i, qm in gen_part:
+                        assert divider.sdeg(qm) == sdeg - divider.gen_sdegs[i], (name, mono)
+                    target = SSeries(f.nvars, None, {mono: F(den)})
+                    assert _rebuilt(partials, gen_part, (0,) * f.nvars) == target, (name, mono)
+                    # The witness is the band witness of the rest, shifted.
+                    shed = _shed(divider, mono)
+                    rest = tuple(e - a for e, a in zip(mono, shed))
+                    band = divider.sdeg(rest) - divider.socle_sdeg
+                    assert 0 < band <= max(divider.var_sdegs), (name, mono)
+                    rest_den, _, rest_part = divider.solve_monomial(rest)
+                    assert rest_den == den
+                    shifted = {(i, mono_mul(qm, shed)): c for (i, qm), c in rest_part.items()}
+                    assert gen_part == shifted, (name, mono)
+                    # Negative control: the shift on the wrong variable.
+                    misplaced = shed[1:] + shed[:1]
+                    if misplaced != shed:
+                        wrong += 1
+                        assert _rebuilt(partials, rest_part, misplaced) != target, (name, mono)
+        assert wrong
+
+    def test_classes_match_the_full_systems(self, catalog):
+        memo_sizes = {}
+        for name, reverse in (("W13", False), ("S12", False), ("U12", True)):
+            f = catalog[name].weighted_polynomial()
+            basis = list(reversed(milnor_basis(f).basis)) if reverse else None
+            data = milnor_basis(f, basis)
+            solve_star(build_unfolding(f, data, 6))
+            memo_sizes[name] = len(data._reduce_cache)
+            reference: dict = {}
+            for mono in list(data._reduce_cache):
+                r, entries = monomial_class(mono, data)
+                got = {(zp, idx): F(c, r) for zp, idx, c in entries}
+                assert got == _reference_class(mono, data, reference), (name, mono)
+        # Cold floor -2 memo sizes at order 6.
+        assert memo_sizes["W13"] == 412 and memo_sizes["S12"] == 456
 
 
 class TestResiduePairing:
