@@ -7,8 +7,7 @@ ideal, the socle, and the residue pairing.
 
 Division is organised degree by degree: the weighted grading makes each
 degree a finite exact linear solve, and the echelon form of each degree's
-system is computed once and cached.  The elimination runs on ints and
-stops taking ideal generators once the echelon has the ideal's rank.
+system is computed once and cached.  The elimination runs on ints.
 Pivoting always prefers the smallest monomial in the canonical graded
 order, so the basis and every division witness are deterministic.
 
@@ -27,7 +26,10 @@ Above the socle degree sigma the quotient is zero.  A monomial there sheds
 x^a, variables last to first, the largest power of each that keeps the
 rest above sigma; the rest lies in the band (sigma, sigma + max w_j], whose
 systems `milnor_basis` builds, and x^a times its witness is the monomial's,
-so no solve builds a system.  Two witnesses differ by a Koszul syzygy
+so no solve builds a system.  For the same reason `milnor_basis` walks the
+degrees only through the top of the band: every monomial above it is x^a
+times a band monomial, so a quotient that is zero in the band is zero
+everywhere above it.  Two witnesses differ by a Koszul syzygy
 h (d_j f e_i - d_i f e_j) of df, an isolated f having no others, whose push
 d_i(h) d_j(f) - d_j(h) d_i(f) to the next z power is the d of an (n-1)-form:
 a class does not depend on the witness.
@@ -206,24 +208,6 @@ class _JacobianDivider:
         self._monos_cache[sdeg] = found
         return found
 
-    def quotient_dimension(self, sdeg: int) -> int:
-        """The coefficient of t^sdeg in prod_i (1 - t^g_i) / (1 - t^w_i).
-
-        It is the dimension of C[x]/(df) at that degree when the partials
-        form a regular sequence, as they do for an isolated singularity
-        (Milnor-Orlik): inclusion-exclusion over the subsets S of the
-        generators of the monomial count at sdeg - sum_{i in S} g_i.
-        """
-        total = 0
-        for subset in range(1 << self.nvars):
-            shift, sign = sdeg, 1
-            for i, g in enumerate(self.gen_sdegs):
-                if subset >> i & 1:
-                    shift, sign = shift - g, -sign
-            if shift >= 0:
-                total += sign * len(self.monomials_at(shift))
-        return total
-
     def _eliminate(self, vec, combo, echelon):
         """Reduce the int column (vec, combo) against the echelon, in place.
 
@@ -262,18 +246,12 @@ class _JacobianDivider:
         index = {m: r for r, m in enumerate(monos)}
         echelon: dict = {}
         # Ideal generator columns: mono * d_i(f), variables then monomials
-        # in canonical order, until the echelon has the rank the Poincare
-        # series gives.  For an isolated f that is the ideal's rank.  Left
-        # out columns can only enlarge the quotient found, so a non-isolated
-        # f is still rejected.
-        rank = len(monos) - self.quotient_dimension(sdeg)
+        # in canonical order.
         for i in range(self.nvars):
             shift = sdeg - self.gen_sdegs[i]
             if shift < 0:
                 continue
             for m in self.monomials_at(shift):
-                if len(echelon) == rank:
-                    break
                 vec = {}
                 for jm, jc in self.jacobian[i].items():
                     row = index[mono_mul(m, jm)]
@@ -421,7 +399,8 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
     `basis`, when given, is a full list of monomials (exponent tuples) to use
     instead of the canonical choice; it is validated for independence and for
     matching the graded dimensions.  Rejects non-isolated singularities: the
-    quotient must vanish strictly above the socle degree (the central charge).
+    quotient must vanish in the band above the socle degree (the central
+    charge), the highest degrees it walks.
     """
     for i, dpoly in enumerate(f.poly.diff(i) for i in range(f.nvars)):
         if not dpoly:
@@ -432,10 +411,10 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
         basis = [tuple(int(e) for e in m) for m in basis]
     divider = _JacobianDivider(f, basis)
     c_hat = central_charge(f)
-    cap = divider.socle_sdeg + max(divider.gen_sdegs)
+    band_top = divider.socle_sdeg + max(divider.var_sdegs)
 
     found = []
-    for sdeg in range(cap + 1):
+    for sdeg in range(band_top + 1):
         sys = divider.system(sdeg)
         if sys.basis_monos and sdeg > divider.socle_sdeg:
             raise NonIsolatedSingularityError(

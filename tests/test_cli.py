@@ -276,9 +276,8 @@ class TestCompute:
         ],
     )
     def test_non_isolated_rejected(self, capsys, poly, weights, message):
-        # The division stops at the rank a regular sequence of partials
-        # would have; a non-isolated f never reaches it, so its quotient
-        # still shows above the socle degree.
+        # A non-isolated f leaves a quotient in the band above the socle
+        # degree, the highest degrees milnor_basis walks.
         code, _, err = run_cli(
             ["compute", "--poly", poly, "--weights", weights, "--order", "2"], capsys
         )
@@ -300,6 +299,13 @@ class TestCompute:
             # x^5 lies above every degree the division visits; it once
             # ended in a degenerate pairing.
             ("1,x,y,y^2,x^5", "designated basis has monomials above the socle degree"),
+            # x^4 lies above the band top 3, x*y^2 in the band.
+            ("1,x,y,x^2,x^4", "designated basis has monomials above the socle degree"),
+            (
+                "1,x,y,x^2,x*y^2",
+                "designated basis has 1 monomials at scaled degree 3, "
+                "but the quotient there has dimension 0",
+            ),
         ],
     )
     def test_dependent_or_misgraded_basis_rejected(self, capsys, basis, message):
@@ -697,6 +703,36 @@ class TestCatalogSelftest:
             " same polynomial as E13; transpose 'E13' != 'E12'",
             "X9: ok",
             "1/3 entries ok",
+        ]
+
+    def test_rejected_entries_reported(self, capsys, tmp_path):
+        # A non-isolated entry and one whose weights do not fit its
+        # polynomial each fail on their own line; the entries after them
+        # are still checked.
+        def entry(name, weights, *exponents):
+            return {
+                "name": name,
+                "variables": ["x", "y"][: len(weights)],
+                "weights": weights,
+                "polynomial": [{"exponents": list(e), "coeff": "1"} for e in exponents],
+            }
+
+        entries = [
+            entry("A2", ["1/3"], (3,)),
+            entry("NI", ["1/4", "1/4"], (2, 2)),
+            entry("BADW", ["1/3", "1/3"], (3, 0), (0, 7)),
+            entry("A3", ["1/4"], (4,)),
+        ]
+        path = tmp_path / "rejected.json"
+        path.write_text(json.dumps({"entries": entries}))
+        code, out, err = run_cli(["catalog-selftest", "--catalog", str(path)], capsys)
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "A2: ok",
+            "NI: FAIL: quotient is nonzero at weighted degree 5/4, above the socle degree 1",
+            "BADW: FAIL: term y^7 has weighted degree 7/3, expected 1",
+            "A3: ok",
+            "2/4 entries ok",
         ]
 
 

@@ -137,15 +137,18 @@ class TestMilnorBasis:
                 got[sdeg] = got.get(sdeg, 0) + 1
             assert got == expected, name
 
-    def test_rank_formula_matches_elimination(self, catalog, milnor_cache):
-        # The inclusion-exclusion quotient dimension at which the division
-        # stops taking generator columns, against the rank of all of them
-        # from a dense elimination, at every degree up to the socle bound.
-        for name in catalog:
-            data = milnor_cache(name)
-            divider = data._divider
-            cap = int(central_charge(data.f) * divider.scale) + max(divider.gen_sdegs)
-            partials = [data.f.poly.diff(i) for i in range(data.f.nvars)]
+    def test_division_rank_matches_elimination(self, catalog):
+        # The quotient dimension the division leaves at each degree, against
+        # the rank of every generator column from a dense elimination, at
+        # every degree through socle + max(1 - q_j), above the band that
+        # milnor_basis walks; above the socle it is 0.  A fresh milnor_basis
+        # per entry, so the shared MilnorData keep only the systems the
+        # engine built.
+        for name, entry in catalog.items():
+            f = entry.weighted_polynomial()
+            divider = milnor_basis(f)._divider
+            cap = divider.socle_sdeg + max(divider.gen_sdegs)
+            partials = [f.poly.diff(i) for i in range(f.nvars)]
             for sdeg in range(cap + 1):
                 monos = divider.monomials_at(sdeg)
                 index = {m: r for r, m in enumerate(monos)}
@@ -156,10 +159,10 @@ class TestMilnorBasis:
                         for jm, jc in partials[i].terms.items():
                             row[index[mono_mul(m, jm)]] += jc
                         rows.append(row)
-                rank = len(_gauss_jordan(rows, len(monos))[0])
-                dim = divider.quotient_dimension(sdeg)
-                assert dim == len(monos) - rank, (name, sdeg)
+                dim = len(monos) - len(_gauss_jordan(rows, len(monos))[0])
                 assert dim == len(divider.system(sdeg).basis_monos), (name, sdeg)
+                if sdeg > divider.socle_sdeg:
+                    assert dim == 0, (name, sdeg)
 
     def test_user_basis_roundtrip(self, catalog):
         # D4 = x^3 + x*y^2 admits x^2 instead of y^2 as the top basis element.
@@ -245,15 +248,16 @@ class TestConsistencyChecks:
             milnor_basis(catalog["E12"].weighted_polynomial())
 
     def test_dimension_off_the_weight_formula(self, catalog, monkeypatch):
-        # A Poincare coefficient one too large at x^2 (scaled degree 14 of
-        # x^3 + y^7) stops the division before it takes the column of x^2,
-        # which then joins the basis.
-        original = _JacobianDivider.quotient_dimension
-        monkeypatch.setattr(
-            _JacobianDivider,
-            "quotient_dimension",
-            lambda self, sdeg: original(self, sdeg) + (sdeg == 14),
-        )
+        # The division drops the generator column d_x f = 3x^2 of x^3 + y^7,
+        # so x^2 joins the basis.
+        original = _JacobianDivider._eliminate
+
+        def dropping(self, vec, combo, echelon):
+            if ("g", 0, (0, 0)) in combo:
+                return None
+            return original(self, vec, combo, echelon)
+
+        monkeypatch.setattr(_JacobianDivider, "_eliminate", dropping)
         with pytest.raises(
             NonIsolatedSingularityError,
             match="quotient dimension 13 does not match the weight formula 12",

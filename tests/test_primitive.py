@@ -211,23 +211,25 @@ class TestSolveStar:
             eliminated[name] = len(columns)
         # The solve forms no series product: it runs on ints, and looks up
         # each lattice class once per call.
-        assert counts == {"E12": (0, 1054, 105, 49, 203), "U12": (0, 643, 225, 83, 351)}
-        # The division stops taking generator columns at the ideal's rank
-        # (41 and 88 columns without the stop).
-        assert eliminated == {"E12": 38, "U12": 85}
+        assert counts == {"E12": (0, 1054, 105, 28, 203), "U12": (0, 643, 225, 46, 351)}
+        assert eliminated == {"E12": 16, "U12": 37}
 
     def test_no_system_above_the_band(self, catalog):
-        # milnor_basis builds the systems of every degree through the cap,
-        # the top of the band above the socle; the solve and the defect
-        # divide above it by shifted band witnesses and build none.
+        # milnor_basis builds the systems of every degree through the top
+        # of the band above the socle, socle + max w_j, and no higher; the
+        # solve and the defect divide above it by shifted band witnesses
+        # and build none.
+        built = {}
         for name in ("U12", "W13"):
             f = catalog[name].weighted_polynomial()
             data = milnor_basis(f)
             divider = data._divider
-            cap = divider.socle_sdeg + max(divider.gen_sdegs)
-            assert len(divider._systems) == cap + 1, name
+            band_top = divider.socle_sdeg + max(divider.var_sdegs)
+            built[name] = len(divider._systems)
+            assert built[name] == band_top + 1, name
             assert defect_is_zero(solve_star(build_unfolding(f, data, 6)))
-            assert len(divider._systems) == cap + 1, name
+            assert len(divider._systems) == band_top + 1, name
+        assert built == {"U12": 19, "W13": 27}
 
     def test_floored_work_counters_pinned(self, catalog):
         # J terms and reduction-cache entries of a cold order-4 solve at the
