@@ -9,16 +9,18 @@ residue pairing,
     d F0 / d t_a  =  sum_b eta_ab J_(-2)^b (s(t)),
 
 with the constant, linear, and quadratic parts normalized to zero.  Each
-pass of the fixed point and J_(-2)(s(t)) itself substitute s(t) directly
-into every monomial, u(s(t)) = sum_J u_J s(t)^J, sharing the powers s(t)^J
-among the series of one substitution.  Pass p of the fixed point fixes
-total degree p, so it runs at order p; for the prepotential at order N the
-passes stop at N - 1, since every word of J_(-2) has length >= 2 and the
-degree-N part of s(t) is never read.  The gradient must be exactly
-curl-free: it is integrated one degree past the order and compared with
-the derivatives of the result, and a mismatch signals a convention bug
-and is raised, never tolerated.  The prepotential is truncated by total
-degree at the same order as the s-expansion.
+pass of the fixed point and J_(-2)(s(t)) itself substitute s(t) by a
+Horner fold over the trie of the monomials' words, u(s(t)) = sum_J u_J
+s(t)^J, one fold for all the series of one substitution, each node formed
+only through the degree its remaining factors leave room for.  Pass p of
+the fixed point fixes total degree p, so it runs at order p; for the
+prepotential at order N the passes stop at N - 1, since every word of
+J_(-2) has length >= 2 and the degree-N part of s(t) is never read.  The
+gradient must be exactly curl-free: it is integrated one degree past the
+order and compared with the derivatives of the result, and a mismatch
+signals a convention bug and is raised, never tolerated.  The
+prepotential is truncated by total degree at the same order as the
+s-expansion.
 
 The WDVV check walks the index multisets {a, b, c, d}: it forms each of
 their pairings X_{ab|cd} = sum F_abe eta^{ef} F_fcd once, compares the
@@ -28,8 +30,8 @@ disagree.
 The substitution, the integration and the WDVV check run on Python ints:
 each scales its rational inputs by the lcm of their denominators, and
 divides back only once for each output value.  The substitution and the
-WDVV check form their products (the powers s(t)^w, the raised index, the
-contractions) with the one kernel `algebra.graded_dot`, on monomials
+WDVV check form their products (the nodes of the fold, the raised index,
+the contractions) with the one kernel `algebra.graded_dot`, on monomials
 packed in a base above every exponent.
 """
 
@@ -72,28 +74,45 @@ def _substitute_ints(series: list[SSeries], s_of_t: list[SSeries]) -> tuple[int,
     with acc = scale * u(s(t)) as {degree: {packed: int}} by total degree,
     cancelled terms kept as 0.
 
-    Each monomial s^J is visited as its sorted word of variable indices
-    (s_1^2 s_3 is (0, 0, 2)), and the words are walked in sorted order, so
-    consecutive words share their longest common prefix.  A stack holds
-    the powers for the prefixes w of the current word only, each entry the
-    one below it times one coordinate series; the powers are shared by all
-    the series of one call.
+    Each monomial s^J is a sorted word of variable indices (s_1^2 s_3 is
+    (0, 0, 2)), and the words form a trie: the children of a prefix p are
+    the prefixes p + (v,) with v no less than the last index of p.  The
+    series are evaluated by a Horner fold over that trie,
 
-    With D the lcm of the denominators of s(t), the stack holds
-    D^|w| s(t)^w, graded by total degree.  Each u is scaled by E, the lcm
-    of its own denominators, and its term at a word w by D^(top - |w|) as
-    well, top the length of its longest word, so that every term adds
-    E D^top u_J s(t)^J, and scale is E D^top.  N, the order of s(t), is the
-    one bound: the powers and the sums are formed through total degree N.
-    A monomial is packed in base N + 2, so that a kept monomial raised by
-    one more variable, as the prepotential does, carries no digit either.
+        v(p) = sum_i u_(p,i) [i]  +  sum_v s_v(t) v(p + v),
+
+    where [i] marks series i, so that u_i(s(t)) is the part of v(()) marked
+    i.  The words are walked in sorted order and a stack holds the open
+    prefixes of the current word; a prefix closes when the walk leaves it,
+    and its value is one `graded_dot` over its closed children.  Series i
+    is marked by a digit i above the monomial digits, its packed key being
+    mono + i base^nvars, which no product carries into; so one fold serves
+    every series of the call.  The root is never formed: each of its
+    children is multiplied by its coordinate series and split into the
+    outputs as soon as it closes.
+
+    N, the order of s(t), bounds the result, and delta, the least total
+    degree of any term of s(t), bounds each node: v(p) is multiplied by |p|
+    more factors, each of degree >= delta, so it is formed only through
+    total degree N - delta |p|.  delta is 0 when s(t) has a constant term,
+    and then every node is formed through N.
+
+    With D the lcm of the denominators of s(t), each coordinate series is
+    scaled by D.  Each u is scaled by E, the lcm of its own denominators,
+    and its term at a word w by D^(top - |w|) as well, top the length of
+    its longest word, so that every term adds E D^top u_J s(t)^J, and scale
+    is E D^top.  A monomial is packed in base N + 2, so that a kept
+    monomial raised by one more variable, as the prepotential does, carries
+    no digit either.
     """
     orders = {s.order for s in s_of_t}
     if len(orders) != 1 or None in orders:
         raise ValueError(f"s(t) must have one integer order, got {sorted(orders, key=str)}")
     (order,) = orders
     base = order + 2
+    step = base ** s_of_t[0].nvars
     d_scale = lcm(*(c.denominator for s in s_of_t for c in s.terms.values()))
+    delta = min((sum(mono) for s in s_of_t for mono in s.terms), default=0)
     factors = []
     for s in s_of_t:
         buckets: dict = {}
@@ -102,44 +121,73 @@ def _substitute_ints(series: list[SSeries], s_of_t: list[SSeries]) -> tuple[int,
             buckets.setdefault(sum(mono), {})[pack_monomial(mono, base)] = scaled
         factors.append(graded(buckets))
 
-    scales, uses = [], {}
+    scales, words = [], {}
     for i, u in enumerate(series):
         e_scale = lcm(*(c.denominator for c in u.terms.values()))
         top = max(map(sum, u.terms), default=0)
         scales.append(e_scale * d_scale**top)
         for mono, c in u.terms.items():
-            word = tuple(v for v, e in enumerate(mono) for _ in range(e))
+            word = ()
+            for v, e in enumerate(mono):
+                if e:
+                    word += (v,) * e
             scaled = c.numerator * (e_scale // c.denominator) * d_scale ** (top - len(word))
-            uses.setdefault(word, []).append((i, scaled))
+            words.setdefault(word, []).append((i, scaled))
 
-    stack = [[(0, [(0, 1)])]]  # stack[k] = D^k s(t)^word[:k]
-    prev: tuple = ()
     out = [{} for _ in series]
-    for word in sorted(uses):
+    for i, scaled in words.pop((), ()):
+        out[i][0] = {0: scaled}
+    # stack[k] = (last index, own terms, closed children) of the open prefix word[:k]
+    stack: list = [(None, (), [])]
+    prev: tuple = ()
+
+    def close():
+        depth = len(stack) - 1
+        v, terms, children = stack.pop()
+        if children:
+            buckets = graded_dot(children, factors, order - delta * depth)
+            bucket = buckets.setdefault(0, {})
+            for i, c in terms:
+                bucket[i * step] = bucket.get(i * step, 0) + c
+            value = graded(buckets)
+        else:
+            value = [(0, [(i * step, c) for i, c in terms])]
+        if depth > 1:
+            stack[-1][2].append((v, value))
+            return
+        for degree, bucket in graded_dot([(v, value)], factors, order).items():
+            for key, c in bucket.items():
+                i, mono = divmod(key, step)
+                acc = out[i].setdefault(degree, {})
+                acc[mono] = acc.get(mono, 0) + c
+
+    for word in sorted(words):
         common = 0
-        while common < min(len(prev), len(word)) and prev[common] == word[common]:
+        for a, b in zip(prev, word):
+            if a != b:
+                break
             common += 1
-        del stack[common + 1:]
-        for v in word[common:]:
-            stack.append(graded(graded_dot([(v, stack[-1])], factors, order)))
+        while len(stack) > common + 1:
+            close()
+        stack.extend((v, (), []) for v in word[common:-1])
+        # Popped as it is read, so that a word's terms go once it is folded.
+        stack.append((word[-1], words.pop(word), []))
         prev = word
-        for i, scaled in uses[word]:
-            acc = out[i]
-            for degree, items in stack[-1]:
-                bucket = acc.setdefault(degree, {})
-                for mono, c in items:
-                    bucket[mono] = bucket.get(mono, 0) + scaled * c
+    while len(stack) > 1:
+        close()
     return base, list(zip(out, scales))
 
 
 def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
     """Every u in series evaluated at s = s_of_t(t), as sum_J u_J s(t)^J,
-    through the order of s(t) and of u; see `_substitute_ints`.  Each
-    output coefficient is divided by its scale once."""
+    see `_substitute_ints`.  A result is known through the order N of s(t)
+    and no further, so its order is the lesser of N and that of u, and N
+    for a polynomial u.  Each output coefficient is divided by its scale
+    once."""
     base, parts = _substitute_ints(series, s_of_t)
-    nv = s_of_t[0].nvars
+    nv, order = s_of_t[0].nvars, s_of_t[0].order
     return [
-        SSeries(nv, u.order, {
+        SSeries(nv, order if u.order is None else min(u.order, order), {
             unpack_monomial(m, base, nv): Fraction(a, scale)
             for bucket in acc.values() for m, a in bucket.items() if a
         })
@@ -149,7 +197,7 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
 
 def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
     """Inverse series s(t) of a coordinate change with identity linear part,
-    through total degree `order`.
+    through total degree `order`, which must not exceed the order of t(s).
 
     Fixed-point iteration on s = t - u(s) where u is the nonlinear part.
     Pass p fixes total degree p, and runs at order p: u starts at degree 2,
@@ -159,6 +207,8 @@ def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
     mu = len(t_of_s)
     u = []
     for alpha, t in enumerate(t_of_s):
+        if t.order is not None and t.order < order:
+            raise ValueError(f"t(s) is known through order {t.order}, not {order}")
         linear = t.degree_part(1)
         if linear != SSeries.variable(mu, alpha, t.order):
             raise ValueError("coordinate change does not have identity linear part")
@@ -194,16 +244,17 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
     degree 0 or 1 and each part of degree 2..N is curl-free.  The
     prepotential is F through degree N, zero below order 3.
 
-    s(t) is needed only through degree N - 1 (at least 1): every word of
-    J_(-2) has length >= 2, so the degree-N part of one factor lands above
-    N, and a shorter word gives g a part of degree 0 or 1, rejected anyway.
+    s(t) is needed only through degree N - 1 (1 at order 1, 0 at order 0):
+    every word of J_(-2) has length >= 2, so the degree-N part of one
+    factor lands above N, and a shorter word gives g a part of degree 0 or
+    1, rejected anyway.
     On ints, with L the lcm of the substitution's scales and E that of the
     denominators of eta, G_a = E L g_a and H_J = |J| E L F_J, so the check
     is (d + 1) G_a[m] = J_a H_J, J = m + e_a, at every degree d <= N, and
     each F_J is divided out once.
     """
     mu, order = milnor.mu, result.order
-    s_of_t = invert_coordinates(flat_coordinates(result), max(order - 1, 1))
+    s_of_t = invert_coordinates(flat_coordinates(result), min(max(order - 1, 1), order))
     base, parts = _substitute_ints(result.j_components(-2), [s.truncate(order) for s in s_of_t])
     e_scale = lcm(*(v.denominator for row in milnor.eta for v in row))
     l_scale = lcm(*(scale for _, scale in parts))

@@ -158,6 +158,19 @@ class TestInvertCoordinates:
         )
         s0 = t0 + (t1 * t1).scale(F(1, 11)) + (t1 * t1 * t1).scale(F(1, 13))
         cases.append(([cancelling], [s0, t1, t0]))
+        # A prefix of length k is formed through order - delta k, delta the
+        # least degree of a term of s(t): an s(t) with a constant term
+        # (delta 0) keeps every degree, one with no linear part (delta 2)
+        # drops the most.
+        for _ in range(20):
+            us = [rand_series(0, u_order, order + 1) for u_order in (order, None)]
+            shifted = [
+                rand_series(1, order) + const(mu, order, F(rng.randint(1, 4), rng.choice((3, 7))))
+                for _ in range(mu)
+            ]
+            quadratic = [rand_series(2, order) for _ in range(mu)]
+            quadratic[0] = quadratic[0] + (t0 * t1).scale(F(1, 3))
+            cases += [(us, shifted), (us, quadratic)]
 
         for us, substituted in cases:
             composed = substitute(us, substituted)
@@ -170,8 +183,21 @@ class TestInvertCoordinates:
                         for _ in range(e):
                             term = term * substituted[var]
                     direct = direct + term
-                assert got == SSeries(mu, u.order, direct.terms)
+                u_order = order if u.order is None else min(u.order, order)
+                assert got == SSeries(mu, u_order, direct.terms)
         assert substitute([cancelling], [s0, t1, t0]) == [SSeries(mu, order)]
+
+    def test_substitute_is_known_through_the_order_of_s(self):
+        # s(t) = (t0 + t1^2, t1) at order 3 fixes x0^2 at s(t) through
+        # degree 3 only: its t1^4 term is unknown, whatever the order of u.
+        t0, t1 = SSeries.variable(2, 0, 3), SSeries.variable(2, 1, 3)
+        s_of_t = [t0 + t1 * t1, t1]
+        expected = SSeries(2, 3, {(2, 0): F(1), (1, 2): F(2)})
+        for u_order in (5, None):
+            assert substitute([SSeries(2, u_order, {(2, 0): F(1)})], s_of_t) == [expected]
+        assert substitute([SSeries(2, 2, {(2, 0): F(1)})], s_of_t) == [
+            SSeries(2, 2, {(2, 0): F(1)})
+        ]
 
     def test_substitute_needs_one_integer_order(self):
         u = [SSeries.variable(2, 0, 3)]
@@ -200,6 +226,11 @@ class TestInvertCoordinates:
             cases.append((t, order))
         for t_of_s, order in cases:
             assert invert_coordinates(t_of_s, order) == full_order_inverse(t_of_s, order)
+
+    def test_rejects_order_above_that_of_t(self, solved_cache):
+        t_of_s = flat_coordinates(solved_cache("E12", 3))
+        with pytest.raises(ValueError, match="known through order 3, not 5"):
+            invert_coordinates(t_of_s, 5)
 
     def test_random_roundtrip(self):
         rng = random.Random(77)
@@ -276,10 +307,11 @@ class TestPrepotential:
             assert frob.order == order
 
     def test_series_products_pinned(self, solved_cache, milnor_cache, monkeypatch):
-        # Work counter: the substitutions multiply no SSeries, and build each
-        # power s(t)^w once per call, shared by its series; building the
-        # powers per series, or inverting s(t) through the order rather than
-        # one below it, raises these counts.
+        # Work counter: the substitutions multiply no SSeries, and fold the
+        # word trie with one product per prefix that has children, shared by
+        # all the series of a call, plus one per child of the root; folding
+        # each series on its own, or inverting s(t) through the order rather
+        # than one below it, raises these counts.
         cases = {name: (solved_cache(name, 4), milnor_cache(name)) for name in ("E12", "U12")}
         products, series_products = [], []
         power_product = frobenius.graded_dot
@@ -301,8 +333,32 @@ class TestPrepotential:
             products.clear()
             prepotential(result, data)
             counts[name] = len(products)
-        assert counts == {"E12": 714, "U12": 469}
+        assert counts == {"E12": 259, "U12": 196}
         assert series_products == []
+
+    def test_substitution_pairs_pinned(self, solved_cache, milnor_cache, monkeypatch):
+        # Work counter: the term pairs that the products of `prepotential`
+        # form, counted with the kernel's own degree cut.  Forming a prefix
+        # of the word trie past order - delta |prefix| raises these counts.
+        kernel = frobenius.graded_dot
+        pairs = []
+
+        def counting(lefts, rights, bound):
+            for f, left in lefts:
+                for dl, litems in left:
+                    for dr, ritems in rights[f] or ():
+                        if dl + dr > bound:
+                            break
+                        pairs.append(len(litems) * len(ritems))
+            return kernel(lefts, rights, bound)
+
+        monkeypatch.setattr(frobenius, "graded_dot", counting)
+        counts = {}
+        for name in ("E12", "U12"):
+            pairs.clear()
+            prepotential(solved_cache(name, 6), milnor_cache(name))
+            counts[name] = sum(pairs)
+        assert counts == {"E12": 25731, "U12": 16894}
 
 
 class TestIntegrability:
