@@ -341,11 +341,8 @@ class LaurentBlock:
             for idx in sorted(vec):
                 yield zp, idx, vec[idx]
 
-    def z_powers(self) -> list[int]:
-        return sorted(self.z_terms)
-
     def __repr__(self):
-        return f"LaurentBlock(z in {self.z_powers() or '[]'})"
+        return f"LaurentBlock(z in {sorted(self.z_terms)})"
 
 
 def _gauss_jordan(m: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:

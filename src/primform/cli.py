@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_target_flags(p, with_compute_flags=False, format_default="human", weights=True):
+    def add_target_flags(p, format_default="human", weights=True):
         p.add_argument("--singularity", help="catalog entry name, e.g. U12")
         p.add_argument("--poly", help="inline polynomial, e.g. 'x^3+y^7'")
         p.add_argument("--vars", help="comma-separated variable order for --poly")
@@ -298,29 +298,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--catalog", help="catalog file path (or set PRIMFORM_CATALOG)")
         p.add_argument("--format", choices=("json", "human"), default=format_default)
         p.add_argument("--output", help="write the canonical JSON record to this path")
-        if with_compute_flags:
-            p.add_argument(
-                "--order",
-                type=int,
-                default=4,
-                help="s-order (default 4; term counts grow like C(mu+N-1, N))",
-            )
-            p.add_argument(
-                "--basis",
-                help="comma-separated monomial basis, e.g. '1,z,x,y,z^2,...'",
-            )
-            p.add_argument(
-                "--check-defect",
-                action="store_true",
-                help="also re-verify exp((F-f)/z) zeta = J at z^-2 and above by full reduction",
-            )
 
     p_info = sub.add_parser("info", help="weights, central charge, basis, pairing")
     add_target_flags(p_info)
     p_info.set_defaults(func=cmd_info)
 
     p_compute = sub.add_parser("compute", help="run the full prepotential pipeline")
-    add_target_flags(p_compute, with_compute_flags=True, format_default="json")
+    add_target_flags(p_compute, format_default="json")
+    p_compute.add_argument(
+        "--order",
+        type=int,
+        default=4,
+        help="s-order (default 4; term counts grow like C(mu+N-1, N))",
+    )
+    p_compute.add_argument(
+        "--basis", help="comma-separated monomial basis, e.g. '1,z,x,y,z^2,...'"
+    )
+    p_compute.add_argument(
+        "--check-defect",
+        action="store_true",
+        help="also re-verify exp((F-f)/z) zeta = J at z^-2 and above by full reduction",
+    )
     p_compute.set_defaults(func=cmd_compute)
 
     p_verify = sub.add_parser("verify", help="re-run checks on a stored record")

@@ -1,38 +1,15 @@
 """Flat structure extraction: flat coordinates, prepotential, and the
 associativity / grading / integrability checks.
 
-The flat coordinates t(s) are the z^(-1) components of J, and their inverse
-s(t) is the fixed point of s = t - u(s), u the nonlinear part of t(s).  The
-prepotential is integrated from the z^(-2) components contracted with the
-residue pairing,
+The flat coordinates t(s) are the z^(-1) components of J, and the
+prepotential F0 is integrated from the z^(-2) components contracted with
+the residue pairing,
 
     d F0 / d t_a  =  sum_b eta_ab J_(-2)^b (s(t)),
 
-with the constant, linear, and quadratic parts normalized to zero.  Each
-pass of the fixed point and J_(-2)(s(t)) itself substitute s(t) by a
-Horner fold over the trie of the monomials' words, u(s(t)) = sum_J u_J
-s(t)^J, one fold for all the series of one substitution, each node formed
-only through the degree its remaining factors leave room for.  Pass p of
-the fixed point fixes total degree p, so it runs at order p; for the
-prepotential at order N the passes stop at N - 1, since every word of
-J_(-2) has length >= 2 and the degree-N part of s(t) is never read.  The
-gradient must be exactly curl-free: it is integrated one degree past the
-order and compared with the derivatives of the result, and a mismatch
-signals a convention bug and is raised, never tolerated.  The
-prepotential is truncated by total degree at the same order as the
+s(t) the inverse of t(s), with the constant, linear and quadratic parts
+normalized to zero and F0 truncated by total degree at the order of the
 s-expansion.
-
-The WDVV check walks the index multisets {a, b, c, d}: it forms each of
-their pairings X_{ab|cd} = sum F_abe eta^{ef} F_fcd once, compares the
-pairings of one multiset with each other, and keeps values only where they
-disagree.
-
-The substitution, the integration and the WDVV check run on Python ints:
-each scales its rational inputs by the lcm of their denominators, and
-divides back only once for each output value.  The substitution and the
-WDVV check form their products (the nodes of the fold, the raised index,
-the contractions) with the one kernel `algebra.graded_dot`, on monomials
-packed in a base above every exponent.
 """
 
 from __future__ import annotations
@@ -49,7 +26,6 @@ from .algebra import (
     graded_dot,
     mat_inv,
     mono_key,
-    mono_str,
     pack_monomial,
     parse_rational,
     unpack_monomial,
@@ -95,7 +71,9 @@ def _substitute_ints(series: list[SSeries], s_of_t: list[SSeries]) -> tuple[int,
     degree of any term of s(t), bounds each node: v(p) is multiplied by |p|
     more factors, each of degree >= delta, so it is formed only through
     total degree N - delta |p|.  delta is 0 when s(t) has a constant term,
-    and then every node is formed through N.
+    and then every node is formed through N.  Such an s(t) is rejected
+    unless every u is a polynomial: each term above a truncated u's order
+    would add to every degree of u(s(t)), so none of it is known.
 
     With D the lcm of the denominators of s(t), each coordinate series is
     scaled by D.  Each u is scaled by E, the lcm of its own denominators,
@@ -109,6 +87,9 @@ def _substitute_ints(series: list[SSeries], s_of_t: list[SSeries]) -> tuple[int,
     if len(orders) != 1 or None in orders:
         raise ValueError(f"s(t) must have one integer order, got {sorted(orders, key=str)}")
     (order,) = orders
+    constant = any(s.terms.get((0,) * s.nvars) for s in s_of_t)
+    if constant and any(u.order is not None for u in series):
+        raise ValueError("s(t) has a constant term, so u(s(t)) is unknown for a truncated u")
     base = order + 2
     step = base ** s_of_t[0].nvars
     d_scale = lcm(*(c.denominator for s in s_of_t for c in s.terms.values()))
@@ -241,13 +222,15 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
     With g_a = sum_b eta_ab J_(-2)^b(s(t)), exact through degree N (the
     order), F_J = (1/|J|) sum_a g_a[J - e_a] for 3 <= |J| <= N + 1, and
     dF/dt_a must equal g_a through degree N: exactly when g has no part of
-    degree 0 or 1 and each part of degree 2..N is curl-free.  The
-    prepotential is F through degree N, zero below order 3.
+    degree 0 or 1 and each part of degree 2..N is curl-free.  A mismatch
+    is a convention bug and raises IntegrabilityError.  The prepotential is
+    F through degree N, zero below order 3.
 
     s(t) is needed only through degree N - 1 (1 at order 1, 0 at order 0):
     every word of J_(-2) has length >= 2, so the degree-N part of one
     factor lands above N, and a shorter word gives g a part of degree 0 or
     1, rejected anyway.
+
     On ints, with L the lcm of the substitution's scales and E that of the
     denominators of eta, G_a = E L g_a and H_J = |J| E L F_J, so the check
     is (d + 1) G_a[m] = J_a H_J, J = m + e_a, at every degree d <= N, and
@@ -372,11 +355,11 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
     of the three pairings {ab|cd}, {ac|bd}, {ad|bc} of one multiset agree.
     A non-symmetric or singular eta is rejected.  The check walks the
     multisets a <= b <= c <= d, forms each distinct pairing once (a
-    repeated index makes two of them the same), compares them, and keeps
-    their values only when they disagree.  Each X is formed exactly once, and none is
-    held past its multiset unless it takes part in a violation.  The
-    violations are then read off in the order of the quadruples
-    (a, b, c, d), from the kept values alone.
+    repeated index makes two of them the same) and compares them.  Where
+    they disagree, the violations of every quadruple of the multiset are
+    read off its pairings there, so each X is formed exactly once and none
+    is held past its multiset.  Each (quadruple, monomial) occurs once, and
+    the list is sorted once, by quadruple and then by monomial.
 
     Only products that can be nonzero are formed, each by `graded_dot`.
     F_abe is built from the terms of f0 for a <= b <= e, graded by total
@@ -417,8 +400,7 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
         for f, c, d in permutations((i, j, k)):
             tensor[c][d][f] = series
 
-    kept: dict = {}
-    failing = []
+    violations = []
     for a in range(mu):
         # raised[b] = [(f, L_ab^f), ...] over the nonzero L_ab^f, for b >= a.
         raised = [None] * mu
@@ -432,33 +414,24 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
                 values[(a, c), (b, d)] = graded_dot(raised[c], tensor[b][d], check_order)
             if a != b and c != d:
                 values[(a, d), (b, c)] = graded_dot(raised[d], tensor[b][c], check_order)
-            if any(value != first for value in values.values()):
-                values = {key: _flat(value) for key, value in values.items()}
-                first = values[(a, b), (c, d)]
-                if any(value != first for value in values.values()):
-                    kept.update(values)
-                    failing.append((a, b, c, d))
-
-    violations = []
-    quadruples = {q for m in failing for q in permutations(m) if q[1] < q[2]}
-    for a, b, c, d in sorted(quadruples):
-        left = kept[_pairing_key(a, b, c, d)]
-        right = kept[_pairing_key(a, c, b, d)]
-        diff = {}
-        for m in left.keys() | right.keys():
-            value = left.get(m, 0) - right.get(m, 0)
-            if value:
-                diff[unpack_monomial(m, check_order + 1, mu)] = value
-        for mono in sorted(diff, key=mono_key):
-            violations.append(
-                {
-                    "indices": (a + 1, b + 1, c + 1, d + 1),
-                    "monomial": mono,
-                    "difference": format_rational(
-                        Fraction(diff[mono], d_scale * d_scale * e_scale)
-                    ),
-                }
-            )
+            if all(value == first for value in values.values()):
+                continue
+            values = {key: _flat(value) for key, value in values.items()}
+            first = values[(a, b), (c, d)]
+            if all(value == first for value in values.values()):
+                continue
+            for q in {q for q in permutations((a, b, c, d)) if q[1] < q[2]}:
+                left = values[_pairing_key(*q)]
+                right = values[_pairing_key(q[0], q[2], q[1], q[3])]
+                for m in left.keys() | right.keys():
+                    diff = left.get(m, 0) - right.get(m, 0)
+                    if diff:
+                        violations.append({
+                            "indices": tuple(i + 1 for i in q),
+                            "monomial": unpack_monomial(m, check_order + 1, mu),
+                            "difference": format_rational(Fraction(diff, d_scale**2 * e_scale)),
+                        })
+    violations.sort(key=lambda v: (v["indices"], mono_key(v["monomial"])))
     return CheckReport(violations, mu * mu * mu * (mu - 1) // 2)
 
 
@@ -487,12 +460,10 @@ def euler_check(f0: SSeries, flat_degrees, c_hat: Fraction) -> CheckReport:
 def normalization_check(f0: SSeries) -> CheckReport:
     """Record-level integrability: F0 has no terms below total degree 3.
 
-    The substantive test runs inside prepotential(), which integrates
-    eta * J_(-2) one degree past the order, compares the derivatives of the
-    result with it, and raises on a mismatch.  A stored record carries only
-    F0 itself, whose third derivatives commute for every series, so what
-    remains to check on it is the normalization that drops the constant,
-    linear and quadratic parts.
+    The curl check runs inside `prepotential`, on the gradient.  A stored
+    record carries only F0 itself, whose third derivatives commute for
+    every series, so what remains to check on it is the normalization that
+    drops the constant, linear and quadratic parts.
     """
     violations = []
     for mono, coeff in f0.sorted_terms():
@@ -515,7 +486,7 @@ def prepotential_record(
         "weights": [format_rational(q) for q in f.weights],
         "order": frob.order,
         "central_charge": format_rational(central_charge(f)),
-        "basis": [mono_str(m, f.variables) for m in milnor.basis],
+        "basis": milnor.basis_strings(),
         "flat_degrees": [format_rational(1 - d) for d in milnor.degrees],
         "eta": [[format_rational(v) for v in row] for row in milnor.eta],
         "terms": frob.prepotential.to_records(),

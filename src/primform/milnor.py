@@ -3,36 +3,8 @@
 Given f with weights q (normalized so every term of f has weighted degree
 exactly 1), this module computes the Jacobian algebra C[x]/(df) with an
 explicit graded monomial basis, witnesses for division by the Jacobian
-ideal, the socle, and the residue pairing.
-
-Division is organised degree by degree: the weighted grading makes each
-degree a finite exact linear solve, and the echelon form of each degree's
-system is computed once and cached.  The elimination runs on ints.
-Pivoting always prefers the smallest monomial in the canonical graded
-order, so the basis and every division witness are deterministic.
-
-The division also gives the classes of the formal Brieskorn lattice
-Omega^n[[z]] / (df + z d)Omega^(n-1)[[z]].  For an (n-1)-form with
-contraction coefficients h_i the quotient relation reads
-
-    [sum_i h_i d_i(f) d^n x]  =  -z [sum_i d_i(h_i) d^n x],
-
-so `monomial_class` splits x^m into basis part plus ideal part and pushes
-the ideal part one z power up, lowering the weighted degree by exactly 1
-each time.  A class, int numerators over one denominator, depends on f
-alone and is memoized on the MilnorData for every solve and defect.
-
-Above the socle degree sigma the quotient is zero.  A monomial there sheds
-x^a, variables last to first, the largest power of each that keeps the
-rest above sigma; the rest lies in the band (sigma, sigma + max w_j], whose
-systems `milnor_basis` builds, and x^a times its witness is the monomial's,
-so no solve builds a system.  For the same reason `milnor_basis` walks the
-degrees only through the top of the band: every monomial above it is x^a
-times a band monomial, so a quotient that is zero in the band is zero
-everywhere above it.  Two witnesses differ by a Koszul syzygy
-h (d_j f e_i - d_i f e_j) of df, an isolated f having no others, whose push
-d_i(h) d_j(f) - d_j(h) d_i(f) to the next z power is the d of an (n-1)-form:
-a class does not depend on the witness.
+ideal, the socle, the residue pairing, and the classes of monomials in the
+formal Brieskorn lattice Omega^n[[z]] / (df + z d)Omega^(n-1)[[z]].
 """
 
 from __future__ import annotations
@@ -151,6 +123,11 @@ def _echelon_row(pivot, vec, combo):
 
 class _JacobianDivider:
     """Per-degree exact solver for g = sum(c_a phi_a) + sum(q_i d_i f).
+
+    The weighted grading makes each degree a finite exact linear solve,
+    whose echelon form is computed once and cached.  Pivoting always
+    prefers the smallest monomial in the canonical graded order, so the
+    basis and every division witness are deterministic.
 
     The elimination runs on ints.  A column is a vector over the monomials
     of one degree together with its combination of generator columns
@@ -292,9 +269,14 @@ class _JacobianDivider:
 
         Returns (den, basis numerators {mono: int}, generator numerators
         {(var, mono): int}), each coefficient its numerator over den > 0,
-        with no common factor; the expression is exact.  Above the socle
-        degree it divides the band monomial left after shedding x^a (see the
-        module docstring) and multiplies its witness by x^a.
+        with no common factor; the expression is exact.
+
+        Above the socle degree sigma the quotient is zero.  There the
+        monomial sheds x^a, variables last to first, the largest power of
+        each that keeps the rest above sigma; the rest lies in the band
+        (sigma, sigma + max w_j], whose systems `milnor_basis` builds, and
+        x^a times its witness is the monomial's, so no solve builds a
+        system.
         """
         sdeg, shed = self.sdeg(mono), [0] * self.nvars
         for j in reversed(range(self.nvars)):
@@ -365,7 +347,21 @@ class MilnorData:
 def monomial_class(mono: tuple, data: MilnorData) -> tuple[int, list]:
     """Canonical lattice class of [x^mono d^n x] as (R, [(z_power, index,
     int)]): the class is the sum of int / R * z^z_power phi_index, R > 0 the
-    lcm of its reduced denominators."""
+    lcm of its reduced denominators.
+
+    For an (n-1)-form with contraction coefficients h_i the quotient
+    relation reads
+
+        [sum_i h_i d_i(f) d^n x]  =  -z [sum_i d_i(h_i) d^n x],
+
+    so x^m is split into a basis part plus an ideal part, and the ideal
+    part is pushed one z power up, lowering the weighted degree by exactly
+    1 each time.  Two witnesses differ by a Koszul syzygy
+    h (d_j f e_i - d_i f e_j) of df, an isolated f having no others, whose
+    push d_i(h) d_j(f) - d_j(h) d_i(f) is the d of an (n-1)-form: a class
+    does not depend on the witness.  It depends on f alone and is memoized
+    on `data` for every solve and defect.
+    """
     cached = data._reduce_cache.get(mono)
     if cached is not None:
         return cached
@@ -400,7 +396,9 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
     instead of the canonical choice; it is validated for independence and for
     matching the graded dimensions.  Rejects non-isolated singularities: the
     quotient must vanish in the band above the socle degree (the central
-    charge), the highest degrees it walks.
+    charge), the highest degrees it walks.  Every monomial above the band is
+    x^a times a band monomial, so a quotient that is zero in the band is
+    zero everywhere above it.
     """
     for i, dpoly in enumerate(f.poly.diff(i) for i in range(f.nvars)):
         if not dpoly:

@@ -6,41 +6,8 @@ parameter degrees deg(s_a) = 1 - deg(phi_a).  The recursion solves
     exp((F - f)/z) * zeta = J
 
 for the unique pair with zeta in B[[z]][[s]] normalized to the volume form
-at s = 0 and J in [d^n x] + z^(-1) B[z^(-1)] [[s]].  Order by order in
-total s-degree k the equation reads
-
-    zeta_k + K_k = J_k,   K_k = sum_{m=1..k} E_m z^(-m) * zeta_{k-m},
-
-where E_m = sum_{|n|=m} s^n phi^n / n! is the s-degree-m part of
-exp(F - f) (a sum over multi-indices n, with phi^n = prod_a phi_a^n_a and
-n! = prod_a n_a!), and the product is taken through canonical lattice
-reduction.  Since zeta_k lives at z >= 0 and J_k at z <= -1, the split of
-the fully reduced K_k determines both: zeta_k is minus its nonnegative
-part, J_k its negative part.  Every step is a finite exact computation
-because E_m is homogeneous of s-degree m.
-
-J is solved only down to a floor, z^-2 by default: the flat coordinates
-come from J at z^-1 and the gradient of F0 from J at z^-2, and the
-recursion itself reads only zeta.  A product whose weighted degree bound
-puts it below the floor is skipped before its class is computed, and the
-defect checks the z >= floor part of the result.
-
-The floor also bounds E_m.  Every term s^n z^p phi_b of zeta and J has
-p + deg_s(n) + deg(phi_b) = 0, and zeta lives at p >= 0, so a term of
-zeta_j has p + deg(phi_b) <= j nu, nu = max(0, -min_a deg s_a).  A product
-of s^n in E_m with zeta_(k-m) thus lands at z <= (order - m) nu - deg_s(n),
-and `exp_parts(floor)` builds only the s^n with deg_s(n) <= -floor +
-(order - m) nu: what it drops, the kernel would skip.  With floor = -order
-it drops nothing.
-
-The solve and the defect run on Python ints.  E_m is stored times m!, so
-its coefficients m!/n! are ints; each zeta_k is kept as int numerators over
-one denominator D_k; each lattice class comes from `milnor.monomial_class`
-as int numerators over R_c, the lcm of its own denominators; and the
-products of order k are summed over one common denominator.  An s-monomial is packed
-in base order + 1 and each product of a part of E_m with a slice of zeta
-is formed by `algebra.graded_dot`.  zeta, J and the defect are returned
-as Fraction series, each coefficient a reduced rational.
+at s = 0 and J in [d^n x] + z^(-1) B[z^(-1)] [[s]], order by order in the
+total s-degree, in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -79,16 +46,22 @@ class UnfoldingState:
         return self.milnor.mu
 
     def exp_parts(self, floor: int) -> list[dict]:
-        """The s-degree-m parts of exp(F - f) for m = 0..order, times m!,
-        where a product with zeta can reach z >= floor.
+        """The s-degree-m parts E_m of exp(F - f) for m = 0..order, times
+        m!, where a product with zeta can reach z >= floor.
 
-        Part m maps each x-monomial to its [(packed n, m!/n!)] over |n| = m
-        and deg_s(n) <= -floor + (order - m) nu (the bound of the module
-        docstring), so that it is m! sum s^n phi^n / n! with int
-        coefficients; each s^n is packed in base order + 1, as by
-        `pack_monomial`.  With floor = -order it is the whole exp(F - f).
-        Degrees are ints scaled by the lcm of the weight denominators, and
-        the parts are cached per floor.
+        E_m = sum_{|n|=m} s^n phi^n / n!, a sum over multi-indices n with
+        phi^n = prod_a phi_a^n_a and n! = prod_a n_a!.  Every term
+        s^n z^p phi_b of zeta and J has p + deg_s(n) + deg(phi_b) = 0, and
+        zeta lives at p >= 0, so a term of zeta_j has p + deg(phi_b) <= j nu,
+        nu = max(0, -min_a deg s_a).  A product of s^n in E_m with
+        zeta_(order-m) thus lands at z <= (order - m) nu - deg_s(n), and only
+        the s^n with deg_s(n) <= -floor + (order - m) nu are built: what is
+        dropped, the solve would skip.  With floor = -order nothing is.
+
+        Part m maps each x-monomial to its [(packed n, m!/n!)], so that it
+        is m! E_m with int coefficients; each s^n is packed in base
+        order + 1, as by `pack_monomial`.  Degrees are ints scaled by the
+        lcm of the weight denominators, and the parts are cached per floor.
         """
         parts = self._parts.get(floor)
         if parts is None:
@@ -164,16 +137,10 @@ class PrimitiveFormResult:
 
 
 def _reduced_products(
-    parts: list,
-    slices: list,
-    k: int,
-    first: int,
-    data: MilnorData,
-    floor: int,
-    den: int = 1,
+    state: UnfoldingState, floor: int, slices: list, k: int, first: int, den: int = 1
 ) -> tuple[int, dict]:
     """L and L * sum_{m=first..k} z^-m reduce(E_m zeta_{k-m}) on ints, at
-    z >= floor.
+    z >= floor, E_m from `state.exp_parts(floor)`.
 
     slices[j] is zeta_j as (D_j, {(z, idx): [(packed, int)]}), its values
     D_j times the true ones.  The item (m, beta, x-monomial) stands for the
@@ -188,8 +155,9 @@ def _reduced_products(
     the lcm of every D_{k-m} m! R_c and of `den`; the second forms each
     item's product once with `graded_dot` and adds it, times each class
     entry scaled up to L, into {(z, idx): {packed: int}}.  Every class comes
-    from `monomial_class`, which memoizes it on `data`.
+    from `monomial_class`, which memoizes it on `state.milnor`.
     """
+    parts, data = state.exp_parts(floor), state.milnor
     basis, divider = data.basis, data._divider
     basis_sdegs = [divider.sdeg(mono) for mono in basis]
     items, dens = [], {den}
@@ -262,6 +230,16 @@ def _block(slices, mu: int, order: int) -> LaurentBlock:
 def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
     """Run the recursion order by order in total s-degree, J down to z^floor.
 
+    At s-degree k the equation reads
+
+        zeta_k + K_k = J_k,   K_k = sum_{m=1..k} z^(-m) E_m zeta_{k-m},
+
+    with E_m from `UnfoldingState.exp_parts` and each product reduced in
+    the lattice.  Since zeta_k lives at z >= 0 and J_k at z <= -1, the
+    split of the reduced K_k gives both: zeta_k is minus its nonnegative
+    part, J_k its negative part.  Each step is finite and exact, because
+    E_m is homogeneous of s-degree m.
+
     The flat structure reads J only at z^-1 and z^-2, so by default the
     products below z^-2 are never formed; floor = -state.order gives the
     whole J.  zeta is exact at any floor <= 0, since the recursion reads
@@ -274,14 +252,13 @@ def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
     if floor > 0:
         raise ValueError("the J floor must be <= 0: zeta lives at z >= 0")
     milnor, mu, order = state.milnor, state.mu, state.order
-    parts = state.exp_parts(floor)
 
     # Both start at the volume form: the monomial 1, wherever the basis puts it.
     volume = {(0, milnor.basis_index((0,) * milnor.f.nvars)): [(0, 1)]}
     zeta_slices = [(1, volume)]
     j_slices = [(1, volume)]
     for k in range(1, order + 1):
-        den, acc = _reduced_products(parts, zeta_slices, k, 1, milnor, floor)
+        den, acc = _reduced_products(state, floor, zeta_slices, k, 1)
         known = dict(graded(acc))
         nonneg = {slot: terms for slot, terms in known.items() if slot[0] >= 0}
         g = gcd(den, *(v for terms in nonneg.values() for _, v in terms))
@@ -314,12 +291,11 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
     df ^ eta + z d(eta) in the tests.
     """
     state, floor = result.state, result.floor
-    milnor, mu, order = state.milnor, state.mu, state.order
-    parts = state.exp_parts(floor)
+    mu, order = state.mu, state.order
     zeta_slices = _sliced(result.zeta, order)
     remainder = []
     for k, (d_j, j_k) in enumerate(_sliced(result.J, order)):
-        den, acc = _reduced_products(parts, zeta_slices, k, 0, milnor, floor, d_j)
+        den, acc = _reduced_products(state, floor, zeta_slices, k, 0, d_j)
         factor = den // d_j
         for slot, terms in j_k.items():
             if slot[0] < floor:

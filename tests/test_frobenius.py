@@ -161,16 +161,20 @@ class TestInvertCoordinates:
         # A prefix of length k is formed through order - delta k, delta the
         # least degree of a term of s(t): an s(t) with a constant term
         # (delta 0) keeps every degree, one with no linear part (delta 2)
-        # drops the most.
+        # drops the most.  Against a constant term only a polynomial u is
+        # known, and a truncated one is rejected.
         for _ in range(20):
-            us = [rand_series(0, u_order, order + 1) for u_order in (order, None)]
+            truncated = rand_series(0, order, order + 1)
+            polynomial = rand_series(0, None, order + 1)
             shifted = [
                 rand_series(1, order) + const(mu, order, F(rng.randint(1, 4), rng.choice((3, 7))))
                 for _ in range(mu)
             ]
+            with pytest.raises(ValueError, match="constant term"):
+                substitute([truncated, polynomial], shifted)
             quadratic = [rand_series(2, order) for _ in range(mu)]
             quadratic[0] = quadratic[0] + (t0 * t1).scale(F(1, 3))
-            cases += [(us, shifted), (us, quadratic)]
+            cases += [([polynomial], shifted), ([truncated, polynomial], quadratic)]
 
         for us, substituted in cases:
             composed = substitute(us, substituted)
@@ -198,6 +202,16 @@ class TestInvertCoordinates:
         assert substitute([SSeries(2, 2, {(2, 0): F(1)})], s_of_t) == [
             SSeries(2, 2, {(2, 0): F(1)})
         ]
+
+    def test_truncated_u_against_a_constant_term_rejected(self):
+        # At s(t) = (1 + t0, t1), x0 at order 2 stands for x0 + O(x^3),
+        # whose unknown terms add to every degree of u(s(t)).
+        t0, t1 = SSeries.variable(2, 0, 3), SSeries.variable(2, 1, 3)
+        s_of_t = [t0 + const(2, 3, F(1)), t1]
+        with pytest.raises(ValueError, match="constant term"):
+            substitute([SSeries(2, 2, {(1, 0): F(1)})], s_of_t)
+        cube = substitute([SSeries(2, None, {(3, 0): F(1)})], s_of_t)
+        assert cube == [SSeries(2, 3, {(0, 0): F(1), (1, 0): F(3), (2, 0): F(3), (3, 0): F(1)})]
 
     def test_substitute_needs_one_integer_order(self):
         u = [SSeries.variable(2, 0, 3)]

@@ -149,10 +149,10 @@ class TestSolveStar:
             # zeta's s-degree-0 part is exactly the volume class.
             constant = result.zeta.component(0).get(0)
             assert constant.degree_part(0) == const(mu, 3, 1)
-            for zp in result.zeta.z_powers():
+            for zp in sorted(result.zeta.z_terms):
                 assert zp >= 0
             # J's nonnegative part is the bare volume class.
-            for zp in result.J.z_powers():
+            for zp in sorted(result.J.z_terms):
                 assert zp <= 0
             assert result.J.component(0) == {0: const(mu, 3, 1)}
 
@@ -353,7 +353,7 @@ class TestJComponents:
         for name in ("E12", "U12", "P8"):
             for order in (2, 4):
                 result = solved_cache(name, order)
-                assert min(result.J.z_powers()) >= -order
+                assert min(sorted(result.J.z_terms)) >= -order
                 for zp, _, series in result.J.iter_terms():
                     if zp < 0:
                         for mono in series.terms:

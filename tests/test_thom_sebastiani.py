@@ -9,6 +9,17 @@ product of theirs.  The cubic part of F0 is (1/6) sum_abc C_abc t_a t_b t_c
 with C_abc = eta(phi_a phi_b, phi_c) = prod_k (1/n_k)[i_k + j_k + l_k = n_k - 2],
 so the monomial t^m of degree 3 has the coefficient C / prod_a m_a!.
 
+The quartic part follows the tensor-product rule of cohomological field
+theories on M-bar_{0,4}: with <...> the 4-point function d^4 F0 at 0 and
+Res_n(x^m) = 1/n at m = n - 2 and 0 otherwise,
+
+    <phi_1 .. phi_4> = sum_k <x_k^(i_1k) .. x_k^(i_4k)>
+                       prod_{j != k} Res_n_j(x_j^(i_1j + .. + i_4j)),
+
+phi_l being prod_k x_k^(i_lk): one summand per variable carries its
+one-variable 4-point function, read from the x^n oracle of
+`a_series_oracle`.  Leaving one summand out is the negative control.
+
 D4 + z^3 = x^3 + x*y^2 + z^3 has a factor that is not of the form x^n, so
 it is checked against a residue table instead: eta(phi_a, phi_b) =
 Res(phi_a phi_b) and C_abc = Res(phi_a phi_b phi_c), evaluated on the
@@ -25,6 +36,7 @@ from math import factorial, prod
 
 import pytest
 
+from a_series_oracle import oracle_run
 from primform import (
     WeightedPolynomial,
     build_unfolding,
@@ -163,3 +175,65 @@ def test_d4_plus_z3_flipped_table_fails():
     want_eta, want_cubic = residue_forms(basis, partial(d4_z3_residue, flip=True))
     assert eta != want_eta
     assert cubic != want_cubic
+
+
+@cache
+def one_variable_quartic(n):
+    """<x^i_1 .. x^i_4> of x^n by sorted (i_1, .., i_4), from the oracle's F0."""
+    f0 = oracle_run(n, 4)["prepotential"]
+    return {
+        tuple(i for i, e in enumerate(m) for _ in range(e)): c * prod(map(factorial, m))
+        for m, c in f0.items()
+        if sum(m) == 4
+    }
+
+
+def residue(n, m):
+    """Res_n(x^m) of x^n."""
+    return Fraction(1, n) if m == n - 2 else Fraction(0)
+
+
+def thom_sebastiani_quartic(exponents, monos, drop=None):
+    """<phi_1 .. phi_4> of the sum of the x_k^n_k at the four basis
+    monomials, by the tensor-product rule; summand `drop` is left out, for
+    a negative control."""
+    total = Fraction(0)
+    for k, n in enumerate(exponents):
+        if k == drop:
+            continue
+        value = one_variable_quartic(n).get(tuple(sorted(m[k] for m in monos)), Fraction(0))
+        for j, n_j in enumerate(exponents):
+            if j != k:
+                value *= residue(n_j, sum(m[j] for m in monos))
+        total += value
+    return total
+
+
+def quartic_mismatches(name, frobenius_cache, milnor_cache, drop=None):
+    """(multisets compared, multisets where the engine's quartic F0 at order
+    4 differs from the rule)."""
+    basis = milnor_cache(name).basis
+    f0 = frobenius_cache(name, 4).prepotential
+    compared = mismatches = 0
+    for quad in combinations_with_replacement(range(len(basis)), 4):
+        exps = tuple(quad.count(a) for a in range(len(basis)))
+        engine = f0.terms.get(exps, Fraction(0)) * prod(map(factorial, exps))
+        rule = thom_sebastiani_quartic(CASES[name], [basis[a] for a in quad], drop)
+        compared += 1
+        mismatches += engine != rule
+    return compared, mismatches
+
+
+@pytest.mark.parametrize("name, multisets", [("E12", 1365), ("P8", 330), ("U12", 1365)])
+def test_quartic_f0_matches_thom_sebastiani(name, multisets, frobenius_cache, milnor_cache):
+    assert quartic_mismatches(name, frobenius_cache, milnor_cache) == (multisets, 0)
+
+
+@pytest.mark.parametrize(
+    "name, drop, mismatches", [("E12", 0, 6), ("P8", 1, 2), ("U12", 2, 6)]
+)
+def test_quartic_without_one_summand_fails(
+    name, drop, mismatches, frobenius_cache, milnor_cache
+):
+    _, got = quartic_mismatches(name, frobenius_cache, milnor_cache, drop)
+    assert got == mismatches
