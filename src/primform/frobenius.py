@@ -420,7 +420,7 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
             first = values[(a, b), (c, d)]
             if all(value == first for value in values.values()):
                 continue
-            for q in {q for q in permutations((a, b, c, d)) if q[1] < q[2]}:
+            for q in {p for p in permutations((a, b, c, d)) if p[1] < p[2]}:
                 left = values[_pairing_key(*q)]
                 right = values[_pairing_key(q[0], q[2], q[1], q[3])]
                 for m in left.keys() | right.keys():

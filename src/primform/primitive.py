@@ -54,7 +54,7 @@ class UnfoldingState:
         s^n z^p phi_b of zeta and J has p + deg_s(n) + deg(phi_b) = 0, and
         zeta lives at p >= 0, so a term of zeta_j has p + deg(phi_b) <= j nu,
         nu = max(0, -min_a deg s_a).  A product of s^n in E_m with
-        zeta_(order-m) thus lands at z <= (order - m) nu - deg_s(n), and only
+        zeta_(k-m) thus lands at z <= (order - m) nu - deg_s(n), and only
         the s^n with deg_s(n) <= -floor + (order - m) nu are built: what is
         dropped, the solve would skip.  With floor = -order nothing is.
 
