@@ -27,8 +27,11 @@ from .algebra import (
     mat_inv,
     mono_key,
     pack_monomial,
+    parse_monomial,
     parse_rational,
     unpack_monomial,
+    variable_names,
+    weighted_degree,
 )
 from .milnor import MilnorData, central_charge
 from .primitive import PrimitiveFormResult
@@ -45,10 +48,16 @@ def flat_coordinates(result: PrimitiveFormResult) -> list[SSeries]:
     return result.j_components(-1)
 
 
-def _substitute_ints(series: list[SSeries], s_of_t: list[SSeries]) -> tuple[int, list]:
-    """Every u in series at s = s_of_t(t), on ints: (base, [(acc, scale)]),
+def _word(mono) -> tuple:
+    """The monomial s^mono as its sorted word of variable indices."""
+    return tuple(v for v, e in enumerate(mono) for _ in range(e))
+
+
+def _substitute_ints(items: list, s_of_t: list[SSeries]) -> tuple[int, list]:
+    """Every series u at s = s_of_t(t), on ints: (base, [(acc, scale)]),
     with acc = scale * u(s(t)) as {degree: {packed: int}} by total degree,
-    cancelled terms kept as 0.
+    cancelled terms kept as 0.  u comes as an item (order, E, {word: int}):
+    its order (None for a polynomial) and its terms times E, an int.
 
     Each monomial s^J is a sorted word of variable indices (s_1^2 s_3 is
     (0, 0, 2)), and the words form a trie: the children of a prefix p are
@@ -76,19 +85,18 @@ def _substitute_ints(series: list[SSeries], s_of_t: list[SSeries]) -> tuple[int,
     would add to every degree of u(s(t)), so none of it is known.
 
     With D the lcm of the denominators of s(t), each coordinate series is
-    scaled by D.  Each u is scaled by E, the lcm of its own denominators,
-    and its term at a word w by D^(top - |w|) as well, top the length of
-    its longest word, so that every term adds E D^top u_J s(t)^J, and scale
-    is E D^top.  A monomial is packed in base N + 2, so that a kept
-    monomial raised by one more variable, as the prepotential does, carries
-    no digit either.
+    scaled by D.  The term of u at a word w is scaled by D^(top - |w|) as
+    well, top the length of its longest word, so that every term adds
+    E D^top u_J s(t)^J, and scale is E D^top.  A monomial is packed in base
+    N + 2, so that a kept monomial raised by one more variable, as the
+    prepotential does, carries no digit either.
     """
     orders = {s.order for s in s_of_t}
     if len(orders) != 1 or None in orders:
         raise ValueError(f"s(t) must have one integer order, got {sorted(orders, key=str)}")
     (order,) = orders
     constant = any(s.terms.get((0,) * s.nvars) for s in s_of_t)
-    if constant and any(u.order is not None for u in series):
+    if constant and any(u_order is not None for u_order, _, _ in items):
         raise ValueError("s(t) has a constant term, so u(s(t)) is unknown for a truncated u")
     base = order + 2
     step = base ** s_of_t[0].nvars
@@ -103,19 +111,13 @@ def _substitute_ints(series: list[SSeries], s_of_t: list[SSeries]) -> tuple[int,
         factors.append(graded(buckets))
 
     scales, words = [], {}
-    for i, u in enumerate(series):
-        e_scale = lcm(*(c.denominator for c in u.terms.values()))
-        top = max(map(sum, u.terms), default=0)
+    for i, (_, e_scale, u_words) in enumerate(items):
+        top = max(map(len, u_words), default=0)
         scales.append(e_scale * d_scale**top)
-        for mono, c in u.terms.items():
-            word = ()
-            for v, e in enumerate(mono):
-                if e:
-                    word += (v,) * e
-            scaled = c.numerator * (e_scale // c.denominator) * d_scale ** (top - len(word))
-            words.setdefault(word, []).append((i, scaled))
+        for word, c in u_words.items():
+            words.setdefault(word, []).append((i, c * d_scale ** (top - len(word))))
 
-    out = [{} for _ in series]
+    out = [{} for _ in items]
     for i, scaled in words.pop((), ()):
         out[i][0] = {0: scaled}
     # stack[k] = (last index, own terms, closed children) of the open prefix word[:k]
@@ -165,7 +167,12 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
     and no further, so its order is the lesser of N and that of u, and N
     for a polynomial u.  Each output coefficient is divided by its scale
     once."""
-    base, parts = _substitute_ints(series, s_of_t)
+    items = []
+    for u in series:
+        e = lcm(*(c.denominator for c in u.terms.values()))
+        words = {_word(m): c.numerator * (e // c.denominator) for m, c in u.terms.items()}
+        items.append((u.order, e, words))
+    base, parts = _substitute_ints(items, s_of_t)
     nv, order = s_of_t[0].nvars, s_of_t[0].order
     return [
         SSeries(nv, order if u.order is None else min(u.order, order), {
@@ -238,7 +245,16 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
     """
     mu, order = milnor.mu, result.order
     s_of_t = invert_coordinates(flat_coordinates(result), min(max(order - 1, 1), order))
-    base, parts = _substitute_ints(result.j_components(-2), [s.truncate(order) for s in s_of_t])
+    # Each J_(-2)^b over the lcm of the slices' D_k; a slice-k word has k letters.
+    slices = result.j_slices_at(-2)
+    j_scale = lcm(*(den for den, _ in slices))
+    words = [{} for _ in range(mu)]
+    for den, vec in slices:
+        for b, series in vec.items():
+            for p, v in series:
+                words[b][_word(unpack_monomial(p, order + 1, mu))] = v * (j_scale // den)
+    items = [(order, j_scale, u_words) for u_words in words]
+    base, parts = _substitute_ints(items, [s.truncate(order) for s in s_of_t])
     e_scale = lcm(*(v.denominator for row in milnor.eta for v in row))
     l_scale = lcm(*(scale for _, scale in parts))
     steps = [base**a for a in range(mu)]
@@ -501,8 +517,11 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
     list (mu >= 1), an order that is a non-negative int, a list of terms, a
     list of mu flat degrees, a mu x mu pairing as a list of lists, every
     rational a string, no terms below order 3, and at every order an eta
-    that is symmetric and invertible.  Below order 3 the normalized F0 is
-    zero, so each check holds only vacuously and its report is None.
+    that is symmetric and invertible.  The weights fix the central charge,
+    sum_i (1 - 2 q_i), and each flat degree, 1 - deg_q of its basis entry,
+    a monomial in the variables; the unit 1 is in the basis once.  Below
+    order 3 the normalized F0 is zero, so each check holds only vacuously
+    and its report is None.
     """
     if not isinstance(record, dict):
         raise ValueError("a record is an object")
@@ -525,6 +544,16 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
     if len(flat_degrees) != mu:
         raise ValueError(f"expected {mu} flat degrees, got {len(flat_degrees)}")
     c_hat = parse_rational(record["central_charge"])
+    names = variable_names(as_list(record["variables"], "variables"))
+    weights = [parse_rational(q) for q in as_list(record["weights"], "weights")]
+    if len(weights) != len(names) or c_hat != sum(1 - 2 * q for q in weights):
+        raise ValueError("central_charge is not sum_i (1 - 2 q_i) over one weight per variable")
+    basis = [parse_monomial(t, names) if isinstance(t, str) else ((), 0) for t in record["basis"]]
+    if [mono for mono, _ in basis].count((0,) * len(names)) != 1:
+        raise ValueError('the basis must hold the unit "1" exactly once')
+    for text, (mono, coeff), degree in zip(record["basis"], basis, flat_degrees):
+        if coeff != 1 or degree != 1 - weighted_degree(mono, weights):
+            raise ValueError(f"basis entry {text!r} is no monomial of flat degree {degree}")
     if order < 3:
         _pairing_inverse(eta)
         return dict.fromkeys(("wdvv", "euler", "integrability"))

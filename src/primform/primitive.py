@@ -21,7 +21,6 @@ from .algebra import (
     graded,
     graded_dot,
     mono_mul,
-    pack_monomial,
     unpack_monomial,
 )
 from .milnor import MilnorData, WeightedPolynomial, monomial_class
@@ -107,13 +106,17 @@ def build_unfolding(f: WeightedPolynomial, milnor: MilnorData, order: int) -> Un
 
 
 class PrimitiveFormResult:
-    """The solved pair (zeta, J) at the unfolding's s-order, J held at z >= floor."""
+    """The solved pair (zeta, J) at the unfolding's s-order, J held at z >= floor,
+    each as the solve makes it: one (D_k, {(z, idx): [(packed, int)]}) per
+    s-degree k = 0..order, its ints D_k times the true coefficients and s^n
+    packed in base order + 1.  `zeta` and `J` are Fraction views, built on
+    each read."""
 
-    __slots__ = ("zeta", "J", "state", "floor")
+    __slots__ = ("zeta_slices", "j_slices", "state", "floor")
 
-    def __init__(self, zeta: LaurentBlock, J: LaurentBlock, state: UnfoldingState, floor: int):
-        self.zeta = zeta
-        self.J = J
+    def __init__(self, zeta_slices: list, j_slices: list, state: UnfoldingState, floor: int):
+        self.zeta_slices = zeta_slices
+        self.j_slices = j_slices
         self.state = state
         self.floor = floor
 
@@ -121,8 +124,16 @@ class PrimitiveFormResult:
     def order(self) -> int:
         return self.state.order
 
-    def j_components(self, m: int) -> list[SSeries]:
-        """The mu component series of J at z power m <= -1.
+    @property
+    def zeta(self) -> LaurentBlock:
+        return _block(self.zeta_slices, self.state.mu, self.order)
+
+    @property
+    def J(self) -> LaurentBlock:
+        return _block(self.j_slices, self.state.mu, self.order)
+
+    def j_slices_at(self, m: int) -> list:
+        """J at z power m <= -1 as one (D_k, {idx: [(packed, int)]}) per k.
 
         Below z^-order J is zero by degree, since its z^-j part has s-degree
         >= j; between z^-order and the floor it was not solved.
@@ -131,8 +142,15 @@ class PrimitiveFormResult:
             raise ValueError("z^0 and above of J is the fixed volume-form class")
         if -self.order <= m < self.floor:
             raise ValueError(f"J was solved only down to z^{self.floor}")
+        return [
+            (den, {idx: series for (zp, idx), series in terms.items() if zp == m})
+            for den, terms in self.j_slices
+        ]
+
+    def j_components(self, m: int) -> list[SSeries]:
+        """The mu component series of J at z power m <= -1, see `j_slices_at`."""
         mu, order = self.state.mu, self.order
-        vec = self.J.component(m)
+        vec = _series(self.j_slices_at(m), mu, order)
         return [vec.get(a, SSeries(mu, order)) for a in range(mu)]
 
 
@@ -142,20 +160,20 @@ def _reduced_products(
     """L and L * sum_{m=first..k} z^-m reduce(E_m zeta_{k-m}) on ints, at
     z >= floor, E_m from `state.exp_parts(floor)`.
 
-    slices[j] is zeta_j as (D_j, {(z, idx): [(packed, int)]}), its values
-    D_j times the true ones.  The item (m, beta, x-monomial) stands for the
-    product of part m at that x-monomial with zeta_{k-m} at beta, reduced
-    through the class c of the x-monomial times phi_beta; its numerators
-    are D_{k-m} m! R_c times the true ones.  The class of a monomial of
-    weighted degree d lives at z <= d, so an item at zeta's z power zq
-    lands at z <= zq - m + d: one whose bound is below the floor is skipped
-    before its class is looked up, and of the others every class entry
-    below the floor is dropped.  Degrees are compared as ints scaled by the
-    lcm of the weight denominators.  A first pass collects the items and L,
-    the lcm of every D_{k-m} m! R_c and of `den`; the second forms each
-    item's product once with `graded_dot` and adds it, times each class
-    entry scaled up to L, into {(z, idx): {packed: int}}.  Every class comes
-    from `monomial_class`, which memoizes it on `state.milnor`.
+    slices[j] is zeta_j as `PrimitiveFormResult` holds it.  The item
+    (m, beta, x-monomial) stands for the product of part m at that
+    x-monomial with zeta_{k-m} at beta, reduced through the class c of the
+    x-monomial times phi_beta; its numerators are D_{k-m} m! R_c times the
+    true ones.  The class of a monomial of weighted degree d lives at
+    z <= d, so an item at zeta's z power zq lands at z <= zq - m + d: one
+    whose bound is below the floor is skipped before its class is looked
+    up, and of the others every class entry below the floor is dropped.
+    Degrees are compared as ints scaled by the lcm of the weight
+    denominators.  A first pass collects the items and L, the lcm of every
+    D_{k-m} m! R_c and of `den`; the second forms each item's product once
+    with `graded_dot` and adds it, times each class entry scaled up to L,
+    into {(z, idx): {packed: int}}.  Every class comes from
+    `monomial_class`, which memoizes it on `state.milnor`.
     """
     parts, data = state.exp_parts(floor), state.milnor
     basis, divider = data.basis, data._divider
@@ -190,41 +208,25 @@ def _reduced_products(
     return den, acc
 
 
-def _sliced(block: LaurentBlock, order: int) -> list:
-    """A block of s-series as one (D_j, {(z, idx): [(packed, int)]}) for
-    each s-degree j = 0..order, D_j the lcm of that slice's denominators."""
-    slices = [{} for _ in range(order + 1)]
-    for zp, idx, series in block.iter_terms():
-        for mono, c in series.terms.items():
-            terms = slices[sum(mono)].setdefault((zp, idx), [])
-            terms.append((pack_monomial(mono, order + 1), c))
-    out = []
-    for terms in slices:
-        den = lcm(*(c.denominator for series in terms.values() for _, c in series))
-        scaled = {
-            slot: [(p, c.numerator * (den // c.denominator)) for p, c in series]
-            for slot, series in terms.items()
-        }
-        out.append((den, scaled))
-    return out
+def _series(slices, mu: int, order: int) -> dict:
+    """{key: Fraction s-series} from (den, {key: [(packed, int)]}) slices of
+    distinct s-degrees; each packed monomial is unpacked where it is read,
+    as the same int seldom recurs within one slice."""
+    terms: dict = {}
+    for den, vec in slices:
+        for key, series in vec.items():
+            slot = terms.setdefault(key, {})
+            for p, v in series:
+                slot[unpack_monomial(p, order + 1, mu)] = Fraction(v, den)
+    return {key: SSeries(mu, order, slot) for key, slot in terms.items()}
 
 
 def _block(slices, mu: int, order: int) -> LaurentBlock:
-    """LaurentBlock of Fraction s-series from (den, {(z, idx): [(packed,
-    int)]}) slices of distinct s-degrees; each packed monomial is unpacked
-    where it is read, as the same int seldom recurs within one block."""
+    """LaurentBlock from (den, {(z, idx): [(packed, int)]}) slices, see `_series`."""
     z_terms: dict = {}
-    for den, terms in slices:
-        for (zp, idx), series in terms.items():
-            slot = z_terms.setdefault(zp, {}).setdefault(idx, {})
-            for p, v in series:
-                slot[unpack_monomial(p, order + 1, mu)] = Fraction(v, den)
-    return LaurentBlock(
-        {
-            zp: {idx: SSeries(mu, order, terms) for idx, terms in vec.items()}
-            for zp, vec in z_terms.items()
-        }
-    )
+    for (zp, idx), series in _series(slices, mu, order).items():
+        z_terms.setdefault(zp, {})[idx] = series
+    return LaurentBlock(z_terms)
 
 
 def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
@@ -245,13 +247,13 @@ def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
     whole J.  zeta is exact at any floor <= 0, since the recursion reads
     only zeta and zeta lives at z >= 0.  Each zeta_k is kept as int
     numerators over one denominator D_k (the lcm of its reduced
-    denominators), and J_k over the L of its order; both become Fraction
-    series only in the returned result.  Deterministic: no randomized
-    choices anywhere, so repeated runs produce identical objects.
+    denominators), and J_k over the L of its order, and the result holds
+    these slices as they are.  Deterministic: no randomized choices
+    anywhere, so repeated runs produce identical objects.
     """
     if floor > 0:
         raise ValueError("the J floor must be <= 0: zeta lives at z >= 0")
-    milnor, mu, order = state.milnor, state.mu, state.order
+    milnor, order = state.milnor, state.order
 
     # Both start at the volume form: the monomial 1, wherever the basis puts it.
     volume = {(0, milnor.basis_index((0,) * milnor.f.nvars)): [(0, 1)]}
@@ -266,8 +268,7 @@ def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
         zeta_slices.append((den // g, zeta_k))
         j_slices.append((den, {slot: terms for slot, terms in known.items() if slot[0] < 0}))
 
-    zeta, J = _block(zeta_slices, mu, order), _block(j_slices, mu, order)
-    return PrimitiveFormResult(zeta, J, state, floor)
+    return PrimitiveFormResult(zeta_slices, j_slices, state, floor)
 
 
 def defect(result: PrimitiveFormResult) -> LaurentBlock:
@@ -275,27 +276,25 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
     modulo s-order order+1.
 
     Every product E_m zeta_j with m + j <= order, m = 0 included, is formed
-    again from the Fraction series of the result through the solve's own
-    kernel, `_reduced_products`, with the result's floor and
+    again from the result's slices through the solve's own kernel,
+    `_reduced_products`, with the result's floor and
     `exp_parts(result.floor)`: what lands below the floor, and J there, is
     not checked.  The parts rest on the grading of zeta; a zeta perturbed
     off it is still caught at its lowest perturbed s-degree, where every
-    other product reads only unperturbed slices.  Slice k runs over the lcm of
-    its products' denominators and of J_k's, and only a nonzero remainder
-    is divided back into Fractions.  On a fresh result the z <= -1 part of
-    the remainder is J's definition and the z >= 0 part is zeta's, so the
-    defect catches faults in the conversions (`_sliced`, `_block`, the gcd
-    step of the solve) and a perturbed zeta or J, but not a fault in the
-    kernel or in the lattice reduction.  Those are checked independently
-    by the x^n oracle, the Fraction reference solve and the exactness of
-    df ^ eta + z d(eta) in the tests.
+    other product reads only unperturbed slices.  Slice k runs over the lcm
+    of its products' denominators and of J_k's D_k, and only a nonzero
+    remainder is divided back into Fractions.  On a fresh result every
+    product is the one the solve formed, so the defect catches a perturbed
+    zeta or J slice and a fault in the solve's gcd and split step, but not
+    one in the kernel or the lattice reduction: the x^n oracle, the
+    Fraction reference solve and the exactness of df ^ eta + z d(eta) check
+    those in the tests.  The defect is the parts' last reader, and drops
+    them from the state.
     """
     state, floor = result.state, result.floor
-    mu, order = state.mu, state.order
-    zeta_slices = _sliced(result.zeta, order)
     remainder = []
-    for k, (d_j, j_k) in enumerate(_sliced(result.J, order)):
-        den, acc = _reduced_products(state, floor, zeta_slices, k, 0, d_j)
+    for k, (d_j, j_k) in enumerate(result.j_slices):
+        den, acc = _reduced_products(state, floor, result.zeta_slices, k, 0, d_j)
         factor = den // d_j
         for slot, terms in j_k.items():
             if slot[0] < floor:
@@ -306,7 +305,8 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
         left = dict(graded(acc))
         if left:
             remainder.append((den, left))
-    return _block(remainder, mu, order)
+    state._parts.pop(floor, None)
+    return _block(remainder, state.mu, state.order) if remainder else LaurentBlock()
 
 
 def defect_is_zero(result: PrimitiveFormResult) -> bool:

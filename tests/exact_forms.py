@@ -6,13 +6,16 @@ which is exact by construction, and reports whether its class vanishes.
 That is a check of the int reduction that shares none of its bookkeeping.
 ``add_term`` and ``plus_term`` accumulate into the ``{z: {index: coeff}}``
 dicts that a ``LaurentBlock`` is built from; the block drops what cancels.
-``const`` is the constant series.
+``const`` is the constant series.  ``result_from_blocks`` builds a solve
+result from Fraction blocks of zeta and J, such as a perturbed one.
 """
 
 from fractions import Fraction
+from math import lcm
 
-from primform.algebra import LaurentBlock, SSeries
+from primform.algebra import LaurentBlock, SSeries, pack_monomial
 from primform.milnor import monomial_class
+from primform.primitive import PrimitiveFormResult
 
 
 def const(nvars: int, order: int | None, value) -> SSeries:
@@ -32,6 +35,32 @@ def plus_term(block: LaurentBlock, zp: int, idx: int, coeff) -> LaurentBlock:
     z_terms = {z: dict(vec) for z, vec in block.z_terms.items()}
     add_term(z_terms, zp, idx, coeff)
     return LaurentBlock(z_terms)
+
+
+def _sliced(block: LaurentBlock, order: int) -> list:
+    """A block of s-series as one (D_j, {(z, idx): [(packed, int)]}) for
+    each s-degree j = 0..order, D_j the lcm of that slice's denominators:
+    the slices a solve result holds."""
+    slices = [{} for _ in range(order + 1)]
+    for zp, idx, series in block.iter_terms():
+        for mono, c in series.terms.items():
+            terms = slices[sum(mono)].setdefault((zp, idx), [])
+            terms.append((pack_monomial(mono, order + 1), c))
+    out = []
+    for terms in slices:
+        den = lcm(*(c.denominator for series in terms.values() for _, c in series))
+        scaled = {
+            slot: [(p, c.numerator * (den // c.denominator)) for p, c in series]
+            for slot, series in terms.items()
+        }
+        out.append((den, scaled))
+    return out
+
+
+def result_from_blocks(zeta: LaurentBlock, J: LaurentBlock, state, floor: int):
+    """The solve result that holds these Fraction blocks of zeta and J."""
+    order = state.order
+    return PrimitiveFormResult(_sliced(zeta, order), _sliced(J, order), state, floor)
 
 
 def reduce_form(g, data) -> LaurentBlock:

@@ -10,11 +10,10 @@ import pytest
 
 import primform
 from primform import cli
-from exact_forms import const, plus_term
+from exact_forms import const, plus_term, result_from_blocks
 from primform.algebra import SSeries
 from primform.cli import main
 from primform.frobenius import FrobeniusData
-from primform.primitive import PrimitiveFormResult
 
 
 RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "records"
@@ -321,7 +320,7 @@ class TestCompute:
         def broken(result, data):
             J = plus_term(result.J, -2, 0, const(data.mu, result.order, Fraction(1, 7)))
             return primform.prepotential(
-                PrimitiveFormResult(result.zeta, J, result.state, result.floor),
+                result_from_blocks(result.zeta, J, result.state, result.floor),
                 data,
             )
 
@@ -359,7 +358,7 @@ class TestCompute:
             result = primform.solve_star(state)
             extra = SSeries.variable(state.mu, 0, state.order).scale(Fraction(1, 7))
             zeta = plus_term(result.zeta, 0, 0, extra)
-            return PrimitiveFormResult(zeta, result.J, state, result.floor)
+            return result_from_blocks(zeta, result.J, state, result.floor)
 
         monkeypatch.setattr(cli, "solve_star", perturbed)
         path = tmp_path / "a3.json"
@@ -592,6 +591,66 @@ class TestVerify:
         code, _, err = run_cli(["verify", str(path)], capsys)
         assert code == 1
         assert err.startswith("error: malformed record")
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (
+                lambda r: {
+                    **r,
+                    "flat_degrees": [str(2 * Fraction(d)) for d in r["flat_degrees"]],
+                    "central_charge": str(3 - 2 * (3 - Fraction(r["central_charge"]))),
+                },
+                "central_charge is not sum_i (1 - 2 q_i) over one weight per variable",
+            ),
+            (
+                lambda r: {**r, "weights": ["1/5", "1/9"]},
+                "central_charge is not sum_i (1 - 2 q_i) over one weight per variable",
+            ),
+            (
+                lambda r: {**r, "basis": r["basis"][::-1]},
+                "basis entry 'x*y^5' is no monomial of flat degree 1",
+            ),
+            (
+                lambda r: {
+                    **r,
+                    "basis": ["1"] + r["basis"][:-1],
+                    "flat_degrees": ["1"] + r["flat_degrees"][:-1],
+                },
+                "the basis must hold the unit \"1\" exactly once",
+            ),
+            (
+                lambda r: {
+                    **r,
+                    "basis": ["x^2"] + r["basis"][1:],
+                    "flat_degrees": ["1/3"] + r["flat_degrees"][1:],
+                },
+                "the basis must hold the unit \"1\" exactly once",
+            ),
+            (
+                lambda r: {**r, "basis": ["1", "2*y"] + r["basis"][2:]},
+                "basis entry '2*y' is no monomial of flat degree 6/7",
+            ),
+            (
+                lambda r: {**r, "weights": r["weights"][:1]},
+                "central_charge is not sum_i (1 - 2 q_i) over one weight per variable",
+            ),
+        ],
+        ids=[
+            "flat degrees doubled", "other weights", "basis reversed", "unit twice",
+            "no unit", "scaled entry", "missing weight",
+        ],
+    )
+    def test_fields_tied_to_weights(self, capsys, tmp_path, mutate, message):
+        # Each of the first three edits of the deep-o6 E12 record once
+        # passed every check: WDVV and the Euler check never read the
+        # weights or the basis.
+        path = tmp_path / "e12.json"
+        record = json.loads((RECORDS / "deep-o6" / "E12.json").read_text())
+        path.write_text(json.dumps(mutate(record)))
+        code, out, err = run_cli(["verify", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: malformed record: ValueError({message!r})\n"
 
     def test_pairing_size_mismatch(self, capsys, tmp_path):
         # Once an IndexError traceback from inside the WDVV check.

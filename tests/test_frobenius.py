@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from primform import frobenius
-from exact_forms import const, plus_term
+from exact_forms import const, plus_term, result_from_blocks
 from primform.algebra import SSeries, format_rational, mat_inv, mono_mul
 from primform.frobenius import (
     IntegrabilityError,
@@ -22,7 +22,7 @@ from primform.frobenius import (
     wdvv_check,
 )
 from primform.milnor import central_charge, divide_by_jacobian, milnor_basis
-from primform.primitive import PrimitiveFormResult, build_unfolding, solve_star
+from primform.primitive import build_unfolding, solve_star
 
 F = Fraction
 
@@ -81,7 +81,7 @@ def with_j_minus2_added(result, extras):
     J = result.J
     for b, extra in enumerate(extras):
         J = plus_term(J, -2, b, extra)
-    return PrimitiveFormResult(result.zeta, J, result.state, result.floor)
+    return result_from_blocks(result.zeta, J, result.state, result.floor)
 
 
 class TestFlatCoordinates:

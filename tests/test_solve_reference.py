@@ -14,11 +14,10 @@ from math import factorial, prod
 
 import pytest
 
-from exact_forms import add_term, const, plus_term
+from exact_forms import add_term, const, plus_term, result_from_blocks
 from primform.algebra import LaurentBlock, SSeries, mono_mul
 from primform.milnor import milnor_basis, monomial_class
 from primform.primitive import (
-    PrimitiveFormResult,
     build_unfolding,
     defect,
     defect_is_zero,
@@ -116,7 +115,7 @@ def perturbed(result, part, j):
     blocks = {"zeta": result.zeta, "J": result.J}
     zp, idx, mono = term_at_degree(blocks[part], j, mu)
     blocks[part] = plus_term(blocks[part], zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
-    moved = PrimitiveFormResult(blocks["zeta"], blocks["J"], result.state, result.floor)
+    moved = result_from_blocks(blocks["zeta"], blocks["J"], result.state, result.floor)
     return moved, (zp, idx, mono)
 
 
@@ -195,7 +194,7 @@ class TestFlooredDefect:
         idx, series = min(floored.J.z_terms[zp].items())
         mono = max(series.terms)
         J = plus_term(floored.J, zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
-        moved = PrimitiveFormResult(floored.zeta, J, floored.state, floored.floor)
+        moved = result_from_blocks(floored.zeta, J, floored.state, floored.floor)
         assert defect(moved) == LaurentBlock({zp: {idx: SSeries(mu, order, {mono: F(-1, 7)})}})
 
     def test_j_below_floor_unchecked(self, floored):
@@ -203,5 +202,5 @@ class TestFlooredDefect:
         mu, order = floored.state.mu, floored.order
         mono = (order,) + (0,) * (mu - 1)
         J = plus_term(floored.J, -3, 0, SSeries(mu, order, {mono: F(1, 7)}))
-        moved = PrimitiveFormResult(floored.zeta, J, floored.state, floored.floor)
+        moved = result_from_blocks(floored.zeta, J, floored.state, floored.floor)
         assert defect_is_zero(moved)
