@@ -411,6 +411,8 @@ _TOKEN_SPLIT = ("+", "-")
 
 def parse_monomial(text: str, variables: list[str]) -> tuple[tuple[int, ...], Fraction]:
     """Parse one product like "3/2*x^2*y" into (exponents, coefficient)."""
+    if not isinstance(text, str):
+        raise ValueError(f"a monomial is written as a string, got {text!r}")
     coeff = Fraction(1)
     exps = [0] * len(variables)
     text = text.strip()
@@ -431,6 +433,17 @@ def parse_monomial(text: str, variables: list[str]) -> tuple[tuple[int, ...], Fr
             raise ValueError(f"exponent must be a non-negative integer in {factor!r}")
         exps[variables.index(name)] += int(power) if caret else 1
     return tuple(exps), coeff
+
+
+def parse_basis(entries, variables) -> list[tuple[int, ...]]:
+    """The exponents of each entry, a bare monomial such as "x^2*y"."""
+    basis = []
+    for chunk in entries:
+        exps, coeff = parse_monomial(chunk, list(variables))
+        if coeff != 1:
+            raise ValueError(f"basis entries must be bare monomials, got {chunk!r}")
+        basis.append(exps)
+    return basis
 
 
 def parse_polynomial(text: str, variables: list[str]) -> SSeries:

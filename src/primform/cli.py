@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebra import (
     format_rational,
     mono_str,
-    parse_monomial,
+    parse_basis,
     parse_polynomial,
     parse_rational,
 )
@@ -63,16 +63,6 @@ def _resolve_target(args, catalog):
     if weights is not None:
         return args.poly, variables, poly, [parse_rational(w) for w in weights.split(",")]
     return args.poly, variables, poly, None
-
-
-def _parse_basis(text: str, variables) -> list[tuple[int, ...]]:
-    basis = []
-    for chunk in text.split(","):
-        exps, coeff = parse_monomial(chunk, list(variables))
-        if coeff != 1:
-            raise ValueError(f"basis entries must be bare monomials, got {chunk!r}")
-        basis.append(exps)
-    return basis
 
 
 def _emit(record: dict, args) -> None:
@@ -121,7 +111,7 @@ def cmd_info(args) -> int:
 def cmd_compute(args) -> int:
     name, variables, poly, weights = _resolve_target(args, load_catalog(args.catalog))
     f = WeightedPolynomial(variables, weights or infer_weights(poly), poly)
-    basis = _parse_basis(args.basis, f.variables) if args.basis is not None else None
+    basis = parse_basis(args.basis.split(","), f.variables) if args.basis is not None else None
     data = milnor_basis(f, basis=basis)
     result = solve_star(build_unfolding(f, data, args.order))
 

@@ -27,7 +27,7 @@ from .algebra import (
     mat_inv,
     mono_key,
     pack_monomial,
-    parse_monomial,
+    parse_basis,
     parse_rational,
     unpack_monomial,
     variable_names,
@@ -46,11 +46,6 @@ class IntegrabilityError(ArithmeticError):
 def flat_coordinates(result: PrimitiveFormResult) -> list[SSeries]:
     """t_a(s) = J_(-1)^a; the leading part is s_a itself."""
     return result.j_components(-1)
-
-
-def _word(mono) -> tuple:
-    """The monomial s^mono as its sorted word of variable indices."""
-    return tuple(v for v, e in enumerate(mono) for _ in range(e))
 
 
 def _substitute_ints(items: list, s_of_t: list[SSeries]) -> tuple[int, list]:
@@ -169,9 +164,15 @@ def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
     once."""
     items = []
     for u in series:
-        e = lcm(*(c.denominator for c in u.terms.values()))
-        words = {_word(m): c.numerator * (e // c.denominator) for m, c in u.terms.items()}
-        items.append((u.order, e, words))
+        e_scale = lcm(*(c.denominator for c in u.terms.values()))
+        words = {}
+        for mono, c in u.terms.items():
+            word = ()
+            for v, e in enumerate(mono):
+                if e:
+                    word += (v,) * e
+            words[word] = c.numerator * (e_scale // c.denominator)
+        items.append((u.order, e_scale, words))
     base, parts = _substitute_ints(items, s_of_t)
     nv, order = s_of_t[0].nvars, s_of_t[0].order
     return [
@@ -245,14 +246,20 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
     """
     mu, order = milnor.mu, result.order
     s_of_t = invert_coordinates(flat_coordinates(result), min(max(order - 1, 1), order))
-    # Each J_(-2)^b over the lcm of the slices' D_k; a slice-k word has k letters.
+    # J_(-2) over the lcm of the slices' D_k, each word spelled by its packed digits.
     slices = result.j_slices_at(-2)
     j_scale = lcm(*(den for den, _ in slices))
     words = [{} for _ in range(mu)]
     for den, vec in slices:
         for b, series in vec.items():
             for p, v in series:
-                words[b][_word(unpack_monomial(p, order + 1, mu))] = v * (j_scale // den)
+                word, letter = (), 0
+                while p:
+                    p, e = divmod(p, order + 1)
+                    if e:
+                        word += (letter,) * e
+                    letter += 1
+                words[b][word] = v * (j_scale // den)
     items = [(order, j_scale, u_words) for u_words in words]
     base, parts = _substitute_ints(items, [s.truncate(order) for s in s_of_t])
     e_scale = lcm(*(v.denominator for row in milnor.eta for v in row))
@@ -548,12 +555,12 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
     weights = [parse_rational(q) for q in as_list(record["weights"], "weights")]
     if len(weights) != len(names) or c_hat != sum(1 - 2 * q for q in weights):
         raise ValueError("central_charge is not sum_i (1 - 2 q_i) over one weight per variable")
-    basis = [parse_monomial(t, names) if isinstance(t, str) else ((), 0) for t in record["basis"]]
-    if [mono for mono, _ in basis].count((0,) * len(names)) != 1:
+    basis = parse_basis(record["basis"], names)
+    if basis.count((0,) * len(names)) != 1:
         raise ValueError('the basis must hold the unit "1" exactly once')
-    for text, (mono, coeff), degree in zip(record["basis"], basis, flat_degrees):
-        if coeff != 1 or degree != 1 - weighted_degree(mono, weights):
-            raise ValueError(f"basis entry {text!r} is no monomial of flat degree {degree}")
+    for text, mono, degree in zip(record["basis"], basis, flat_degrees):
+        if degree != 1 - weighted_degree(mono, weights):
+            raise ValueError(f"flat degree {degree} of {text!r} is not 1 - its weighted degree")
     if order < 3:
         _pairing_inverse(eta)
         return dict.fromkeys(("wdvv", "euler", "integrability"))

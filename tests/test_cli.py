@@ -609,7 +609,7 @@ class TestVerify:
             ),
             (
                 lambda r: {**r, "basis": r["basis"][::-1]},
-                "basis entry 'x*y^5' is no monomial of flat degree 1",
+                "flat degree 1 of 'x*y^5' is not 1 - its weighted degree",
             ),
             (
                 lambda r: {
@@ -629,7 +629,11 @@ class TestVerify:
             ),
             (
                 lambda r: {**r, "basis": ["1", "2*y"] + r["basis"][2:]},
-                "basis entry '2*y' is no monomial of flat degree 6/7",
+                "basis entries must be bare monomials, got '2*y'",
+            ),
+            (
+                lambda r: {**r, "basis": ["1", 5] + r["basis"][2:]},
+                "a monomial is written as a string, got 5",
             ),
             (
                 lambda r: {**r, "weights": r["weights"][:1]},
@@ -638,7 +642,7 @@ class TestVerify:
         ],
         ids=[
             "flat degrees doubled", "other weights", "basis reversed", "unit twice",
-            "no unit", "scaled entry", "missing weight",
+            "no unit", "scaled entry", "number entry", "missing weight",
         ],
     )
     def test_fields_tied_to_weights(self, capsys, tmp_path, mutate, message):
