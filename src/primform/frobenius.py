@@ -508,7 +508,7 @@ def prepotential_record(
         "variables": list(f.variables),
         "weights": [format_rational(q) for q in f.weights],
         "order": frob.order,
-        "central_charge": format_rational(central_charge(f)),
+        "central_charge": format_rational(central_charge(f.weights)),
         "basis": milnor.basis_strings(),
         "flat_degrees": [format_rational(1 - d) for d in milnor.degrees],
         "eta": [[format_rational(v) for v in row] for row in milnor.eta],
@@ -553,7 +553,7 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
     c_hat = parse_rational(record["central_charge"])
     names = variable_names(as_list(record["variables"], "variables"))
     weights = [parse_rational(q) for q in as_list(record["weights"], "weights")]
-    if len(weights) != len(names) or c_hat != sum(1 - 2 * q for q in weights):
+    if len(weights) != len(names) or c_hat != central_charge(weights):
         raise ValueError("central_charge is not sum_i (1 - 2 q_i) over one weight per variable")
     basis = parse_basis(record["basis"], names)
     if basis.count((0,) * len(names)) != 1:

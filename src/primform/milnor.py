@@ -89,9 +89,9 @@ def infer_weights(poly: SSeries) -> tuple[Fraction, ...]:
     return tuple(solution)
 
 
-def central_charge(f: WeightedPolynomial) -> Fraction:
-    """sum(1 - 2*q_i) over the variables."""
-    return sum((1 - 2 * q for q in f.weights), Fraction(0))
+def central_charge(weights) -> Fraction:
+    """sum(1 - 2*q_i) over the weights."""
+    return sum((1 - 2 * q for q in weights), Fraction(0))
 
 
 class _DegreeSystem:
@@ -150,8 +150,7 @@ class _JacobianDivider:
             for i in range(f.nvars)
         )
         self.gen_sdegs = tuple(self.scale - sd for sd in self.var_sdegs)
-        # The central charge sum(1 - 2 q_i) in scaled degree.
-        self.socle_sdeg = self.nvars * self.scale - 2 * sum(self.var_sdegs)
+        self.socle_sdeg = int(central_charge(f.weights) * self.scale)
         self._monos_cache: dict[int, list] = {}
         self._systems: dict[int, _DegreeSystem] = {}
         self.designated: dict[int, list] | None = None  # degree -> basis monos
@@ -408,7 +407,7 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
     if basis is not None:
         basis = [tuple(int(e) for e in m) for m in basis]
     divider = _JacobianDivider(f, basis)
-    c_hat = central_charge(f)
+    c_hat = central_charge(f.weights)
     band_top = divider.socle_sdeg + max(divider.var_sdegs)
 
     found = []
@@ -496,7 +495,7 @@ def residue_pairing(data: MilnorData):
     h = hess_coeffs[socle_idx]
     if not h:
         raise ArithmeticError("hessian vanishes in the Jacobian algebra; data is inconsistent")
-    c_hat = central_charge(data.f)
+    c_hat = central_charge(data.f.weights)
     scale = Fraction(data.mu) / h
     mu = data.mu
     eta = [[Fraction(0)] * mu for _ in range(mu)]

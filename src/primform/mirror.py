@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .algebra import SSeries, mat_det, mono_key, mono_str
-from .milnor import infer_weights
+from .milnor import WeightedPolynomial, infer_weights
 
 
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -185,14 +185,9 @@ def transpose(w: InvertiblePolynomial) -> InvertiblePolynomial:
 
 
 def weights_from_matrix(w: InvertiblePolynomial) -> tuple[Fraction, ...]:
-    """The weights q solving E q = (1, ..., 1); each must lie in (0, 1/2]."""
-    solution = infer_weights(w.poly())
-    for q in solution:
-        if not (0 < q <= Fraction(1, 2)):
-            raise ValueError(
-                f"weight {q} falls outside (0, 1/2]; not a valid singularity weight system"
-            )
-    return solution
+    """The weights q solving E q = (1, ..., 1), checked by WeightedPolynomial."""
+    poly = w.poly()
+    return WeightedPolynomial(w.variables, infer_weights(poly), poly).weights
 
 
 class DiagonalSymmetryGroup:

@@ -79,7 +79,7 @@ def test_criterion_1_central_charges():
     catalog = load_catalog()
     for name, expected in CENTRAL_CHARGES.items():
         f = catalog[name].weighted_polynomial()
-        assert central_charge(f) == parse_rational(expected), name
+        assert central_charge(f.weights) == parse_rational(expected), name
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"central charges took {elapsed:.2f}s (budget 1s)"
     print(f"ACCEPTANCE 1 [central charges, 14 entries]: PASS ({elapsed:.3f}s)")
@@ -148,7 +148,8 @@ def test_criterion_5_wdvv_euler_integrability(catalog, milnor_cache, solved_cach
         frob = prepotential(result, data)  # raises if integrability fails
         f0 = frob.prepotential
         assert wdvv_check(f0, data.eta).passed, name
-        assert euler_check(f0, [1 - d for d in data.degrees], central_charge(data.f)).passed, name
+        flat_degrees = [1 - d for d in data.degrees]
+        assert euler_check(f0, flat_degrees, central_charge(data.f.weights)).passed, name
         assert normalization_check(f0).passed, name
 
     # Negative controls on U12: a perturbed coefficient must be flagged.
@@ -161,7 +162,7 @@ def test_criterion_5_wdvv_euler_integrability(catalog, milnor_cache, solved_cach
     terms2 = dict(f0.terms)
     terms2[(4,) + (0,) * (data.mu - 1)] = F(1)  # t1^4 has flat degree 4 != 3 - c_hat
     assert not euler_check(
-        SSeries(data.mu, 4, terms2), [1 - d for d in data.degrees], central_charge(data.f)
+        SSeries(data.mu, 4, terms2), [1 - d for d in data.degrees], central_charge(data.f.weights)
     ).passed
     elapsed = time.monotonic() - start
     print(
@@ -248,7 +249,7 @@ def test_criterion_8_property_suites(catalog, milnor_cache, solved_cache):
         data = milnor_cache(name)
         divider = data._divider
         n = data.f.nvars
-        bound = int(central_charge(data.f) * divider.scale)
+        bound = int(central_charge(data.f.weights) * divider.scale)
         h = []
         for _ in range(n):
             terms = {}
@@ -268,7 +269,7 @@ def test_criterion_8_property_suites(catalog, milnor_cache, solved_cache):
         name = names[rng.randrange(len(names))]
         data = milnor_cache(name)
         divider = data._divider
-        bound = int((central_charge(data.f) + 2) * divider.scale)
+        bound = int((central_charge(data.f.weights) + 2) * divider.scale)
         monos = divider.monomials_at(rng.randint(0, bound))
         if not monos:
             continue

@@ -84,7 +84,7 @@ class TestExactness:
             data = milnor_cache(name)
             divider = data._divider
             n = data.f.nvars
-            bound = int(central_charge(data.f) * divider.scale)
+            bound = int(central_charge(data.f.weights) * divider.scale)
             for _ in range(25):
                 h = []
                 for _ in range(n):

@@ -74,8 +74,7 @@ class TestInfo:
             (["info", "--poly", "x^3+x^2"],
              "no weight system makes every term homogeneous of degree 1"),
             (["info", "--poly", "x^3*y^2+y"], "weight -1/3 outside (0, 1/2]"),
-            (["mirror", "--poly", "x^3*y^2+y"],
-             "weight -1/3 falls outside (0, 1/2]; not a valid singularity weight system"),
+            (["mirror", "--poly", "x^3*y^2+y"], "weight -1/3 outside (0, 1/2]"),
         ],
         ids=["underdetermined", "inconsistent", "negative", "mirror negative"],
     )

@@ -545,21 +545,21 @@ class TestEuler:
         exps[2] = 3
         exps[11] = 1
         degree = sum(F(k) * d for k, d in zip(exps, flat))
-        assert degree == 3 - central_charge(data.f) == F(11, 6)
+        assert degree == 3 - central_charge(data.f.weights) == F(11, 6)
 
     def test_passes_on_computed_prepotentials(self, frobenius_cache, milnor_cache):
         for name in ("A2", "S12", "P8"):
             data = milnor_cache(name)
             frob = frobenius_cache(name)
             report = euler_check(
-                frob.prepotential, [1 - d for d in data.degrees], central_charge(data.f)
+                frob.prepotential, [1 - d for d in data.degrees], central_charge(data.f.weights)
             )
             assert report.passed
 
     def test_violation_reported(self, milnor_cache):
         data = milnor_cache("A2")
         bad = SSeries(2, 4, {(3, 0): F(1)})  # t1^3 has degree 3 != 3 - 1/3
-        report = euler_check(bad, [1 - d for d in data.degrees], central_charge(data.f))
+        report = euler_check(bad, [1 - d for d in data.degrees], central_charge(data.f.weights))
         assert not report.passed
         assert report.violations[0]["degree"] == "3"
 

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from primform.catalog import EXCEPTIONAL_NAMES
+from primform.milnor import central_charge
 from primform.mirror import (
     InvertiblePolynomial,
     diagonal_symmetries,
@@ -141,7 +142,7 @@ class TestWeights:
     def test_s12_three_by_three_solve(self, catalog):
         q = weights_from_matrix(invertible(catalog["S12"]))
         assert q == (F(4, 13), F(5, 13), F(3, 13))
-        assert sum(1 - 2 * qi for qi in q) == F(15, 13)
+        assert central_charge(q) == F(15, 13)
 
     def test_rejects_invalid_weight_range(self):
         # x^1 y + y^1 x is quadratic-mixed; use x + y^3 instead: weight of x is 1.
