@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import lcm
+from math import factorial, lcm, prod
 
 from .algebra import (
     SSeries,
@@ -480,19 +480,42 @@ def euler_check(f0: SSeries, flat_degrees, c_hat: Fraction) -> CheckReport:
     return CheckReport(violations, len(f0.terms))
 
 
-def normalization_check(f0: SSeries) -> CheckReport:
-    """Record-level integrability: F0 has no terms below total degree 3.
+def normalization_check(f0: SSeries, eta, unit: int) -> CheckReport:
+    """Record-level integrability: F0 has no terms below total degree 3, and
+    d_u d_a d_b F0 = eta_ab as a series, t_u the flat coordinate of the unit.
 
     The curl check runs inside `prepotential`, on the gradient.  A stored
     record carries only F0 itself, whose third derivatives commute for
     every series, so what remains to check on it is the normalization that
-    drops the constant, linear and quadratic parts.
+    drops the constant, linear and quadratic parts, and the flat identity
+    that ties F0 to eta: the only terms in t_u are the cubic t_u t_a t_b,
+    each with coefficient eta_ab / m! for its exponents m.  WDVV holds for
+    every multiple of eta; the flat identity does not.
     """
+    flat = {}
+    for a in range(f0.nvars):
+        for b in range(a, f0.nvars):
+            if eta[a][b]:
+                mono = [0] * f0.nvars
+                for i in (unit, a, b):
+                    mono[i] += 1
+                flat[tuple(mono)] = eta[a][b] / prod(map(factorial, mono))
     violations = []
-    for mono, coeff in f0.sorted_terms():
+    for mono in sorted(f0.terms.keys() | flat.keys(), key=mono_key):
+        coeff = f0.terms.get(mono, Fraction(0))
+        expected = flat.get(mono, Fraction(0))
         if sum(mono) < 3:
             violations.append(
                 {"monomial": mono, "coefficient": format_rational(coeff), "reason": "degree < 3"}
+            )
+        elif mono[unit] and coeff != expected:
+            violations.append(
+                {
+                    "monomial": mono,
+                    "coefficient": format_rational(coeff),
+                    "expected": format_rational(expected),
+                    "reason": "d_u d_a d_b F0 != eta_ab",
+                }
             )
     return CheckReport(violations, len(f0.terms))
 
@@ -526,9 +549,10 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
     rational a string, no terms below order 3, and at every order an eta
     that is symmetric and invertible.  The weights fix the central charge,
     sum_i (1 - 2 q_i), and each flat degree, 1 - deg_q of its basis entry,
-    a monomial in the variables; the unit 1 is in the basis once.  Below
-    order 3 the normalized F0 is zero, so each check holds only vacuously
-    and its report is None.
+    a monomial in the variables; the unit 1 is in the basis once, and the
+    integrability report ties eta to F0 by the flat identity.  Below order
+    3 the normalized F0 is zero, so each check holds only vacuously and
+    its report is None.
     """
     if not isinstance(record, dict):
         raise ValueError("a record is an object")
@@ -556,7 +580,8 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
     if len(weights) != len(names) or c_hat != central_charge(weights):
         raise ValueError("central_charge is not sum_i (1 - 2 q_i) over one weight per variable")
     basis = parse_basis(record["basis"], names)
-    if basis.count((0,) * len(names)) != 1:
+    unit = (0,) * len(names)
+    if basis.count(unit) != 1:
         raise ValueError('the basis must hold the unit "1" exactly once')
     for text, mono, degree in zip(record["basis"], basis, flat_degrees):
         if degree != 1 - weighted_degree(mono, weights):
@@ -567,5 +592,5 @@ def verify_record(record: dict) -> dict[str, CheckReport | None]:
     return {
         "wdvv": wdvv_check(f0, eta),
         "euler": euler_check(f0, flat_degrees, c_hat),
-        "integrability": normalization_check(f0),
+        "integrability": normalization_check(f0, eta, basis.index(unit)),
     }

@@ -150,7 +150,8 @@ def test_criterion_5_wdvv_euler_integrability(catalog, milnor_cache, solved_cach
         assert wdvv_check(f0, data.eta).passed, name
         flat_degrees = [1 - d for d in data.degrees]
         assert euler_check(f0, flat_degrees, central_charge(data.f.weights)).passed, name
-        assert normalization_check(f0).passed, name
+        unit = data.basis_index((0,) * data.f.nvars)
+        assert normalization_check(f0, data.eta, unit).passed, name
 
     # Negative controls on U12: a perturbed coefficient must be flagged.
     data = milnor_cache("U12")

@@ -17,6 +17,7 @@ from primform.frobenius import FrobeniusData
 
 
 RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "records"
+SWAP_9_10 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11]
 
 
 def halved(term):
@@ -459,14 +460,15 @@ class TestVerify:
         assert out.splitlines() == ["wdvv: vacuous", "euler: vacuous", "integrability: vacuous"]
 
     def test_record_without_terms_checked(self, capsys, tmp_path):
-        # At order 4 the checks run on a zero F0; they are not vacuous.
+        # At order 4 the checks run on a zero F0; they are not vacuous, and
+        # a zero F0 breaks the flat identity d_u d_a d_b F0 = eta_ab.
         path = self._compute_record(capsys, tmp_path, name="A2")
         record = json.loads(path.read_text())
         record["terms"] = []
         path.write_text(json.dumps(record))
         code, out, _ = run_cli(["verify", str(path)], capsys)
-        assert code == 0
-        assert "wdvv: pass" in out and "vacuous" not in out
+        assert code == 1
+        assert "wdvv: pass" in out and "integrability: FAIL" in out and "vacuous" not in out
 
     def test_unparseable_record(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -654,6 +656,35 @@ class TestVerify:
         code, out, err = run_cli(["verify", str(path)], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: malformed record: ValueError({message!r})\n"
+
+    @pytest.mark.parametrize(
+        "mutate, wdvv",
+        [
+            (lambda r: {**r, "eta": [[str(2 * Fraction(v)) for v in row] for row in r["eta"]]},
+             "pass"),
+            # Indices 9 and 10 swapped: eta stays a symmetric permutation
+            # matrix, but now pairs y with x*y^3, off its degree support.
+            (lambda r: {**r, "eta": [[r["eta"][a][b] for b in SWAP_9_10] for a in SWAP_9_10]},
+             "FAIL"),
+            (lambda r: {**r, "terms": [
+                {**t, "coeff": "2/21"} if t["exponents"] == [1, 1] + [0] * 8 + [1, 0] else t
+                for t in r["terms"]
+            ]}, "FAIL"),
+        ],
+        ids=["eta doubled", "eta off its support", "t_u t_a t_b changed"],
+    )
+    def test_eta_tied_to_f0(self, capsys, tmp_path, mutate, wdvv):
+        # The doubled eta of the deep-o6 E12 record once passed every check:
+        # WDVV holds for every multiple of eta, and the Euler check never
+        # reads it.  The flat identity d_u d_a d_b F0 = eta_ab does.
+        path = tmp_path / "e12.json"
+        record = json.loads((RECORDS / "deep-o6" / "E12.json").read_text())
+        path.write_text(json.dumps(mutate(record)))
+        code, out, _ = run_cli(["verify", str(path)], capsys)
+        assert code == 1
+        assert f"wdvv: {wdvv} (9504 checks)" in out
+        assert "euler: pass (229 checks)" in out
+        assert "integrability: FAIL (229 checks)" in out
 
     def test_pairing_size_mismatch(self, capsys, tmp_path):
         # Once an IndexError traceback from inside the WDVV check.

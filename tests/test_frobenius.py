@@ -599,10 +599,12 @@ class TestEuler:
 class TestSymmetry:
     def test_rejects_low_degree_terms(self):
         f0 = SSeries(2, 4, {(1, 1): F(1)})
-        assert not normalization_check(f0).passed
+        assert not normalization_check(f0, ((F(1), F(0)), (F(0), F(1))), 0).passed
 
-    def test_passes_on_computed(self, frobenius_cache):
-        assert normalization_check(frobenius_cache("A3").prepotential).passed
+    def test_passes_on_computed(self, milnor_cache, frobenius_cache):
+        data = milnor_cache("A3")
+        unit = data.basis_index((0,) * data.f.nvars)
+        assert normalization_check(frobenius_cache("A3").prepotential, data.eta, unit).passed
 
 
 class TestNoCyclicGarbage:
