@@ -253,6 +253,11 @@ def cmd_catalog_selftest(args) -> int:
             partner = names.get(transpose(w).canonical_key())
             if entry.expected_transpose is not None and partner != entry.expected_transpose:
                 problems.append(f"transpose {partner!r} != {entry.expected_transpose!r}")
+        elif entry.expected_transpose is not None:
+            problems.append(
+                f"transpose {entry.expected_transpose!r} expected, "
+                "but the polynomial is not invertible"
+            )
         status = "ok" if not problems else "FAIL: " + "; ".join(problems)
         print(f"{entry.name}: {status}")
         failures += bool(problems)

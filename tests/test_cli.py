@@ -798,6 +798,29 @@ class TestCatalogSelftest:
             "1/3 entries ok",
         ]
 
+    def test_transpose_of_non_invertible_reported(self, capsys, tmp_path):
+        # A transpose expectation on a polynomial that is not invertible was
+        # once skipped, and the entry reported ok.
+        entry = {
+            "name": "NI2",
+            "variables": ["x", "y"],
+            "weights": ["1/3", "1/3"],
+            "polynomial": [
+                {"exponents": [3, 0], "coeff": "1"},
+                {"exponents": [0, 3], "coeff": "1"},
+                {"exponents": [1, 2], "coeff": "1"},
+            ],
+            "expected": {"milnor_number": 4, "transpose_name": "NOPE"},
+        }
+        path = tmp_path / "ni2.json"
+        path.write_text(json.dumps({"entries": [entry]}))
+        code, out, _ = run_cli(["catalog-selftest", "--catalog", str(path)], capsys)
+        assert code == 1
+        assert out.splitlines() == [
+            "NI2: FAIL: transpose 'NOPE' expected, but the polynomial is not invertible",
+            "0/1 entries ok",
+        ]
+
     def test_rejected_entries_reported(self, capsys, tmp_path):
         # A non-isolated entry and one whose weights do not fit its
         # polynomial each fail on their own line; the entries after them
