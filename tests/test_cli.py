@@ -75,9 +75,10 @@ class TestInfo:
             (["info", "--poly", "x^3+x^2"],
              "no weight system makes every term homogeneous of degree 1"),
             (["info", "--poly", "x^3*y^2+y"], "weight -1/3 outside (0, 1/2]"),
+            (["compute", "--poly", "x^3*y^2+y"], "weight -1/3 outside (0, 1/2]"),
             (["mirror", "--poly", "x^3*y^2+y"], "weight -1/3 outside (0, 1/2]"),
         ],
-        ids=["underdetermined", "inconsistent", "negative", "mirror negative"],
+        ids=["underdetermined", "inconsistent", "negative", "compute negative", "mirror negative"],
     )
     def test_weight_messages(self, capsys, argv, message):
         # The unique weights (-1/3, 1) of x^3*y^2+y were once reported as
@@ -1023,6 +1024,29 @@ class TestEntryPoint:
             env=dict(os.environ, PYTHONPATH=home),
         )
         assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+    def test_engine_imports_only_the_standard_library(self):
+        # numpy and sympy may be installed, but primform declares no
+        # dependency.  What site's .pth hooks load at start-up is not
+        # primform's, so only the modules loaded after that are read.
+        home = str(Path(primform.__file__).resolve().parent.parent)
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import contextlib, io\n"
+            "import primform.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = primform.cli.main(['compute', '--singularity', 'A2', '--order', '3'])\n"
+            "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(code, sorted(loaded - set(sys.stdlib_module_names) - {'primform'}))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-B", "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=home),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
 
     def test_repeated_call_leaves_no_cyclic_garbage(self, capsys):
         # The parser is built once per process; each build left 275 cyclic
