@@ -501,9 +501,9 @@ def normalization_check(f0: SSeries, eta, unit: int) -> CheckReport:
                     mono[i] += 1
                 flat[tuple(mono)] = eta[a][b] / prod(map(factorial, mono))
     violations = []
-    for mono in sorted(f0.terms.keys() | flat.keys(), key=mono_key):
-        coeff = f0.terms.get(mono, Fraction(0))
-        expected = flat.get(mono, Fraction(0))
+    for mono in f0.terms.keys() | flat.keys():
+        coeff = f0.terms.get(mono, 0)
+        expected = flat.get(mono, 0)
         if sum(mono) < 3:
             violations.append(
                 {"monomial": mono, "coefficient": format_rational(coeff), "reason": "degree < 3"}
@@ -517,6 +517,7 @@ def normalization_check(f0: SSeries, eta, unit: int) -> CheckReport:
                     "reason": "d_u d_a d_b F0 != eta_ab",
                 }
             )
+    violations.sort(key=lambda v: mono_key(v["monomial"]))
     return CheckReport(violations, len(f0.terms))
 
 

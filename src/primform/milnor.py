@@ -150,6 +150,7 @@ class _JacobianDivider:
             for i in range(f.nvars)
         )
         self.gen_sdegs = tuple(self.scale - sd for sd in self.var_sdegs)
+        # The socle sits at the central charge, here in scaled degree.
         self.socle_sdeg = int(central_charge(f.weights) * self.scale)
         self._monos_cache: dict[int, list] = {}
         self._systems: dict[int, _DegreeSystem] = {}
