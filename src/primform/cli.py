@@ -202,7 +202,8 @@ def cmd_mirror(args) -> int:
         "aut_order": group.order,
         "aut_generator_orders": list(group.generator_orders),
         "aut_generators": [[format_rational(g) for g in gen] for gen in group.generators],
-        "j_w": [format_rational(g) for g in group.j_w],
+        # j_W = q mod 1 is the weights themselves, since 0 < q <= 1/2.
+        "j_w": [format_rational(q) for q in weights],
     }
     _emit(record, args)
     if args.format == "human":

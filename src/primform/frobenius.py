@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 
 from .algebra import (
     SSeries,
@@ -44,20 +44,54 @@ class IntegrabilityError(ArithmeticError):
 
 
 def flat_coordinates(result: PrimitiveFormResult) -> list[SSeries]:
-    """t_a(s) = J_(-1)^a; the leading part is s_a itself."""
+    """t_a(s) = J_(-1)^a as Fraction series; the leading part is s_a itself."""
     return result.j_components(-1)
 
 
-def _substitute_ints(items: list, s_of_t: list[SSeries]) -> tuple[int, list]:
-    """Every series u at s = s_of_t(t), on ints: (base, [(acc, scale)]),
-    with acc = scale * u(s(t)) as {degree: {packed: int}} by total degree,
-    cancelled terms kept as 0.  u comes as an item (order, E, {word: int}):
-    its order (None for a polynomial) and its terms times E, an int.
+def _spelled(series: list[SSeries]) -> list:
+    """Each series u as an item (order, E, {word: int}): its order (None for
+    a polynomial) and its terms times E, an int, each monomial s^J spelled
+    as the sorted word of its variable indices (s_1^2 s_3 is (0, 0, 2))."""
+    items = []
+    for u in series:
+        e_scale = lcm(*(c.denominator for c in u.terms.values()))
+        words = {}
+        for mono, c in u.terms.items():
+            word = tuple(v for v, e in enumerate(mono) for _ in range(e))
+            words[word] = c.numerator * (e_scale // c.denominator)
+        items.append((u.order, e_scale, words))
+    return items
 
-    Each monomial s^J is a sorted word of variable indices (s_1^2 s_3 is
-    (0, 0, 2)), and the words form a trie: the children of a prefix p are
-    the prefixes p + (v,) with v no less than the last index of p.  The
-    series are evaluated by a Horner fold over that trie,
+
+def _j_items(result: PrimitiveFormResult, m: int) -> list:
+    """The mu components of J at z^m as items, see `_spelled`, read off the
+    solve's slices over the lcm of their D_k, each word by its packed digits."""
+    order, slices = result.order, result.j_slices_at(m)
+    e_scale = lcm(*(den for den, _ in slices))
+    words = [{} for _ in range(result.state.mu)]
+    for den, vec in slices:
+        for b, series in vec.items():
+            for p, v in series:
+                word, letter = (), 0
+                while p:
+                    p, e = divmod(p, order + 1)
+                    if e:
+                        word += (letter,) * e
+                    letter += 1
+                words[b][word] = v * (e_scale // den)
+    return [(order, e_scale, u_words) for u_words in words]
+
+
+def _substitute_ints(items: list, s_of_t: tuple, nvars: int, order: int, base: int) -> list:
+    """Every series u at s = s(t), on ints, through total degree `order`:
+    [(acc, scale)], acc = scale * u(s(t)) as {degree: {packed: int}} with
+    cancelled terms kept as 0.  u comes as an item, see `_spelled`, and s(t)
+    as (D, [D s_v(t)]), each series in that form and in `nvars` variables,
+    packed in `base`, a base above every exponent through order + 1.
+
+    The words form a trie: the children of a prefix p are the prefixes
+    p + (v,) with v no less than the last index of p.  The series are
+    evaluated by a Horner fold over that trie,
 
         v(p) = sum_i u_(p,i) [i]  +  sum_v s_v(t) v(p + v),
 
@@ -71,47 +105,24 @@ def _substitute_ints(items: list, s_of_t: list[SSeries]) -> tuple[int, list]:
     children is multiplied by its coordinate series and split into the
     outputs as soon as it closes.
 
-    N, the order of s(t), bounds the result, and delta, the least total
-    degree of any term of s(t), bounds each node: v(p) is multiplied by |p|
-    more factors, each of degree >= delta, so it is formed only through
-    total degree N - delta |p|.  delta is 0 when s(t) has a constant term,
-    and then every node is formed through N.  Such an s(t) is rejected
-    unless every u is a polynomial: each term above a truncated u's order
-    would add to every degree of u(s(t)), so none of it is known.
-
-    With D the lcm of the denominators of s(t), each coordinate series is
-    scaled by D.  The term of u at a word w is scaled by D^(top - |w|) as
-    well, top the length of its longest word, so that every term adds
-    E D^top u_J s(t)^J, and scale is E D^top.  A monomial is packed in base
-    N + 2, so that a kept monomial raised by one more variable, as the
-    prepotential does, carries no digit either.
+    delta, the least total degree of a term of s(t), bounds each node: v(p)
+    is multiplied by |p| more factors, so it is formed only through degree
+    order - delta |p|.  delta is 0 when s(t) has a constant term, which is
+    rejected unless every u is a polynomial: each term above a truncated
+    u's order would add to every degree of u(s(t)).  The term of u at a
+    word w is scaled by D^(top - |w|), top the length of its longest word,
+    so that every term adds E D^top u_J s(t)^J, and scale is E D^top.
     """
-    orders = {s.order for s in s_of_t}
-    if len(orders) != 1 or None in orders:
-        raise ValueError(f"s(t) must have one integer order, got {sorted(orders, key=str)}")
-    (order,) = orders
-    constant = any(s.terms.get((0,) * s.nvars) for s in s_of_t)
-    if constant and any(u_order is not None for u_order, _, _ in items):
+    d_scale, factors = s_of_t[0], [graded(s) for s in s_of_t[1]]
+    if any(f and not f[0][0] for f in factors) and any(o is not None for o, _, _ in items):
         raise ValueError("s(t) has a constant term, so u(s(t)) is unknown for a truncated u")
-    base = order + 2
-    step = base ** s_of_t[0].nvars
-    d_scale = lcm(*(c.denominator for s in s_of_t for c in s.terms.values()))
-    delta = min((sum(mono) for s in s_of_t for mono in s.terms), default=0)
-    factors = []
-    for s in s_of_t:
-        buckets: dict = {}
-        for mono, c in s.terms.items():
-            scaled = c.numerator * (d_scale // c.denominator)
-            buckets.setdefault(sum(mono), {})[pack_monomial(mono, base)] = scaled
-        factors.append(graded(buckets))
-
+    step, delta = base**nvars, min((f[0][0] for f in factors if f), default=0)
     scales, words = [], {}
     for i, (_, e_scale, u_words) in enumerate(items):
         top = max(map(len, u_words), default=0)
         scales.append(e_scale * d_scale**top)
         for word, c in u_words.items():
             words.setdefault(word, []).append((i, c * d_scale ** (top - len(word))))
-
     out = [{} for _ in items]
     for i, scaled in words.pop((), ()):
         out[i][0] = {0: scaled}
@@ -153,62 +164,84 @@ def _substitute_ints(items: list, s_of_t: list[SSeries]) -> tuple[int, list]:
         prev = word
     while len(stack) > 1:
         close()
-    return base, list(zip(out, scales))
+    return list(zip(out, scales))
+
+
+def _invert_ints(t_items: list, order: int, base: int) -> tuple:
+    """s(t) through total degree `order` as (D, [D s_v(t)]), see
+    `_substitute_ints`, for t(s) given as one item per coordinate.
+
+    Fixed-point iteration on s = t - u(s) where u is the nonlinear part.
+    Pass p fixes total degree p, and runs at order p: u starts at degree 2,
+    so the degree-p part of u(s) needs s only through degree p - 1, which
+    the passes before it have fixed.  After each pass D is the lcm of the
+    reduced denominators of s(t), S / gcd(S, n_1, n_2, ...) for terms n_i / S.
+    """
+    mu, u = len(t_items), []
+    for a, (t_order, e_scale, words) in enumerate(t_items):
+        linear = {w: c for w, c in words.items() if len(w) == 1}
+        if linear != ({(a,): e_scale} if t_order != 0 else {}):
+            raise ValueError("coordinate change does not have identity linear part")
+        if () in words:
+            raise ValueError("coordinate change must vanish at the origin")
+        u.append((e_scale, {w: c for w, c in words.items() if len(w) > 1}))
+    d_scale, s_of_t = 1, [{1: {base**a: 1}} for a in range(mu)]
+    for p in range(2, order + 1):
+        items = [(p, e, {w: c for w, c in words.items() if len(w) <= p}) for e, words in u]
+        parts = _substitute_ints(items, (d_scale, s_of_t), mu, p, base)
+        dens = [s // gcd(s, *(v for b in acc.values() for v in b.values())) for acc, s in parts]
+        d_scale = lcm(*dens)
+        s_of_t = [
+            {1: {base**a: d_scale}}
+            | {d: {m: -(v * d_scale // s) for m, v in b.items()} for d, b in acc.items()}
+            for a, (acc, s) in enumerate(parts)
+        ]
+    return d_scale, s_of_t
+
+
+def _fractions(nvars: int, order: int, base: int, den: int, buckets: dict) -> SSeries:
+    """{degree: {packed: int}} over den as a series, each monomial packed in `base`."""
+    return SSeries(nvars, order, {
+        unpack_monomial(m, base, nvars): Fraction(v, den)
+        for bucket in buckets.values() for m, v in bucket.items() if v
+    })
 
 
 def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
     """Every u in series evaluated at s = s_of_t(t), as sum_J u_J s(t)^J,
     see `_substitute_ints`.  A result is known through the order N of s(t)
     and no further, so its order is the lesser of N and that of u, and N
-    for a polynomial u.  Each output coefficient is divided by its scale
-    once."""
-    items = []
-    for u in series:
-        e_scale = lcm(*(c.denominator for c in u.terms.values()))
-        words = {}
-        for mono, c in u.terms.items():
-            word = ()
-            for v, e in enumerate(mono):
-                if e:
-                    word += (v,) * e
-            words[word] = c.numerator * (e_scale // c.denominator)
-        items.append((u.order, e_scale, words))
-    base, parts = _substitute_ints(items, s_of_t)
-    nv, order = s_of_t[0].nvars, s_of_t[0].order
+    for a polynomial u."""
+    orders = {s.order for s in s_of_t}
+    if len(orders) != 1 or None in orders:
+        raise ValueError(f"s(t) must have one integer order, got {sorted(orders, key=str)}")
+    (order,) = orders
+    nv, base = s_of_t[0].nvars, order + 2
+    d_scale = lcm(*(c.denominator for s in s_of_t for c in s.terms.values()))
+    factors: list = [{} for _ in s_of_t]
+    for s, buckets in zip(s_of_t, factors):
+        for mono, c in s.terms.items():
+            scaled = c.numerator * (d_scale // c.denominator)
+            buckets.setdefault(sum(mono), {})[pack_monomial(mono, base)] = scaled
+    parts = _substitute_ints(_spelled(series), (d_scale, factors), nv, order, base)
     return [
-        SSeries(nv, order if u.order is None else min(u.order, order), {
-            unpack_monomial(m, base, nv): Fraction(a, scale)
-            for bucket in acc.values() for m, a in bucket.items() if a
-        })
+        _fractions(nv, order if u.order is None else min(u.order, order), base, scale, acc)
         for u, (acc, scale) in zip(series, parts)
     ]
 
 
 def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
     """Inverse series s(t) of a coordinate change with identity linear part,
-    through total degree `order`, which must not exceed the order of t(s).
-
-    Fixed-point iteration on s = t - u(s) where u is the nonlinear part.
-    Pass p fixes total degree p, and runs at order p: u starts at degree 2,
-    so the degree-p part of u(s) needs s only through degree p - 1, which
-    the passes before it have fixed.
-    """
+    through total degree `order`, which must not exceed the order of t(s);
+    see `_invert_ints`."""
     mu = len(t_of_s)
-    u = []
-    for alpha, t in enumerate(t_of_s):
+    for t in t_of_s:
         if t.order is not None and t.order < order:
             raise ValueError(f"t(s) is known through order {t.order}, not {order}")
-        linear = t.degree_part(1)
-        if linear != SSeries.variable(mu, alpha, t.order):
+        if t.nvars != mu:
             raise ValueError("coordinate change does not have identity linear part")
-        if t.degree_part(0):
-            raise ValueError("coordinate change must vanish at the origin")
-        u.append((t - linear).truncate(order))
-    s = [SSeries.variable(mu, a, order) for a in range(mu)]
-    for p in range(2, order + 1):
-        nonlinear = substitute([w.truncate(p) for w in u], [x.truncate(p) for x in s])
-        s = [SSeries.variable(mu, a, p) - w for a, w in enumerate(nonlinear)]
-    return s
+    d_scale, s_of_t = _invert_ints(_spelled(t_of_s), order, order + 2)
+    return [_fractions(mu, order, order + 2, d_scale, s) for s in s_of_t]
 
 
 class FrobeniusData:
@@ -239,29 +272,16 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
     factor lands above N, and a shorter word gives g a part of degree 0 or
     1, rejected anyway.
 
-    On ints, with L the lcm of the substitution's scales and E that of the
-    denominators of eta, G_a = E L g_a and H_J = |J| E L F_J, so the check
-    is (d + 1) G_a[m] = J_a H_J, J = m + e_a, at every degree d <= N, and
-    each F_J is divided out once.
+    From the solve's slices to F0 it runs on ints, in one packing base
+    N + 2: t(s) and J_(-2) are read off the slices, s(t) is inverted by
+    `_invert_ints` and J_(-2) folded at it.  With L the lcm of the fold's
+    scales and E that of the denominators of eta, G_a = E L g_a and
+    H_J = |J| E L F_J, so the check is (d + 1) G_a[m] = J_a H_J,
+    J = m + e_a, at every degree d <= N, and each F_J is divided out once.
     """
-    mu, order = milnor.mu, result.order
-    s_of_t = invert_coordinates(flat_coordinates(result), min(max(order - 1, 1), order))
-    # J_(-2) over the lcm of the slices' D_k, each word spelled by its packed digits.
-    slices = result.j_slices_at(-2)
-    j_scale = lcm(*(den for den, _ in slices))
-    words = [{} for _ in range(mu)]
-    for den, vec in slices:
-        for b, series in vec.items():
-            for p, v in series:
-                word, letter = (), 0
-                while p:
-                    p, e = divmod(p, order + 1)
-                    if e:
-                        word += (letter,) * e
-                    letter += 1
-                words[b][word] = v * (j_scale // den)
-    items = [(order, j_scale, u_words) for u_words in words]
-    base, parts = _substitute_ints(items, [s.truncate(order) for s in s_of_t])
+    mu, order, base = milnor.mu, result.order, result.order + 2
+    s_of_t = _invert_ints(_j_items(result, -1), min(max(order - 1, 1), order), base)
+    parts = _substitute_ints(_j_items(result, -2), s_of_t, mu, order, base)
     e_scale = lcm(*(v.denominator for row in milnor.eta for v in row))
     l_scale = lcm(*(scale for _, scale in parts))
     steps = [base**a for a in range(mu)]

@@ -139,9 +139,6 @@ class InvertiblePolynomial:
     def nvars(self) -> int:
         return len(self.variables)
 
-    def determinant(self) -> int:
-        return int(mat_det(self.exponent_matrix))
-
     def poly(self) -> SSeries:
         return SSeries(self.nvars, None, {row: Fraction(1) for row in self.exponent_matrix})
 
@@ -193,13 +190,12 @@ def weights_from_matrix(w: InvertiblePolynomial) -> tuple[Fraction, ...]:
 class DiagonalSymmetryGroup:
     """Diagonal symmetries of an invertible polynomial, as phases mod 1."""
 
-    __slots__ = ("generators", "generator_orders", "order", "j_w")
+    __slots__ = ("generators", "generator_orders", "order")
 
-    def __init__(self, generators, generator_orders, order, j_w):
+    def __init__(self, generators, generator_orders, order):
         self.generators = generators
         self.generator_orders = generator_orders
         self.order = order
-        self.j_w = j_w
 
 
 def diagonal_symmetries(w: InvertiblePolynomial) -> DiagonalSymmetryGroup:
@@ -221,5 +217,4 @@ def diagonal_symmetries(w: InvertiblePolynomial) -> DiagonalSymmetryGroup:
             column = tuple(Fraction(v_inv[r][i], d) % 1 for r in range(w.nvars))
             generators.append(column)
             generator_orders.append(d)
-    j_w = tuple(q % 1 for q in infer_weights(w.poly()))
-    return DiagonalSymmetryGroup(tuple(generators), tuple(generator_orders), order, j_w)
+    return DiagonalSymmetryGroup(tuple(generators), tuple(generator_orders), order)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import product
 
 from exact_forms import const, verify_exact_class
-from primform.algebra import SSeries, parse_rational
+from primform.algebra import SSeries, mat_det, parse_rational
 from primform.catalog import EXCEPTIONAL_NAMES, load_catalog
 from primform.frobenius import (
     euler_check,
@@ -216,7 +216,7 @@ def test_criterion_7_transpose_closure_and_symmetry_orders(catalog):
         assert partner == TRANSPOSE_PAIRS[name], (name, partner)
 
         group = diagonal_symmetries(w)
-        det = abs(w.determinant())
+        det = abs(int(mat_det(w.exponent_matrix)))
         assert group.order == det, name
         if det <= 100:
             count = _brute_force_symmetry_count(w, det)

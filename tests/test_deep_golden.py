@@ -5,8 +5,9 @@ checks that path records, and compares each record byte for byte with its
 golden record in perfbench/records/deep-o6, which it only reads.  So the
 flat-coordinate inversion and the J_(-2) substitution at order 6 are gated
 outside the benchmark too.  The library path must also run on the
-solve's int slices alone, and release the parts of exp(F - f) after the
-defect, their last reader.
+solve's int slices alone, build no Fraction series between the solve and
+F0, and release the parts of exp(F - f) after the defect, their last
+reader.
 """
 
 import json
@@ -14,9 +15,16 @@ from pathlib import Path
 
 import pytest
 
-from primform import primitive
+from primform import frobenius, primitive
+from primform.algebra import SSeries
 from primform.frobenius import prepotential, prepotential_record
-from primform.primitive import UnfoldingState, build_unfolding, defect_is_zero, solve_star
+from primform.primitive import (
+    PrimitiveFormResult,
+    UnfoldingState,
+    build_unfolding,
+    defect_is_zero,
+    solve_star,
+)
 
 GOLDEN = Path(__file__).resolve().parent.parent / "perfbench" / "records" / "deep-o6"
 
@@ -57,3 +65,29 @@ def test_library_path_reads_only_the_slices(catalog, milnor_cache, monkeypatch):
     assert library_record("E12", data, result) == (GOLDEN / "E12.json").read_bytes()
     assert builds == [-2]
     assert result.state._parts == {}
+
+
+def test_prepotential_builds_no_fraction_series(milnor_cache, solved_cache, monkeypatch):
+    # From the solve's slices to F0 the prepotential stays on ints: with the
+    # Fraction views of J_(-1) and J_(-2), the Fraction inversion and the
+    # Fraction substitution disabled, it still gives the golden F0 of E12,
+    # and the only series it builds is F0 itself.
+    def refuse(*args):
+        raise AssertionError("the prepotential built a Fraction series")
+
+    for target, name in ((PrimitiveFormResult, "j_components"),
+                         (frobenius, "invert_coordinates"), (frobenius, "substitute")):
+        monkeypatch.setattr(target, name, refuse)
+    built = []
+    original = SSeries.__init__
+
+    def counted(series, *args):
+        built.append(None)
+        original(series, *args)
+
+    result, data = solved_cache("E12", 6), milnor_cache("E12")
+    monkeypatch.setattr(SSeries, "__init__", counted)
+    f0 = prepotential(result, data).prepotential
+    monkeypatch.setattr(SSeries, "__init__", original)
+    assert len(built) == 1
+    assert f0.to_records() == json.loads((GOLDEN / "E12.json").read_text())["terms"]

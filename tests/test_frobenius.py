@@ -37,12 +37,30 @@ ORDER6_RECORDS = [
 
 def full_order_inverse(t_of_s, order):
     """The fixed point s = t - u(s) as first written: order - 1 passes, each
-    at the full order."""
+    at the full order.  u(s) is composed by SSeries products alone, so that
+    this shares no code with the engine's fold: each power s^m is one
+    product of a lower power and one s_v, memoized within its pass."""
     mu = len(t_of_s)
     u = [(t - t.degree_part(1)).truncate(order) for t in t_of_s]
     s = identity = [SSeries.variable(mu, a, order) for a in range(mu)]
     for _ in range(max(order - 1, 0)):
-        s = [t_a - w for t_a, w in zip(identity, substitute(u, s))]
+        powers = {(0,) * mu: const(mu, order, 1)}
+
+        def power(mono):
+            if mono not in powers:
+                v = next(i for i, e in enumerate(mono) if e)
+                lower = mono[:v] + (mono[v] - 1,) + mono[v + 1:]
+                powers[mono] = power(lower) * s[v]
+            return powers[mono]
+
+        composed = []
+        for w in u:
+            terms = {}
+            for mono, c in w.terms.items():
+                for m, x in power(mono).terms.items():
+                    terms[m] = terms.get(m, 0) + c * x
+            composed.append(SSeries(mu, order, terms))
+        s = [t_a - w for t_a, w in zip(identity, composed)]
     return s
 
 
@@ -240,6 +258,36 @@ class TestInvertCoordinates:
             cases.append((t, order))
         for t_of_s, order in cases:
             assert invert_coordinates(t_of_s, order) == full_order_inverse(t_of_s, order)
+
+    def test_full_order_oracle_catches_a_faulty_fold(self, solved_cache, monkeypatch):
+        # Negative control of the oracle: a kernel that drops the top degree
+        # of every product breaks the engine's inverse but not the oracle.
+        t_of_s = flat_coordinates(solved_cache("E12", 4))
+        expected = full_order_inverse(t_of_s, 4)
+        kernel = frobenius.graded_dot
+
+        def short(lefts, rights, bound):
+            return {d: b for d, b in kernel(lefts, rights, bound).items() if d < bound}
+
+        monkeypatch.setattr(frobenius, "graded_dot", short)
+        assert full_order_inverse(t_of_s, 4) == expected
+        assert invert_coordinates(t_of_s, 4) != expected
+
+    def test_prepotential_checks_the_flat_frame(self, solved_cache, milnor_cache):
+        # The checks of the inversion run on the solve's slices too: J_(-1)
+        # must be the identity at s-degree 1 and have no term at s-degree 0.
+        result, data = solved_cache("E12", 4), milnor_cache("E12")
+        mu = data.mu
+        cases = [
+            (SSeries.variable(mu, 0, 4).scale(F(1, 3)), "identity linear part"),
+            (SSeries.variable(mu, 1, 4), "identity linear part"),
+            (const(mu, 4, F(1, 5)), "must vanish at the origin"),
+        ]
+        for extra, message in cases:
+            J = plus_term(result.J, -1, 0, extra)
+            bad = result_from_blocks(result.zeta, J, result.state, result.floor)
+            with pytest.raises(ValueError, match=message):
+                prepotential(bad, data)
 
     def test_rejects_order_above_that_of_t(self, solved_cache):
         t_of_s = flat_coordinates(solved_cache("E12", 3))

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from primform.algebra import mat_det
 from primform.catalog import EXCEPTIONAL_NAMES
 from primform.milnor import central_charge
 from primform.mirror import (
@@ -45,9 +46,9 @@ def brute_force_group(w):
     return elements
 
 
-def spanned_group(group):
+def spanned_group(group, nvars):
     """Every element of the group, by spanning its generators."""
-    elements = {(F(0),) * len(group.j_w)}
+    elements = {(F(0),) * nvars}
     for gen, gen_order in zip(group.generators, group.generator_orders):
         elements = {
             tuple((e + k * g) % 1 for e, g in zip(element, gen))
@@ -177,7 +178,7 @@ class TestSmithNormalForm:
             prod = 1
             for d in diagonal:
                 prod *= d
-            assert prod == abs(w.determinant()), entry.name
+            assert prod == abs(mat_det(w.exponent_matrix)), entry.name
 
 
 class TestDiagonalSymmetries:
@@ -190,10 +191,9 @@ class TestDiagonalSymmetries:
         w = invertible(catalog["E12"])
         group = diagonal_symmetries(w)
         assert group.order == 21
-        assert group.j_w == (F(1, 3), F(1, 7))
-        # j_W fixes W: E j_W is integral.
-        for row in w.exponent_matrix:
-            assert sum(e * t for e, t in zip(row, group.j_w)).denominator == 1
+        # j_W, the weights mod 1, is a diagonal symmetry of W.
+        assert weights_from_matrix(w) == (F(1, 3), F(1, 7))
+        assert weights_from_matrix(w) in spanned_group(group, w.nvars)
 
     def test_u12_order(self, catalog):
         assert diagonal_symmetries(invertible(catalog["U12"])).order == 36
@@ -204,8 +204,11 @@ class TestDiagonalSymmetries:
                 w = invertible(entry)
             except ValueError:
                 continue
-            group = diagonal_symmetries(w)
-            assert group.j_w == tuple(q % 1 for q in weights_from_matrix(w))
+            # `mirror` writes the weights as j_W: each is in (0, 1/2], so
+            # it is its own residue mod 1, and E q = (1, ..., 1) is integral.
+            weights = weights_from_matrix(w)
+            assert tuple(q % 1 for q in weights) == weights, entry.name
+            assert all(sum(e * q for e, q in zip(row, weights)) == 1 for row in w.exponent_matrix)
 
     def test_brute_force_agreement(self, catalog):
         for entry in catalog.values():
@@ -217,8 +220,8 @@ class TestDiagonalSymmetries:
             if group.order > 100:
                 continue
             brute = brute_force_group(w)
-            assert len(brute) == group.order == abs(w.determinant()), entry.name
-            assert spanned_group(group) == brute, entry.name
+            assert len(brute) == group.order == abs(mat_det(w.exponent_matrix)), entry.name
+            assert spanned_group(group, w.nvars) == brute, entry.name
 
     def test_fermat_product_structure(self, catalog):
         # Aut of a Fermat polynomial is the product of cyclic groups of the
@@ -227,7 +230,7 @@ class TestDiagonalSymmetries:
             w = invertible(catalog[name])
             exponents = sorted(max(row) for row in w.exponent_matrix)
             group = diagonal_symmetries(w)
-            elements = spanned_group(group)
+            elements = spanned_group(group, w.nvars)
             assert len(elements) == group.order
             expected = 1
             for e in exponents:
