@@ -48,24 +48,25 @@ def flat_coordinates(result: PrimitiveFormResult) -> list[SSeries]:
     return result.j_components(-1)
 
 
-def _spelled(series: list[SSeries]) -> list:
-    """Each series u as an item (order, E, {word: int}): its order (None for
-    a polynomial) and its terms times E, an int, each monomial s^J spelled
-    as the sorted word of its variable indices (s_1^2 s_3 is (0, 0, 2))."""
+def _spelled(series: list[SSeries]) -> tuple:
+    """The series as (E, [(order, {word: int})]): one int E over all of
+    them, and for each its order (None for a polynomial) and its terms
+    times E, each monomial s^J spelled as the sorted word of its variable
+    indices (s_1^2 s_3 is (0, 0, 2))."""
+    e_scale = lcm(*(c.denominator for u in series for c in u.terms.values()))
     items = []
     for u in series:
-        e_scale = lcm(*(c.denominator for c in u.terms.values()))
         words = {}
         for mono, c in u.terms.items():
             word = tuple(v for v, e in enumerate(mono) for _ in range(e))
             words[word] = c.numerator * (e_scale // c.denominator)
-        items.append((u.order, e_scale, words))
-    return items
+        items.append((u.order, words))
+    return e_scale, items
 
 
-def _j_items(result: PrimitiveFormResult, m: int) -> list:
-    """The mu components of J at z^m as items, see `_spelled`, read off the
-    solve's slices over the lcm of their D_k, each word by its packed digits."""
+def _j_items(result: PrimitiveFormResult, m: int) -> tuple:
+    """The mu components of J at z^m, see `_spelled`, read off the solve's
+    slices over the lcm of their D_k, each word by its packed digits."""
     order, slices = result.order, result.j_slices_at(m)
     e_scale = lcm(*(den for den, _ in slices))
     words = [{} for _ in range(result.state.mu)]
@@ -79,15 +80,16 @@ def _j_items(result: PrimitiveFormResult, m: int) -> list:
                         word += (letter,) * e
                     letter += 1
                 words[b][word] = v * (e_scale // den)
-    return [(order, e_scale, u_words) for u_words in words]
+    return e_scale, [(order, u_words) for u_words in words]
 
 
-def _substitute_ints(items: list, s_of_t: tuple, nvars: int, order: int, base: int) -> list:
-    """Every series u at s = s(t), on ints, through total degree `order`:
-    [(acc, scale)], acc = scale * u(s(t)) as {degree: {packed: int}} with
-    cancelled terms kept as 0.  u comes as an item, see `_spelled`, and s(t)
-    as (D, [D s_v(t)]), each series in that form and in `nvars` variables,
-    packed in `base`, a base above every exponent through order + 1.
+def _substitute_ints(u: tuple, s_of_t: tuple, nvars: int, order: int, base: int) -> tuple:
+    """Every series of u at s = s(t), on ints, through total degree `order`:
+    (scale, [acc]), acc = scale * u_i(s(t)) as {degree: {packed: int}} with
+    cancelled terms kept as 0.  u comes as (E, items), see `_spelled`, whose
+    orders the fold does not read, and s(t) as (D, [D s_v(t)]), each series
+    in that form and in `nvars` variables, with no constant term, packed in
+    `base`, a base above every exponent through order + 1.
 
     The words form a trie: the children of a prefix p are the prefixes
     p + (v,) with v no less than the last index of p.  The series are
@@ -105,22 +107,18 @@ def _substitute_ints(items: list, s_of_t: tuple, nvars: int, order: int, base: i
     children is multiplied by its coordinate series and split into the
     outputs as soon as it closes.
 
-    delta, the least total degree of a term of s(t), bounds each node: v(p)
-    is multiplied by |p| more factors, so it is formed only through degree
-    order - delta |p|.  delta is 0 when s(t) has a constant term, which is
-    rejected unless every u is a polynomial: each term above a truncated
-    u's order would add to every degree of u(s(t)).  The term of u at a
-    word w is scaled by D^(top - |w|), top the length of its longest word,
-    so that every term adds E D^top u_J s(t)^J, and scale is E D^top.
+    Each term of s(t) has degree >= 1 and v(p) is multiplied by |p| more
+    factors, so it is formed only through degree order - |p|.  The term at
+    a word w is scaled by D^(top - |w|), top the length of the longest
+    word of any series, so that every term adds E D^top u_J s(t)^J, and
+    scale is E D^top.
     """
-    d_scale, factors = s_of_t[0], [graded(s) for s in s_of_t[1]]
-    if any(f and not f[0][0] for f in factors) and any(o is not None for o, _, _ in items):
-        raise ValueError("s(t) has a constant term, so u(s(t)) is unknown for a truncated u")
-    step, delta = base**nvars, min((f[0][0] for f in factors if f), default=0)
-    scales, words = [], {}
-    for i, (_, e_scale, u_words) in enumerate(items):
-        top = max(map(len, u_words), default=0)
-        scales.append(e_scale * d_scale**top)
+    (e_scale, items), (d_scale, s_terms) = u, s_of_t
+    factors = [graded(s) for s in s_terms]
+    step = base**nvars
+    top = max((len(word) for _, u_words in items for word in u_words), default=0)
+    words = {}
+    for i, (_, u_words) in enumerate(items):
         for word, c in u_words.items():
             words.setdefault(word, []).append((i, c * d_scale ** (top - len(word))))
     out = [{} for _ in items]
@@ -134,7 +132,7 @@ def _substitute_ints(items: list, s_of_t: tuple, nvars: int, order: int, base: i
         depth = len(stack) - 1
         v, terms, children = stack.pop()
         if children:
-            buckets = graded_dot(children, factors, order - delta * depth)
+            buckets = graded_dot(children, factors, order - depth)
             bucket = buckets.setdefault(0, {})
             for i, c in terms:
                 bucket[i * step] = bucket.get(i * step, 0) + c
@@ -164,37 +162,39 @@ def _substitute_ints(items: list, s_of_t: tuple, nvars: int, order: int, base: i
         prev = word
     while len(stack) > 1:
         close()
-    return list(zip(out, scales))
+    return e_scale * d_scale**top, out
 
 
-def _invert_ints(t_items: list, order: int, base: int) -> tuple:
+def _invert_ints(t_of_s: tuple, order: int, base: int) -> tuple:
     """s(t) through total degree `order` as (D, [D s_v(t)]), see
-    `_substitute_ints`, for t(s) given as one item per coordinate.
+    `_substitute_ints`, for t(s) given as one item per coordinate, see
+    `_spelled`; a t truncated at order 0 has no linear part to check.
 
     Fixed-point iteration on s = t - u(s) where u is the nonlinear part.
     Pass p fixes total degree p, and runs at order p: u starts at degree 2,
     so the degree-p part of u(s) needs s only through degree p - 1, which
-    the passes before it have fixed.  After each pass D is the lcm of the
-    reduced denominators of s(t), S / gcd(S, n_1, n_2, ...) for terms n_i / S.
+    the passes before it have fixed.  After each pass D is the reduced
+    common denominator of s(t), S / gcd(S, n_1, n_2, ...) for terms n_i / S.
     """
+    e_scale, t_items = t_of_s
     mu, u = len(t_items), []
-    for a, (t_order, e_scale, words) in enumerate(t_items):
+    for a, (t_order, words) in enumerate(t_items):
         linear = {w: c for w, c in words.items() if len(w) == 1}
         if linear != ({(a,): e_scale} if t_order != 0 else {}):
             raise ValueError("coordinate change does not have identity linear part")
         if () in words:
             raise ValueError("coordinate change must vanish at the origin")
-        u.append((e_scale, {w: c for w, c in words.items() if len(w) > 1}))
+        u.append({w: c for w, c in words.items() if len(w) > 1})
     d_scale, s_of_t = 1, [{1: {base**a: 1}} for a in range(mu)]
     for p in range(2, order + 1):
-        items = [(p, e, {w: c for w, c in words.items() if len(w) <= p}) for e, words in u]
-        parts = _substitute_ints(items, (d_scale, s_of_t), mu, p, base)
-        dens = [s // gcd(s, *(v for b in acc.values() for v in b.values())) for acc, s in parts]
-        d_scale = lcm(*dens)
+        items = [(p, {w: c for w, c in words.items() if len(w) <= p}) for words in u]
+        scale, accs = _substitute_ints((e_scale, items), (d_scale, s_of_t), mu, p, base)
+        g = gcd(scale, *(v for acc in accs for b in acc.values() for v in b.values()))
+        d_scale = scale // g
         s_of_t = [
             {1: {base**a: d_scale}}
-            | {d: {m: -(v * d_scale // s) for m, v in b.items()} for d, b in acc.items()}
-            for a, (acc, s) in enumerate(parts)
+            | {d: {m: -(v // g) for m, v in b.items()} for d, b in acc.items()}
+            for a, acc in enumerate(accs)
         ]
     return d_scale, s_of_t
 
@@ -209,24 +209,33 @@ def _fractions(nvars: int, order: int, base: int, den: int, buckets: dict) -> SS
 
 def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
     """Every u in series evaluated at s = s_of_t(t), as sum_J u_J s(t)^J,
-    see `_substitute_ints`.  A result is known through the order N of s(t)
-    and no further, so its order is the lesser of N and that of u, and N
-    for a polynomial u."""
+    see `_substitute_ints`.  Each u is a series in one variable per s(t)
+    series, and s(t) has no constant term.  A result is known through the
+    order N of s(t) and no further, so its order is the lesser of N and that
+    of u, and N for a polynomial u."""
     orders = {s.order for s in s_of_t}
     if len(orders) != 1 or None in orders:
         raise ValueError(f"s(t) must have one integer order, got {sorted(orders, key=str)}")
-    (order,) = orders
-    nv, base = s_of_t[0].nvars, order + 2
+    counts = {s.nvars for s in s_of_t}
+    if len(counts) != 1:
+        raise ValueError(f"s(t) must have one variable count, got {sorted(counts)}")
+    for u in series:
+        if u.nvars != len(s_of_t):
+            raise ValueError(f"u has {u.nvars} variables, but s(t) has {len(s_of_t)} series")
+    if any(not any(mono) for s in s_of_t for mono in s.terms):
+        raise ValueError("s(t) has a constant term; it must vanish at t = 0")
+    (order,), (nv,) = orders, counts
+    base = order + 2
     d_scale = lcm(*(c.denominator for s in s_of_t for c in s.terms.values()))
     factors: list = [{} for _ in s_of_t]
     for s, buckets in zip(s_of_t, factors):
         for mono, c in s.terms.items():
             scaled = c.numerator * (d_scale // c.denominator)
             buckets.setdefault(sum(mono), {})[pack_monomial(mono, base)] = scaled
-    parts = _substitute_ints(_spelled(series), (d_scale, factors), nv, order, base)
+    scale, accs = _substitute_ints(_spelled(series), (d_scale, factors), nv, order, base)
     return [
         _fractions(nv, order if u.order is None else min(u.order, order), base, scale, acc)
-        for u, (acc, scale) in zip(series, parts)
+        for u, acc in zip(series, accs)
     ]
 
 
@@ -274,23 +283,28 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
 
     From the solve's slices to F0 it runs on ints, in one packing base
     N + 2: t(s) and J_(-2) are read off the slices, s(t) is inverted by
-    `_invert_ints` and J_(-2) folded at it.  With L the lcm of the fold's
-    scales and E that of the denominators of eta, G_a = E L g_a and
-    H_J = |J| E L F_J, so the check is (d + 1) G_a[m] = J_a H_J,
-    J = m + e_a, at every degree d <= N, and each F_J is divided out once.
+    `_invert_ints` and J_(-2) folded at it.  With L the fold's scale and E
+    the lcm of the denominators of eta, G_a = E L g_a and H_J = |J| E L F_J,
+    so the check is (d + 1) G_a[m] = J_a H_J, J = m + e_a, at every degree
+    d <= N, and each F_J is divided out once.
+
+    mu and eta are read off result.state.milnor, and `milnor` must be that
+    object.
     """
-    mu, order, base = milnor.mu, result.order, result.order + 2
+    data = result.state.milnor
+    if milnor is not data:
+        raise ValueError("the Milnor data is not that of the solved unfolding")
+    mu, order, base = data.mu, result.order, result.order + 2
     s_of_t = _invert_ints(_j_items(result, -1), min(max(order - 1, 1), order), base)
-    parts = _substitute_ints(_j_items(result, -2), s_of_t, mu, order, base)
-    e_scale = lcm(*(v.denominator for row in milnor.eta for v in row))
-    l_scale = lcm(*(scale for _, scale in parts))
+    scale, accs = _substitute_ints(_j_items(result, -2), s_of_t, mu, order, base)
+    e_scale = lcm(*(v.denominator for row in data.eta for v in row))
     steps = [base**a for a in range(mu)]
     gradient, lifted = [], {}
-    for a, row in enumerate(milnor.eta):
+    for a, row in enumerate(data.eta):
         g: dict = {}
-        for eta_ab, (acc, scale) in zip(row, parts):
+        for eta_ab, acc in zip(row, accs):
             if eta_ab:
-                k = eta_ab.numerator * (e_scale // eta_ab.denominator) * (l_scale // scale)
+                k = eta_ab.numerator * (e_scale // eta_ab.denominator)
                 for degree, bucket in acc.items():
                     g_d = g.setdefault(degree, {})
                     for mono, v in bucket.items():
@@ -315,7 +329,7 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
                     f"integrability check failed: component t{a + 1} of eta * J_(-2)"
                     f" is not dF0/dt{a + 1}"
                 )
-    scale = e_scale * l_scale
+    scale *= e_scale
     f0 = {
         exps[m]: Fraction(v, degree * scale)
         for degree in range(3, order + 1)

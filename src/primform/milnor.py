@@ -407,6 +407,11 @@ def milnor_basis(f: WeightedPolynomial, basis=None) -> MilnorData:
             )
     if basis is not None:
         basis = [tuple(int(e) for e in m) for m in basis]
+        for m in basis:
+            if len(m) != f.nvars:
+                raise ValueError(
+                    f"designated basis monomial {m} needs {f.nvars} exponents, one per variable"
+                )
     divider = _JacobianDivider(f, basis)
     c_hat = central_charge(f.weights)
     band_top = divider.socle_sdeg + max(divider.var_sdegs)

@@ -27,14 +27,14 @@ from .milnor import MilnorData, WeightedPolynomial, monomial_class
 
 
 class UnfoldingState:
-    """The unfolding F, its parameter grading, and the truncation order."""
+    """The unfolding F of milnor.f, its parameter grading, and the truncation
+    order."""
 
-    __slots__ = ("base", "milnor", "order", "s_degrees", "_parts")
+    __slots__ = ("milnor", "order", "s_degrees", "_parts")
 
-    def __init__(self, base: WeightedPolynomial, milnor: MilnorData, order: int):
+    def __init__(self, milnor: MilnorData, order: int):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        self.base = base
         self.milnor = milnor
         self.order = order
         self.s_degrees = tuple(1 - d for d in milnor.degrees)
@@ -78,7 +78,7 @@ class UnfoldingState:
             # multiplicity of a_m, x-monomial, packed n, m!/n!, slack):
             # appending a to a word of part m - 1 adds digit a to n and
             # multiplies the coefficient by m / n_a.
-            words = [(0, 0, (0,) * self.base.nvars, 0, 1, -floor * scale + order * nu)]
+            words = [(0, 0, (0,) * self.milnor.f.nvars, 0, 1, -floor * scale + order * nu)]
             parts = []
             for m in range(order + 1):
                 if m:
@@ -101,8 +101,12 @@ class UnfoldingState:
 
 
 def build_unfolding(f: WeightedPolynomial, milnor: MilnorData, order: int) -> UnfoldingState:
-    """Attach deformation parameters s_a (one per basis class) to f."""
-    return UnfoldingState(f, milnor, order)
+    """Attach deformation parameters s_a (one per basis class) to f, which
+    must be the polynomial `milnor` was computed for."""
+    g = milnor.f
+    if (f.variables, f.weights, f.poly) != (g.variables, g.weights, g.poly):
+        raise ValueError(f"the Milnor data is not that of {f.render()}")
+    return UnfoldingState(milnor, order)
 
 
 class PrimitiveFormResult:

@@ -1,3 +1,4 @@
+import ast
 import gc
 import json
 import os
@@ -23,6 +24,31 @@ SWAP_9_10 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11]
 def halved(term):
     """A serialized term with half its coefficient."""
     return {**term, "coeff": str(Fraction(term["coeff"]) / 2)}
+
+
+def unreported_raises(sources):
+    """(file, line, exception) of each raise in {file: source} that `main`
+    would not report as `error:`: every one that names neither ValueError,
+    ArithmeticError nor a class the sources derive from them, a bare
+    re-raise included."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    classes = [n for tree in trees.values() for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    reported, grown = {"ValueError", "ArithmeticError"}, True
+    while grown:
+        derived = {
+            c.name for c in classes if any(getattr(b, "id", None) in reported for b in c.bases)
+        }
+        grown = not derived <= reported
+        reported |= derived
+    found = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                label = ast.unparse(exc) if exc is not None else "raise"
+                if label not in reported:
+                    found.append((name, node.lineno, label))
+    return sorted(found)
 
 
 def run_cli(args, capsys):
@@ -1047,6 +1073,32 @@ class TestEntryPoint:
             env=dict(os.environ, PYTHONPATH=home),
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 []\n", "")
+
+    def test_engine_raises_only_what_main_reports(self):
+        # main turns ValueError and ArithmeticError, subclasses included,
+        # into `error:` and exit 1; any other exception the engine raises
+        # would end in a traceback.
+        engine = Path(primform.__file__).resolve().parent
+        sources = {path.name: path.read_text() for path in sorted(engine.glob("*.py"))}
+        assert unreported_raises(sources) == []
+        assert sum(isinstance(n, ast.Raise) for t in sources.values() for n in ast.walk(ast.parse(t)))
+        # Negative control: a KeyError, an exception derived from one and a
+        # bare re-raise are caught; a derived ValueError is not.
+        injected = (
+            "class Lookup(KeyError): pass\n"
+            "class Bad(ValueError): pass\n"
+            "class Worse(Bad): pass\n"
+            "def f(x):\n"
+            "    if x: raise KeyError(x)\n"
+            "    try: raise Lookup\n"
+            "    except Lookup: raise\n"
+            "    raise Worse(x)\n"
+        )
+        assert unreported_raises({"cli.py": sources["cli.py"] + injected}) == [
+            ("cli.py", sources["cli.py"].count("\n") + 5, "KeyError"),
+            ("cli.py", sources["cli.py"].count("\n") + 6, "Lookup"),
+            ("cli.py", sources["cli.py"].count("\n") + 7, "raise"),
+        ]
 
     def test_repeated_call_leaves_no_cyclic_garbage(self, capsys):
         # The parser is built once per process; each build left 275 cyclic

@@ -132,9 +132,13 @@ class TestInvertCoordinates:
         assert s[1] == s2
 
     def test_rejects_non_identity_linear_part(self):
+        # At order 0 the inverse is empty, but t at order 3 still has the
+        # linear part (s_2, s_1): the check reads the order of t, not that
+        # of the inversion.
         t = [SSeries.variable(2, 1, 3), SSeries.variable(2, 0, 3)]
-        with pytest.raises(ValueError, match="identity linear part"):
-            invert_coordinates(t, 3)
+        for order in (3, 0):
+            with pytest.raises(ValueError, match="identity linear part"):
+                invert_coordinates(t, order)
 
     def test_rejects_constant_term(self):
         # The linear part is the identity, so only the constant can fail.
@@ -176,11 +180,10 @@ class TestInvertCoordinates:
         )
         s0 = t0 + (t1 * t1).scale(F(1, 11)) + (t1 * t1 * t1).scale(F(1, 13))
         cases.append(([cancelling], [s0, t1, t0]))
-        # A prefix of length k is formed through order - delta k, delta the
-        # least degree of a term of s(t): an s(t) with a constant term
-        # (delta 0) keeps every degree, one with no linear part (delta 2)
-        # drops the most.  Against a constant term only a polynomial u is
-        # known, and a truncated one is rejected.
+        # A prefix of length k is formed through order - k, since every term
+        # of s(t) has degree >= 1; an s(t) with no linear part keeps degrees
+        # that the root drops.  An s(t) with a constant term is rejected,
+        # for a truncated u and a polynomial alike.
         for _ in range(20):
             truncated = rand_series(0, order, order + 1)
             polynomial = rand_series(0, None, order + 1)
@@ -188,11 +191,12 @@ class TestInvertCoordinates:
                 rand_series(1, order) + const(mu, order, F(rng.randint(1, 4), rng.choice((3, 7))))
                 for _ in range(mu)
             ]
-            with pytest.raises(ValueError, match="constant term"):
-                substitute([truncated, polynomial], shifted)
+            for us in ([truncated, polynomial], [polynomial]):
+                with pytest.raises(ValueError, match="constant term"):
+                    substitute(us, shifted)
             quadratic = [rand_series(2, order) for _ in range(mu)]
             quadratic[0] = quadratic[0] + (t0 * t1).scale(F(1, 3))
-            cases += [([polynomial], shifted), ([truncated, polynomial], quadratic)]
+            cases.append(([truncated, polynomial], quadratic))
 
         for us, substituted in cases:
             composed = substitute(us, substituted)
@@ -223,13 +227,14 @@ class TestInvertCoordinates:
 
     def test_truncated_u_against_a_constant_term_rejected(self):
         # At s(t) = (1 + t0, t1), x0 at order 2 stands for x0 + O(x^3),
-        # whose unknown terms add to every degree of u(s(t)).
+        # whose unknown terms add to every degree of u(s(t)).  The fold
+        # bounds a prefix by its length, so a polynomial is rejected too.
         t0, t1 = SSeries.variable(2, 0, 3), SSeries.variable(2, 1, 3)
         s_of_t = [t0 + const(2, 3, F(1)), t1]
         with pytest.raises(ValueError, match="constant term"):
             substitute([SSeries(2, 2, {(1, 0): F(1)})], s_of_t)
-        cube = substitute([SSeries(2, None, {(3, 0): F(1)})], s_of_t)
-        assert cube == [SSeries(2, 3, {(0, 0): F(1), (1, 0): F(3), (2, 0): F(3), (3, 0): F(1)})]
+        with pytest.raises(ValueError, match="constant term"):
+            substitute([SSeries(2, None, {(3, 0): F(1)})], s_of_t)
 
     def test_substitute_needs_one_integer_order(self):
         u = [SSeries.variable(2, 0, 3)]
@@ -237,6 +242,17 @@ class TestInvertCoordinates:
             substitute(u, [SSeries.variable(2, 0, None), SSeries.variable(2, 1, None)])
         with pytest.raises(ValueError):
             substitute(u, [SSeries.variable(2, 0, 3), SSeries.variable(2, 1, 4)])
+
+    def test_substitute_needs_one_variable_per_series(self):
+        # u is a series in one variable per series of s(t): a 3-variable u
+        # at a 2-series s(t) would index past the series, and a 1-variable
+        # u would be read as a series in the first variable alone.
+        t0, t1 = SSeries.variable(2, 0, 3), SSeries.variable(2, 1, 3)
+        for u in (SSeries.variable(3, 2, 3), SSeries.variable(1, 0, 3)):
+            with pytest.raises(ValueError, match=r"variables, but s\(t\) has 2 series"):
+                substitute([u], [t0, t1])
+        with pytest.raises(ValueError, match="one variable count"):
+            substitute([SSeries.variable(2, 0, 3)], [t0, SSeries.variable(3, 1, 3)])
 
     def test_growing_order_equals_full_order_fixed_point(self, solved_cache):
         cases = [
@@ -368,6 +384,15 @@ class TestPrepotential:
             assert frob.prepotential == SSeries(2, order)
             assert frob.order == order
 
+    def test_rejects_milnor_data_of_another_result(self, catalog, solved_cache, milnor_cache):
+        # mu and eta are the result's own: U12's, of the same mu, turned the
+        # E12 result into a 103-term F0 that is not E12's.  Milnor data
+        # computed afresh for E12 is another object, and rejected too.
+        result = solved_cache("E12", 5)
+        for data in (milnor_cache("U12"), milnor_basis(catalog["E12"].weighted_polynomial())):
+            with pytest.raises(ValueError, match="not that of the solved unfolding"):
+                prepotential(result, data)
+
     def test_series_products_pinned(self, solved_cache, milnor_cache, monkeypatch):
         # Work counter: the substitutions multiply no SSeries, and fold the
         # word trie with one product per prefix that has children, shared by
@@ -401,7 +426,7 @@ class TestPrepotential:
     def test_substitution_pairs_pinned(self, solved_cache, milnor_cache, monkeypatch):
         # Work counter: the term pairs that the products of `prepotential`
         # form, counted with the kernel's own degree cut.  Forming a prefix
-        # of the word trie past order - delta |prefix| raises these counts.
+        # of the word trie past order - |prefix| raises these counts.
         kernel = frobenius.graded_dot
         pairs = []
 

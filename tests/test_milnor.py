@@ -187,6 +187,15 @@ class TestMilnorBasis:
         with pytest.raises(ValueError):
             milnor_basis(entry.weighted_polynomial(), basis=[(0, 0), (1, 0), (0, 1)])
 
+    def test_user_basis_exponent_count_rejected(self, catalog):
+        # Each designated monomial spells one exponent per variable; (0,)
+        # for D4 in x, y would reach the divider as an unknown monomial.
+        f = catalog["D4"].weighted_polynomial()
+        with pytest.raises(ValueError, match=r"monomial \(0,\) needs 2 exponents"):
+            milnor_basis(f, basis=[(0,), (1,), (0, 1, 0), (2,)])
+        with pytest.raises(ValueError, match=r"monomial \(0, 1, 0\) needs 2 exponents"):
+            milnor_basis(f, basis=[(0, 0), (1, 0), (0, 1, 0), (2, 0)])
+
     def test_freed_without_the_cycle_collector(self, catalog):
         # The Jacobian divider holds every degree's echelon.  A reference
         # cycle through it would keep them alive until the cyclic collector

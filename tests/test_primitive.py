@@ -49,6 +49,17 @@ class TestBuildUnfolding:
             {(0,): SSeries(1, 2, {(2,): F(1, 2)})},
         ]
 
+    def test_rejects_a_polynomial_of_other_milnor_data(self, catalog, milnor_cache):
+        # The unfolding holds f only as milnor.f, so an f that differs from
+        # it is an error; a value-equal f, built afresh, is accepted.
+        data = milnor_cache("E12")
+        with pytest.raises(ValueError, match="Milnor data is not that of"):
+            build_unfolding(catalog["W13"].weighted_polynomial(), data, 4)
+        f = catalog["E12"].weighted_polynomial()
+        assert f is not data.f
+        state = build_unfolding(f, data, 4)
+        assert (state.milnor, state.order) == (data, 4)
+
     def test_u12_parameter_degrees(self, catalog, milnor_cache):
         state = build_unfolding(
             catalog["U12"].weighted_polynomial(), milnor_cache("U12"), 1
@@ -100,7 +111,7 @@ class TestBuildUnfolding:
         s_degrees = state.s_degrees
         nu = max(0, -min(s_degrees))
         linear = {mono: SSeries.variable(mu, a, order) for a, mono in enumerate(data.basis)}
-        power = {(0,) * state.base.nvars: const(mu, order, 1)}
+        power = {(0,) * state.milnor.f.nvars: const(mu, order, 1)}
         for m in range(order + 1):
             expected = {x: c * F(1, factorial(m)) for x, c in power.items() if c}
             assert as_series(state, m, -order) == expected, m

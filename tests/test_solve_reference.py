@@ -31,7 +31,7 @@ def fraction_exp_parts(state):
     """Part m of exp(F - f) as {x-monomial: s-series}, sum over |n| = m of
     s^n phi^n / n!."""
     mu, order, basis = state.mu, state.order, state.milnor.basis
-    unit = (0,) * state.base.nvars
+    unit = (0,) * state.milnor.f.nvars
     parts = []
     for m in range(order + 1):
         part = {}
