@@ -14,6 +14,7 @@ s-expansion.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
@@ -66,19 +67,28 @@ def _spelled(series: list[SSeries]) -> tuple:
 
 def _j_items(result: PrimitiveFormResult, m: int) -> tuple:
     """The mu components of J at z^m, see `_spelled`, read off the solve's
-    slices over the lcm of their D_k, each word by its packed digits."""
-    order, slices = result.order, result.j_slices_at(m)
+    slices over the lcm of their D_k.  A word is its prefix's word plus its
+    highest letter, found by bisection on the powers of order + 1, and the
+    words are memoized for the call, so each trie prefix is spelled once."""
+    order, slices, mu = result.order, result.j_slices_at(m), result.state.mu
     e_scale = lcm(*(den for den, _ in slices))
-    words = [{} for _ in range(result.state.mu)]
+    powers = [(order + 1) ** a for a in range(mu)]
+    spelled = {0: ()}
+    words = [{} for _ in range(mu)]
     for den, vec in slices:
         for b, series in vec.items():
             for p, v in series:
-                word, letter = (), 0
-                while p:
-                    p, e = divmod(p, order + 1)
-                    if e:
-                        word += (letter,) * e
-                    letter += 1
+                word = spelled.get(p)
+                if word is None:
+                    # Walk down to a spelled prefix, then spell back up.
+                    chain, q = [], p
+                    while q not in spelled:
+                        letter = bisect_right(powers, q) - 1
+                        chain.append((q, letter))
+                        q -= powers[letter]
+                    word = spelled[q]
+                    for q, letter in reversed(chain):
+                        word = spelled[q] = word + (letter,)
                 words[b][word] = v * (e_scale // den)
     return e_scale, [(order, u_words) for u_words in words]
 
@@ -289,11 +299,14 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
     d <= N, and each F_J is divided out once.
 
     mu and eta are read off result.state.milnor, and `milnor` must be that
-    object.
+    object.  The parts of exp(F - f) are dropped at every floor, as
+    `defect` drops its own, so a run without the defect holds none of them
+    through the fold and after it.
     """
     data = result.state.milnor
     if milnor is not data:
         raise ValueError("the Milnor data is not that of the solved unfolding")
+    result.state._parts.clear()
     mu, order, base = data.mu, result.order, result.order + 2
     s_of_t = _invert_ints(_j_items(result, -1), min(max(order - 1, 1), order), base)
     scale, accs = _substitute_ints(_j_items(result, -2), s_of_t, mu, order, base)

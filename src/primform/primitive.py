@@ -21,6 +21,7 @@ from .algebra import (
     graded,
     graded_dot,
     mono_mul,
+    pack_monomial,
     unpack_monomial,
 )
 from .milnor import MilnorData, WeightedPolynomial, monomial_class
@@ -61,12 +62,19 @@ class UnfoldingState:
         is m! E_m with int coefficients; each s^n is packed in base
         order + 1, as by `pack_monomial`.  Degrees are ints scaled by the
         lcm of the weight denominators, and the parts are cached per floor.
+        While the words grow, each x-monomial is packed in base
+        order e_max + 1, e_max the largest basis exponent (at least 2, for
+        A1's basis 1): no word has more than order letters, so no digit
+        carries, appending a adds the packed phi_a, and each x-monomial is
+        unpacked once, as a key.
         """
         parts = self._parts.get(floor)
         if parts is None:
             mu, order, basis = self.mu, self.order, self.milnor.basis
-            scale = self.milnor._divider.scale
+            scale, nvars = self.milnor._divider.scale, self.milnor.f.nvars
             digits = [(order + 1) ** a for a in range(mu)]
+            x_base = order * max(2, *(e for mono in basis for e in mono)) + 1
+            x_basis = [pack_monomial(mono, x_base) for mono in basis]
             # Appending a costs deg s_a + nu >= 0 of the slack -floor +
             # order nu: a word that overdraws it is dropped with every word
             # that extends it.  A basis need not be sorted by degree, so the
@@ -75,27 +83,27 @@ class UnfoldingState:
             nu = max(0, -min(sdegs))
             costs = [sd + nu for sd in sdegs]
             # The words a_1 <= ... <= a_m of part m, each as (a_m, the
-            # multiplicity of a_m, x-monomial, packed n, m!/n!, slack):
-            # appending a to a word of part m - 1 adds digit a to n and
-            # multiplies the coefficient by m / n_a.
-            words = [(0, 0, (0,) * self.milnor.f.nvars, 0, 1, -floor * scale + order * nu)]
+            # multiplicity of a_m, packed x-monomial, packed n, m!/n!,
+            # slack): appending a to a word of part m - 1 adds digit a to n
+            # and multiplies the coefficient by m / n_a.
+            words = [(0, 0, 0, 0, 1, -floor * scale + order * nu)]
             parts = []
             for m in range(order + 1):
                 if m:
                     longer = []
-                    for last, tail, x_mono, packed, coeff, slack in words:
+                    for last, tail, x, packed, coeff, slack in words:
                         for a in range(last, mu):
                             left = slack - costs[a]
                             if left < 0:
                                 continue
                             run = tail + 1 if a == last else 1
-                            x_a, n_a = mono_mul(x_mono, basis[a]), packed + digits[a]
+                            x_a, n_a = x + x_basis[a], packed + digits[a]
                             longer.append((a, run, x_a, n_a, coeff * m // run, left))
                     words = longer
                 part: dict = {}
-                for _, _, x_mono, packed, coeff, _ in words:
-                    part.setdefault(x_mono, []).append((packed, coeff))
-                parts.append(part)
+                for _, _, x, packed, coeff, _ in words:
+                    part.setdefault(x, []).append((packed, coeff))
+                parts.append({unpack_monomial(x, x_base, nvars): t for x, t in part.items()})
             self._parts[floor] = parts
         return parts
 
@@ -292,8 +300,8 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
     zeta or J slice and a fault in the solve's gcd and split step, but not
     one in the kernel or the lattice reduction: the x^n oracle, the
     Fraction reference solve and the exactness of df ^ eta + z d(eta) check
-    those in the tests.  The defect is the parts' last reader, and drops
-    them from the state.
+    those in the tests.  The defect drops the parts at its floor once read;
+    `prepotential` drops them at every floor, so a later defect rebuilds them.
     """
     state, floor = result.state, result.floor
     remainder = []

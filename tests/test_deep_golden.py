@@ -6,8 +6,8 @@ golden record in perfbench/records/deep-o6, which it only reads.  So the
 flat-coordinate inversion and the J_(-2) substitution at order 6 are gated
 outside the benchmark too.  The library path must also run on the
 solve's int slices alone, build no Fraction series between the solve and
-F0, and release the parts of exp(F - f) after the defect, their last
-reader.
+F0, and release the parts of exp(F - f) after the defect, and after the
+prepotential when no defect runs.
 """
 
 import json
@@ -65,6 +65,19 @@ def test_library_path_reads_only_the_slices(catalog, milnor_cache, monkeypatch):
     assert library_record("E12", data, result) == (GOLDEN / "E12.json").read_bytes()
     assert builds == [-2]
     assert result.state._parts == {}
+
+
+def test_prepotential_drops_the_parts(catalog, milnor_cache):
+    # Without the defect, as `primform compute` runs by default, the
+    # prepotential still gives the golden F0 and drops the parts of
+    # exp(F - f) at every floor, so they are not held through the fold.
+    data = milnor_cache("E12")
+    result = solve_star(build_unfolding(catalog["E12"].weighted_polynomial(), data, 6))
+    result.state.exp_parts(-6)
+    assert sorted(result.state._parts) == [-6, -2]
+    f0 = prepotential(result, data).prepotential
+    assert result.state._parts == {}
+    assert f0.to_records() == json.loads((GOLDEN / "E12.json").read_text())["terms"]
 
 
 def test_prepotential_builds_no_fraction_series(milnor_cache, solved_cache, monkeypatch):

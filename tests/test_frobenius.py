@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 
 from primform import frobenius
 from exact_forms import const, plus_term, result_from_blocks
-from primform.algebra import SSeries, format_rational, mat_inv, mono_mul
+from primform.algebra import SSeries, format_rational, mat_inv, mono_mul, unpack_monomial
 from primform.frobenius import (
     IntegrabilityError,
     euler_check,
@@ -94,6 +95,24 @@ def two_pass_prepotential(result, milnor):
     return f0
 
 
+def misspelled_j_components(result):
+    """The (z power, component) pairs of J at z^-1 and z^-2 whose
+    `_j_items` words or values differ from the sorted letters of each
+    packed monomial's `unpack_monomial` digits, over the same scale."""
+    mu, order, wrong = result.state.mu, result.order, []
+    for m in (-1, -2):
+        e_scale, items = frobenius._j_items(result, m)
+        expected = [{} for _ in range(mu)]
+        for den, vec in result.j_slices_at(m):
+            for b, series in vec.items():
+                for p, v in series:
+                    exps = unpack_monomial(p, order + 1, mu)
+                    word = tuple(a for a, e in enumerate(exps) for _ in range(e))
+                    expected[b][word] = v * (e_scale // den)
+        wrong += [(m, b) for b, item in enumerate(items) if item != (order, expected[b])]
+    return wrong
+
+
 def with_j_minus2_added(result, extras):
     """The solved result with extras[b] added to component b of J_(-2)."""
     J = result.J
@@ -116,6 +135,31 @@ class TestFlatCoordinates:
         assert t[0] == SSeries(3, 4, {(1, 0, 0): F(1), (0, 0, 2): F(-1, 8)})
         assert t[1] == SSeries.variable(3, 1, 4)
         assert t[2] == SSeries.variable(3, 2, 4)
+
+
+    def test_j_items_spell_the_packed_digits(self, catalog, solved_cache):
+        # Each word is its prefix's word plus the highest letter, with the
+        # prefixes memoized; it must equal the sorted letters of the digits.
+        cases = [(name, 4) for name in catalog] + [("E12", 6), ("U12", 6)]
+        assert len(cases) == 22
+        for name, order in cases:
+            assert misspelled_j_components(solved_cache(name, order)) == [], (name, order)
+
+    def test_j_items_check_catches_a_wrong_prefix(self, solved_cache, monkeypatch):
+        # Negative control: one prefix spelled with its highest letter one
+        # too low enters the memo, and the comparison above fails.
+        wrong = []
+
+        def once_too_low(powers, q):
+            index = bisect_right(powers, q)
+            if not wrong and index > 1:
+                wrong.append(q)
+                return index - 1
+            return index
+
+        monkeypatch.setattr(frobenius, "bisect_right", once_too_low)
+        assert misspelled_j_components(solved_cache("E12", 4))
+        assert len(wrong) == 1
 
 
 class TestInvertCoordinates:

@@ -87,11 +87,15 @@ class TestBuildUnfolding:
         )
         assert state.s_degrees.count(F(0)) == 1
 
-    @pytest.mark.parametrize("name", ["A3", "D4", "P8", "U12"])
+    @pytest.mark.parametrize("name", ["A1", "A3", "D4", "P8", "U12", "E13"])
     def test_exp_parts_match_repeated_products(self, name, catalog, milnor_cache, monkeypatch):
         # Reference: (F - f)^m / m!, each power the one below it times F - f;
         # whole at floor -order, and at floor -2 only its s^n in part m with
-        # deg_s(n) <= 2 + (order - m) nu, nu = max(0, -min deg s_a).
+        # deg_s(n) <= 2 + (order - m) nu, nu = max(0, -min deg s_a).  The
+        # x-monomials are packed in base order e_max + 1 while the words
+        # grow: A1's basis is 1 alone (e_max 0), and E13's holds y^8, the
+        # largest basis exponent in the catalog, whose fourth power reaches
+        # 32 = base - 1, so a carry between digits would show here.
         order = 4
         data = milnor_cache(name)
         state = build_unfolding(catalog[name].weighted_polynomial(), data, order)
