@@ -67,28 +67,22 @@ def _spelled(series: list[SSeries]) -> tuple:
 
 def _j_items(result: PrimitiveFormResult, m: int) -> tuple:
     """The mu components of J at z^m, see `_spelled`, read off the solve's
-    slices over the lcm of their D_k.  A word is its prefix's word plus its
-    highest letter, found by bisection on the powers of order + 1, and the
-    words are memoized for the call, so each trie prefix is spelled once."""
+    slices over the lcm of their D_k.  A word is spelled from its highest
+    letter down: the letter is the index of the highest power of order + 1
+    at or below the packed monomial, found by bisection, and the rest of the
+    word spells the monomial less that power."""
     order, slices, mu = result.order, result.j_slices_at(m), result.state.mu
     e_scale = lcm(*(den for den, _ in slices))
     powers = [(order + 1) ** a for a in range(mu)]
-    spelled = {0: ()}
     words = [{} for _ in range(mu)]
     for den, vec in slices:
         for b, series in vec.items():
             for p, v in series:
-                word = spelled.get(p)
-                if word is None:
-                    # Walk down to a spelled prefix, then spell back up.
-                    chain, q = [], p
-                    while q not in spelled:
-                        letter = bisect_right(powers, q) - 1
-                        chain.append((q, letter))
-                        q -= powers[letter]
-                    word = spelled[q]
-                    for q, letter in reversed(chain):
-                        word = spelled[q] = word + (letter,)
+                word = ()
+                while p:
+                    letter = bisect_right(powers, p) - 1
+                    word = (letter,) + word
+                    p -= powers[letter]
                 words[b][word] = v * (e_scale // den)
     return e_scale, [(order, u_words) for u_words in words]
 

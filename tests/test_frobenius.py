@@ -138,16 +138,17 @@ class TestFlatCoordinates:
 
 
     def test_j_items_spell_the_packed_digits(self, catalog, solved_cache):
-        # Each word is its prefix's word plus the highest letter, with the
-        # prefixes memoized; it must equal the sorted letters of the digits.
+        # Each word is spelled from its highest letter down, by bisection on
+        # the powers of order + 1; it must equal the sorted letters of the
+        # digits.
         cases = [(name, 4) for name in catalog] + [("E12", 6), ("U12", 6)]
         assert len(cases) == 22
         for name, order in cases:
             assert misspelled_j_components(solved_cache(name, order)) == [], (name, order)
 
-    def test_j_items_check_catches_a_wrong_prefix(self, solved_cache, monkeypatch):
-        # Negative control: one prefix spelled with its highest letter one
-        # too low enters the memo, and the comparison above fails.
+    def test_j_items_check_catches_a_wrong_letter(self, solved_cache, monkeypatch):
+        # Negative control: one bisection that reports a letter one too low
+        # misspells one word, and the comparison above fails.
         wrong = []
 
         def once_too_low(powers, q):
