@@ -8,8 +8,8 @@ is exact; no floating point number enters any coefficient.  The hot paths
 run on Python ints instead: each scales its rationals by one common
 denominator, packs each monomial into one int (``pack_monomial``), forms
 every product with the one kernel ``graded_dot``, and divides back to
-reduced Fractions only for the values it returns.  The x-monomials of
-exp(F - f) are packed too while it is built, and each is unpacked once.
+reduced Fractions only for the values it returns; exp(F - f) is built
+on packed x-monomials too.
 
 Representations:
 

@@ -67,10 +67,8 @@ def _spelled(series: list[SSeries]) -> tuple:
 
 def _j_items(result: PrimitiveFormResult, m: int) -> tuple:
     """The mu components of J at z^m, see `_spelled`, read off the solve's
-    slices over the lcm of their D_k.  A word is spelled from its highest
-    letter down: the letter is the index of the highest power of order + 1
-    at or below the packed monomial, found by bisection, and the rest of the
-    word spells the monomial less that power."""
+    slices over the lcm of their D_k, each word spelled from its highest
+    letter down by bisection on the powers of order + 1."""
     order, slices, mu = result.order, result.j_slices_at(m), result.state.mu
     e_scale = lcm(*(den for den, _ in slices))
     powers = [(order + 1) ** a for a in range(mu)]
@@ -293,9 +291,7 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
     d <= N, and each F_J is divided out once.
 
     mu and eta are read off result.state.milnor, and `milnor` must be that
-    object.  The parts of exp(F - f) are dropped at every floor, as
-    `defect` drops its own, so a run without the defect holds none of them
-    through the fold and after it.
+    object.  Like `defect`, it drops the parts of exp(F - f), at every floor.
     """
     data = result.state.milnor
     if milnor is not data:

@@ -62,11 +62,9 @@ class UnfoldingState:
         is m! E_m with int coefficients; each s^n is packed in base
         order + 1, as by `pack_monomial`.  Degrees are ints scaled by the
         lcm of the weight denominators, and the parts are cached per floor.
-        While the words grow, each x-monomial is packed in base
-        order e_max + 1, e_max the largest basis exponent (at least 2, for
-        A1's basis 1): no word has more than order letters, so no digit
-        carries, appending a adds the packed phi_a, and each x-monomial is
-        unpacked once, as a key.
+        The words' x-monomials are packed in base order e_max + 1, e_max >= 2
+        the largest basis exponent: a word has at most order letters, so no
+        digit carries, and each x-monomial is unpacked once, as a part's key.
         """
         parts = self._parts.get(floor)
         if parts is None:
@@ -300,8 +298,8 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
     zeta or J slice and a fault in the solve's gcd and split step, but not
     one in the kernel or the lattice reduction: the x^n oracle, the
     Fraction reference solve and the exactness of df ^ eta + z d(eta) check
-    those in the tests.  The defect drops the parts at its floor once read;
-    `prepotential` drops them at every floor, so a later defect rebuilds them.
+    those in the tests.  The defect drops the parts at its floor once read,
+    and `prepotential` those of every floor.
     """
     state, floor = result.state, result.floor
     remainder = []
