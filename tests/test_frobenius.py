@@ -136,7 +136,6 @@ class TestFlatCoordinates:
         assert t[1] == SSeries.variable(3, 1, 4)
         assert t[2] == SSeries.variable(3, 2, 4)
 
-
     def test_j_items_spell_the_packed_digits(self, catalog, solved_cache):
         # Each word is spelled from its highest letter down, by bisection on
         # the powers of order + 1; it must equal the sorted letters of the
