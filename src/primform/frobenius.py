@@ -9,7 +9,10 @@ the residue pairing,
 
 s(t) the inverse of t(s), with the constant, linear and quadratic parts
 normalized to zero and F0 truncated by total degree at the order of the
-s-expansion.
+s-expansion.  Both steps run on ints, from the solve's slices to F0: t(s)
+and J_(-2) are read off the slices as words (`_j_items`), s(t) is inverted
+by `invert_coordinates` and J_(-2) folded at it by `_substitute_ints`, and
+the only series built is F0.
 """
 
 from __future__ import annotations
@@ -44,32 +47,19 @@ class IntegrabilityError(ArithmeticError):
     that is not curl-free."""
 
 
-def flat_coordinates(result: PrimitiveFormResult) -> list[SSeries]:
-    """t_a(s) = J_(-1)^a as Fraction series; the leading part is s_a itself."""
-    return result.j_components(-1)
-
-
-def _spelled(series: list[SSeries]) -> tuple:
-    """The series as (E, [(order, {word: int})]): one int E over all of
-    them, and for each its order (None for a polynomial) and its terms
-    times E, each monomial s^J spelled as the sorted word of its variable
-    indices (s_1^2 s_3 is (0, 0, 2))."""
-    e_scale = lcm(*(c.denominator for u in series for c in u.terms.values()))
-    items = []
-    for u in series:
-        words = {}
-        for mono, c in u.terms.items():
-            word = tuple(v for v, e in enumerate(mono) for _ in range(e))
-            words[word] = c.numerator * (e_scale // c.denominator)
-        items.append((u.order, words))
-    return e_scale, items
+def flat_coordinates(result: PrimitiveFormResult) -> tuple:
+    """t_a(s) = J_(-1)^a as words, see `_j_items`; the leading part is s_a itself."""
+    return _j_items(result, -1)
 
 
 def _j_items(result: PrimitiveFormResult, m: int) -> tuple:
-    """The mu components of J at z^m, see `_spelled`, read off the solve's
-    slices over the lcm of their D_k, each word spelled from its highest
-    letter down by bisection on the powers of order + 1."""
-    order, slices, mu = result.order, result.j_slices_at(m), result.state.mu
+    """The mu components of J at z^m as (order, E, words): the solve's
+    order N, one int E over all of them, and for each a {word: int} of its
+    terms times E, each monomial s^J spelled as the sorted word of its
+    variable indices (s_1^2 s_3 is (0, 0, 2)).  E is the lcm of the D_k of
+    the solve's slices, and each word is spelled from its highest letter
+    down by bisection on the powers of N + 1."""
+    order, slices, mu = result.order, result.j_slices_at(m), result.state.milnor.mu
     e_scale = lcm(*(den for den, _ in slices))
     powers = [(order + 1) ** a for a in range(mu)]
     words = [{} for _ in range(mu)]
@@ -82,16 +72,16 @@ def _j_items(result: PrimitiveFormResult, m: int) -> tuple:
                     word = (letter,) + word
                     p -= powers[letter]
                 words[b][word] = v * (e_scale // den)
-    return e_scale, [(order, u_words) for u_words in words]
+    return order, e_scale, words
 
 
 def _substitute_ints(u: tuple, s_of_t: tuple, nvars: int, order: int, base: int) -> tuple:
     """Every series of u at s = s(t), on ints, through total degree `order`:
     (scale, [acc]), acc = scale * u_i(s(t)) as {degree: {packed: int}} with
-    cancelled terms kept as 0.  u comes as (E, items), see `_spelled`, whose
-    orders the fold does not read, and s(t) as (D, [D s_v(t)]), each series
-    in that form and in `nvars` variables, with no constant term, packed in
-    `base`, a base above every exponent through order + 1.
+    cancelled terms kept as 0.  u comes as (N, E, words), see `_j_items`,
+    whose order N the fold does not read, and s(t) as (D, [D s_v(t)]), each
+    series in that form and in `nvars` variables, with no constant term,
+    packed in `base`, a base above every exponent through order + 1.
 
     The words form a trie: the children of a prefix p are the prefixes
     p + (v,) with v no less than the last index of p.  The series are
@@ -115,15 +105,15 @@ def _substitute_ints(u: tuple, s_of_t: tuple, nvars: int, order: int, base: int)
     word of any series, so that every term adds E D^top u_J s(t)^J, and
     scale is E D^top.
     """
-    (e_scale, items), (d_scale, s_terms) = u, s_of_t
+    (_, e_scale, u_words), (d_scale, s_terms) = u, s_of_t
     factors = [graded(s) for s in s_terms]
     step = base**nvars
-    top = max((len(word) for _, u_words in items for word in u_words), default=0)
+    top = max((len(word) for words_i in u_words for word in words_i), default=0)
     words = {}
-    for i, (_, u_words) in enumerate(items):
-        for word, c in u_words.items():
+    for i, words_i in enumerate(u_words):
+        for word, c in words_i.items():
             words.setdefault(word, []).append((i, c * d_scale ** (top - len(word))))
-    out = [{} for _ in items]
+    out = [{} for _ in u_words]
     for i, scaled in words.pop((), ()):
         out[i][0] = {0: scaled}
     # stack[k] = (last index, own terms, closed children) of the open prefix word[:k]
@@ -167,10 +157,12 @@ def _substitute_ints(u: tuple, s_of_t: tuple, nvars: int, order: int, base: int)
     return e_scale * d_scale**top, out
 
 
-def _invert_ints(t_of_s: tuple, order: int, base: int) -> tuple:
+def invert_coordinates(t_of_s: tuple, order: int) -> tuple:
     """s(t) through total degree `order` as (D, [D s_v(t)]), see
-    `_substitute_ints`, for t(s) given as one item per coordinate, see
-    `_spelled`; a t truncated at order 0 has no linear part to check.
+    `_substitute_ints`, packed in base N + 2, for t(s) = (N, E, words), see
+    `_j_items`, with identity linear part and no constant term.  `order`
+    must not exceed N, and a t truncated at order 0 has no linear part to
+    check.
 
     Fixed-point iteration on s = t - u(s) where u is the nonlinear part.
     Pass p fixes total degree p, and runs at order p: u starts at degree 2,
@@ -178,9 +170,11 @@ def _invert_ints(t_of_s: tuple, order: int, base: int) -> tuple:
     the passes before it have fixed.  After each pass D is the reduced
     common denominator of s(t), S / gcd(S, n_1, n_2, ...) for terms n_i / S.
     """
-    e_scale, t_items = t_of_s
-    mu, u = len(t_items), []
-    for a, (t_order, words) in enumerate(t_items):
+    t_order, e_scale, t_words = t_of_s
+    if t_order < order:
+        raise ValueError(f"t(s) is known through order {t_order}, not {order}")
+    mu, base, u = len(t_words), t_order + 2, []
+    for a, words in enumerate(t_words):
         linear = {w: c for w, c in words.items() if len(w) == 1}
         if linear != ({(a,): e_scale} if t_order != 0 else {}):
             raise ValueError("coordinate change does not have identity linear part")
@@ -189,8 +183,8 @@ def _invert_ints(t_of_s: tuple, order: int, base: int) -> tuple:
         u.append({w: c for w, c in words.items() if len(w) > 1})
     d_scale, s_of_t = 1, [{1: {base**a: 1}} for a in range(mu)]
     for p in range(2, order + 1):
-        items = [(p, {w: c for w, c in words.items() if len(w) <= p}) for words in u]
-        scale, accs = _substitute_ints((e_scale, items), (d_scale, s_of_t), mu, p, base)
+        u_p = [{w: c for w, c in words.items() if len(w) <= p} for words in u]
+        scale, accs = _substitute_ints((p, e_scale, u_p), (d_scale, s_of_t), mu, p, base)
         g = gcd(scale, *(v for acc in accs for b in acc.values() for v in b.values()))
         d_scale = scale // g
         s_of_t = [
@@ -201,60 +195,6 @@ def _invert_ints(t_of_s: tuple, order: int, base: int) -> tuple:
     return d_scale, s_of_t
 
 
-def _fractions(nvars: int, order: int, base: int, den: int, buckets: dict) -> SSeries:
-    """{degree: {packed: int}} over den as a series, each monomial packed in `base`."""
-    return SSeries(nvars, order, {
-        unpack_monomial(m, base, nvars): Fraction(v, den)
-        for bucket in buckets.values() for m, v in bucket.items() if v
-    })
-
-
-def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
-    """Every u in series evaluated at s = s_of_t(t), as sum_J u_J s(t)^J,
-    see `_substitute_ints`.  Each u is a series in one variable per s(t)
-    series, and s(t) has no constant term.  A result is known through the
-    order N of s(t) and no further, so its order is the lesser of N and that
-    of u, and N for a polynomial u."""
-    orders = {s.order for s in s_of_t}
-    if len(orders) != 1 or None in orders:
-        raise ValueError(f"s(t) must have one integer order, got {sorted(orders, key=str)}")
-    counts = {s.nvars for s in s_of_t}
-    if len(counts) != 1:
-        raise ValueError(f"s(t) must have one variable count, got {sorted(counts)}")
-    for u in series:
-        if u.nvars != len(s_of_t):
-            raise ValueError(f"u has {u.nvars} variables, but s(t) has {len(s_of_t)} series")
-    if any(not any(mono) for s in s_of_t for mono in s.terms):
-        raise ValueError("s(t) has a constant term; it must vanish at t = 0")
-    (order,), (nv,) = orders, counts
-    base = order + 2
-    d_scale = lcm(*(c.denominator for s in s_of_t for c in s.terms.values()))
-    factors: list = [{} for _ in s_of_t]
-    for s, buckets in zip(s_of_t, factors):
-        for mono, c in s.terms.items():
-            scaled = c.numerator * (d_scale // c.denominator)
-            buckets.setdefault(sum(mono), {})[pack_monomial(mono, base)] = scaled
-    scale, accs = _substitute_ints(_spelled(series), (d_scale, factors), nv, order, base)
-    return [
-        _fractions(nv, order if u.order is None else min(u.order, order), base, scale, acc)
-        for u, acc in zip(series, accs)
-    ]
-
-
-def invert_coordinates(t_of_s: list[SSeries], order: int) -> list[SSeries]:
-    """Inverse series s(t) of a coordinate change with identity linear part,
-    through total degree `order`, which must not exceed the order of t(s);
-    see `_invert_ints`."""
-    mu = len(t_of_s)
-    for t in t_of_s:
-        if t.order is not None and t.order < order:
-            raise ValueError(f"t(s) is known through order {t.order}, not {order}")
-        if t.nvars != mu:
-            raise ValueError("coordinate change does not have identity linear part")
-    d_scale, s_of_t = _invert_ints(_spelled(t_of_s), order, order + 2)
-    return [_fractions(mu, order, order + 2, d_scale, s) for s in s_of_t]
-
-
 class FrobeniusData:
     """The prepotential; its order is the series' own."""
 
@@ -262,10 +202,6 @@ class FrobeniusData:
 
     def __init__(self, prepotential: SSeries):
         self.prepotential = prepotential
-
-    @property
-    def order(self) -> int:
-        return self.prepotential.order
 
 
 def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusData:
@@ -285,7 +221,7 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
 
     From the solve's slices to F0 it runs on ints, in one packing base
     N + 2: t(s) and J_(-2) are read off the slices, s(t) is inverted by
-    `_invert_ints` and J_(-2) folded at it.  With L the fold's scale and E
+    `invert_coordinates` and J_(-2) folded at it.  With L the fold's scale and E
     the lcm of the denominators of eta, G_a = E L g_a and H_J = |J| E L F_J,
     so the check is (d + 1) G_a[m] = J_a H_J, J = m + e_a, at every degree
     d <= N, and each F_J is divided out once.
@@ -298,7 +234,7 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
         raise ValueError("the Milnor data is not that of the solved unfolding")
     result.state._parts.clear()
     mu, order, base = data.mu, result.order, result.order + 2
-    s_of_t = _invert_ints(_j_items(result, -1), min(max(order - 1, 1), order), base)
+    s_of_t = invert_coordinates(flat_coordinates(result), min(max(order - 1, 1), order))
     scale, accs = _substitute_ints(_j_items(result, -2), s_of_t, mu, order, base)
     e_scale = lcm(*(v.denominator for row in data.eta for v in row))
     steps = [base**a for a in range(mu)]
@@ -568,7 +504,7 @@ def prepotential_record(
         "singularity": singularity,
         "variables": list(f.variables),
         "weights": [format_rational(q) for q in f.weights],
-        "order": frob.order,
+        "order": frob.prepotential.order,
         "central_charge": format_rational(central_charge(f.weights)),
         "basis": milnor.basis_strings(),
         "flat_degrees": [format_rational(1 - d) for d in milnor.degrees],

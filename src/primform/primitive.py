@@ -41,10 +41,6 @@ class UnfoldingState:
         self.s_degrees = tuple(1 - d for d in milnor.degrees)
         self._parts = {}
 
-    @property
-    def mu(self) -> int:
-        return self.milnor.mu
-
     def exp_parts(self, floor: int) -> list[dict]:
         """The s-degree-m parts E_m of exp(F - f) for m = 0..order, times
         m!, where a product with zeta can reach z >= floor.
@@ -68,7 +64,7 @@ class UnfoldingState:
         """
         parts = self._parts.get(floor)
         if parts is None:
-            mu, order, basis = self.mu, self.order, self.milnor.basis
+            mu, order, basis = self.milnor.mu, self.order, self.milnor.basis
             scale, nvars = self.milnor._divider.scale, self.milnor.f.nvars
             digits = [(order + 1) ** a for a in range(mu)]
             x_base = order * max(2, *(e for mono in basis for e in mono)) + 1
@@ -136,11 +132,11 @@ class PrimitiveFormResult:
 
     @property
     def zeta(self) -> LaurentBlock:
-        return _block(self.zeta_slices, self.state.mu, self.order)
+        return _block(self.zeta_slices, self.state.milnor.mu, self.order)
 
     @property
     def J(self) -> LaurentBlock:
-        return _block(self.j_slices, self.state.mu, self.order)
+        return _block(self.j_slices, self.state.milnor.mu, self.order)
 
     def j_slices_at(self, m: int) -> list:
         """J at z power m <= -1 as one (D_k, {idx: [(packed, int)]}) per k.
@@ -159,7 +155,7 @@ class PrimitiveFormResult:
 
     def j_components(self, m: int) -> list[SSeries]:
         """The mu component series of J at z power m <= -1, see `j_slices_at`."""
-        mu, order = self.state.mu, self.order
+        mu, order = self.state.milnor.mu, self.order
         vec = _series(self.j_slices_at(m), mu, order)
         return [vec.get(a, SSeries(mu, order)) for a in range(mu)]
 
@@ -316,7 +312,7 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
         if left:
             remainder.append((den, left))
     state._parts.pop(floor, None)
-    return _block(remainder, state.mu, state.order) if remainder else LaurentBlock()
+    return _block(remainder, state.milnor.mu, state.order) if remainder else LaurentBlock()
 
 
 def defect_is_zero(result: PrimitiveFormResult) -> bool:

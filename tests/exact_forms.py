@@ -8,12 +8,17 @@ That is a check of the int reduction that shares none of its bookkeeping.
 dicts that a ``LaurentBlock`` is built from; the block drops what cancels.
 ``const`` is the constant series.  ``result_from_blocks`` builds a solve
 result from Fraction blocks of zeta and J, such as a perturbed one.
+``spell`` and ``unspell`` turn Fraction series into the int words of
+``frobenius._j_items`` and back, and ``unpacked`` reads packed int series
+as Fraction ones; ``invert`` and ``substitute`` run the int inversion and
+fold on Fraction series through them.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from primform.algebra import LaurentBlock, SSeries, pack_monomial
+from primform.algebra import LaurentBlock, SSeries, pack_monomial, unpack_monomial
+from primform.frobenius import _substitute_ints, invert_coordinates
 from primform.milnor import monomial_class
 from primform.primitive import PrimitiveFormResult
 
@@ -94,3 +99,64 @@ def verify_exact_class(h: list, data) -> bool:
     lowered = reduce_form(-derivative_part, data)
     raised = LaurentBlock({zp + 1: vec for zp, vec in lowered.z_terms.items()})
     return reduce_form(pairing_part, data) == raised
+
+
+def spell(series: list[SSeries]) -> tuple:
+    """The series as (N, E, words), the int words of `frobenius._j_items`:
+    N the least order among them, E the lcm of every denominator."""
+    e_scale = lcm(*(c.denominator for u in series for c in u.terms.values()))
+    words = [
+        {
+            tuple(v for v, e in enumerate(mono) for _ in range(e)): c.numerator
+            * (e_scale // c.denominator)
+            for mono, c in u.terms.items()
+        }
+        for u in series
+    ]
+    return min((u.order for u in series if u.order is not None), default=None), e_scale, words
+
+
+def unspell(items: tuple) -> list[SSeries]:
+    """(N, E, words) as Fraction series at order N, in one variable per word set."""
+    order, e_scale, words = items
+    nvars = len(words)
+    return [
+        SSeries(nvars, order, {
+            tuple(word.count(v) for v in range(nvars)): Fraction(c, e_scale)
+            for word, c in u_words.items()
+        })
+        for u_words in words
+    ]
+
+
+def unpacked(scale: int, accs: list, nvars: int, order: int, base: int) -> list[SSeries]:
+    """Each {degree: {packed: int}} over `scale` as a series at `order`."""
+    return [
+        SSeries(nvars, order, {
+            unpack_monomial(m, base, nvars): Fraction(v, scale)
+            for bucket in acc.values() for m, v in bucket.items()
+        })
+        for acc in accs
+    ]
+
+
+def invert(t_of_s: list[SSeries], order: int) -> list[SSeries]:
+    """`invert_coordinates` on t(s) given as series, s(t) unpacked from base N + 2."""
+    items = spell(t_of_s)
+    return unpacked(*invert_coordinates(items, order), len(t_of_s), order, items[0] + 2)
+
+
+def substitute(series: list[SSeries], s_of_t: list[SSeries]) -> list[SSeries]:
+    """Every u at s = s_of_t(t) by `_substitute_ints`, in base N + 2 for
+    the order N of s(t), each known through the lesser of N and its order."""
+    order, nvars = s_of_t[0].order, s_of_t[0].nvars
+    base = order + 2
+    d_scale = lcm(*(c.denominator for s in s_of_t for c in s.terms.values()))
+    factors: list = [{} for _ in s_of_t]
+    for s, buckets in zip(s_of_t, factors):
+        for mono, c in s.terms.items():
+            scaled = c.numerator * (d_scale // c.denominator)
+            buckets.setdefault(sum(mono), {})[pack_monomial(mono, base)] = scaled
+    scale, accs = _substitute_ints(spell(series), (d_scale, factors), nvars, order, base)
+    composed = unpacked(scale, accs, nvars, order, base)
+    return [v if u.order is None else v.truncate(min(u.order, order)) for u, v in zip(series, composed)]

@@ -13,13 +13,7 @@ from itertools import product
 from exact_forms import const, verify_exact_class
 from primform.algebra import SSeries, mat_det, parse_rational
 from primform.catalog import EXCEPTIONAL_NAMES, load_catalog
-from primform.frobenius import (
-    euler_check,
-    flat_coordinates,
-    normalization_check,
-    prepotential,
-    wdvv_check,
-)
+from primform.frobenius import euler_check, normalization_check, prepotential, wdvv_check
 from primform.milnor import (
     central_charge,
     divide_by_jacobian,
@@ -194,7 +188,7 @@ def test_criterion_6_independent_small_oracle(catalog, milnor_cache):
         }
         assert engine_j_neg == oracle["J"], name
 
-        engine_t = [t.terms for t in flat_coordinates(result)]
+        engine_t = [t.terms for t in result.j_components(-1)]
         assert engine_t == oracle["t_of_s"], name
 
         frob = prepotential(result, data)

@@ -368,7 +368,7 @@ class TestCompute:
             frob = primform.prepotential(result, data)
             terms = dict(frob.prepotential.terms)
             terms[mono] = terms.get(mono, 0) + 1
-            return FrobeniusData(SSeries(data.mu, frob.order, terms))
+            return FrobeniusData(SSeries(data.mu, frob.prepotential.order, terms))
 
         monkeypatch.setattr(cli, "prepotential", perturbed)
         path = tmp_path / "a4.json"
@@ -385,7 +385,7 @@ class TestCompute:
         # check can see it.
         def perturbed(state):
             result = primform.solve_star(state)
-            extra = SSeries.variable(state.mu, 0, state.order).scale(Fraction(1, 7))
+            extra = SSeries.variable(state.milnor.mu, 0, state.order).scale(Fraction(1, 7))
             zeta = plus_term(result.zeta, 0, 0, extra)
             return result_from_blocks(zeta, result.J, state, result.floor)
 
@@ -1119,7 +1119,7 @@ class TestEntryPoint:
                 gc.enable()
         capsys.readouterr()
 
-    def test_benchmark_names_exported(self):
+    def test_benchmark_names_exported(self, monkeypatch):
         # perfbench/worker.py and perfbench/tracing.py look these names up;
         # losing one turns a benchmark metric into null or a case into a
         # failed operation without failing any other test.
@@ -1148,3 +1148,26 @@ class TestEntryPoint:
         assert type(primform.wdvv_check(frob.prepotential, data.eta).checked) is int
         # invert_separately skips the frobenius.invert span without it.
         assert type(result.order) is int
+        # It times invert_coordinates(flat_coordinates(result), result.order)
+        # on a floor -2 result and discards what that returns; at order
+        # N - 1 the same call gives the s(t) that `prepotential` folds J_(-2)
+        # at, in its last fold.
+        f = primform.load_catalog()["E12"].weighted_polynomial()
+        data = primform.milnor_basis(f)
+        result = primform.solve_star(primform.build_unfolding(f, data, 4))
+        assert result.floor == -2
+        t_of_s = primform.flat_coordinates(result)
+        d_scale, s_of_t = primform.invert_coordinates(t_of_s, result.order)
+        assert len(s_of_t) == data.mu and type(d_scale) is int
+        below = primform.invert_coordinates(t_of_s, result.order - 1)
+        assert below[1] != s_of_t
+        folded = []
+        fold = primform.frobenius._substitute_ints
+
+        def recorded(u, s_of_t, *args):
+            folded.append(s_of_t)
+            return fold(u, s_of_t, *args)
+
+        monkeypatch.setattr(primform.frobenius, "_substitute_ints", recorded)
+        primform.prepotential(result, data)
+        assert folded[-1] == below

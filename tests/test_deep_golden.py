@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from primform import frobenius, primitive
+from primform import primitive
 from primform.algebra import SSeries
 from primform.frobenius import prepotential, prepotential_record
 from primform.primitive import (
@@ -82,14 +82,12 @@ def test_prepotential_drops_the_parts(catalog, milnor_cache):
 
 def test_prepotential_builds_no_fraction_series(milnor_cache, solved_cache, monkeypatch):
     # From the solve's slices to F0 the prepotential stays on ints: with the
-    # Fraction views of J_(-1) and J_(-2), the Fraction inversion and the
-    # Fraction substitution disabled, it still gives the golden F0 of E12,
-    # and the only series it builds is F0 itself.
+    # Fraction views of J's components and of the slices disabled, it still
+    # gives the golden F0 of E12, and the only series it builds is F0 itself.
     def refuse(*args):
         raise AssertionError("the prepotential built a Fraction series")
 
-    for target, name in ((PrimitiveFormResult, "j_components"),
-                         (frobenius, "invert_coordinates"), (frobenius, "substitute")):
+    for target, name in ((PrimitiveFormResult, "j_components"), (primitive, "_series")):
         monkeypatch.setattr(target, name, refuse)
     built = []
     original = SSeries.__init__

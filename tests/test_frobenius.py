@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from primform import frobenius
-from exact_forms import const, plus_term, result_from_blocks
+from exact_forms import (
+    const,
+    invert,
+    plus_term,
+    result_from_blocks,
+    substitute,
+    unspell,
+)
 from primform.algebra import SSeries, format_rational, mat_inv, mono_mul, unpack_monomial
 from primform.frobenius import (
     IntegrabilityError,
@@ -18,7 +25,6 @@ from primform.frobenius import (
     normalization_check,
     prepotential,
     prepotential_record,
-    substitute,
     verify_record,
     wdvv_check,
 )
@@ -36,43 +42,63 @@ ORDER6_RECORDS = [
 ]
 
 
+def pull_back(series, s_of_t, powers=None):
+    """Every u in series at s = s_of_t(t), by SSeries products alone, so
+    that this shares no code with the engine's fold: each power s^m is one
+    product of a lower power and one s_v, memoized in `powers`, which may
+    be kept across calls on one s(t).  A result is known through the order
+    of s(t), or of u where that is lower."""
+    mu, order = s_of_t[0].nvars, s_of_t[0].order
+    if powers is None:
+        powers = {}
+    powers.setdefault((0,) * len(s_of_t), const(mu, order, 1))
+
+    def power(mono):
+        if mono not in powers:
+            v = next(i for i, e in enumerate(mono) if e)
+            lower = mono[:v] + (mono[v] - 1,) + mono[v + 1:]
+            powers[mono] = power(lower) * s_of_t[v]
+        return powers[mono]
+
+    composed = []
+    for u in series:
+        terms = {}
+        for mono, c in u.terms.items():
+            for m, x in power(mono).terms.items():
+                terms[m] = terms.get(m, 0) + c * x
+        composed.append(SSeries(mu, order if u.order is None else min(u.order, order), terms))
+    return composed
+
+
 def full_order_inverse(t_of_s, order):
     """The fixed point s = t - u(s) as first written: order - 1 passes, each
-    at the full order.  u(s) is composed by SSeries products alone, so that
-    this shares no code with the engine's fold: each power s^m is one
-    product of a lower power and one s_v, memoized within its pass."""
+    at the full order, u(s) composed by `pull_back`."""
     mu = len(t_of_s)
     u = [(t - t.degree_part(1)).truncate(order) for t in t_of_s]
     s = identity = [SSeries.variable(mu, a, order) for a in range(mu)]
     for _ in range(max(order - 1, 0)):
-        powers = {(0,) * mu: const(mu, order, 1)}
-
-        def power(mono):
-            if mono not in powers:
-                v = next(i for i, e in enumerate(mono) if e)
-                lower = mono[:v] + (mono[v] - 1,) + mono[v + 1:]
-                powers[mono] = power(lower) * s[v]
-            return powers[mono]
-
-        composed = []
-        for w in u:
-            terms = {}
-            for mono, c in w.terms.items():
-                for m, x in power(mono).terms.items():
-                    terms[m] = terms.get(m, 0) + c * x
-            composed.append(SSeries(mu, order, terms))
-        s = [t_a - w for t_a, w in zip(identity, composed)]
+        s = [t_a - w for t_a, w in zip(identity, pull_back(u, s))]
     return s
 
 
-def two_pass_prepotential(result, milnor):
+# s(t) and the powers of it that `two_pass_prepotential` has formed, per
+# order and J_(-1): a perturbed J_(-2) reuses both.
+INVERSES: dict = {}
+
+
+def two_pass_prepotential(result, milnor, inverses=INVERSES):
     """The integrability check as first written: a curl pass over every pair
     of coordinates, then F0 integrated through the order by the Euler
     relation and its gradient compared with eta * J_(-2).  Returns F0, or
-    raises IntegrabilityError where either pass fails."""
+    raises IntegrabilityError where either pass fails.  It reads J off the
+    Fraction view and inverts and composes by `full_order_inverse` and
+    `pull_back`, so no fault in the engine's int fold reaches it."""
     mu, order = milnor.mu, result.order
-    s_of_t = invert_coordinates(flat_coordinates(result), order)
-    j_minus2_t = substitute(result.j_components(-2), s_of_t)
+    t_of_s = result.j_components(-1)
+    key = (order, tuple(frozenset(t.terms.items()) for t in t_of_s))
+    if key not in inverses:
+        inverses[key] = full_order_inverse(t_of_s, order), {}
+    j_minus2_t = pull_back(result.j_components(-2), *inverses[key])
     gradient = []
     for row in milnor.eta:
         g = SSeries(mu, order)
@@ -99,9 +125,10 @@ def misspelled_j_components(result):
     """The (z power, component) pairs of J at z^-1 and z^-2 whose
     `_j_items` words or values differ from the sorted letters of each
     packed monomial's `unpack_monomial` digits, over the same scale."""
-    mu, order, wrong = result.state.mu, result.order, []
+    mu, order, wrong = result.state.milnor.mu, result.order, []
     for m in (-1, -2):
-        e_scale, items = frobenius._j_items(result, m)
+        items_order, e_scale, items = frobenius._j_items(result, m)
+        assert items_order == order
         expected = [{} for _ in range(mu)]
         for den, vec in result.j_slices_at(m):
             for b, series in vec.items():
@@ -109,7 +136,7 @@ def misspelled_j_components(result):
                     exps = unpack_monomial(p, order + 1, mu)
                     word = tuple(a for a, e in enumerate(exps) for _ in range(e))
                     expected[b][word] = v * (e_scale // den)
-        wrong += [(m, b) for b, item in enumerate(items) if item != (order, expected[b])]
+        wrong += [(m, b) for b, item in enumerate(items) if item != expected[b]]
     return wrong
 
 
@@ -125,13 +152,13 @@ class TestFlatCoordinates:
     def test_leading_part_is_identity(self, solved_cache, catalog):
         for name in ("A3", "Q12"):
             result = solved_cache(name, 3)
-            mu = result.state.mu
-            for alpha, t in enumerate(flat_coordinates(result)):
+            mu = result.state.milnor.mu
+            for alpha, t in enumerate(unspell(flat_coordinates(result))):
                 assert t.degree_part(1) == SSeries.variable(mu, alpha, result.order)
 
     def test_a3_correction(self, solved_cache):
         # t_1 = s_1 - (1/8) s_3^2 for f = x^4 (hand computation).
-        t = flat_coordinates(solved_cache("A3", 4))
+        t = unspell(flat_coordinates(solved_cache("A3", 4)))
         assert t[0] == SSeries(3, 4, {(1, 0, 0): F(1), (0, 0, 2): F(-1, 8)})
         assert t[1] == SSeries.variable(3, 1, 4)
         assert t[2] == SSeries.variable(3, 2, 4)
@@ -165,13 +192,13 @@ class TestFlatCoordinates:
 class TestInvertCoordinates:
     def test_identity(self):
         t = [SSeries.variable(2, 0, 3), SSeries.variable(2, 1, 3)]
-        assert invert_coordinates(t, 3) == t
+        assert invert(t, 3) == t
 
     def test_triangular(self):
         # t1 = s1 + s2^2, t2 = s2  =>  s1 = t1 - t2^2, s2 = t2.
         s2 = SSeries.variable(2, 1, 3)
         t = [SSeries.variable(2, 0, 3) + s2 * s2, s2]
-        s = invert_coordinates(t, 3)
+        s = invert(t, 3)
         assert s[0] == SSeries(2, 3, {(1, 0): F(1), (0, 2): F(-1)})
         assert s[1] == s2
 
@@ -182,13 +209,13 @@ class TestInvertCoordinates:
         t = [SSeries.variable(2, 1, 3), SSeries.variable(2, 0, 3)]
         for order in (3, 0):
             with pytest.raises(ValueError, match="identity linear part"):
-                invert_coordinates(t, order)
+                invert(t, order)
 
     def test_rejects_constant_term(self):
         # The linear part is the identity, so only the constant can fail.
         t = [SSeries.variable(2, 0, 3) + const(2, 3, F(1, 5)), SSeries.variable(2, 1, 3)]
         with pytest.raises(ValueError, match="must vanish at the origin"):
-            invert_coordinates(t, 3)
+            invert(t, 3)
 
     def test_substitute_matches_direct_substitution(self):
         # Denominators with the primes 7, 11 and 13 in u and in s(t), and u
@@ -226,18 +253,10 @@ class TestInvertCoordinates:
         cases.append(([cancelling], [s0, t1, t0]))
         # A prefix of length k is formed through order - k, since every term
         # of s(t) has degree >= 1; an s(t) with no linear part keeps degrees
-        # that the root drops.  An s(t) with a constant term is rejected,
-        # for a truncated u and a polynomial alike.
+        # that the root drops.
         for _ in range(20):
             truncated = rand_series(0, order, order + 1)
             polynomial = rand_series(0, None, order + 1)
-            shifted = [
-                rand_series(1, order) + const(mu, order, F(rng.randint(1, 4), rng.choice((3, 7))))
-                for _ in range(mu)
-            ]
-            for us in ([truncated, polynomial], [polynomial]):
-                with pytest.raises(ValueError, match="constant term"):
-                    substitute(us, shifted)
             quadratic = [rand_series(2, order) for _ in range(mu)]
             quadratic[0] = quadratic[0] + (t0 * t1).scale(F(1, 3))
             cases.append(([truncated, polynomial], quadratic))
@@ -269,38 +288,9 @@ class TestInvertCoordinates:
             SSeries(2, 2, {(2, 0): F(1)})
         ]
 
-    def test_truncated_u_against_a_constant_term_rejected(self):
-        # At s(t) = (1 + t0, t1), x0 at order 2 stands for x0 + O(x^3),
-        # whose unknown terms add to every degree of u(s(t)).  The fold
-        # bounds a prefix by its length, so a polynomial is rejected too.
-        t0, t1 = SSeries.variable(2, 0, 3), SSeries.variable(2, 1, 3)
-        s_of_t = [t0 + const(2, 3, F(1)), t1]
-        with pytest.raises(ValueError, match="constant term"):
-            substitute([SSeries(2, 2, {(1, 0): F(1)})], s_of_t)
-        with pytest.raises(ValueError, match="constant term"):
-            substitute([SSeries(2, None, {(3, 0): F(1)})], s_of_t)
-
-    def test_substitute_needs_one_integer_order(self):
-        u = [SSeries.variable(2, 0, 3)]
-        with pytest.raises(ValueError):
-            substitute(u, [SSeries.variable(2, 0, None), SSeries.variable(2, 1, None)])
-        with pytest.raises(ValueError):
-            substitute(u, [SSeries.variable(2, 0, 3), SSeries.variable(2, 1, 4)])
-
-    def test_substitute_needs_one_variable_per_series(self):
-        # u is a series in one variable per series of s(t): a 3-variable u
-        # at a 2-series s(t) would index past the series, and a 1-variable
-        # u would be read as a series in the first variable alone.
-        t0, t1 = SSeries.variable(2, 0, 3), SSeries.variable(2, 1, 3)
-        for u in (SSeries.variable(3, 2, 3), SSeries.variable(1, 0, 3)):
-            with pytest.raises(ValueError, match=r"variables, but s\(t\) has 2 series"):
-                substitute([u], [t0, t1])
-        with pytest.raises(ValueError, match="one variable count"):
-            substitute([SSeries.variable(2, 0, 3)], [t0, SSeries.variable(3, 1, 3)])
-
     def test_growing_order_equals_full_order_fixed_point(self, solved_cache):
         cases = [
-            (flat_coordinates(solved_cache(name, order)), order)
+            (solved_cache(name, order).j_components(-1), order)
             for name, order in (("E12", 6), ("U12", 6), ("W13", 5))
         ]
         rng = random.Random(91)
@@ -317,12 +307,12 @@ class TestInvertCoordinates:
                 t.append(SSeries.variable(mu, alpha, order) + SSeries(mu, order, terms))
             cases.append((t, order))
         for t_of_s, order in cases:
-            assert invert_coordinates(t_of_s, order) == full_order_inverse(t_of_s, order)
+            assert invert(t_of_s, order) == full_order_inverse(t_of_s, order)
 
     def test_full_order_oracle_catches_a_faulty_fold(self, solved_cache, monkeypatch):
         # Negative control of the oracle: a kernel that drops the top degree
         # of every product breaks the engine's inverse but not the oracle.
-        t_of_s = flat_coordinates(solved_cache("E12", 4))
+        t_of_s = solved_cache("E12", 4).j_components(-1)
         expected = full_order_inverse(t_of_s, 4)
         kernel = frobenius.graded_dot
 
@@ -331,7 +321,7 @@ class TestInvertCoordinates:
 
         monkeypatch.setattr(frobenius, "graded_dot", short)
         assert full_order_inverse(t_of_s, 4) == expected
-        assert invert_coordinates(t_of_s, 4) != expected
+        assert invert(t_of_s, 4) != expected
 
     def test_prepotential_checks_the_flat_frame(self, solved_cache, milnor_cache):
         # The checks of the inversion run on the solve's slices too: J_(-1)
@@ -370,7 +360,7 @@ class TestInvertCoordinates:
                         mu, order, {tuple(exps): F(rng.randint(-4, 4), rng.randint(1, 3))}
                     )
                 t.append(series)
-            s = invert_coordinates(t, order)
+            s = invert(t, order)
             for alpha, composed in enumerate(substitute(t, s)):
                 assert composed == SSeries.variable(mu, alpha, order), "t(s(t)) != t"
 
@@ -426,7 +416,7 @@ class TestPrepotential:
         for order in range(3):
             frob = prepotential(solved_cache("A2", order), milnor_cache("A2"))
             assert frob.prepotential == SSeries(2, order)
-            assert frob.order == order
+            assert frob.prepotential.order == order
 
     def test_rejects_milnor_data_of_another_result(self, catalog, solved_cache, milnor_cache):
         # mu and eta are the result's own: U12's, of the same mu, turned the
@@ -528,6 +518,31 @@ class TestIntegrability:
         result = solve_star(build_unfolding(f, data, order))
         assert prepotential(result, data).prepotential == two_pass_prepotential(result, data)
 
+    def test_fraction_reference_catches_a_faulty_fold(
+        self, solved_cache, milnor_cache, monkeypatch
+    ):
+        # Negative control of the reference: a kernel that drops the top
+        # degree of every product it returns makes `prepotential` disagree
+        # or raise, while the reference, formed afresh, does not move.
+        # Dropping only the degree at the bound would not do: all of it
+        # lands at degree N of the gradient, which F0 does not read.
+        result, data = solved_cache("E12", 4), milnor_cache("E12")
+        expected = two_pass_prepotential(result, data, {})
+        kernel = frobenius.graded_dot
+
+        def short(lefts, rights, bound):
+            products = kernel(lefts, rights, bound)
+            if products:
+                del products[max(products)]
+            return products
+
+        monkeypatch.setattr(frobenius, "graded_dot", short)
+        assert two_pass_prepotential(result, data, {}) == expected
+        try:
+            assert prepotential(result, data).prepotential != expected
+        except IntegrabilityError:
+            pass
+
     def test_raises_where_two_pass_check_raises(self, solved_cache, milnor_cache):
         # Negative controls: 1/7 added to one s-monomial of one J_(-2)
         # component, at every s-degree through the order, the top one too.
@@ -583,7 +598,7 @@ class TestIntegrability:
                     for a, entry in enumerate(row):
                         component = component + potential.diff(a).scale(entry)
                     field.append(component)
-                moved = with_j_minus2_added(result, substitute(field, flat_coordinates(result)))
+                moved = with_j_minus2_added(result, pull_back(field, result.j_components(-1)))
                 if degree < 3:
                     for check in (prepotential, two_pass_prepotential):
                         with pytest.raises(IntegrabilityError):

@@ -17,7 +17,7 @@ F = Fraction
 def as_series(state, m, floor):
     """Part m of exp(F - f) at the floor as {x-monomial: s-series}: each
     packed s^n unpacked, each int coefficient divided by m!."""
-    mu, order = state.mu, state.order
+    mu, order = state.milnor.mu, state.order
     return {
         x: SSeries(
             mu,
@@ -141,7 +141,7 @@ class TestSolveStar:
                 catalog[name].weighted_polynomial(), milnor_cache(name), 0
             )
             result = solve_star(state)
-            mu = state.mu
+            mu = state.milnor.mu
             one = const(mu, 0, 1)
             assert result.zeta.z_terms == {0: {0: one}}
             assert result.J.z_terms == {0: {0: one}}
@@ -160,7 +160,7 @@ class TestSolveStar:
     def test_volume_normalization(self, solved_cache, catalog):
         for name in ("A3", "E12", "U12"):
             result = solved_cache(name, 3)
-            mu = result.state.mu
+            mu = result.state.milnor.mu
             # zeta's s-degree-0 part is exactly the volume class.
             constant = result.zeta.component(0).get(0)
             assert constant.degree_part(0) == const(mu, 3, 1)
@@ -352,7 +352,7 @@ class TestFloor:
             result.j_components(-3)
         # Below z^-order J is zero by degree, whatever the floor.
         full = solved_cache("E12", 4)
-        assert full.j_components(-5) == [SSeries(full.state.mu, 4)] * full.state.mu
+        assert full.j_components(-5) == [SSeries(full.state.milnor.mu, 4)] * full.state.milnor.mu
         with pytest.raises(ValueError, match="floor must be <= 0"):
             solve_star(state, floor=1)
 
@@ -377,7 +377,7 @@ class TestJComponents:
     def test_order_one_part_is_linear(self, solved_cache, catalog):
         for name in ("D4", "S11"):
             result = solved_cache(name, 2)
-            mu = result.state.mu
+            mu = result.state.milnor.mu
             jm1 = result.j_components(-1)
             for alpha in range(mu):
                 linear = jm1[alpha].degree_part(1)

@@ -30,7 +30,7 @@ F = Fraction
 def fraction_exp_parts(state):
     """Part m of exp(F - f) as {x-monomial: s-series}, sum over |n| = m of
     s^n phi^n / n!."""
-    mu, order, basis = state.mu, state.order, state.milnor.basis
+    mu, order, basis = state.milnor.mu, state.order, state.milnor.basis
     unit = (0,) * state.milnor.f.nvars
     parts = []
     for m in range(order + 1):
@@ -62,7 +62,7 @@ def accumulate_product(target, part, block, data, z_shift):
 def fraction_solve(state):
     """(zeta, J) of the recursion on Fraction series."""
     data = state.milnor
-    one = const(state.mu, state.order, 1)
+    one = const(state.milnor.mu, state.order, 1)
     parts = fraction_exp_parts(state)
     unit = data.basis_index((0,) * data.f.nvars)
     zeta_slices = [LaurentBlock({0: {unit: one}})]
@@ -111,7 +111,7 @@ def term_at_degree(block, j, mu):
 
 def perturbed(result, part, j):
     """The result with 1/7 added to one coefficient of s-degree j of zeta or J."""
-    mu, order = result.state.mu, result.order
+    mu, order = result.state.milnor.mu, result.order
     blocks = {"zeta": result.zeta, "J": result.J}
     zp, idx, mono = term_at_degree(blocks[part], j, mu)
     blocks[part] = plus_term(blocks[part], zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
@@ -164,7 +164,7 @@ class TestPerturbedDefect:
     @pytest.mark.parametrize("name, order", CASES)
     def test_j_perturbed_gives_minus_one_seventh(self, name, order, solved_cache):
         result = solved_cache(name, order)
-        mu = result.state.mu
+        mu = result.state.milnor.mu
         moved, (zp, idx, mono) = perturbed(result, "J", order)
         expected = LaurentBlock({zp: {idx: SSeries(mu, order, {mono: F(-1, 7)})}})
         assert defect(moved) == expected
@@ -190,7 +190,7 @@ class TestFlooredDefect:
 
     @pytest.mark.parametrize("zp", [-1, -2])
     def test_j_perturbed_gives_minus_one_seventh(self, floored, zp):
-        mu, order = floored.state.mu, floored.order
+        mu, order = floored.state.milnor.mu, floored.order
         idx, series = min(floored.J.z_terms[zp].items())
         mono = max(series.terms)
         J = plus_term(floored.J, zp, idx, SSeries(mu, order, {mono: F(1, 7)}))
@@ -199,7 +199,7 @@ class TestFlooredDefect:
 
     def test_j_below_floor_unchecked(self, floored):
         # The narrowing itself: a term below the floor is not compared.
-        mu, order = floored.state.mu, floored.order
+        mu, order = floored.state.milnor.mu, floored.order
         mono = (order,) + (0,) * (mu - 1)
         J = plus_term(floored.J, -3, 0, SSeries(mu, order, {mono: F(1, 7)}))
         moved = result_from_blocks(floored.zeta, J, floored.state, floored.floor)
