@@ -196,7 +196,7 @@ def invert_coordinates(t_of_s: tuple, order: int) -> tuple:
 
 
 class FrobeniusData:
-    """The prepotential; its order is the series' own."""
+    """The prepotential, one series at the order of the solve."""
 
     __slots__ = ("prepotential",)
 
