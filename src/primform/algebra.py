@@ -368,11 +368,12 @@ def _gauss_jordan(m: list[list[Fraction]], ncols: int) -> tuple[list[int], Fract
             det = -det
         det *= m[r][col]
         inv = 1 / m[r][col]
-        m[r] = [a * inv for a in m[r]]
+        # Zero entries are skipped: the pairings reduced here are sparse.
+        m[r] = [a * inv if a else a for a in m[r]]
         for i in range(len(m)):
             if i != r and m[i][col]:
                 factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - factor * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(col)
     return pivots, det
 

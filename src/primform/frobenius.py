@@ -30,7 +30,6 @@ from .algebra import (
     graded_dot,
     mat_inv,
     mono_key,
-    pack_monomial,
     parse_basis,
     parse_rational,
     unpack_monomial,
@@ -160,9 +159,9 @@ def _substitute_ints(u: tuple, s_of_t: tuple, nvars: int, order: int, base: int)
 def invert_coordinates(t_of_s: tuple, order: int) -> tuple:
     """s(t) through total degree `order` as (D, [D s_v(t)]), see
     `_substitute_ints`, packed in base N + 2, for t(s) = (N, E, words), see
-    `_j_items`, with identity linear part and no constant term.  `order`
-    must not exceed N, and a t truncated at order 0 has no linear part to
-    check.
+    `_j_items`, with identity linear part, no constant term and every letter
+    below mu, the number of components.  `order` must not exceed N, and a t
+    truncated at order 0 has no linear part to check.
 
     Fixed-point iteration on s = t - u(s) where u is the nonlinear part.
     Pass p fixes total degree p, and runs at order p: u starts at degree 2,
@@ -175,6 +174,9 @@ def invert_coordinates(t_of_s: tuple, order: int) -> tuple:
         raise ValueError(f"t(s) is known through order {t_order}, not {order}")
     mu, base, u = len(t_words), t_order + 2, []
     for a, words in enumerate(t_words):
+        letter = max(map(max, filter(None, words)), default=0)
+        if letter >= mu:
+            raise ValueError(f"t(s) has {mu} components, but a word has the letter {letter}")
         linear = {w: c for w, c in words.items() if len(w) == 1}
         if linear != ({(a,): e_scale} if t_order != 0 else {}):
             raise ValueError("coordinate change does not have identity linear part")
@@ -301,19 +303,19 @@ def _third_derivatives(f0: SSeries, check_order: int, scale: int) -> dict:
     as graded series through check_order = f0.order - 3, packed in base
     check_order + 1.  `scale` must clear every denominator of f0."""
     third: dict = {}
+    powers = [(check_order + 1) ** i for i in range(f0.nvars)]
     for mono, coeff in f0.terms.items():
         degree = sum(mono) - 3
         scaled = coeff.numerator * (scale // coeff.denominator)
+        # Packed once; the lowered exponents are at most check_order, so
+        # subtracting the three powers carries into no other digit.
+        packed = sum(e * p for e, p in zip(mono, powers))
         support = [i for i, e in enumerate(mono) if e]
-        for key in combinations_with_replacement(support, 3):
-            lowered = list(mono)
-            value = scaled
-            for i in key:
-                value *= lowered[i]
-                lowered[i] -= 1
+        for i, j, k in combinations_with_replacement(support, 3):
+            value = scaled * mono[i] * (mono[j] - (i == j)) * (mono[k] - (i == k) - (j == k))
             if value:
-                bucket = third.setdefault(key, {}).setdefault(degree, {})
-                bucket[pack_monomial(lowered, check_order + 1)] = value
+                bucket = third.setdefault((i, j, k), {}).setdefault(degree, {})
+                bucket[packed - powers[i] - powers[j] - powers[k]] = value
     return {key: graded(buckets) for key, buckets in third.items()}
 
 
@@ -333,6 +335,46 @@ def _pairing_inverse(eta) -> list:
     if any(eta[i][j] != eta[j][i] for i in range(mu) for j in range(i)):
         raise ValueError("the pairing eta is not symmetric")
     return mat_inv([list(row) for row in eta])
+
+
+def _generating_set(cubic: list, raising: list) -> list:
+    """The indices S, in index order, of a set that generates the algebra
+    at t = 0, whose product is C_ab^g = sum_e cubic[a][b][e] raising[e][g]
+    (cubic[a][b] as {e: int}, raising[e] as [(g, int)] over its nonzero
+    entries).  Index k joins S when d_k is not in the span of the earlier
+    members closed under the product.  The closure multiplies every pair of
+    its basis vectors, so no associativity is assumed, and stops once the
+    span has dimension mu.  Exact elimination on int vectors, each with its
+    first nonzero entry at its own pivot."""
+    mu, basis, chosen = len(raising), {}, []
+    for k in range(mu):
+        size, pending = len(basis), [[int(i == k) for i in range(mu)]]
+        while pending and len(basis) < mu:
+            v = pending.pop()
+            for p, b in sorted(basis.items()):
+                if v[p]:
+                    v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
+            if not any(v):
+                continue
+            g = gcd(*v)
+            v = [x // g for x in v]
+            basis[next(i for i, x in enumerate(v) if x)] = v
+            for w in basis.values():
+                lowered, product = [0] * mu, [0] * mu
+                for a, x in enumerate(v):
+                    if x:
+                        for b, y in enumerate(w):
+                            if y:
+                                for e, c in cubic[a][b].items():
+                                    lowered[e] += x * y * c
+                for e, c in enumerate(lowered):
+                    if c:
+                        for f, r in raising[e]:
+                            product[f] += c * r
+                pending.append(product)
+        if len(basis) > size:
+            chosen.append(k)
+    return chosen
 
 
 def wdvv_check(f0: SSeries, eta) -> CheckReport:
@@ -357,6 +399,16 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
     is held past its multiset.  Each (quadruple, monomial) occurs once, and
     the list is sorted once, by quadruple and then by monomial.
 
+    The equations say that the algebra A over R = Q[t]/(degree > N - 3)
+    with product C_ab^g = sum_e F_abe eta^{eg} is associative.  A is
+    commutative, so d_s lies in its nucleus exactly when the pairings agree
+    on every multiset that holds s; the nucleus is a subalgebra, and by
+    Nakayama a set S that generates A at t = 0 generates A.  So the walk
+    first takes only the multisets that hold an index of S
+    (`_generating_set`, read off the cubic terms and eta), and walks the
+    rest only when one of them disagrees, so that the violations are
+    always those of every multiset.
+
     Only products that can be nonzero are formed, each by `graded_dot`.
     F_abe is built from the terms of f0 for a <= b <= e, graded by total
     degree, and looked up as F_fcd in a mu x mu x mu table whose column
@@ -364,10 +416,11 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
     L_ab^f = sum_e eta^{fe} F_abe, through the nonzero entries of eta^-1
     only, held as constant series.  Every pairing of a multiset with least
     index a puts a in its first pair, so only the L_ab of the current a are
-    held.  X_{ab|cd} = sum_f L_ab^f F_fcd skips term pairs whose degrees
-    add up past order - 3, and is compared degree by degree as the kernel
-    returns it; only pairings that differ there are compared again without
-    their cancelled terms.
+    held, and those of an a outside S below the last index of S, kept for
+    the second walk.  X_{ab|cd} = sum_f L_ab^f F_fcd skips term pairs whose
+    degrees add up past order - 3, and is compared degree by degree as the
+    kernel returns it; only pairings that differ there are compared again
+    without their cancelled terms.
 
     The loops run on Python ints only.  With D the lcm of the denominators
     of f0 and E that of eta^-1, every F_abe is scaled exactly by D and
@@ -386,47 +439,71 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
     eta_inv = _pairing_inverse(eta)
     d_scale = lcm(*(c.denominator for c in f0.terms.values()))
     e_scale = lcm(*(v.denominator for row in eta_inv for v in row))
-    # raising[f] = [(e, E eta^{fe} as a constant series), ...] where it is nonzero.
-    scaled = [[v.numerator * (e_scale // v.denominator) for v in row] for row in eta_inv]
-    raising = [[(e, [(0, [(0, g)])]) for e, g in enumerate(row) if g] for row in scaled]
+    # sparse[f] = [(e, E eta^{fe}), ...] where it is nonzero; raising holds
+    # the same entries as constant series.
+    sparse = [
+        [(e, v.numerator * (e_scale // v.denominator)) for e, v in enumerate(row) if v]
+        for row in eta_inv
+    ]
+    raising = [[(e, [(0, [(0, g)])]) for e, g in row] for row in sparse]
 
-    # tensor[c][d][f] is F_fcd, None where it is zero.
+    # tensor[c][d][f] is F_fcd, None where it is zero; cubic[c][d][f] is its
+    # constant term, where that is nonzero.
     tensor = [[[None] * mu for _ in range(mu)] for _ in range(mu)]
+    cubic = [[{} for _ in range(mu)] for _ in range(mu)]
     for (i, j, k), series in _third_derivatives(f0, check_order, d_scale).items():
         for f, c, d in permutations((i, j, k)):
             tensor[c][d][f] = series
+            if not series[0][0]:
+                cubic[c][d][f] = series[0][1][0][1]
+    chosen = _generating_set(cubic, sparse)
+    in_s = [i in chosen for i in range(mu)]
 
-    violations = []
-    for a in range(mu):
-        # raised[b] = [(f, L_ab^f), ...] over the nonzero L_ab^f, for b >= a.
-        raised = [None] * mu
-        for b in range(a, mu):
-            lifted = (graded(graded_dot(row, tensor[a][b], check_order)) for row in raising)
-            raised[b] = [(f, series) for f, series in enumerate(lifted) if series]
-        for b, c, d in combinations_with_replacement(range(a, mu), 3):
-            first = graded_dot(raised[b], tensor[c][d], check_order)
-            values = {((a, b), (c, d)): first}
-            if b != c:
-                values[(a, c), (b, d)] = graded_dot(raised[c], tensor[b][d], check_order)
-            if a != b and c != d:
-                values[(a, d), (b, c)] = graded_dot(raised[d], tensor[b][c], check_order)
-            if all(value == first for value in values.values()):
+    # First the multisets that hold an index of S, then, only if one of
+    # them failed, the rest; kept holds the L_ab rows the second walk reuses.
+    violations: list = []
+    kept: dict = {}
+    for held in (True, False):
+        if not held and not violations:
+            break
+        for a in range(chosen[-1] + 1 if held else mu):
+            if in_s[a] and not held:
                 continue
-            values = {key: _flat(value) for key, value in values.items()}
-            first = values[(a, b), (c, d)]
-            if all(value == first for value in values.values()):
-                continue
-            for q in {p for p in permutations((a, b, c, d)) if p[1] < p[2]}:
-                left = values[_pairing_key(*q)]
-                right = values[_pairing_key(q[0], q[2], q[1], q[3])]
-                for m in left.keys() | right.keys():
-                    diff = left.get(m, 0) - right.get(m, 0)
-                    if diff:
-                        violations.append({
-                            "indices": tuple(i + 1 for i in q),
-                            "monomial": unpack_monomial(m, check_order + 1, mu),
-                            "difference": format_rational(Fraction(diff, d_scale**2 * e_scale)),
-                        })
+            # raised[b] = [(f, L_ab^f), ...] over the nonzero L_ab^f, for b >= a.
+            raised = kept.pop(a, None)
+            if raised is None:
+                raised = [None] * mu
+                for b in range(a, mu):
+                    lifted = (graded(graded_dot(row, tensor[a][b], check_order)) for row in raising)
+                    raised[b] = [(f, series) for f, series in enumerate(lifted) if series]
+                if held and not in_s[a]:
+                    kept[a] = raised
+            for b, c, d in combinations_with_replacement(range(a, mu), 3):
+                if (in_s[a] or in_s[b] or in_s[c] or in_s[d]) != held:
+                    continue
+                first = graded_dot(raised[b], tensor[c][d], check_order)
+                values = {((a, b), (c, d)): first}
+                if b != c:
+                    values[(a, c), (b, d)] = graded_dot(raised[c], tensor[b][d], check_order)
+                if a != b and c != d:
+                    values[(a, d), (b, c)] = graded_dot(raised[d], tensor[b][c], check_order)
+                if all(value == first for value in values.values()):
+                    continue
+                values = {key: _flat(value) for key, value in values.items()}
+                first = values[(a, b), (c, d)]
+                if all(value == first for value in values.values()):
+                    continue
+                for q in {p for p in permutations((a, b, c, d)) if p[1] < p[2]}:
+                    left = values[_pairing_key(*q)]
+                    right = values[_pairing_key(q[0], q[2], q[1], q[3])]
+                    for m in left.keys() | right.keys():
+                        diff = left.get(m, 0) - right.get(m, 0)
+                        if diff:
+                            violations.append({
+                                "indices": tuple(i + 1 for i in q),
+                                "monomial": unpack_monomial(m, check_order + 1, mu),
+                                "difference": format_rational(Fraction(diff, d_scale**2 * e_scale)),
+                            })
     violations.sort(key=lambda v: (v["indices"], mono_key(v["monomial"])))
     return CheckReport(violations, mu * mu * mu * (mu - 1) // 2)
 

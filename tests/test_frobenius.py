@@ -30,6 +30,7 @@ from primform.frobenius import (
 )
 from primform.milnor import central_charge, divide_by_jacobian, milnor_basis
 from primform.primitive import build_unfolding, solve_star
+from test_wdvv_reference import dense_wdvv, perturbed
 
 F = Fraction
 
@@ -216,6 +217,12 @@ class TestInvertCoordinates:
         t = [SSeries.variable(2, 0, 3) + const(2, 3, F(1, 5)), SSeries.variable(2, 1, 3)]
         with pytest.raises(ValueError, match="must vanish at the origin"):
             invert(t, 3)
+
+    def test_rejects_a_letter_beyond_the_components(self):
+        # s_3 in a t(s) of two components once reached graded_dot as a bare
+        # IndexError.
+        with pytest.raises(ValueError, match="the letter 2"):
+            invert_coordinates((3, 1, [{(0,): 1, (2, 2): 1}, {(1,): 1}]), 2)
 
     def test_substitute_matches_direct_substitution(self):
         # Denominators with the primes 7, 11 and 13 in u and in s(t), and u
@@ -619,7 +626,95 @@ class TestFourPointFunction:
         assert f4 == SSeries(3, 4, {(0, 2, 2): F(-1, 64)})
 
 
+def spy_generating_set(monkeypatch) -> list:
+    """The lists that `wdvv_check` gets from `_generating_set` from now on."""
+    chosen, choose = [], frobenius._generating_set
+
+    def spy(*args):
+        chosen.append(choose(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(frobenius, "_generating_set", spy)
+    return chosen
+
+
 class TestWdvv:
+    def test_generating_set_of_every_catalog_entry(
+        self, catalog, frobenius_cache, milnor_cache, monkeypatch
+    ):
+        # S is read off the cubic terms and eta alone; for E12 index 2 (y^2)
+        # is skipped, since y^2 = y * y.
+        expected = {
+            "A1": [0], "A2": [0, 1], "A3": [0, 1], "A4": [0, 1], "D4": [0, 1, 2],
+            "E12": [0, 1, 3], "E13": [0, 1, 3], "E14": [0, 1, 3],
+            "P8": [0, 1, 2, 3], "Q10": [0, 1, 2, 3], "Q11": [0, 1, 2, 3], "Q12": [0, 1, 2, 3],
+            "S11": [0, 1, 2, 3], "S12": [0, 1, 2, 3], "U12": [0, 1, 2, 3],
+            "W12": [0, 1, 2], "W13": [0, 1, 2],
+            "Z11": [0, 1, 2], "Z12": [0, 1, 2], "Z13": [0, 1, 2],
+        }
+        assert sorted(catalog) == sorted(expected)
+        f0s = {name: frobenius_cache(name).prepotential for name in expected}
+        chosen = spy_generating_set(monkeypatch)
+        for name, f0 in f0s.items():
+            assert wdvv_check(f0, milnor_cache(name).eta).passed, name
+        assert dict(zip(f0s, chosen)) == expected
+
+    def test_generator_past_the_leading_indices(self, monkeypatch):
+        # A_0 = Q[x]/(x^3) x Q[y]/(y^2) on the basis 1, x, x^2, g, y with
+        # g = 1' + y, so g g = g + y: 1 and x generate only the first factor,
+        # and g joins S past the generated x^2.  t5^4 breaks associativity
+        # in {g, g, y, y} alone, which the multisets of 1 and x never see.
+        rows = ([0, 0, 1, 0, 0], [0, 1, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 2, 1], [0, 0, 0, 1, 0])
+        eta = [[F(v) for v in row] for row in rows]
+        cubic = {
+            (2, 0, 1, 0, 0): F(1, 2),
+            (1, 2, 0, 0, 0): F(1, 2),
+            (0, 0, 0, 3, 0): F(1, 2),
+            (0, 0, 0, 2, 1): F(1, 2),
+        }
+        chosen = spy_generating_set(monkeypatch)
+        assert wdvv_check(SSeries(5, 4, cubic), eta).passed
+        f0 = SSeries(5, 4, cubic | {(0, 0, 0, 0, 4): F(1)})
+        report = wdvv_check(f0, eta)
+        assert chosen == [[0, 1, 3]] * 2
+        assert {tuple(sorted(v["indices"])) for v in report.violations} == {(4, 4, 5, 5)}
+        assert (report.violations, report.checked) == dense_wdvv(f0, eta, 4)
+
+    def test_work_pinned(self, frobenius_cache, milnor_cache, monkeypatch):
+        # Work counter: graded_dot calls and term pairs of the check, with
+        # the kernel's own degree cut.  A passing check walks only the
+        # multisets that hold an index of S; a failing one (the perturbed
+        # Q10) walks the rest too, and forms each X and each L_ab once.
+        cases = {
+            "E12": (frobenius_cache("E12", 6).prepotential, milnor_cache("E12").eta),
+            "U12": (frobenius_cache("U12", 6).prepotential, milnor_cache("U12").eta),
+            "Q10": (perturbed(frobenius_cache("Q10", 6).prepotential, 5), milnor_cache("Q10").eta),
+        }
+        kernel = frobenius.graded_dot
+        pairs = []
+
+        def counting(lefts, rights, bound):
+            pairs.append(0)
+            for f, left in lefts:
+                for dl, litems in left:
+                    for dr, ritems in rights[f] or ():
+                        if dl + dr > bound:
+                            break
+                        pairs[-1] += len(litems) * len(ritems)
+            return kernel(lefts, rights, bound)
+
+        monkeypatch.setattr(frobenius, "graded_dot", counting)
+        counts = {}
+        for name, (f0, eta) in cases.items():
+            pairs.clear()
+            report = wdvv_check(f0, eta)
+            counts[name] = (report.passed, len(pairs), sum(pairs))
+        assert counts == {
+            "E12": (True, 2550, 25916),
+            "U12": (True, 2919, 13355),
+            "Q10": (False, 2090, 10309),
+        }
+
     def test_passes_on_computed_prepotentials(self, frobenius_cache, milnor_cache):
         for name in ("A3", "D4", "W12"):
             frob = frobenius_cache(name)
