@@ -330,12 +330,6 @@ class LaurentBlock:
     def __bool__(self) -> bool:
         return bool(self.z_terms)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentBlock) and self.z_terms == other.z_terms
-
-    def component(self, zpow: int) -> dict:
-        return dict(self.z_terms.get(zpow, {}))
-
     def iter_terms(self) -> Iterator[tuple[int, int, object]]:
         for zp in sorted(self.z_terms):
             vec = self.z_terms[zp]

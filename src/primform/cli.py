@@ -85,14 +85,10 @@ def cmd_info(args) -> int:
         "kind": "singularity-info",
         "name": name,
         "polynomial": f.render(),
-        "variables": list(f.variables),
-        "weights": [format_rational(q) for q in f.weights],
-        "central_charge": format_rational(central_charge(f.weights)),
+        **data.record_fields(),
         "milnor_number": data.mu,
-        "basis": data.basis_strings(),
         "basis_degrees": [format_rational(d) for d in data.degrees],
         "socle": mono_str(data.socle, f.variables),
-        "eta": [[format_rational(v) for v in row] for row in data.eta],
     }
     _emit(record, args)
     if args.format == "human":

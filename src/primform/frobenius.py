@@ -575,17 +575,12 @@ def prepotential_record(
     milnor: MilnorData, frob: FrobeniusData, singularity: str, checks: dict
 ) -> dict:
     """Assemble the canonical output record for a computed prepotential."""
-    f = milnor.f
     return {
         "kind": "prepotential",
         "singularity": singularity,
-        "variables": list(f.variables),
-        "weights": [format_rational(q) for q in f.weights],
+        **milnor.record_fields(),
         "order": frob.prepotential.order,
-        "central_charge": format_rational(central_charge(f.weights)),
-        "basis": milnor.basis_strings(),
         "flat_degrees": [format_rational(1 - d) for d in milnor.degrees],
-        "eta": [[format_rational(v) for v in row] for row in milnor.eta],
         "terms": frob.prepotential.to_records(),
         "checks": checks,
     }

@@ -337,8 +337,17 @@ class MilnorData:
     def basis_index(self, mono) -> int:
         return self._basis_index[mono]
 
-    def basis_strings(self) -> list[str]:
-        return [mono_str(m, self.f.variables) for m in self.basis]
+    def record_fields(self) -> dict:
+        """The fields that every record of f carries, as JSON values:
+        variables, weights, central charge, basis and eta."""
+        f = self.f
+        return {
+            "variables": list(f.variables),
+            "weights": [format_rational(q) for q in f.weights],
+            "central_charge": format_rational(central_charge(f.weights)),
+            "basis": [mono_str(m, f.variables) for m in self.basis],
+            "eta": [[format_rational(v) for v in row] for row in self.eta],
+        }
 
     def __repr__(self):
         return f"MilnorData({self.f.render()}, mu={self.mu})"

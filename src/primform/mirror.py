@@ -160,13 +160,6 @@ class InvertiblePolynomial:
                 best = key
         return best
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, InvertiblePolynomial)
-            and self.variables == other.variables
-            and self.exponent_matrix == other.exponent_matrix
-        )
-
     def __repr__(self):
         return f"InvertiblePolynomial({self.render()})"
 

@@ -115,8 +115,7 @@ class PrimitiveFormResult:
     """The solved pair (zeta, J) at the unfolding's s-order, J held at z >= floor,
     each as the solve makes it: one (D_k, {(z, idx): [(packed, int)]}) per
     s-degree k = 0..order, its ints D_k times the true coefficients and s^n
-    packed in base order + 1.  `zeta` and `J` are Fraction views, built on
-    each read."""
+    packed in base order + 1.  `J` is a Fraction view, built on each read."""
 
     __slots__ = ("zeta_slices", "j_slices", "state", "floor")
 
@@ -129,10 +128,6 @@ class PrimitiveFormResult:
     @property
     def order(self) -> int:
         return self.state.order
-
-    @property
-    def zeta(self) -> LaurentBlock:
-        return _block(self.zeta_slices, self.state.milnor.mu, self.order)
 
     @property
     def J(self) -> LaurentBlock:
@@ -152,12 +147,6 @@ class PrimitiveFormResult:
             (den, {idx: series for (zp, idx), series in terms.items() if zp == m})
             for den, terms in self.j_slices
         ]
-
-    def j_components(self, m: int) -> list[SSeries]:
-        """The mu component series of J at z power m <= -1, see `j_slices_at`."""
-        mu, order = self.state.milnor.mu, self.order
-        vec = _series(self.j_slices_at(m), mu, order)
-        return [vec.get(a, SSeries(mu, order)) for a in range(mu)]
 
 
 def _reduced_products(
@@ -214,25 +203,21 @@ def _reduced_products(
     return den, acc
 
 
-def _series(slices, mu: int, order: int) -> dict:
-    """{key: Fraction s-series} from (den, {key: [(packed, int)]}) slices of
-    distinct s-degrees; each packed monomial is unpacked where it is read,
-    as the same int seldom recurs within one slice."""
-    terms: dict = {}
+def _block(slices, mu: int, order: int) -> LaurentBlock:
+    """The Fraction view of (den, {(z, idx): [(packed, int)]}) slices of
+    distinct s-degrees, each packed monomial unpacked where it is read.
+    Kept only because perfbench/tracing.py counts J's terms through
+    `result.J.iter_terms()`; ROADMAP item 14 removes it."""
+    z_terms: dict = {}
     for den, vec in slices:
-        for key, series in vec.items():
-            slot = terms.setdefault(key, {})
+        for (zp, idx), series in vec.items():
+            slot = z_terms.setdefault(zp, {}).setdefault(idx, {})
             for p, v in series:
                 slot[unpack_monomial(p, order + 1, mu)] = Fraction(v, den)
-    return {key: SSeries(mu, order, slot) for key, slot in terms.items()}
-
-
-def _block(slices, mu: int, order: int) -> LaurentBlock:
-    """LaurentBlock from (den, {(z, idx): [(packed, int)]}) slices, see `_series`."""
-    z_terms: dict = {}
-    for (zp, idx), series in _series(slices, mu, order).items():
-        z_terms.setdefault(zp, {})[idx] = series
-    return LaurentBlock(z_terms)
+    return LaurentBlock({
+        zp: {idx: SSeries(mu, order, terms) for idx, terms in vec.items()}
+        for zp, vec in z_terms.items()
+    })
 
 
 def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
@@ -277,9 +262,11 @@ def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
     return PrimitiveFormResult(zeta_slices, j_slices, state, floor)
 
 
-def defect(result: PrimitiveFormResult) -> LaurentBlock:
+def defect(result: PrimitiveFormResult) -> list:
     """Fully re-reduced exp((F-f)/z) * zeta - J at z >= result.floor,
-    modulo s-order order+1.
+    modulo s-order order+1, as the (D_k, {(z, idx): [(packed, int)]})
+    slices of `PrimitiveFormResult` for the s-degrees k where it is
+    nonzero: [] on a fresh result.
 
     Every product E_m zeta_j with m + j <= order, m = 0 included, is formed
     again from the result's slices through the solve's own kernel,
@@ -287,15 +274,14 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
     `exp_parts(result.floor)`: what lands below the floor, and J there, is
     not checked.  The parts rest on the grading of zeta; a zeta perturbed
     off it is still caught at its lowest perturbed s-degree, where every
-    other product reads only unperturbed slices.  Slice k runs over the lcm
-    of its products' denominators and of J_k's D_k, and only a nonzero
-    remainder is divided back into Fractions.  On a fresh result every
-    product is the one the solve formed, so the defect catches a perturbed
-    zeta or J slice and a fault in the solve's gcd and split step, but not
-    one in the kernel or the lattice reduction: the x^n oracle, the
-    Fraction reference solve and the exactness of df ^ eta + z d(eta) check
-    those in the tests.  The defect drops the parts at its floor once read,
-    and `prepotential` those of every floor.
+    other product reads only unperturbed slices.  Slice k runs over D_k,
+    the lcm of its products' denominators and of J_k's.  On a fresh result
+    every product is the one the solve formed, so the defect catches a
+    perturbed zeta or J slice and a fault in the solve's gcd and split
+    step, but not one in the kernel or the lattice reduction: the x^n
+    oracle, the Fraction reference solve and the exactness of
+    df ^ eta + z d(eta) check those in the tests.  The defect drops the
+    parts at its floor once read, and `prepotential` those of every floor.
     """
     state, floor = result.state, result.floor
     remainder = []
@@ -312,7 +298,7 @@ def defect(result: PrimitiveFormResult) -> LaurentBlock:
         if left:
             remainder.append((den, left))
     state._parts.pop(floor, None)
-    return _block(remainder, state.milnor.mu, state.order) if remainder else LaurentBlock()
+    return remainder
 
 
 def defect_is_zero(result: PrimitiveFormResult) -> bool:

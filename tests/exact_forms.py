@@ -6,8 +6,11 @@ which is exact by construction, and reports whether its class vanishes.
 That is a check of the int reduction that shares none of its bookkeeping.
 ``add_term`` and ``plus_term`` accumulate into the ``{z: {index: coeff}}``
 dicts that a ``LaurentBlock`` is built from; the block drops what cancels.
-``const`` is the constant series.  ``result_from_blocks`` builds a solve
-result from Fraction blocks of zeta and J, such as a perturbed one.
+``const`` is the constant series.  ``zeta_block``, ``j_block`` and
+``defect_block`` are the Fraction views of a solve result's slices and of
+its defect, all by ``primitive._block``, and ``j_components`` reads J at
+one z power through ``frobenius._j_items``.  ``result_from_blocks`` builds
+a solve result from Fraction blocks of zeta and J, such as a perturbed one.
 ``spell`` and ``unspell`` turn Fraction series into the int words of
 ``frobenius._j_items`` and back, and ``unpacked`` reads packed int series
 as Fraction ones; ``invert`` and ``substitute`` run the int inversion and
@@ -18,14 +21,31 @@ from fractions import Fraction
 from math import lcm
 
 from primform.algebra import LaurentBlock, SSeries, pack_monomial, unpack_monomial
-from primform.frobenius import _substitute_ints, invert_coordinates
+from primform.frobenius import _j_items, _substitute_ints, invert_coordinates
 from primform.milnor import monomial_class
-from primform.primitive import PrimitiveFormResult
+from primform.primitive import PrimitiveFormResult, _block, defect
 
 
 def const(nvars: int, order: int | None, value) -> SSeries:
     """The constant `value` as a series in nvars variables at `order`."""
     return SSeries(nvars, order, {(0,) * nvars: Fraction(value)})
+
+
+def zeta_block(result) -> LaurentBlock:
+    return _block(result.zeta_slices, result.state.milnor.mu, result.order)
+
+
+def j_block(result) -> LaurentBlock:
+    return _block(result.j_slices, result.state.milnor.mu, result.order)
+
+
+def defect_block(result) -> LaurentBlock:
+    return _block(defect(result), result.state.milnor.mu, result.order)
+
+
+def j_components(result, m: int) -> list[SSeries]:
+    """The mu component series of J at z power m <= -1."""
+    return unspell(_j_items(result, m))
 
 
 def add_term(z_terms: dict, zp: int, idx: int, coeff) -> None:
@@ -98,7 +118,7 @@ def verify_exact_class(h: list, data) -> bool:
     # [df ^ eta] = -z [d(eta)]: the second class shifted one z power up.
     lowered = reduce_form(-derivative_part, data)
     raised = LaurentBlock({zp + 1: vec for zp, vec in lowered.z_terms.items()})
-    return reduce_form(pairing_part, data) == raised
+    return reduce_form(pairing_part, data).z_terms == raised.z_terms
 
 
 def spell(series: list[SSeries]) -> tuple:

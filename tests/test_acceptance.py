@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 from itertools import product
 
-from exact_forms import const, verify_exact_class
+from exact_forms import const, j_block, j_components, verify_exact_class, zeta_block
 from primform.algebra import SSeries, mat_det, parse_rational
 from primform.catalog import EXCEPTIONAL_NAMES, load_catalog
 from primform.frobenius import euler_check, normalization_check, prepotential, wdvv_check
@@ -99,7 +99,7 @@ def test_criterion_3_u12_four_point_function():
 
     # Normalization zeta = dx dy dz + O(s).
     mu = data.mu
-    assert result.zeta.component(0)[0].degree_part(0) == const(mu, 4, 1)
+    assert zeta_block(result).z_terms[0][0].degree_part(0) == const(mu, 4, 1)
 
     frob = prepotential(result, data)
     degree4 = frob.prepotential.degree_part(4)
@@ -177,18 +177,18 @@ def test_criterion_6_independent_small_oracle(catalog, milnor_cache):
         result = solve_star(build_unfolding(catalog[name].weighted_polynomial(), data, 4), floor=-4)
 
         engine_zeta = {
-            (zp, idx): series.terms for zp, idx, series in result.zeta.iter_terms()
+            (zp, idx): series.terms for zp, idx, series in zeta_block(result).iter_terms()
         }
         assert engine_zeta == {k: v for k, v in oracle["zeta"].items() if v}, name
 
         engine_j_neg = {
             (zp, idx): series.terms
-            for zp, idx, series in result.J.iter_terms()
+            for zp, idx, series in j_block(result).iter_terms()
             if zp <= -1
         }
         assert engine_j_neg == oracle["J"], name
 
-        engine_t = [t.terms for t in result.j_components(-1)]
+        engine_t = [t.terms for t in j_components(result, -1)]
         assert engine_t == oracle["t_of_s"], name
 
         frob = prepotential(result, data)
@@ -310,7 +310,7 @@ def test_criterion_8_property_suites(catalog, milnor_cache, solved_cache):
         state = result.state
         stored = [
             (zp, idx, mono)
-            for block in (result.zeta, result.J)
+            for block in (zeta_block(result), j_block(result))
             for zp, idx, series in block.iter_terms()
             for mono in series.terms
         ]

@@ -38,7 +38,7 @@ class TestReduce:
         for g, c in ((g1, a), (g2, b)):
             for zp, idx, v in reduce_form(g, data).iter_terms():
                 add_term(rhs, zp, idx, v * c)
-        assert lhs == LaurentBlock(rhs)
+        assert lhs.z_terms == LaurentBlock(rhs).z_terms
 
     def test_z_positivity(self, catalog, milnor_cache):
         rng = random.Random(17)
@@ -107,4 +107,4 @@ class TestSSeriesCoefficients:
 
     def test_empty_input(self, milnor_cache):
         data = milnor_cache("A2")
-        assert reduce_form({}, data) == LaurentBlock()
+        assert reduce_form({}, data).z_terms == {}

@@ -11,7 +11,7 @@ import pytest
 
 import primform
 from primform import cli
-from exact_forms import const, plus_term, result_from_blocks
+from exact_forms import const, j_block, plus_term, result_from_blocks, zeta_block
 from primform.algebra import SSeries
 from primform.cli import main
 from primform.frobenius import FrobeniusData
@@ -347,9 +347,9 @@ class TestCompute:
         # A constant in J_(-2) is no gradient of a normalized F0; the raise
         # reaches main like any ArithmeticError.
         def broken(result, data):
-            J = plus_term(result.J, -2, 0, const(data.mu, result.order, Fraction(1, 7)))
+            J = plus_term(j_block(result), -2, 0, const(data.mu, result.order, Fraction(1, 7)))
             return primform.prepotential(
-                result_from_blocks(result.zeta, J, result.state, result.floor),
+                result_from_blocks(zeta_block(result), J, result.state, result.floor),
                 data,
             )
 
@@ -386,8 +386,8 @@ class TestCompute:
         def perturbed(state):
             result = primform.solve_star(state)
             extra = SSeries.variable(state.milnor.mu, 0, state.order).scale(Fraction(1, 7))
-            zeta = plus_term(result.zeta, 0, 0, extra)
-            return result_from_blocks(zeta, result.J, state, result.floor)
+            zeta = plus_term(zeta_block(result), 0, 0, extra)
+            return result_from_blocks(zeta, j_block(result), state, result.floor)
 
         monkeypatch.setattr(cli, "solve_star", perturbed)
         path = tmp_path / "a3.json"

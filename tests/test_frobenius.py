@@ -11,10 +11,13 @@ from primform import frobenius
 from exact_forms import (
     const,
     invert,
+    j_block,
+    j_components,
     plus_term,
     result_from_blocks,
     substitute,
     unspell,
+    zeta_block,
 )
 from primform.algebra import SSeries, format_rational, mat_inv, mono_mul, unpack_monomial
 from primform.frobenius import (
@@ -95,11 +98,11 @@ def two_pass_prepotential(result, milnor, inverses=INVERSES):
     Fraction view and inverts and composes by `full_order_inverse` and
     `pull_back`, so no fault in the engine's int fold reaches it."""
     mu, order = milnor.mu, result.order
-    t_of_s = result.j_components(-1)
+    t_of_s = j_components(result, -1)
     key = (order, tuple(frozenset(t.terms.items()) for t in t_of_s))
     if key not in inverses:
         inverses[key] = full_order_inverse(t_of_s, order), {}
-    j_minus2_t = pull_back(result.j_components(-2), *inverses[key])
+    j_minus2_t = pull_back(j_components(result, -2), *inverses[key])
     gradient = []
     for row in milnor.eta:
         g = SSeries(mu, order)
@@ -143,10 +146,10 @@ def misspelled_j_components(result):
 
 def with_j_minus2_added(result, extras):
     """The solved result with extras[b] added to component b of J_(-2)."""
-    J = result.J
+    J = j_block(result)
     for b, extra in enumerate(extras):
         J = plus_term(J, -2, b, extra)
-    return result_from_blocks(result.zeta, J, result.state, result.floor)
+    return result_from_blocks(zeta_block(result), J, result.state, result.floor)
 
 
 class TestFlatCoordinates:
@@ -297,7 +300,7 @@ class TestInvertCoordinates:
 
     def test_growing_order_equals_full_order_fixed_point(self, solved_cache):
         cases = [
-            (solved_cache(name, order).j_components(-1), order)
+            (j_components(solved_cache(name, order), -1), order)
             for name, order in (("E12", 6), ("U12", 6), ("W13", 5))
         ]
         rng = random.Random(91)
@@ -319,7 +322,7 @@ class TestInvertCoordinates:
     def test_full_order_oracle_catches_a_faulty_fold(self, solved_cache, monkeypatch):
         # Negative control of the oracle: a kernel that drops the top degree
         # of every product breaks the engine's inverse but not the oracle.
-        t_of_s = solved_cache("E12", 4).j_components(-1)
+        t_of_s = j_components(solved_cache("E12", 4), -1)
         expected = full_order_inverse(t_of_s, 4)
         kernel = frobenius.graded_dot
 
@@ -341,8 +344,8 @@ class TestInvertCoordinates:
             (const(mu, 4, F(1, 5)), "must vanish at the origin"),
         ]
         for extra, message in cases:
-            J = plus_term(result.J, -1, 0, extra)
-            bad = result_from_blocks(result.zeta, J, result.state, result.floor)
+            J = plus_term(j_block(result), -1, 0, extra)
+            bad = result_from_blocks(zeta_block(result), J, result.state, result.floor)
             with pytest.raises(ValueError, match=message):
                 prepotential(bad, data)
 
@@ -499,7 +502,7 @@ class TestIntegrability:
         for name, order in self.CASES:
             result = solved_cache(name, order)
             for m in (-2, -1):
-                components = result.j_components(m)
+                components = j_components(result, m)
                 assert any(components), (name, m)
                 for series in components:
                     assert min(map(sum, series.terms), default=-m) >= -m, (name, m)
@@ -605,7 +608,7 @@ class TestIntegrability:
                     for a, entry in enumerate(row):
                         component = component + potential.diff(a).scale(entry)
                     field.append(component)
-                moved = with_j_minus2_added(result, pull_back(field, result.j_components(-1)))
+                moved = with_j_minus2_added(result, pull_back(field, j_components(result, -1)))
                 if degree < 3:
                     for check in (prepotential, two_pass_prepotential):
                         with pytest.raises(IntegrabilityError):

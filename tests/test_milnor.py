@@ -83,7 +83,7 @@ class TestMilnorBasis:
     def test_u12_matches_published_list(self, milnor_cache):
         data = milnor_cache("U12")
         assert data.mu == 12
-        assert data.basis_strings() == [
+        assert data.record_fields()["basis"] == [
             "1", "z", "x", "y", "z^2", "x*z", "y*z", "x*y",
             "x*z^2", "y*z^2", "x*y*z", "x*y*z^2",
         ]

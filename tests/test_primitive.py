@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from exact_forms import const
+from exact_forms import const, j_block, j_components, zeta_block
 from primform import milnor, primitive
 from primform.algebra import LaurentBlock, SSeries, mono_mul, unpack_monomial, weighted_degree
 from primform.frobenius import prepotential
@@ -143,8 +143,8 @@ class TestSolveStar:
             result = solve_star(state)
             mu = state.milnor.mu
             one = const(mu, 0, 1)
-            assert result.zeta.z_terms == {0: {0: one}}
-            assert result.J.z_terms == {0: {0: one}}
+            assert zeta_block(result).z_terms == {0: {0: one}}
+            assert j_block(result).z_terms == {0: {0: one}}
 
     def test_a2_order_one(self, catalog, milnor_cache):
         state = build_unfolding(
@@ -152,31 +152,32 @@ class TestSolveStar:
         )
         result = solve_star(state)
         # zeta gets no correction; J_(-1) = s_1 phi_1 + s_2 phi_2.
-        assert result.zeta.z_terms == {0: {0: const(2, 1, 1)}}
-        jm1 = result.j_components(-1)
+        assert zeta_block(result).z_terms == {0: {0: const(2, 1, 1)}}
+        jm1 = j_components(result, -1)
         assert jm1[0] == SSeries.variable(2, 0, 1)
         assert jm1[1] == SSeries.variable(2, 1, 1)
 
     def test_volume_normalization(self, solved_cache, catalog):
         for name in ("A3", "E12", "U12"):
             result = solved_cache(name, 3)
-            mu = result.state.milnor.mu
+            mu, zeta, J = result.state.milnor.mu, zeta_block(result), j_block(result)
             # zeta's s-degree-0 part is exactly the volume class.
-            constant = result.zeta.component(0).get(0)
+            constant = zeta.z_terms[0].get(0)
             assert constant.degree_part(0) == const(mu, 3, 1)
-            for zp in sorted(result.zeta.z_terms):
+            for zp in sorted(zeta.z_terms):
                 assert zp >= 0
             # J's nonnegative part is the bare volume class.
-            for zp in sorted(result.J.z_terms):
+            for zp in sorted(J.z_terms):
                 assert zp <= 0
-            assert result.J.component(0) == {0: const(mu, 3, 1)}
+            assert J.z_terms[0] == {0: const(mu, 3, 1)}
 
     def test_determinism(self, catalog, milnor_cache):
         data = milnor_cache("Q10")
         f = catalog["Q10"].weighted_polynomial()
         r1 = solve_star(build_unfolding(f, data, 3))
         r2 = solve_star(build_unfolding(f, data, 3))
-        assert r1.zeta == r2.zeta and r1.J == r2.J
+        assert zeta_block(r1).z_terms == zeta_block(r2).z_terms
+        assert j_block(r1).z_terms == j_block(r2).z_terms
 
     def test_work_counters_pinned(self, catalog, monkeypatch):
         # Series products, J terms, reduction-cache entries, the total
@@ -220,7 +221,7 @@ class TestSolveStar:
                 patch.setattr(milnor, "monomial_class", counting_class)
                 patch.setattr(primitive, "monomial_class", counting_class)
                 result = solve_star(state, floor=-4)
-            j_terms = sum(len(series.terms) for _, _, series in result.J.iter_terms())
+            j_terms = sum(len(series.terms) for _, _, series in j_block(result).iter_terms())
             echelon = sum(len(system.echelon) for system in data._divider._systems.values())
             counts[name] = (len(calls), j_terms, len(data._reduce_cache), echelon, len(hits))
             eliminated[name] = len(columns)
@@ -254,7 +255,7 @@ class TestSolveStar:
             f = catalog[name].weighted_polynomial()
             data = milnor_basis(f)
             result = solve_star(build_unfolding(f, data, 4))
-            j_terms = sum(len(series.terms) for _, _, series in result.J.iter_terms())
+            j_terms = sum(len(series.terms) for _, _, series in j_block(result).iter_terms())
             counts[name] = (j_terms, len(data._reduce_cache))
         assert counts == {"E12": (635, 100), "U12": (419, 220)}
 
@@ -285,8 +286,8 @@ class TestSolveStar:
                 {zp: {i: c.truncate(3) for i, c in vec.items()} for zp, vec in block.z_terms.items()}
             )
 
-        assert cut(full.zeta) == fresh.zeta
-        assert cut(full.J) == fresh.J
+        assert cut(zeta_block(full)).z_terms == zeta_block(fresh).z_terms
+        assert cut(j_block(full)).z_terms == j_block(fresh).z_terms
 
 
 class TestFloor:
@@ -299,9 +300,9 @@ class TestFloor:
             state = build_unfolding(catalog[name].weighted_polynomial(), data, order)
             floored = solve_star(state)
             assert floored.floor == -2 and full.floor == -order
-            assert floored.zeta == full.zeta, name
-            cut = {zp: vec for zp, vec in full.J.z_terms.items() if zp >= -2}
-            assert floored.J.z_terms == cut, name
+            assert zeta_block(floored).z_terms == zeta_block(full).z_terms, name
+            cut = {zp: vec for zp, vec in j_block(full).z_terms.items() if zp >= -2}
+            assert j_block(floored).z_terms == cut, name
             f0 = prepotential(floored, data).prepotential
             assert f0 == frobenius_cache(name, order).prepotential, name
 
@@ -328,9 +329,10 @@ class TestFloor:
         original = UnfoldingState.exp_parts
         monkeypatch.setattr(UnfoldingState, "exp_parts", lambda st, floor: original(st, floor + 1))
         strict = solve_star(state)
-        assert strict.zeta == right.zeta
-        assert strict.J.component(-1) == right.J.component(-1)
-        assert strict.J.component(-2) != right.J.component(-2)
+        assert zeta_block(strict).z_terms == zeta_block(right).z_terms
+        strict_j, right_j = j_block(strict).z_terms, j_block(right).z_terms
+        assert strict_j.get(-1) == right_j.get(-1)
+        assert strict_j.get(-2) != right_j.get(-2)
 
     @pytest.mark.parametrize("name, terms", [("E12", 2636), ("U12", 3599), ("W13", 4464)])
     def test_reversed_basis(self, name, terms, catalog):
@@ -339,20 +341,21 @@ class TestFloor:
         data = milnor_basis(f, basis=list(reversed(milnor_basis(f).basis)))
         state = build_unfolding(f, data, 5)
         full, floored = solve_star(state, floor=-5), solve_star(state)
-        assert floored.zeta == full.zeta
-        assert floored.J.z_terms == {zp: vec for zp, vec in full.J.z_terms.items() if zp >= -2}
+        assert zeta_block(floored).z_terms == zeta_block(full).z_terms
+        cut = {zp: vec for zp, vec in j_block(full).z_terms.items() if zp >= -2}
+        assert j_block(floored).z_terms == cut
         assert defect_is_zero(floored)
         assert exp_terms(state.exp_parts(-2)) == terms
 
     def test_below_floor_raises(self, catalog, milnor_cache, solved_cache):
         state = build_unfolding(catalog["E12"].weighted_polynomial(), milnor_cache("E12"), 4)
         result = solve_star(state)
-        assert any(result.j_components(-2))
+        assert any(j_components(result, -2))
         with pytest.raises(ValueError, match="only down to z\\^-2"):
-            result.j_components(-3)
+            j_components(result, -3)
         # Below z^-order J is zero by degree, whatever the floor.
         full = solved_cache("E12", 4)
-        assert full.j_components(-5) == [SSeries(full.state.milnor.mu, 4)] * full.state.milnor.mu
+        assert j_components(full, -5) == [SSeries(full.state.milnor.mu, 4)] * full.state.milnor.mu
         with pytest.raises(ValueError, match="floor must be <= 0"):
             solve_star(state, floor=1)
 
@@ -361,15 +364,16 @@ class TestJComponents:
     def test_rejects_nonnegative_power(self, solved_cache):
         result = solved_cache("A2", 2)
         with pytest.raises(ValueError):
-            result.j_components(0)
+            j_components(result, 0)
 
     def test_z_powers_bounded_below_by_order(self, solved_cache, catalog):
         # Each z^(-1) is produced only together with at least one s factor.
         for name in ("E12", "U12", "P8"):
             for order in (2, 4):
                 result = solved_cache(name, order)
-                assert min(sorted(result.J.z_terms)) >= -order
-                for zp, _, series in result.J.iter_terms():
+                J = j_block(result)
+                assert min(sorted(J.z_terms)) >= -order
+                for zp, _, series in J.iter_terms():
                     if zp < 0:
                         for mono in series.terms:
                             assert sum(mono) >= -zp
@@ -378,7 +382,7 @@ class TestJComponents:
         for name in ("D4", "S11"):
             result = solved_cache(name, 2)
             mu = result.state.milnor.mu
-            jm1 = result.j_components(-1)
+            jm1 = j_components(result, -1)
             for alpha in range(mu):
                 linear = jm1[alpha].degree_part(1)
                 assert linear == SSeries.variable(mu, alpha, result.order).truncate(
@@ -391,7 +395,7 @@ class TestJComponents:
 
         for name in EXCEPTIONAL_NAMES:
             result = solved_cache(name, 2)
-            for series in result.j_components(-2):
+            for series in j_components(result, -2):
                 assert not series.degree_part(1)
                 assert not series.degree_part(0)
 
@@ -409,7 +413,7 @@ class TestGrading:
         for name in ("A4", "Z12", "U12", "P8"):
             result = solved_cache(name, 4)
             s_degrees, degrees = result.state.s_degrees, result.state.milnor.degrees
-            for block in (result.zeta, result.J):
+            for block in (zeta_block(result), j_block(result)):
                 for zp, idx, series in block.iter_terms():
                     for mono in series.terms:
                         assert weighted_degree(mono, s_degrees) + zp + degrees[idx] == 0, name
@@ -424,7 +428,7 @@ class TestGrading:
             state = result.state
             terms = [
                 (zp, idx, mono)
-                for block in (result.zeta, result.J)
+                for block in (zeta_block(result), j_block(result))
                 for zp, idx, series in block.iter_terms()
                 for mono in series.terms
             ]
