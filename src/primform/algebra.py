@@ -9,7 +9,8 @@ run on Python ints instead: each scales its rationals by one common
 denominator, packs each monomial into one int (``pack_monomial``), forms
 every product with the one kernel ``graded_dot``, and divides back to
 reduced Fractions only for the values it returns; exp(F - f) is built
-on packed x-monomials too.
+on packed x-monomials too.  The Jacobian division and the WDVV generating
+set share one fraction-free int echelon (`eliminate`, `echelon_row`).
 
 Representations:
 
@@ -29,7 +30,7 @@ The canonical term order used for printing and serialization is graded
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 from typing import Iterable, Iterator
 
 
@@ -136,6 +137,45 @@ def graded_dot(lefts, rights, bound: int) -> dict:
                         m = ml + mr
                         acc[m] = acc.get(m, 0) + cl * cr
     return buckets
+
+
+def eliminate(vec, combo, echelon):
+    """Reduce the int column (vec, combo), each {key: int}, in place
+    against the echelon, {pivot key: `echelon_row`}.  Each step clears the
+    smallest key of vec, and each row leads at its pivot, so the frontier
+    strictly increases: entry c against pivot value p scales the column by
+    p/g and subtracts c/g times the row, g = gcd(p, c).  Returns the first
+    key no row covers, the pivot of a new row, or None when vec clears.
+    vec must hold no zero entry: a zero at an uncovered key would be
+    returned as a pivot."""
+    while vec:
+        r = min(vec)
+        hit = echelon.get(r)
+        if hit is None:
+            return r
+        p, evec, ecombo = hit
+        g = gcd(p, vec[r])
+        a, b = p // g, vec[r] // g
+        for target, row in ((vec, evec), (combo, ecombo)):
+            if a != 1:
+                for key in target:
+                    target[key] *= a
+            for key, c in row.items():
+                updated = target.get(key, 0) - b * c
+                if updated:
+                    target[key] = updated
+                else:
+                    target.pop(key, None)
+    return None
+
+
+def echelon_row(pivot, vec, combo):
+    """(p, vec, combo) divided by their content, signed so that p > 0."""
+    g = gcd(*vec.values(), *combo.values())
+    if vec[pivot] < 0:
+        g = -g
+    vec, combo = ({k: c // g for k, c in part.items()} for part in (vec, combo))
+    return vec[pivot], vec, combo
 
 
 def mono_str(exps: tuple[int, ...], names: Iterable[str]) -> str:

@@ -185,6 +185,9 @@ def cmd_mirror(args) -> int:
     weights = weights_from_matrix(w)
     group = diagonal_symmetries(w)
     names = _invertible_catalog_index(catalog)
+    # canonical_key is a minimum over all n! variable permutations, so it is
+    # formed only when the catalog holds a polynomial in as many variables.
+    known = any(len(key) == wt.nvars for key in names)
     record = {
         "kind": "mirror-info",
         "name": name,
@@ -192,7 +195,7 @@ def cmd_mirror(args) -> int:
         "variables": list(w.variables),
         "exponent_matrix": [list(row) for row in w.exponent_matrix],
         "transpose_polynomial": wt.render(),
-        "transpose_name": names.get(wt.canonical_key()),
+        "transpose_name": names.get(wt.canonical_key()) if known else None,
         "weights": [format_rational(q) for q in weights],
         "central_charge": format_rational(central_charge(weights)),
         "aut_order": group.order,

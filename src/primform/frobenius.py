@@ -25,6 +25,8 @@ from math import factorial, gcd, lcm, prod
 from .algebra import (
     SSeries,
     as_list,
+    echelon_row,
+    eliminate,
     format_rational,
     graded,
     graded_dot,
@@ -229,7 +231,7 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
     d <= N, and each F_J is divided out once.
 
     mu and eta are read off result.state.milnor, and `milnor` must be that
-    object.  Like `defect`, it drops the parts of exp(F - f), at every floor.
+    object.  It drops the parts of exp(F - f), at every floor.
     """
     data = result.state.milnor
     if milnor is not data:
@@ -344,35 +346,29 @@ def _generating_set(cubic: list, raising: list) -> list:
     entries).  Index k joins S when d_k is not in the span of the earlier
     members closed under the product.  The closure multiplies every pair of
     its basis vectors, so no associativity is assumed, and stops once the
-    span has dimension mu.  Exact elimination on int vectors, each with its
-    first nonzero entry at its own pivot."""
-    mu, basis, chosen = len(raising), {}, []
+    span has dimension mu.  The span is an `eliminate` echelon of
+    {index: int} vectors, with no combination; a product's zero entries are
+    dropped before it is eliminated, and a zero product clears at once."""
+    mu, echelon, chosen = len(raising), {}, []
     for k in range(mu):
-        size, pending = len(basis), [[int(i == k) for i in range(mu)]]
-        while pending and len(basis) < mu:
+        size, pending = len(echelon), [{k: 1}]
+        while pending and len(echelon) < mu:
             v = pending.pop()
-            for p, b in sorted(basis.items()):
-                if v[p]:
-                    v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
-            if not any(v):
+            pivot = eliminate(v, {}, echelon)
+            if pivot is None:
                 continue
-            g = gcd(*v)
-            v = [x // g for x in v]
-            basis[next(i for i, x in enumerate(v) if x)] = v
-            for w in basis.values():
-                lowered, product = [0] * mu, [0] * mu
-                for a, x in enumerate(v):
-                    if x:
-                        for b, y in enumerate(w):
-                            if y:
-                                for e, c in cubic[a][b].items():
-                                    lowered[e] += x * y * c
-                for e, c in enumerate(lowered):
-                    if c:
-                        for f, r in raising[e]:
-                            product[f] += c * r
-                pending.append(product)
-        if len(basis) > size:
+            _, v, _ = echelon[pivot] = echelon_row(pivot, v, {})
+            for _, w, _ in echelon.values():
+                lowered, product = {}, {}
+                for a, x in v.items():
+                    for b, y in w.items():
+                        for e, c in cubic[a][b].items():
+                            lowered[e] = lowered.get(e, 0) + x * y * c
+                for e, c in lowered.items():
+                    for f, r in raising[e]:
+                        product[f] = product.get(f, 0) + c * r
+                pending.append({f: c for f, c in product.items() if c})
+        if len(echelon) > size:
             chosen.append(k)
     return chosen
 
@@ -416,8 +412,8 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
     L_ab^f = sum_e eta^{fe} F_abe, through the nonzero entries of eta^-1
     only, held as constant series.  Every pairing of a multiset with least
     index a puts a in its first pair, so only the L_ab of the current a are
-    held, and those of an a outside S below the last index of S, kept for
-    the second walk.  X_{ab|cd} = sum_f L_ab^f F_fcd skips term pairs whose
+    held; the second walk forms again those of an a outside S below the
+    last index of S.  X_{ab|cd} = sum_f L_ab^f F_fcd skips term pairs whose
     degrees add up past order - 3, and is compared degree by degree as the
     kernel returns it; only pairings that differ there are compared again
     without their cancelled terms.
@@ -460,9 +456,8 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
     in_s = [i in chosen for i in range(mu)]
 
     # First the multisets that hold an index of S, then, only if one of
-    # them failed, the rest; kept holds the L_ab rows the second walk reuses.
+    # them failed, the rest.
     violations: list = []
-    kept: dict = {}
     for held in (True, False):
         if not held and not violations:
             break
@@ -470,14 +465,10 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
             if in_s[a] and not held:
                 continue
             # raised[b] = [(f, L_ab^f), ...] over the nonzero L_ab^f, for b >= a.
-            raised = kept.pop(a, None)
-            if raised is None:
-                raised = [None] * mu
-                for b in range(a, mu):
-                    lifted = (graded(graded_dot(row, tensor[a][b], check_order)) for row in raising)
-                    raised[b] = [(f, series) for f, series in enumerate(lifted) if series]
-                if held and not in_s[a]:
-                    kept[a] = raised
+            raised = [None] * mu
+            for b in range(a, mu):
+                lifted = (graded(graded_dot(row, tensor[a][b], check_order)) for row in raising)
+                raised[b] = [(f, series) for f, series in enumerate(lifted) if series]
             for b, c, d in combinations_with_replacement(range(a, mu), 3):
                 if (in_s[a] or in_s[b] or in_s[c] or in_s[d]) != held:
                     continue

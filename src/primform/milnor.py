@@ -15,6 +15,8 @@ from math import gcd, lcm, prod
 
 from .algebra import (
     SSeries,
+    echelon_row,
+    eliminate,
     format_rational,
     mat_det,
     mat_solve,
@@ -109,18 +111,6 @@ class _DegreeSystem:
 _TARGET = ("t",)
 
 
-def _echelon_row(pivot, vec, combo):
-    """(p, vec, combo) divided by their content, signed so that p > 0."""
-    g = gcd(*vec.values(), *combo.values())
-    if vec[pivot] < 0:
-        g = -g
-    return (
-        vec[pivot] // g,
-        {r: c // g for r, c in vec.items()},
-        {k: c // g for k, c in combo.items()},
-    )
-
-
 class _JacobianDivider:
     """Per-degree exact solver for g = sum(c_a phi_a) + sum(q_i d_i f).
 
@@ -129,13 +119,14 @@ class _JacobianDivider:
     prefers the smallest monomial in the canonical graded order, so the
     basis and every division witness are deterministic.
 
-    The elimination runs on ints.  A column is a vector over the monomials
-    of one degree together with its combination of generator columns
-    (m * d_i f, keyed ("g", i, m)) and basis unit columns (keyed ("b", m)),
-    and stays an integer combination throughout: each step scales it by an
-    int to clear one entry, and each echelon row is stored divided by its
-    content.  A designated `basis` (int exponent tuples) replaces the
-    canonical choice; the constructor groups it by scaled degree.
+    The elimination runs on ints, by `eliminate`.  A column is a vector
+    over the monomials of one degree together with its combination of
+    generator columns (m * d_i f, keyed ("g", i, m)) and basis unit columns
+    (keyed ("b", m)), and stays an integer combination throughout: each
+    step scales it by an int to clear one entry, and each echelon row is
+    stored divided by its content.  A designated `basis` (int exponent
+    tuples) replaces the canonical choice; the constructor groups it by
+    scaled degree.
     """
 
     def __init__(self, f: WeightedPolynomial, basis=None):
@@ -185,36 +176,6 @@ class _JacobianDivider:
         self._monos_cache[sdeg] = found
         return found
 
-    def _eliminate(self, vec, combo, echelon):
-        """Reduce the int column (vec, combo) against the echelon, in place.
-
-        Works through the smallest remaining monomial row; each echelon
-        vector leads at its pivot row, so the frontier strictly increases.
-        Clearing entry c against pivot value p scales the column by p/g and
-        subtracts c/g times the echelon row, g = gcd(p, c).  Returns the
-        first uncovered row (the pivot for a new column) or None when the
-        column eliminates completely.
-        """
-        while vec:
-            r = min(vec)
-            hit = echelon.get(r)
-            if hit is None:
-                return r
-            p, evec, ecombo = hit
-            g = gcd(p, vec[r])
-            a, b = p // g, vec[r] // g
-            for target, row in ((vec, evec), (combo, ecombo)):
-                if a != 1:
-                    for key in target:
-                        target[key] *= a
-                for key, c in row.items():
-                    updated = target.get(key, 0) - b * c
-                    if updated:
-                        target[key] = updated
-                    else:
-                        target.pop(key, None)
-        return None
-
     def system(self, sdeg: int) -> _DegreeSystem:
         sys = self._systems.get(sdeg)
         if sys is not None:
@@ -235,9 +196,9 @@ class _JacobianDivider:
                     vec[row] = vec.get(row, 0) + jc
                 vec = {r: c for r, c in vec.items() if c}
                 combo = {("g", i, m): 1}
-                pivot = self._eliminate(vec, combo, echelon)
+                pivot = eliminate(vec, combo, echelon)
                 if pivot is not None:
-                    echelon[pivot] = _echelon_row(pivot, vec, combo)
+                    echelon[pivot] = echelon_row(pivot, vec, combo)
         if self.designated is not None:
             basis_monos = list(self.designated.get(sdeg, []))
             free = len(monos) - len(echelon)
@@ -253,13 +214,13 @@ class _JacobianDivider:
         for bm in basis_monos:
             vec = {index[bm]: 1}
             combo = {("b", bm): 1}
-            pivot = self._eliminate(vec, combo, echelon)
+            pivot = eliminate(vec, combo, echelon)
             if pivot is None:
                 raise ValueError(
                     f"designated basis monomial {bm} is not independent "
                     "modulo the Jacobian ideal"
                 )
-            echelon[pivot] = _echelon_row(pivot, vec, combo)
+            echelon[pivot] = echelon_row(pivot, vec, combo)
         sys = _DegreeSystem(index, echelon, basis_monos)
         self._systems[sdeg] = sys
         return sys
@@ -286,7 +247,7 @@ class _JacobianDivider:
         sys = self.system(sdeg)
         vec = {sys.index[rest]: 1}
         combo = {_TARGET: 1}
-        leftover = self._eliminate(vec, combo, sys.echelon)
+        leftover = eliminate(vec, combo, sys.echelon)
         if leftover is not None:
             raise NonIsolatedSingularityError(
                 "Jacobian quotient persists at scaled degree "
@@ -319,7 +280,7 @@ class MilnorData:
         "socle",
         "eta",
         "_divider",
-        "_basis_index",
+        "basis_index",
         "_reduce_cache",
     )
 
@@ -330,12 +291,9 @@ class MilnorData:
         self.degrees = tuple(degrees)
         self.socle = socle
         self._divider = divider
-        self._basis_index = {m: i for i, m in enumerate(self.basis)}
+        self.basis_index = {m: i for i, m in enumerate(self.basis)}
         self._reduce_cache = {}
         self.eta = residue_pairing(self)
-
-    def basis_index(self, mono) -> int:
-        return self._basis_index[mono]
 
     def record_fields(self) -> dict:
         """The fields that every record of f carries, as JSON values:
@@ -386,7 +344,7 @@ def monomial_class(mono: tuple, data: MilnorData) -> tuple[int, list]:
             next_terms[key] = next_terms.get(key, 0) - qc * e
     lower = [(nc, monomial_class(nm, data)) for nm, nc in next_terms.items() if nc]
     scale = den * lcm(*(r for _, (r, _) in lower))
-    acc = {(0, data.basis_index(m)): c * (scale // den) for m, c in basis_part.items()}
+    acc = {(0, data.basis_index[m]): c * (scale // den) for m, c in basis_part.items()}
     for nc, (r, entries) in lower:
         factor = nc * (scale // (den * r))
         for zp, idx, c in entries:
@@ -474,7 +432,7 @@ def divide_by_jacobian(g: SSeries, data: MilnorData):
     for mono, c in g.terms.items():
         den, basis_part, gen_part = divider.solve_monomial(mono)
         for bm, b in basis_part.items():
-            coeffs[data.basis_index(bm)] += c * Fraction(b, den)
+            coeffs[data.basis_index[bm]] += c * Fraction(b, den)
         for (var, qm), q in gen_part.items():
             quotients[var][qm] = quotients[var].get(qm, Fraction(0)) + c * Fraction(q, den)
     return coeffs, [SSeries(f.nvars, None, q) for q in quotients]
@@ -505,7 +463,7 @@ def residue_pairing(data: MilnorData):
     of divide_by_jacobian(hessian_determinant(f), data).  Returns eta.
     """
     hess = hessian_determinant(data.f)
-    socle_idx = data.basis_index(data.socle)
+    socle_idx = data.basis_index[data.socle]
     hess_coeffs, _ = divide_by_jacobian(hess, data)
     h = hess_coeffs[socle_idx]
     if not h:

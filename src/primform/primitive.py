@@ -247,7 +247,7 @@ def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
     milnor, order = state.milnor, state.order
 
     # Both start at the volume form: the monomial 1, wherever the basis puts it.
-    volume = {(0, milnor.basis_index((0,) * milnor.f.nvars)): [(0, 1)]}
+    volume = {(0, milnor.basis_index[(0,) * milnor.f.nvars]): [(0, 1)]}
     zeta_slices = [(1, volume)]
     j_slices = [(1, volume)]
     for k in range(1, order + 1):
@@ -280,8 +280,7 @@ def defect(result: PrimitiveFormResult) -> list:
     perturbed zeta or J slice and a fault in the solve's gcd and split
     step, but not one in the kernel or the lattice reduction: the x^n
     oracle, the Fraction reference solve and the exactness of
-    df ^ eta + z d(eta) check those in the tests.  The defect drops the
-    parts at its floor once read, and `prepotential` those of every floor.
+    df ^ eta + z d(eta) check those in the tests.
     """
     state, floor = result.state, result.floor
     remainder = []
@@ -297,7 +296,6 @@ def defect(result: PrimitiveFormResult) -> list:
         left = dict(graded(acc))
         if left:
             remainder.append((den, left))
-    state._parts.pop(floor, None)
     return remainder
 
 

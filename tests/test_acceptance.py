@@ -109,7 +109,7 @@ def test_criterion_3_u12_four_point_function():
     # Res(hess f) = mu; the prepotential rescales by h / mu = 36, h the
     # socle coefficient of the hessian modulo the Jacobian ideal.
     hess_coeffs, _ = divide_by_jacobian(hessian_determinant(f), data)
-    convention = hess_coeffs[data.basis_index(data.socle)] / data.mu
+    convention = hess_coeffs[data.basis_index[data.socle]] / data.mu
     assert convention == 36
 
     scaled = {mono: -coeff * convention for mono, coeff in degree4.terms.items()}
@@ -144,7 +144,7 @@ def test_criterion_5_wdvv_euler_integrability(catalog, milnor_cache, solved_cach
         assert wdvv_check(f0, data.eta).passed, name
         flat_degrees = [1 - d for d in data.degrees]
         assert euler_check(f0, flat_degrees, central_charge(data.f.weights)).passed, name
-        unit = data.basis_index((0,) * data.f.nvars)
+        unit = data.basis_index[(0,) * data.f.nvars]
         assert normalization_check(f0, data.eta, unit).passed, name
 
     # Negative controls on U12: a perturbed coefficient must be flagged.

@@ -15,6 +15,7 @@ from exact_forms import const, j_block, plus_term, result_from_blocks, zeta_bloc
 from primform.algebra import SSeries
 from primform.cli import main
 from primform.frobenius import FrobeniusData
+from primform.mirror import InvertiblePolynomial
 
 
 RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "records"
@@ -775,6 +776,21 @@ class TestMirror:
         code, _, err = run_cli(["mirror", "--poly", "x^3+x*y^2+y^4", "--vars", "x,y"], capsys)
         assert code == 1
         assert "invertible" in err
+
+    def test_no_key_past_the_catalog_variable_counts(self, capsys, monkeypatch):
+        # canonical_key runs over all n! permutations; no catalog entry has 4
+        # variables, so a 4-variable input gets no key and no transpose name.
+        sizes, original = [], InvertiblePolynomial.canonical_key
+
+        def counted(w):
+            sizes.append(w.nvars)
+            return original(w)
+
+        monkeypatch.setattr(InvertiblePolynomial, "canonical_key", counted)
+        args = ["mirror", "--poly", "x^3+y^3+z^3+w^3", "--vars", "x,y,z,w", "--format", "json"]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and json.loads(out)["transpose_name"] is None
+        assert sizes and 4 not in sizes
 
 
 class TestCatalogSelftest:

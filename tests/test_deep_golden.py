@@ -6,8 +6,8 @@ golden record in perfbench/records/deep-o6, which it only reads.  So the
 flat-coordinate inversion and the J_(-2) substitution at order 6 are gated
 outside the benchmark too.  The library path must also run on the
 solve's int slices alone, build no Fraction series between the solve and
-F0, and release the parts of exp(F - f) after the defect, and after the
-prepotential when no defect runs.
+F0, and release the parts of exp(F - f) in the prepotential, with or
+without a defect before it.
 """
 
 import json
@@ -21,6 +21,7 @@ from primform.frobenius import prepotential, prepotential_record
 from primform.primitive import (
     UnfoldingState,
     build_unfolding,
+    defect,
     defect_is_zero,
     solve_star,
 )
@@ -42,23 +43,28 @@ def test_deep_o6_matches_golden_record(name, milnor_cache, solved_cache):
     assert record == (GOLDEN / f"{name}.json").read_bytes()
 
 
-def test_library_path_reads_only_the_slices(catalog, milnor_cache, monkeypatch):
-    # With the Fraction view of zeta and J disabled, the solve, the defect
-    # and the prepotential still give the golden record; the parts are
-    # built once, by the solve, and no longer held once the defect is done.
-    def refuse(*args):
-        raise AssertionError("the library path built a Fraction block")
-
-    builds = []
-    original = UnfoldingState.exp_parts
+def count_part_builds(monkeypatch) -> list:
+    """The floors at which the parts of exp(F - f) are built from now on."""
+    builds, original = [], UnfoldingState.exp_parts
 
     def counted(state, floor):
         if floor not in state._parts:
             builds.append(floor)
         return original(state, floor)
 
-    monkeypatch.setattr(primitive, "_block", refuse)
     monkeypatch.setattr(UnfoldingState, "exp_parts", counted)
+    return builds
+
+
+def test_library_path_reads_only_the_slices(catalog, milnor_cache, monkeypatch):
+    # With the Fraction view of zeta and J disabled, the solve, the defect
+    # and the prepotential still give the golden record; the parts are
+    # built once, by the solve, and dropped by the prepotential.
+    def refuse(*args):
+        raise AssertionError("the library path built a Fraction block")
+
+    monkeypatch.setattr(primitive, "_block", refuse)
+    builds = count_part_builds(monkeypatch)
     data = milnor_cache("E12")
     result = solve_star(build_unfolding(catalog["E12"].weighted_polynomial(), data, 6))
     assert library_record("E12", data, result) == (GOLDEN / "E12.json").read_bytes()
@@ -77,6 +83,16 @@ def test_prepotential_drops_the_parts(catalog, milnor_cache):
     f0 = prepotential(result, data).prepotential
     assert result.state._parts == {}
     assert f0.to_records() == json.loads((GOLDEN / "E12.json").read_text())["terms"]
+
+
+def test_defects_share_the_parts(catalog, milnor_cache, monkeypatch):
+    # The defect reads the solve's parts and leaves them: a second defect on
+    # the same solved state builds none, as only the prepotential drops them.
+    builds = count_part_builds(monkeypatch)
+    data = milnor_cache("E12")
+    result = solve_star(build_unfolding(catalog["E12"].weighted_polynomial(), data, 4))
+    assert defect(result) == [] and defect(result) == []
+    assert builds == [-2]
 
 
 def test_prepotential_builds_no_fraction_series(milnor_cache, solved_cache, monkeypatch):

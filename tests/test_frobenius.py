@@ -686,12 +686,15 @@ class TestWdvv:
     def test_work_pinned(self, frobenius_cache, milnor_cache, monkeypatch):
         # Work counter: graded_dot calls and term pairs of the check, with
         # the kernel's own degree cut.  A passing check walks only the
-        # multisets that hold an index of S; a failing one (the perturbed
-        # Q10) walks the rest too, and forms each X and each L_ab once.
+        # multisets that hold an index of S; a failing one walks the rest
+        # too, forming each X once and again the L_ab rows of an index
+        # outside S below max(S): none for Q10, index 2 for E12.
+        e12 = frobenius_cache("E12", 6).prepotential
         cases = {
-            "E12": (frobenius_cache("E12", 6).prepotential, milnor_cache("E12").eta),
+            "E12": (e12, milnor_cache("E12").eta),
             "U12": (frobenius_cache("U12", 6).prepotential, milnor_cache("U12").eta),
             "Q10": (perturbed(frobenius_cache("Q10", 6).prepotential, 5), milnor_cache("Q10").eta),
+            "E12 gapped": (perturbed(e12, 5), milnor_cache("E12").eta),
         }
         kernel = frobenius.graded_dot
         pairs = []
@@ -716,6 +719,7 @@ class TestWdvv:
             "E12": (True, 2550, 25916),
             "U12": (True, 2919, 13355),
             "Q10": (False, 2090, 10309),
+            "E12 gapped": (False, 4137, 47330),
         }
 
     def test_passes_on_computed_prepotentials(self, frobenius_cache, milnor_cache):
@@ -833,7 +837,7 @@ class TestSymmetry:
 
     def test_passes_on_computed(self, milnor_cache, frobenius_cache):
         data = milnor_cache("A3")
-        unit = data.basis_index((0,) * data.f.nvars)
+        unit = data.basis_index[(0,) * data.f.nvars]
         assert normalization_check(frobenius_cache("A3").prepotential, data.eta, unit).passed
 
 

@@ -60,7 +60,7 @@ def fraction_solve(state):
     data = state.milnor
     one = const(state.milnor.mu, state.order, 1)
     parts = fraction_exp_parts(state)
-    unit = data.basis_index((0,) * data.f.nvars)
+    unit = data.basis_index[(0,) * data.f.nvars]
     zeta_slices = [LaurentBlock({0: {unit: one}})]
     zeta, J = {0: {unit: one}}, {0: {unit: one}}
     for k in range(1, state.order + 1):
@@ -139,7 +139,7 @@ class TestSameSolve:
         basis[0], basis[1] = basis[1], basis[0]
         data = milnor_basis(f, basis=basis)
         result = solve_star(build_unfolding(f, data, 4), floor=-4)
-        assert data.basis_index((0, 0)) == 1
+        assert data.basis_index[(0, 0)] == 1
         assert defect_is_zero(result)
         assert_same_solve(result)
 
