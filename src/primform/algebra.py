@@ -29,6 +29,7 @@ The canonical term order used for printing and serialization is graded
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, inf
 from typing import Iterable, Iterator
@@ -442,9 +443,6 @@ def mat_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
     return [row[ncols] for row in m[:ncols]]
 
 
-_TOKEN_SPLIT = ("+", "-")
-
-
 def parse_monomial(text: str, variables: list[str]) -> tuple[tuple[int, ...], Fraction]:
     """Parse one product like "3/2*x^2*y" into (exponents, coefficient)."""
     if not isinstance(text, str):
@@ -483,35 +481,19 @@ def parse_basis(entries, variables) -> list[tuple[int, ...]]:
 
 
 def parse_polynomial(text: str, variables: list[str]) -> SSeries:
-    """Parse "x^3 + 2*x*y^2 - 1/2*z" into an exact polynomial (order None)."""
+    """Parse "x^3 + 2*x*y^2 - 1/2*z" into an exact polynomial (order None).
+
+    Each term is a run of signs and a product; it is negative when the run
+    holds an odd number of "-"."""
     variable_names(variables)
-    terms: dict = {}
-    chunk = ""
-    sign = 1
-    pending: list[tuple[int, str]] = []
-    for ch in text.replace(" ", ""):
-        if ch in _TOKEN_SPLIT and chunk:
-            pending.append((sign, chunk))
-            sign = -1 if ch == "-" else 1
-            chunk = ""
-        elif ch == "-" and not chunk:
-            sign = -sign
-        elif ch == "+" and not chunk:
-            pass
-        else:
-            chunk += ch
-    if chunk:
-        pending.append((sign, chunk))
-    elif pending:
-        raise ValueError(f"polynomial {text!r} ends in an operator")
+    compact = text.replace(" ", "")
+    pending = re.findall(r"([+-]*)([^+-]+)", compact)
     if not pending:
         raise ValueError("empty polynomial")
-    for sgn, part in pending:
+    if compact[-1] in "+-":
+        raise ValueError(f"polynomial {text!r} ends in an operator")
+    terms: dict = {}
+    for signs, part in pending:
         exps, coeff = parse_monomial(part, variables)
-        coeff *= sgn
-        updated = terms.get(exps, Fraction(0)) + coeff
-        if updated:
-            terms[exps] = updated
-        else:
-            terms.pop(exps, None)
+        terms[exps] = terms.get(exps, Fraction(0)) + (-coeff if signs.count("-") % 2 else coeff)
     return SSeries(len(variables), None, terms)

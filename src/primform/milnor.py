@@ -10,7 +10,6 @@ formal Brieskorn lattice Omega^n[[z]] / (df + z d)Omega^(n-1)[[z]].
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
 from math import gcd, lcm, prod
 
 from .algebra import (
@@ -159,20 +158,13 @@ class _JacobianDivider:
         cached = self._monos_cache.get(sdeg)
         if cached is not None:
             return cached
-        # A stack, not a recursive closure: a closure that calls itself is a
-        # reference cycle, which would keep self and its systems alive until
-        # the cyclic garbage collector happens to run.
-        found = []
-        stack = [((), sdeg)] if sdeg >= 0 else []
-        while stack:
-            prefix, remaining = stack.pop()
-            w = self.var_sdegs[len(prefix)]
-            if len(prefix) == self.nvars - 1:
-                if remaining % w == 0:
-                    found.append(prefix + (remaining // w,))
-            else:
-                stack.extend((prefix + (e,), remaining - e * w) for e in range(remaining // w + 1))
-        found.sort(key=mono_key)
+        # (exponents so far, scaled degree left), one variable at a time;
+        # the last exponent is what the degree left fixes.
+        partial = [((), sdeg)] if sdeg >= 0 else []
+        for w in self.var_sdegs[:-1]:
+            partial = [(m + (e,), left - e * w) for m, left in partial for e in range(left // w + 1)]
+        w = self.var_sdegs[-1]
+        found = sorted((m + (left // w,) for m, left in partial if left % w == 0), key=mono_key)
         self._monos_cache[sdeg] = found
         return found
 
@@ -439,20 +431,28 @@ def divide_by_jacobian(g: SSeries, data: MilnorData):
 
 
 def hessian_determinant(f: WeightedPolynomial) -> SSeries:
-    """det(d_i d_j f) as an exact polynomial: the Leibniz sum over the
-    permutations p of prod_i d_i d_p(i) f, signed by the parity of p,
-    skipping each p that meets a zero second derivative."""
+    """det(d_i d_j f) as an exact polynomial, expanded row by row.
+
+    One minor is kept per set of used columns (a bit mask), and row i
+    extends it only by its nonzero second derivatives d_i d_j f, with sign
+    (-1)^#{used columns > j}."""
     n = f.nvars
-    second = [[f.poly.diff(i).diff(j) for j in range(n)] for i in range(n)]
-    total = SSeries(n, None)
-    for perm in permutations(range(n)):
-        factors = [second[i][j] for i, j in enumerate(perm)]
-        if not all(factors):
-            continue
-        term = prod(factors[1:], start=factors[0])
-        inversions = sum(a > b for a, b in combinations(perm, 2))
-        total = total + term.scale((-1) ** inversions)
-    return total
+    first = f.poly.diff(0)
+    minors = {1 << j: entry for j in range(n) if (entry := first.diff(j))}
+    for i in range(1, n):
+        row = f.poly.diff(i)
+        grown: dict = {}
+        for j in range(n):
+            entry = row.diff(j)
+            if not entry:
+                continue
+            for used, minor in minors.items():
+                if not used >> j & 1:
+                    term = (minor * entry).scale((-1) ** (used >> j).bit_count())
+                    key = used | 1 << j
+                    grown[key] = grown[key] + term if key in grown else term
+        minors = grown
+    return minors.get((1 << n) - 1, SSeries(n, None))
 
 
 def residue_pairing(data: MilnorData):

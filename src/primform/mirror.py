@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
+from math import prod
 
 from .algebra import SSeries, mat_det, mono_key, mono_str
 from .milnor import WeightedPolynomial, infer_weights
@@ -30,24 +31,10 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int
     n_cols = len(a[0]) if a else 0
     v_inv = [[int(i == j) for j in range(n_cols)] for i in range(n_cols)]
 
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v_inv:
-            row[i], row[j] = row[j], row[i]
-
     def add_col(src, dst, q):
         # column dst += q * column src
-        for row in a:
+        for row in a + v_inv:
             row[dst] += q * row[src]
-        for row in v_inv:
-            row[dst] += q * row[src]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-
-    def add_row(src, dst, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
 
     size = min(n_rows, n_cols)
     for t in range(size):
@@ -59,16 +46,15 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int
                         pivot = (r, c)
             if pivot is None:
                 break
-            if pivot != (t, t):
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
+            r, c = pivot
+            a[t], a[r] = a[r], a[t]
+            for row in a + v_inv:
+                row[t], row[c] = row[c], row[t]
             dirty = False
             for r in range(t + 1, n_rows):
                 if a[r][t]:
                     q = a[r][t] // a[t][t]
-                    add_row(t, r, -q)
+                    a[r] = [x - q * y for x, y in zip(a[r], a[t])]
                     if a[r][t]:
                         dirty = True
             for c in range(t + 1, n_cols):
@@ -91,7 +77,7 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int
             if offender is None:
                 break
             add_col(offender[1], t, 1)
-        if t < n_rows and a[t][t] < 0:
+        if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
     diagonal = [a[i][i] for i in range(size)]
     return diagonal, v_inv
@@ -200,9 +186,7 @@ def diagonal_symmetries(w: InvertiblePolynomial) -> DiagonalSymmetryGroup:
     """
     matrix = [list(row) for row in w.exponent_matrix]
     diagonal, v_inv = smith_normal_form(matrix)
-    order = 1
-    for d in diagonal:
-        order *= d
+    order = prod(diagonal)
     generators = []
     generator_orders = []
     for i, d in enumerate(diagonal):

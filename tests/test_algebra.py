@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -339,6 +340,46 @@ class TestParsing:
     def test_unknown_variable(self):
         with pytest.raises(ValueError):
             parse_polynomial("x+w", ["x", "y"])
+
+    def test_leading_plus(self):
+        assert P("+x^3+y^2", ["x", "y"]).terms == {(3, 0): 1, (0, 2): 1}
+
+    def test_cancelling_terms_are_dropped(self):
+        assert P("x^3+x*y+y^4-x*y", ["x", "y"]).terms == {(3, 0): 1, (0, 4): 1}
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("x--y", {(1, 0): 1, (0, 1): 1}),
+            ("x-+y", {(1, 0): 1, (0, 1): -1}),
+            ("+-x", {(1, 0): -1}),
+        ],
+    )
+    def test_sign_runs(self, text, terms):
+        # A term is negative when its run of signs holds an odd number of "-".
+        assert P(text, ["x", "y"]).terms == terms
+
+    def test_rejects_trailing_operator(self):
+        with pytest.raises(ValueError, match="ends in an operator"):
+            parse_polynomial("x+", ["x"])
+
+    def test_random_strings_pinned(self):
+        # The terms, or the exception type and message, of 4000 seeded
+        # random strings over the characters of the grammar.
+        def outcome(text):
+            try:
+                p = parse_polynomial(text, ["x", "y", "z"])
+            except Exception as exc:
+                return type(exc).__name__, str(exc)
+            return sorted((m, str(c)) for m, c in p.terms.items())
+
+        rng = random.Random(35)
+        alphabet = "xyzw0123/^*+- \t"
+        texts = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randrange(13))) for _ in range(4000)
+        ]
+        digest = hashlib.sha256(repr([outcome(t) for t in texts]).encode()).hexdigest()
+        assert digest == "61c2899092b75c1328fb41f1a9a0353bf91ac5e2a63b32f29160a803b0004443"
 
     def test_rejects_blank_polynomial(self):
         with pytest.raises(ValueError, match="empty polynomial"):

@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -544,3 +545,61 @@ class TestResiduePairing:
         hess = hessian_determinant(data.f)
         for mono in hess.terms:
             assert weighted_degree(mono, data.f.weights) == central_charge(data.f.weights)
+
+
+def leibniz_hessian(f):
+    """det(d_i d_j f) as the signed sum over all n! permutations."""
+    n = f.nvars
+    second = [[f.poly.diff(i).diff(j) for j in range(n)] for i in range(n)]
+    total = SSeries(n, None)
+    for perm in permutations(range(n)):
+        term = SSeries(n, None, {(0,) * n: F(1)})
+        for i, j in enumerate(perm):
+            term = term * second[i][j]
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total = total + term.scale((-1) ** inversions)
+    return total
+
+
+class TestHessianDeterminant:
+    def test_against_the_leibniz_sum(self, catalog):
+        # The catalog entries, and 120 seeded sparse homogeneous polynomials
+        # of degree d = 2-4 in 1-5 variables, with weights 1/d.
+        rng = random.Random(35)
+        cases = [entry.weighted_polynomial() for entry in catalog.values()]
+        for _ in range(120):
+            n, d = rng.randint(1, 5), rng.randint(2, 4)
+            variables = "xyzuv"[:n]
+            monos = [
+                tuple(c.count(i) for i in range(n))
+                for c in combinations_with_replacement(range(n), d)
+            ]
+            chosen = rng.sample(monos, min(len(monos), rng.randint(1, 6)))
+            terms = {m: F(rng.choice([-3, -2, -1, 1, 2, 3])) for m in chosen}
+            cases.append(WeightedPolynomial(variables, [F(1, d)] * n, SSeries(n, None, terms)))
+        for f in cases:
+            assert hessian_determinant(f) == leibniz_hessian(f), f
+
+    def test_a_diagonal_hessian_is_not_expanded_over_permutations(self, monkeypatch):
+        # The sum of x_i^2 in 8 variables: a Leibniz sum asks the factors of
+        # all 8! permutations whether they are zero, 46 233 calls, though
+        # only one permutation meets no zero; a row-by-row expansion over
+        # the nonzero entries asks each of the 64 entries once.
+        n = 8
+        f = WeightedPolynomial(
+            [f"x{i}" for i in range(n)],
+            [F(1, 2)] * n,
+            SSeries(n, None, {tuple(int(i == j) * 2 for j in range(n)): F(1) for i in range(n)}),
+        )
+        calls = []
+        plain = SSeries.__bool__
+
+        def counted(self):
+            calls.append(None)
+            return plain(self)
+
+        monkeypatch.setattr(SSeries, "__bool__", counted)
+        hess = hessian_determinant(f)
+        monkeypatch.undo()
+        assert hess.terms == {(0,) * n: F(2**n)}
+        assert len(calls) < 1000

@@ -1,5 +1,8 @@
+import hashlib
+import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import gcd, prod
 
 import pytest
 
@@ -71,6 +74,55 @@ def _gcd(a, b):
 
 def invertible(entry):
     return InvertiblePolynomial.from_poly(entry.poly, entry.variables)
+
+
+def int_det(m):
+    """Laplace expansion along the first row; 1 for the empty matrix."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * int_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def smith_violations(matrix, diagonal, v_inv):
+    """The properties of a Smith form (diagonal, V^-1) of the matrix that fail:
+    "minors" when d_1...d_k is not the gcd of the k x k minors, "unimodular"
+    when |det V^-1| != 1, and "columns" when column i of A V^-1 is not
+    divisible by d_i (zero when d_i = 0, and past the diagonal)."""
+    n_rows, n_cols = len(matrix), len(matrix[0])
+    found = []
+    for k in range(1, min(n_rows, n_cols) + 1):
+        minors_gcd = 0
+        for rs in combinations(range(n_rows), k):
+            for cs in combinations(range(n_cols), k):
+                minors_gcd = gcd(minors_gcd, int_det([[matrix[r][c] for c in cs] for r in rs]))
+        if prod(diagonal[:k]) != minors_gcd:
+            found.append("minors")
+            break
+    if abs(int_det(v_inv)) != 1:
+        found.append("unimodular")
+    av = [
+        [sum(row[k] * v_inv[k][c] for k in range(n_cols)) for c in range(n_cols)]
+        for row in matrix
+    ]
+    padded = list(diagonal) + [0] * (n_cols - len(diagonal))
+    if any(row[c] % d if d else row[c] for c, d in enumerate(padded) for row in av):
+        found.append("columns")
+    return found
+
+
+def smith_inputs():
+    """[[2, 3]] takes the column-remainder branch and [[1, 2], [2, 4]] the
+    zero-block break; then 300 seeded matrices of 1-4 rows and 1-4 columns
+    with entries in [-6, 6]."""
+    rng = random.Random(35)
+    shapes = [(rng.randint(1, 4), rng.randint(1, 4)) for _ in range(300)]
+    return [[[2, 3]], [[1, 2], [2, 4]]] + [
+        [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)] for r, c in shapes
+    ]
 
 
 class TestInvertiblePolynomial:
@@ -184,6 +236,26 @@ class TestSmithNormalForm:
             for d in diagonal:
                 prod *= d
             assert prod == abs(mat_det(w.exponent_matrix)), entry.name
+
+    def test_against_the_minors_oracle(self):
+        outputs = []
+        for matrix in smith_inputs():
+            diagonal, v_inv = smith_normal_form(matrix)
+            assert smith_violations(matrix, diagonal, v_inv) == [], matrix
+            outputs.append((diagonal, v_inv))
+        # The mirror records print generators built from these outputs.
+        digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+        assert digest == "1827fb11207f505088ff74760f88f50e7b7e994c5cff684b741bf99f2905377c"
+
+    def test_the_oracle_catches_a_wrong_diagonal_or_v_inv(self):
+        # Negative controls: the diagonal reversed, and V^-1 with its first
+        # column doubled.
+        matrix = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
+        diagonal, v_inv = smith_normal_form(matrix)
+        assert diagonal == [2, 2, 156]
+        assert "minors" in smith_violations(matrix, diagonal[::-1], v_inv)
+        doubled = [[2 * row[0], *row[1:]] for row in v_inv]
+        assert smith_violations(matrix, diagonal, doubled) == ["unimodular"]
 
 
 class TestDiagonalSymmetries:

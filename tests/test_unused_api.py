@@ -48,7 +48,6 @@ UNCALLED = {
     "algebra.SSeries.truncate": REFERENCE,
     "algebra.SSeries.degree_part": REFERENCE,
     "algebra.LaurentBlock.__bool__": "the tests ask whether a Fraction block is empty",
-    "mirror.smith_normal_form.swap_rows": "no catalog matrix has its least entry below the pivot row",
     "algebra.SSeries.__repr__": REPR,
     "algebra.LaurentBlock.__repr__": REPR,
     "milnor.WeightedPolynomial.__repr__": REPR,

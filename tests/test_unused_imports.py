@@ -1,8 +1,9 @@
-"""A guard against unused imports in src/primform.
+"""A guard against unused imports in src/primform and in tests.
 
 Every name that an import binds in a module of src/primform, __init__.py
-aside, must be read in that module; `annotations` from `__future__` binds
-nothing to read.  A deletion that leaves an import behind fails here.
+aside, or in a file of tests (conftest.py and the helpers included) must
+be read in that module; `annotations` from `__future__` binds nothing to
+read.  A deletion that leaves an import behind fails here.
 """
 
 import ast
@@ -13,7 +14,11 @@ import pytest
 import primform
 
 SRC = Path(primform.__file__).resolve().parent
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+MODULES = [
+    *sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+    *sorted(TESTS.glob("*.py")),
+]
 
 
 def unused_imports(source: str) -> list:
