@@ -33,7 +33,6 @@ from .mirror import (
     InvertiblePolynomial,
     diagonal_symmetries,
     transpose,
-    weights_from_matrix,
 )
 from .primitive import (
     PrimitiveFormResult,
@@ -77,7 +76,6 @@ __all__ = [
     "solve_star",
     "transpose",
     "wdvv_check",
-    "weights_from_matrix",
 ]
 
 __version__ = "0.1.0"

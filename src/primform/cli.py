@@ -23,12 +23,7 @@ from .algebra import (
 from .catalog import EXCEPTIONAL_NAMES, load_catalog
 from .frobenius import prepotential, prepotential_record, verify_record
 from .milnor import WeightedPolynomial, central_charge, infer_weights, milnor_basis
-from .mirror import (
-    InvertiblePolynomial,
-    diagonal_symmetries,
-    transpose,
-    weights_from_matrix,
-)
+from .mirror import InvertiblePolynomial, diagonal_symmetries, transpose
 from .primitive import build_unfolding, defect_is_zero, solve_star
 
 
@@ -169,7 +164,7 @@ def _invertible_catalog_index(catalog) -> dict:
             w = InvertiblePolynomial.from_poly(entry.poly, entry.variables)
         except ValueError:
             continue
-        index.setdefault(w.canonical_key(), entry.name)
+        index.setdefault(w.atoms, entry.name)
     return index
 
 
@@ -182,12 +177,8 @@ def cmd_mirror(args) -> int:
         print(f"error: not an invertible polynomial: {exc}", file=sys.stderr)
         return 1
     wt = transpose(w)
-    weights = weights_from_matrix(w)
+    weights = WeightedPolynomial(variables, infer_weights(poly), poly).weights
     group = diagonal_symmetries(w)
-    names = _invertible_catalog_index(catalog)
-    # canonical_key is a minimum over all n! variable permutations, so it is
-    # formed only when the catalog holds a polynomial in as many variables.
-    known = any(len(key) == wt.nvars for key in names)
     record = {
         "kind": "mirror-info",
         "name": name,
@@ -195,7 +186,7 @@ def cmd_mirror(args) -> int:
         "variables": list(w.variables),
         "exponent_matrix": [list(row) for row in w.exponent_matrix],
         "transpose_polynomial": wt.render(),
-        "transpose_name": names.get(wt.canonical_key()) if known else None,
+        "transpose_name": _invertible_catalog_index(catalog).get(wt.atoms),
         "weights": [format_rational(q) for q in weights],
         "central_charge": format_rational(central_charge(weights)),
         "aut_order": group.order,
@@ -247,10 +238,10 @@ def cmd_catalog_selftest(args) -> int:
         except ValueError:
             w = None
         if w is not None:
-            first = names[w.canonical_key()]
+            first = names[w.atoms]
             if first != entry.name:
                 problems.append(f"same polynomial as {first}")
-            partner = names.get(transpose(w).canonical_key())
+            partner = names.get(transpose(w).atoms)
             if entry.expected_transpose is not None and partner != entry.expected_transpose:
                 problems.append(f"transpose {partner!r} != {entry.expected_transpose!r}")
         elif entry.expected_transpose is not None:

@@ -1,8 +1,9 @@
 """Berglund-Huebsch combinatorics for invertible polynomials.
 
-An invertible polynomial has as many monomials as variables and an
-invertible exponent matrix; its transpose is the polynomial with the
-transposed matrix.  The group of diagonal symmetries is handled exactly as
+An invertible polynomial is a sum of Fermat, chain and loop polynomials in
+disjoint variables, which are the non-degenerate invertible polynomials
+(Kreuzer-Skarke); its transpose is the polynomial with the transposed
+exponent matrix.  The group of diagonal symmetries is handled exactly as
 rational phase vectors modulo 1 (an element diag(e^{2 pi i a_1}, ...) is
 stored as (a_1, ..., a_n)), with a minimal generating set extracted from
 the Smith normal form of the exponent matrix.
@@ -11,11 +12,9 @@ the Smith normal form of the exponent matrix.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 from math import prod
 
-from .algebra import SSeries, mat_det, mono_key, mono_str
-from .milnor import WeightedPolynomial, infer_weights
+from .algebra import SSeries, mono_key, mono_str
 
 
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -84,14 +83,21 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int
 
 
 class InvertiblePolynomial:
-    """A polynomial with square, invertible exponent matrix.
+    """A sum of Fermat, chain and loop polynomials in disjoint variables.
 
     Coefficients are normalized to 1 (always possible by rescaling the
-    variables), so only the exponent matrix is stored; its rows are kept in
-    the canonical graded monomial order.
+    variables), so only the exponent matrix is stored.  Each row is a e_i or
+    a e_i + e_j with j != i and a >= 2; each variable is the heavy one
+    (exponent a) of exactly one row and the light one (e_j) of at most one.
+    So det E != 0, the singularity at 0 is isolated, the weights lie in
+    (0, 1/2], and the transpose is of the same kind.  `atoms` is the sorted
+    tuple of ('C', (a_head, ..., a_tail)) for each chain, walked from the
+    variable that is never light (a Fermat term is a chain of one), and
+    ('L', least rotation of (a_1, ..., a_k)) for each loop: two polynomials
+    have equal atoms exactly when they agree up to renaming the variables.
     """
 
-    __slots__ = ("variables", "exponent_matrix")
+    __slots__ = ("variables", "exponent_matrix", "atoms")
 
     def __init__(self, variables, exponent_matrix):
         variables = tuple(variables)
@@ -108,14 +114,32 @@ class InvertiblePolynomial:
                 raise ValueError("exponent rows must match the variable count")
             if any(e < 0 for e in row):
                 raise ValueError("exponents must be non-negative")
-            if sum(row) == 2 and sorted(row, reverse=True)[:2] == [1, 1]:
+        step, lights = {}, set()  # heavy variable -> (its exponent, its light one or None)
+        for row in rows:
+            heavy = [i for i, e in enumerate(row) if e > 1]
+            light = {i for i, e in enumerate(row) if e == 1}
+            if len(heavy) != 1 or len(light) > 1 or heavy[0] in step or light & lights:
                 raise ValueError(
-                    f"mixed quadratic monomial {mono_str(row, variables)} is not allowed"
+                    f"{mono_str(row, variables)} is not a term x_i^a or x_i^a*x_j, a >= 2,"
+                    " of a Fermat, chain or loop polynomial"
                 )
-        if not mat_det(rows):
-            raise ValueError("exponent matrix is singular")
+            lights |= light
+            step[heavy[0]] = (row[heavy[0]], light.pop() if light else None)
+        # Chains first, from their heads; every variable left lies on a loop.
+        atoms = []
+        for start in [i for i in range(n) if i not in lights] + list(range(n)):
+            exponents, i = [], start
+            while i in step:
+                a, i = step.pop(i)
+                exponents.append(a)
+            if i is None:
+                atoms.append(("C", tuple(exponents)))
+            elif exponents:
+                rotations = (exponents[k:] + exponents[:k] for k in range(len(exponents)))
+                atoms.append(("L", tuple(min(rotations))))
         self.variables = variables
         self.exponent_matrix = tuple(rows)
+        self.atoms = tuple(sorted(atoms))
 
     @classmethod
     def from_poly(cls, poly: SSeries, variables) -> "InvertiblePolynomial":
@@ -131,39 +155,14 @@ class InvertiblePolynomial:
     def render(self) -> str:
         return self.poly().render(self.variables)
 
-    def canonical_key(self) -> tuple:
-        """Smallest row-sorted exponent matrix over all variable permutations.
-
-        Used to recognize a polynomial up to renaming the variables.
-        """
-        best = None
-        for perm in permutations(range(self.nvars)):
-            rows = sorted(
-                (tuple(row[p] for p in perm) for row in self.exponent_matrix), key=mono_key
-            )
-            key = tuple(rows)
-            if best is None or key < best:
-                best = key
-        return best
-
     def __repr__(self):
         return f"InvertiblePolynomial({self.render()})"
 
 
 def transpose(w: InvertiblePolynomial) -> InvertiblePolynomial:
-    """The polynomial whose exponent matrix is the transpose."""
-    n = w.nvars
-    rows = [[w.exponent_matrix[j][i] for j in range(n)] for i in range(n)]
-    try:
-        return InvertiblePolynomial(w.variables, rows)
-    except ValueError as exc:
-        raise ValueError(f"the transpose is rejected: {exc}") from None
-
-
-def weights_from_matrix(w: InvertiblePolynomial) -> tuple[Fraction, ...]:
-    """The weights q solving E q = (1, ..., 1), checked by WeightedPolynomial."""
-    poly = w.poly()
-    return WeightedPolynomial(w.variables, infer_weights(poly), poly).weights
+    """The polynomial whose exponent matrix is the transpose: each chain and
+    each loop reversed."""
+    return InvertiblePolynomial(w.variables, zip(*w.exponent_matrix))
 
 
 class DiagonalSymmetryGroup:

@@ -15,11 +15,12 @@ from exact_forms import const, j_block, plus_term, result_from_blocks, zeta_bloc
 from primform.algebra import SSeries
 from primform.cli import main
 from primform.frobenius import FrobeniusData
-from primform.mirror import InvertiblePolynomial
+from primform.milnor import infer_weights
 
 
 RECORDS = Path(__file__).resolve().parent.parent / "perfbench" / "records"
 SWAP_9_10 = [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11]
+NOT_AN_ATOM = "is not a term x_i^a or x_i^a*x_j, a >= 2, of a Fermat, chain or loop polynomial"
 
 
 def halved(term):
@@ -105,7 +106,7 @@ class TestInfo:
              "no weight system makes every term homogeneous of degree 1"),
             (["info", "--poly", "x^3*y^2+y"], "weight -1/3 outside (0, 1/2]"),
             (["compute", "--poly", "x^3*y^2+y"], "weight -1/3 outside (0, 1/2]"),
-            (["mirror", "--poly", "x^3*y^2+y"], "weight -1/3 outside (0, 1/2]"),
+            (["mirror", "--poly", "x^3*y^2+y"], f"not an invertible polynomial: y {NOT_AN_ATOM}"),
         ],
         ids=["underdetermined", "inconsistent", "negative", "compute negative", "mirror negative"],
     )
@@ -766,31 +767,60 @@ class TestMirror:
         assert "unrecognized arguments: --weights" in capsys.readouterr().err
 
     def test_rejected_transpose_named(self, capsys):
-        # x*z^2+x*y^2+z^3 is invertible; only its transpose has the mixed
-        # quadratic monomial x*z.
+        # x*z^2+x*y^2+z^3 is singular along the x-axis: x is the light
+        # variable of two terms.  Its transpose was once the one rejected.
         code, out, err = run_cli(["mirror", "--poly", "x*z^2+x*y^2+z^3"], capsys)
         assert (code, out) == (1, "")
-        assert err == "error: the transpose is rejected: mixed quadratic monomial x*z is not allowed\n"
+        assert err == f"error: not an invertible polynomial: x*y^2 {NOT_AN_ATOM}\n"
+
+    @pytest.mark.parametrize(
+        "argv, term",
+        [
+            (["--poly", "x^5+x^2*y^2"], "x^2*y^2"),
+            (["--poly", "x^3*y^2+x^2*y^3"], "x^3*y^2"),
+            (["--poly", "x^3+1", "--vars", "x,y"], "1"),
+        ],
+        ids=["x^5+x^2*y^2", "x^3*y^2+x^2*y^3", "constant"],
+    )
+    def test_no_sum_of_atoms_rejected(self, capsys, argv, term):
+        # The first two have det E != 0 and a singularity that is not
+        # isolated; both once printed a transpose, |Aut| and c_hat, exit 0.
+        code, out, err = run_cli(["mirror", *argv], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: not an invertible polynomial: {term} {NOT_AN_ATOM}\n"
 
     def test_non_invertible_rejected(self, capsys):
         code, _, err = run_cli(["mirror", "--poly", "x^3+x*y^2+y^4", "--vars", "x,y"], capsys)
         assert code == 1
         assert "invertible" in err
 
-    def test_no_key_past_the_catalog_variable_counts(self, capsys, monkeypatch):
-        # canonical_key runs over all n! permutations; no catalog entry has 4
-        # variables, so a 4-variable input gets no key and no transpose name.
-        sizes, original = [], InvertiblePolynomial.canonical_key
-
-        def counted(w):
-            sizes.append(w.nvars)
-            return original(w)
-
-        monkeypatch.setattr(InvertiblePolynomial, "canonical_key", counted)
-        args = ["mirror", "--poly", "x^3+y^3+z^3+w^3", "--vars", "x,y,z,w", "--format", "json"]
-        code, out, _ = run_cli(args, capsys)
-        assert code == 0 and json.loads(out)["transpose_name"] is None
-        assert sizes and 4 not in sizes
+    def test_twelve_variables_named(self, capsys, tmp_path):
+        # A sum of chains, loops and Fermat terms in 12 variables and its
+        # transpose: the key was once a minimum over all 12! permutations.
+        names = "abcdefghijkl"
+        rows = [[0] * 12 for _ in range(12)]
+        for i, a, j in [(0, 2, 1), (1, 3, 2), (2, 4, None), (3, 2, 4), (4, 3, 3), (5, 3, None),
+                        (6, 3, 7), (7, 2, None), (8, 2, 9), (9, 2, 10), (10, 3, 8), (11, 2, None)]:
+            rows[i][i] = a
+            if j is not None:
+                rows[i][j] = 1
+        polys = {"F12": rows, "G12": [list(column) for column in zip(*rows)]}
+        entries = []
+        for name, matrix in polys.items():
+            poly = SSeries(12, None, {tuple(row): Fraction(1) for row in matrix})
+            entries.append({
+                "name": name,
+                "variables": list(names),
+                "weights": [str(q) for q in infer_weights(poly)],
+                "polynomial": [{"exponents": row, "coeff": "1"} for row in matrix],
+            })
+        path = tmp_path / "twelve.json"
+        path.write_text(json.dumps({"entries": entries}))
+        for name, partner in [("F12", "G12"), ("G12", "F12")]:
+            argv = ["mirror", "--catalog", str(path), "--singularity", name, "--format", "json"]
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            assert json.loads(out)["transpose_name"] == partner
 
 
 class TestCatalogSelftest:

@@ -1,23 +1,25 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd, prod
 
 import pytest
 
-from primform.algebra import mat_det
+from primform.algebra import SSeries, mat_det, mono_key
 from primform.catalog import EXCEPTIONAL_NAMES
-from primform.milnor import central_charge
+from primform.milnor import WeightedPolynomial, central_charge, infer_weights, milnor_basis
 from primform.mirror import (
     InvertiblePolynomial,
     diagonal_symmetries,
     smith_normal_form,
     transpose,
-    weights_from_matrix,
 )
 
 F = Fraction
+
+NOT_AN_ATOM = "is not a term x_i^a or x_i^a*x_j, a >= 2, of a Fermat, chain or loop polynomial"
 
 # Closure of the exceptional family under transposition.
 TRANSPOSE_PAIRS = {
@@ -76,6 +78,52 @@ def invertible(entry):
     return InvertiblePolynomial.from_poly(entry.poly, entry.variables)
 
 
+def weights_of(w):
+    """The weights q solving E q = (1, ..., 1), checked by WeightedPolynomial."""
+    poly = w.poly()
+    return WeightedPolynomial(w.variables, infer_weights(poly), poly).weights
+
+
+def rejected(term):
+    """The message that names term as the first one outside the atoms."""
+    return re.escape(f"{term} {NOT_AN_ATOM}")
+
+
+def permutation_key(w):
+    """The reference key: the least row-sorted exponent matrix over all n!
+    permutations of the variables."""
+    return min(
+        tuple(sorted((tuple(row[p] for p in perm) for row in w.exponent_matrix), key=mono_key))
+        for perm in permutations(range(w.nvars))
+    )
+
+
+def random_atoms(rng, n, top):
+    """The rows of a random sum of chains and loops in n variables, with
+    heavy exponents in 2..top: the variables are cut into runs, a run of one
+    is a Fermat term, and a longer run is a chain or a loop."""
+    rows, start = [], 0
+    while start < n:
+        size = rng.randint(1, n - start)
+        run = range(start, start + size)
+        loop = size > 1 and rng.random() < 0.5
+        for k in run:
+            row = [0] * n
+            row[k] = rng.randint(2, top)
+            if k + 1 < start + size or loop:
+                row[start + (k - start + 1) % size] = 1
+            rows.append(row)
+        start += size
+    return rows
+
+
+def permuted(rng, rows):
+    """The same polynomial with its variables renamed and its rows shuffled."""
+    n = len(rows)
+    perm = rng.sample(range(n), n)
+    return rng.sample([[row[p] for p in perm] for row in rows], n)
+
+
 def int_det(m):
     """Laplace expansion along the first row; 1 for the empty matrix."""
     if not m:
@@ -131,7 +179,7 @@ class TestInvertiblePolynomial:
             InvertiblePolynomial(["x", "y"], [[3, 0]])
 
     def test_rejects_mixed_quadratic(self):
-        with pytest.raises(ValueError, match="quadratic"):
+        with pytest.raises(ValueError, match=rejected("x*y")):
             InvertiblePolynomial(["x", "y"], [[1, 1], [0, 3]])
 
     def test_rejects_short_row(self):
@@ -143,8 +191,27 @@ class TestInvertiblePolynomial:
             InvertiblePolynomial(["x", "y"], [(3, -1), (0, 7)])
 
     def test_rejects_singular_matrix(self):
-        with pytest.raises(ValueError, match="singular"):
+        # x*y^2 is a chain link; x^2*y^4 has two heavy exponents.
+        with pytest.raises(ValueError, match=rejected("x^2*y^4")):
             InvertiblePolynomial(["x", "y"], [[1, 2], [2, 4]])
+
+    @pytest.mark.parametrize(
+        "rows, term",
+        [
+            ([[5, 0], [2, 2]], "x^2*y^2"),
+            ([[3, 2], [2, 3]], "x^3*y^2"),
+            ([[3, 0], [0, 0]], "1"),
+            ([[3, 0], [2, 1]], "x^2*y"),
+            ([[1, 2, 0], [1, 0, 2], [3, 0, 0]], "x*z^2"),
+        ],
+        ids=["det 10, not isolated", "det 5, not isolated", "constant", "x heavy twice",
+             "x light twice"],
+    )
+    def test_rejects_what_is_no_sum_of_atoms(self, rows, term):
+        # x^5+x^2*y^2 and x^3*y^2+x^2*y^3 have det E != 0, but their
+        # singularity at 0 is not isolated.
+        with pytest.raises(ValueError, match=rejected(term)):
+            InvertiblePolynomial("xyz"[: len(rows)], rows)
 
     def test_render(self, catalog):
         w = invertible(catalog["E14"])
@@ -154,15 +221,15 @@ class TestInvertiblePolynomial:
 class TestTranspose:
     def test_e14_to_q10(self, catalog):
         wt = transpose(invertible(catalog["E14"]))
-        assert wt.canonical_key() == invertible(catalog["Q10"]).canonical_key()
+        assert wt.atoms == invertible(catalog["Q10"]).atoms
 
     def test_q11_z13_pair(self, catalog):
         wt = transpose(invertible(catalog["Q11"]))
-        assert wt.canonical_key() == invertible(catalog["Z13"]).canonical_key()
+        assert wt.atoms == invertible(catalog["Z13"]).atoms
 
     def test_s11_w13_pair(self, catalog):
         wt = transpose(invertible(catalog["S11"]))
-        assert wt.canonical_key() == invertible(catalog["W13"]).canonical_key()
+        assert wt.atoms == invertible(catalog["W13"]).atoms
 
     def test_fermat_self_transpose(self, catalog):
         w = invertible(catalog["E12"])
@@ -172,7 +239,7 @@ class TestTranspose:
         w = invertible(catalog["S12"])
         wt = transpose(w)
         assert fields(wt) != fields(w)  # literal matrices differ
-        assert wt.canonical_key() == w.canonical_key()  # but same up to renaming
+        assert wt.atoms == w.atoms  # but same up to renaming
 
     def test_involution_on_catalog(self, catalog):
         for entry in catalog.values():
@@ -183,30 +250,159 @@ class TestTranspose:
             assert fields(transpose(transpose(w))) == fields(w), entry.name
 
     def test_full_exceptional_closure(self, catalog):
-        keys = {invertible(catalog[n]).canonical_key(): n for n in EXCEPTIONAL_NAMES}
+        keys = {invertible(catalog[n]).atoms: n for n in EXCEPTIONAL_NAMES}
         for name in EXCEPTIONAL_NAMES:
             wt = transpose(invertible(catalog[name]))
-            assert keys[wt.canonical_key()] == TRANSPOSE_PAIRS[name]
+            assert keys[wt.atoms] == TRANSPOSE_PAIRS[name]
+
+
+C, L = "C", "L"
+
+# The atoms of each catalog entry and of its transpose: a transpose reverses
+# each chain and each loop.
+CATALOG_ATOMS = {
+    "E12": (((C, (3,)), (C, (7,))), ((C, (3,)), (C, (7,)))),
+    "E13": (((C, (5, 3)),), ((C, (3, 5)),)),
+    "E14": (((C, (3,)), (C, (4, 2))), ((C, (2, 4)), (C, (3,)))),
+    "Z11": (((C, (3, 5)),), ((C, (5, 3)),)),
+    "Z12": (((L, (3, 4)),), ((L, (3, 4)),)),
+    "Z13": (((C, (3, 3, 2)),), ((C, (2, 3, 3)),)),
+    "W12": (((C, (4,)), (C, (5,))), ((C, (4,)), (C, (5,)))),
+    "W13": (((C, (4, 2, 2)),), ((C, (2, 2, 4)),)),
+    "Q10": (((C, (2, 4)), (C, (3,))), ((C, (3,)), (C, (4, 2)))),
+    "Q11": (((C, (2, 3, 3)),), ((C, (3, 3, 2)),)),
+    "Q12": (((C, (3,)), (L, (2, 3))), ((C, (3,)), (L, (2, 3)))),
+    "S11": (((C, (2, 2, 4)),), ((C, (4, 2, 2)),)),
+    "S12": (((L, (2, 2, 3)),), ((L, (2, 2, 3)),)),
+    "U12": (((C, (3,)), (C, (3,)), (C, (4,))), ((C, (3,)), (C, (3,)), (C, (4,)))),
+    "A1": (((C, (2,)),), ((C, (2,)),)),
+    "A2": (((C, (3,)),), ((C, (3,)),)),
+    "A3": (((C, (4,)),), ((C, (4,)),)),
+    "A4": (((C, (5,)),), ((C, (5,)),)),
+    "D4": (((C, (2, 3)),), ((C, (3, 2)),)),
+    "P8": (((C, (3,)), (C, (3,)), (C, (3,))), ((C, (3,)), (C, (3,)), (C, (3,)))),
+}
+
+
+class TestAtoms:
+    def test_catalog_atoms_pinned(self, catalog):
+        assert sorted(CATALOG_ATOMS) == sorted(catalog)
+        for name, (atoms, transpose_atoms) in CATALOG_ATOMS.items():
+            w = invertible(catalog[name])
+            assert (w.atoms, transpose(w).atoms) == (atoms, transpose_atoms), name
+
+    def test_key_equality_is_permutation_equality(self):
+        # Half of the 1000 pairs are renamed copies; the other half are
+        # drawn on their own from exponents 2-3, so that some of them agree.
+        rng = random.Random(36)
+        outcomes = set()
+        for k in range(1000):
+            n = rng.randint(1, 5)
+            rows = random_atoms(rng, n, 3)
+            other = permuted(rng, rows) if k % 2 else random_atoms(rng, n, 3)
+            v, w = (InvertiblePolynomial("abcde"[:n], m) for m in (rows, other))
+            same = permutation_key(v) == permutation_key(w)
+            assert (v.atoms == w.atoms) == same, (rows, other)
+            outcomes.add((k % 2, same))
+        assert outcomes == {(0, False), (0, True), (1, True)}
+
+    def test_every_accepted_matrix_has_an_accepted_transpose(self):
+        # Rows of the term shape a e_i or a e_i + e_j put together at random:
+        # whatever the rule accepts has weights in (0, 1/2], and so has its
+        # transpose, which the rule accepts as well.
+        rng = random.Random(37)
+        accepted = 0
+        for _ in range(2000):
+            n = rng.randint(1, 5)
+            rows = []
+            for _ in range(n):
+                row = [0] * n
+                i, j = rng.randrange(n), rng.randrange(n)
+                row[i] = rng.randint(2, 5)
+                if j != i and rng.random() < 0.6:
+                    row[j] = 1
+                rows.append(row)
+            try:
+                w = InvertiblePolynomial("abcde"[:n], rows)
+            except ValueError:
+                continue
+            accepted += 1
+            for v in (w, transpose(w)):
+                assert all(0 < q <= F(1, 2) for q in weights_of(v)), rows
+        assert accepted > 200
+
+    def test_a_permuted_loop_keeps_its_key(self):
+        # x^2*y + y^3*z + z^4*x as y^2*z + z^3*x + x^4*y, rows shuffled; the
+        # reversed loop, its transpose, is another polynomial.
+        loop = InvertiblePolynomial("xyz", [[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+        assert loop.atoms == ((L, (2, 3, 4)),)
+        renamed = InvertiblePolynomial("xyz", [[4, 1, 0], [0, 2, 1], [1, 0, 3]])
+        assert renamed.atoms == loop.atoms
+        assert transpose(loop).atoms == ((L, (2, 4, 3)),)
+
+    def test_a_reversed_chain_gets_another_key(self):
+        # x^2*y + y^3*z + z^4 against x^4*y + y^3*z + z^2; a palindrome
+        # keeps its key under transposition.
+        chain = InvertiblePolynomial("xyz", [[2, 1, 0], [0, 3, 1], [0, 0, 4]])
+        reversed_chain = InvertiblePolynomial("xyz", [[4, 1, 0], [0, 3, 1], [0, 0, 2]])
+        assert chain.atoms == ((C, (2, 3, 4)),)
+        assert reversed_chain.atoms == transpose(chain).atoms == ((C, (4, 3, 2)),)
+        palindrome = InvertiblePolynomial("xyz", [[2, 1, 0], [0, 3, 1], [0, 0, 2]])
+        assert transpose(palindrome).atoms == palindrome.atoms == ((C, (2, 3, 2)),)
+
+    def test_the_rule_is_isolation(self):
+        # Square exponent matrices in 2-3 variables with exponents 0-5 whose
+        # weights lie in (0, 1/2]: the rule accepts exactly those whose
+        # singularity milnor_basis finds isolated and that have no linear or
+        # x_i*x_j term (x*y+y^2 is isolated, but its transpose x+x*y^2 has
+        # a linear term).
+        rng = random.Random(36)
+        outcomes = {}
+        while sum(outcomes.values()) < 100:
+            n = rng.randint(2, 3)
+            rows = {tuple(rng.randint(0, 5) if rng.random() < 0.5 else 0 for _ in range(n))
+                    for _ in range(n)}
+            if len(rows) < n or (0,) * n in rows:
+                continue
+            poly = SSeries(n, None, {row: F(1) for row in rows})
+            try:
+                f = WeightedPolynomial("xyz"[:n], infer_weights(poly), poly)
+            except ValueError:
+                continue
+            try:
+                InvertiblePolynomial.from_poly(poly, f.variables)
+                accepted = True
+            except ValueError:
+                accepted = False
+            try:
+                milnor_basis(f)
+                isolated = True
+            except ValueError:
+                isolated = False
+            small = any(sum(row) <= 2 and max(row) == 1 for row in rows)
+            assert accepted == (isolated and not small), rows
+            outcomes[accepted, isolated, small] = outcomes.get((accepted, isolated, small), 0) + 1
+        assert outcomes[True, True, False] > 30 and outcomes[False, False, False] > 30
+        assert (False, True, True) in outcomes
 
 
 class TestWeights:
     def test_w12(self, catalog):
-        assert weights_from_matrix(invertible(catalog["W12"])) == (F(1, 4), F(1, 5))
+        assert weights_of(invertible(catalog["W12"])) == (F(1, 4), F(1, 5))
 
     def test_boundary_weight(self):
         w = InvertiblePolynomial(["x"], [[2]])
-        assert weights_from_matrix(w) == (F(1, 2),)
+        assert weights_of(w) == (F(1, 2),)
 
     def test_s12_three_by_three_solve(self, catalog):
-        q = weights_from_matrix(invertible(catalog["S12"]))
+        q = weights_of(invertible(catalog["S12"]))
         assert q == (F(4, 13), F(5, 13), F(3, 13))
         assert central_charge(q) == F(15, 13)
 
     def test_rejects_invalid_weight_range(self):
-        # x^1 y + y^1 x is quadratic-mixed; use x + y^3 instead: weight of x is 1.
-        w = InvertiblePolynomial(["x", "y"], [[1, 0], [0, 3]])
-        with pytest.raises(ValueError, match="outside"):
-            weights_from_matrix(w)
+        # x + y^3 would give x the weight 1; its linear term is no atom's.
+        with pytest.raises(ValueError, match=rejected("x")):
+            InvertiblePolynomial(["x", "y"], [[1, 0], [0, 3]])
 
     def test_matches_catalog_weights(self, catalog):
         for entry in catalog.values():
@@ -214,7 +410,7 @@ class TestWeights:
                 w = invertible(entry)
             except ValueError:
                 continue
-            assert weights_from_matrix(w) == entry.weights, entry.name
+            assert weights_of(w) == entry.weights, entry.name
 
 
 class TestSmithNormalForm:
@@ -269,8 +465,8 @@ class TestDiagonalSymmetries:
         group = diagonal_symmetries(w)
         assert group.order == 21
         # j_W, the weights mod 1, is a diagonal symmetry of W.
-        assert weights_from_matrix(w) == (F(1, 3), F(1, 7))
-        assert weights_from_matrix(w) in spanned_group(group, w.nvars)
+        assert weights_of(w) == (F(1, 3), F(1, 7))
+        assert weights_of(w) in spanned_group(group, w.nvars)
 
     def test_u12_order(self, catalog):
         assert diagonal_symmetries(invertible(catalog["U12"])).order == 36
@@ -283,7 +479,7 @@ class TestDiagonalSymmetries:
                 continue
             # `mirror` writes the weights as j_W: each is in (0, 1/2], so
             # it is its own residue mod 1, and E q = (1, ..., 1) is integral.
-            weights = weights_from_matrix(w)
+            weights = weights_of(w)
             assert tuple(q % 1 for q in weights) == weights, entry.name
             assert all(sum(e * q for e, q in zip(row, weights)) == 1 for row in w.exponent_matrix)
 
