@@ -12,7 +12,9 @@ normalized to zero and F0 truncated by total degree at the order of the
 s-expansion.  Both steps run on ints, from the solve's slices to F0: t(s)
 and J_(-2) are read off the slices as words (`_j_items`), s(t) is inverted
 by `invert_coordinates` and J_(-2) folded at it by `_substitute_ints`, and
-the only series built is F0.
+the only series built is F0.  The fold expands the longest words, of
+length N and N - 1 at order N, on their own (`_expand_words`), and runs
+the others through a Horner fold over their word trie.
 """
 
 from __future__ import annotations
@@ -76,6 +78,46 @@ def _j_items(result: PrimitiveFormResult, m: int) -> tuple:
     return order, e_scale, words
 
 
+def _expand_words(words: dict, factors: list, order: int, step: int, out: list) -> list:
+    """Pop from `words` every word of length `order` or `order` - 1 whose
+    letters v all have a one-term linear part x_v t^(k_v) in s_v(t) =
+    factors[v], and add its terms through degree `order` straight to
+    `out`, all as in `_substitute_ints`.  Returns what still needs a
+    product, as `graded_dot` lefts [(v, rest_v)] against the degree-2
+    parts of s(t).
+
+    Every factor has degree >= 1, so a word of length `order` reaches that
+    degree only through its linear parts: one term x_w t^(k_w), x_w the
+    product of its x_v and k_w the sum of its k_v.  A word of length
+    `order` - 1 adds that term too, and for each distinct letter v, of
+    multiplicity m_v, m_v (x_w / x_v) t^(k_w - k_v) times the degree-2 part
+    of s_v(t).  These rests are gathered per letter, so that each letter
+    costs one product however many words hold it."""
+    linear = [f[0][1][0] if f and f[0][0] == 1 and len(f[0][1]) == 1 else None for f in factors]
+    rests: dict = {}
+    for word in [w for w in words if order - 1 <= len(w) <= order]:
+        letters = [linear[v] for v in word]
+        if None in letters:
+            continue
+        key, x = 0, 1
+        for k, x_v in letters:
+            key += k
+            x *= x_v
+        terms = words.pop(word)
+        for i, c in terms:
+            acc = out[i].setdefault(len(word), {})
+            acc[key] = acc.get(key, 0) + c * x
+        if len(word) < order:
+            for v in set(word):
+                k, x_v = linear[v]
+                r = word.count(v) * (x // x_v)
+                rest = rests.setdefault(v, {})
+                for i, c in terms:
+                    marked = key - k + i * step
+                    rest[marked] = rest.get(marked, 0) + r * c
+    return [(v, graded({order - 2: rest})) for v, rest in rests.items()]
+
+
 def _substitute_ints(u: tuple, s_of_t: tuple, nvars: int, order: int, base: int) -> tuple:
     """Every series of u at s = s(t), on ints, through total degree `order`:
     (scale, [acc]), acc = scale * u_i(s(t)) as {degree: {packed: int}} with
@@ -84,9 +126,13 @@ def _substitute_ints(u: tuple, s_of_t: tuple, nvars: int, order: int, base: int)
     series in that form and in `nvars` variables, with no constant term,
     packed in `base`, a base above every exponent through order + 1.
 
-    The words form a trie: the children of a prefix p are the prefixes
-    p + (v,) with v no less than the last index of p.  The series are
-    evaluated by a Horner fold over that trie,
+    The words of length `order` and `order` - 1 whose letters all have a
+    one-term linear part, most of the words of J_(-2) and of u(s), are
+    expanded on their own by `_expand_words`: only their linear parts and
+    one degree-2 part reach degree `order`.  The other words form a trie:
+    the children of a prefix p are the prefixes p + (v,) with v no less
+    than the last index of p.  They are evaluated by a Horner fold over
+    that trie,
 
         v(p) = sum_i u_(p,i) [i]  +  sum_v s_v(t) v(p + v),
 
@@ -98,7 +144,7 @@ def _substitute_ints(u: tuple, s_of_t: tuple, nvars: int, order: int, base: int)
     mono + i base^nvars, which no product carries into; so one fold serves
     every series of the call.  The root is never formed: each of its
     children is multiplied by its coordinate series and split into the
-    outputs as soon as it closes.
+    outputs as soon as it closes, and so are the expanded words' rests.
 
     Each term of s(t) has degree >= 1 and v(p) is multiplied by |p| more
     factors, so it is formed only through degree order - |p|.  The term at
@@ -117,6 +163,16 @@ def _substitute_ints(u: tuple, s_of_t: tuple, nvars: int, order: int, base: int)
     out = [{} for _ in u_words]
     for i, scaled in words.pop((), ()):
         out[i][0] = {0: scaled}
+
+    def split(lefts, rights):
+        for degree, bucket in graded_dot(lefts, rights, order).items():
+            for key, c in bucket.items():
+                i, mono = divmod(key, step)
+                acc = out[i].setdefault(degree, {})
+                acc[mono] = acc.get(mono, 0) + c
+
+    quadratic = [[(d, items) for d, items in f if d == 2] for f in factors]
+    split(_expand_words(words, factors, order, step, out), quadratic)
     # stack[k] = (last index, own terms, closed children) of the open prefix word[:k]
     stack: list = [(None, (), [])]
     prev: tuple = ()
@@ -134,12 +190,8 @@ def _substitute_ints(u: tuple, s_of_t: tuple, nvars: int, order: int, base: int)
             value = [(0, [(i * step, c) for i, c in terms])]
         if depth > 1:
             stack[-1][2].append((v, value))
-            return
-        for degree, bucket in graded_dot([(v, value)], factors, order).items():
-            for key, c in bucket.items():
-                i, mono = divmod(key, step)
-                acc = out[i].setdefault(degree, {})
-                acc[mono] = acc.get(mono, 0) + c
+        else:
+            split([(v, value)], factors)
 
     for word in sorted(words):
         common = 0
@@ -225,10 +277,13 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
 
     From the solve's slices to F0 it runs on ints, in one packing base
     N + 2: t(s) and J_(-2) are read off the slices, s(t) is inverted by
-    `invert_coordinates` and J_(-2) folded at it.  With L the fold's scale and E
-    the lcm of the denominators of eta, G_a = E L g_a and H_J = |J| E L F_J,
-    so the check is (d + 1) G_a[m] = J_a H_J, J = m + e_a, at every degree
-    d <= N, and each F_J is divided out once.
+    `invert_coordinates` and J_(-2) folded at it by `_substitute_ints`.
+    s(t) has the identity linear part, so every word of J_(-2) of length N
+    or N - 1, most of them, is expanded outside the word trie, and so is
+    every such word of u(s) in each pass of the inversion.  With L the
+    fold's scale and E the lcm of the denominators of eta, G_a = E L g_a
+    and H_J = |J| E L F_J, so the check is (d + 1) G_a[m] = J_a H_J,
+    J = m + e_a, at every degree d <= N, and each F_J is divided out once.
 
     mu and eta are read off result.state.milnor, and `milnor` must be that
     object.  It drops the parts of exp(F - f), at every floor.

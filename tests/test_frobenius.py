@@ -3,6 +3,7 @@ import json
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -270,19 +271,41 @@ class TestInvertCoordinates:
             quadratic = [rand_series(2, order) for _ in range(mu)]
             quadratic[0] = quadratic[0] + (t0 * t1).scale(F(1, 3))
             cases.append(([truncated, polynomial], quadratic))
+        # Words of length N and N - 1 are expanded outside the trie when
+        # every letter has a one-term linear part: here at orders 1-3, with
+        # the letters 2 t1 and -t2, which are, and t0 + t1 or no linear
+        # part at all, which are not.
+        for low in (1, 2, 3):
+            t = [SSeries.variable(mu, v, low) for v in range(mu)]
+            shift = [rand_series(2, low) for _ in range(mu)]
+            scaled = [t[1].scale(2) + shift[0], t[2].scale(-1) + shift[1]]
+            monomials = [
+                tuple(word.count(v) for v in range(mu))
+                for length in (low - 1, low)
+                for word in combinations_with_replacement(range(mu), length)
+            ]
+            us = [
+                SSeries(mu, u_order, {
+                    m: F(rng.randint(1, 5), rng.choice(denominators)) for m in monomials
+                })
+                for u_order in (low, None)
+            ]
+            for third in (t[0] + t[1] + shift[2], shift[2]):
+                cases.append((us, scaled + [third]))
 
         for us, substituted in cases:
+            s_order = substituted[0].order
             composed = substitute(us, substituted)
             # brute force: substitute s(t) into every monomial
             for u, got in zip(us, composed):
-                direct = SSeries(mu, order)
+                direct = SSeries(mu, s_order)
                 for mono, coeff in u.terms.items():
-                    term = const(mu, order, coeff)
+                    term = const(mu, s_order, coeff)
                     for var, e in enumerate(mono):
                         for _ in range(e):
                             term = term * substituted[var]
                     direct = direct + term
-                u_order = order if u.order is None else min(u.order, order)
+                u_order = s_order if u.order is None else min(u.order, s_order)
                 assert got == SSeries(mu, u_order, direct.terms)
         assert substitute([cancelling], [s0, t1, t0]) == [SSeries(mu, order)]
 
@@ -440,9 +463,10 @@ class TestPrepotential:
     def test_series_products_pinned(self, solved_cache, milnor_cache, monkeypatch):
         # Work counter: the substitutions multiply no SSeries, and fold the
         # word trie with one product per prefix that has children, shared by
-        # all the series of a call, plus one per child of the root; folding
-        # each series on its own, or inverting s(t) through the order rather
-        # than one below it, raises these counts.
+        # all the series of a call, plus one per child of the root, and one
+        # for the rests of all the expanded words; folding each series on
+        # its own, or inverting s(t) through the order rather than one below
+        # it, raises these counts.
         cases = {name: (solved_cache(name, 4), milnor_cache(name)) for name in ("E12", "U12")}
         products, series_products = [], []
         power_product = frobenius.graded_dot
@@ -464,13 +488,15 @@ class TestPrepotential:
             products.clear()
             prepotential(result, data)
             counts[name] = len(products)
-        assert counts == {"E12": 259, "U12": 196}
+        assert counts == {"E12": 15, "U12": 15}
         assert series_products == []
 
     def test_substitution_pairs_pinned(self, solved_cache, milnor_cache, monkeypatch):
         # Work counter: the term pairs that the products of `prepotential`
         # form, counted with the kernel's own degree cut.  Forming a prefix
-        # of the word trie past order - |prefix| raises these counts.
+        # of the word trie past order - |prefix|, or multiplying the rests
+        # of the expanded words by more than the degree-2 part of s(t),
+        # raises these counts.
         kernel = frobenius.graded_dot
         pairs = []
 
@@ -489,7 +515,33 @@ class TestPrepotential:
             pairs.clear()
             prepotential(solved_cache(name, 6), milnor_cache(name))
             counts[name] = sum(pairs)
-        assert counts == {"E12": 25731, "U12": 16894}
+        assert counts == {"E12": 19825, "U12": 9492}
+
+    def test_expanded_words_pinned(self, solved_cache, milnor_cache, monkeypatch):
+        # Work counter: the words that `_expand_words` takes out of the trie
+        # in `prepotential` and the terms it forms, one per series of a word
+        # and one per rest it hands to the product, so that work moved out
+        # of `graded_dot` stays counted.
+        expand = frobenius._expand_words
+        words, terms = [], []
+
+        def counting(pending, factors, order, step, out):
+            before = dict(pending)
+            rests = expand(pending, factors, order, step, out)
+            taken = before.keys() - pending.keys()
+            words.append(len(taken))
+            terms.append(sum(len(before[w]) for w in taken))
+            terms.append(sum(len(items) for _, rest in rests for _, items in rest))
+            return rests
+
+        monkeypatch.setattr(frobenius, "_expand_words", counting)
+        counts = {}
+        for name in ("E12", "U12"):
+            words.clear()
+            terms.clear()
+            prepotential(solved_cache(name, 6), milnor_cache(name))
+            counts[name] = (sum(words), sum(terms))
+        assert counts == {"E12": (1962, 5108), "U12": (1777, 4289)}
 
 
 class TestIntegrability:
