@@ -6,9 +6,11 @@ lowest terms, positive denominator) over exponent tuples, so all arithmetic
 is exact; no floating point number enters any coefficient.  The hot paths
 (the primitive-form solve and its defect, the substitution, the WDVV check)
 run on Python ints instead: each scales its rationals by one common
-denominator, packs each monomial into one int (``pack_monomial``), forms
-every product with the one kernel ``graded_dot``, and divides back to
-reduced Fractions only for the values it returns; exp(F - f) is built
+denominator, packs each monomial into one int (``pack_monomial``), and
+divides back to reduced Fractions only for the values it returns; the
+substitution and the WDVV check form their products with the kernel
+``graded_dot``, and the solve and the defect add each product's term
+pairs straight into the lattice slots it lands in.  exp(F - f) is built
 on packed x-monomials too.  The Jacobian division and the WDVV generating
 set share one fraction-free int echelon (`eliminate`, `echelon_row`).
 
@@ -30,15 +32,26 @@ The canonical term order used for printing and serialization is graded
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, inf
 from typing import Iterable, Iterator
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" (or "p") into an exact rational."""
+    """Parse "p/q" (or "p") into an exact rational.
+
+    A decimal exponent, as in "1e-5", may not make a power of 10 longer
+    than Python lets a digit string be (`sys.get_int_max_str_digits`):
+    `Fraction` would build it, and every later step would choke on it."""
     if not isinstance(text, str):
         raise ValueError(f"a rational is written as a string, got {text!r}")
+    if "e" in text or "E" in text:
+        exponent = re.search(r"[eE][-+]?([\d_]+)\s*$", text)
+        digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+        limit = sys.get_int_max_str_digits()
+        if limit and (len(digits) > len(str(limit)) or int(digits or 0) >= limit):
+            raise ValueError(f"the exponent of {text!r} makes a number of more than {limit} digits")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

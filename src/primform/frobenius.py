@@ -286,12 +286,15 @@ def prepotential(result: PrimitiveFormResult, milnor: MilnorData) -> FrobeniusDa
     J = m + e_a, at every degree d <= N, and each F_J is divided out once.
 
     mu and eta are read off result.state.milnor, and `milnor` must be that
-    object.  It drops the parts of exp(F - f), at every floor.
+    object.  It drops the parts of exp(F - f), at every floor, and the
+    class table and x-monomial degrees the solve and the defect share.
     """
     data = result.state.milnor
     if milnor is not data:
         raise ValueError("the Milnor data is not that of the solved unfolding")
     result.state._parts.clear()
+    result.state._classes.clear()
+    result.state._x_sdegs.clear()
     mu, order, base = data.mu, result.order, result.order + 2
     s_of_t = invert_coordinates(flat_coordinates(result), min(max(order - 1, 1), order))
     scale, accs = _substitute_ints(_j_items(result, -2), s_of_t, mu, order, base)

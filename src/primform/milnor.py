@@ -129,7 +129,7 @@ class _JacobianDivider:
     """
 
     def __init__(self, f: WeightedPolynomial, basis=None):
-        self.nvars = f.nvars
+        self.nvars, self.names = f.nvars, f.variables
         self.scale = lcm(*[q.denominator for q in f.weights])
         self.var_sdegs = tuple(int(q * self.scale) for q in f.weights)
         # Generator column ("g", i, m) is m * d_i f scaled by jacobian_den,
@@ -196,8 +196,9 @@ class _JacobianDivider:
             free = len(monos) - len(echelon)
             if len(basis_monos) != free:
                 raise ValueError(
-                    f"designated basis has {len(basis_monos)} monomials at scaled "
-                    f"degree {sdeg}, but the quotient there has dimension {free}"
+                    f"designated basis has {len(basis_monos)} monomials at weighted degree "
+                    f"{format_rational(Fraction(sdeg, self.scale))}, but the quotient "
+                    f"there has dimension {free}"
                 )
         else:
             basis_monos = [m for m in monos if index[m] not in echelon]
@@ -209,7 +210,7 @@ class _JacobianDivider:
             pivot = eliminate(vec, combo, echelon)
             if pivot is None:
                 raise ValueError(
-                    f"designated basis monomial {bm} is not independent "
+                    f"designated basis monomial {mono_str(bm, self.names)} is not independent "
                     "modulo the Jacobian ideal"
                 )
             echelon[pivot] = echelon_row(pivot, vec, combo)

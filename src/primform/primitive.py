@@ -19,7 +19,6 @@ from .algebra import (
     LaurentBlock,
     SSeries,
     graded,
-    graded_dot,
     mono_mul,
     pack_monomial,
     unpack_monomial,
@@ -31,7 +30,7 @@ class UnfoldingState:
     """The unfolding F of milnor.f, its parameter grading, and the truncation
     order."""
 
-    __slots__ = ("milnor", "order", "s_degrees", "_parts")
+    __slots__ = ("milnor", "order", "s_degrees", "_parts", "_classes", "_x_sdegs")
 
     def __init__(self, milnor: MilnorData, order: int):
         if order < 0:
@@ -39,7 +38,7 @@ class UnfoldingState:
         self.milnor = milnor
         self.order = order
         self.s_degrees = tuple(1 - d for d in milnor.degrees)
-        self._parts = {}
+        self._parts, self._classes, self._x_sdegs = {}, {}, {}
 
     def exp_parts(self, floor: int) -> list[dict]:
         """The s-degree-m parts E_m of exp(F - f) for m = 0..order, times
@@ -165,41 +164,57 @@ def _reduced_products(
     up, and of the others every class entry below the floor is dropped.
     Degrees are compared as ints scaled by the lcm of the weight
     denominators.  A first pass collects the items and L, the lcm of every
-    D_{k-m} m! R_c and of `den`; the second forms each item's product once
-    with `graded_dot` and adds it, times each class entry scaled up to L,
-    into {(z, idx): {packed: int}}.  Every class comes from
-    `monomial_class`, which memoizes it on `state.milnor`.
+    D_{k-m} m! R_c and of `den`; the second adds each item's term pairs,
+    times each class entry scaled up to L, straight into
+    {(z, idx): {packed: int}}, left term by left term.  The classes come
+    from `monomial_class`, which memoizes them on `state.milnor`, and are
+    kept in the state's class table, `state._classes`[beta][x-monomial],
+    beside the parts, so each pair is looked up once per state, by the
+    first solve step or defect whose degree test it passes; and each
+    x-monomial's scaled degree is kept in `state._x_sdegs`.  One dict per
+    beta keeps the table smaller than one per x-monomial or one keyed by
+    pairs, which matters for the peak memory of the solve.
     """
-    parts, data = state.exp_parts(floor), state.milnor
+    parts, data, x_sdegs = state.exp_parts(floor), state.milnor, state._x_sdegs
     basis, divider = data.basis, data._divider
     basis_sdegs = [divider.sdeg(mono) for mono in basis]
+    columns = [state._classes.setdefault(beta, {}) for beta in range(len(basis))]
     items, dens = [], {den}
     for m in range(first, k + 1):
         d_slice, zeta_terms = slices[k - m]
+        if not zeta_terms:
+            continue
         scale = d_slice * factorial(m)
         for x_mono, part in parts[m].items():
-            x_sdeg = divider.sdeg(x_mono)
+            x_sdeg = x_sdegs.get(x_mono)
+            if x_sdeg is None:
+                x_sdeg = x_sdegs[x_mono] = divider.sdeg(x_mono)
             for (zq, beta), series in zeta_terms.items():
                 shift = zq - m
                 if (shift - floor) * divider.scale + x_sdeg + basis_sdegs[beta] < 0:
                     continue
-                mono = mono_mul(x_mono, basis[beta])
-                r_c, entries = monomial_class(mono, data)
+                column = columns[beta]
+                found = column.get(x_mono)
+                if found is None:
+                    found = column[x_mono] = monomial_class(mono_mul(x_mono, basis[beta]), data)
+                r_c, entries = found
                 kept = [(zp + shift, idx, r) for zp, idx, r in entries if zp + shift >= floor]
                 if kept:
                     d = scale * r_c
                     dens.add(d)
-                    items.append((d, (m, part), (k - m, series), kept))
+                    items.append((d, part, series, kept))
     den = lcm(*dens)
     acc: dict = {}
-    for d, left, right, entries in items:
+    for d, part, series, entries in items:
         factor = den // d
-        product = graded_dot([(0, [left])], [[right]], k)[k]
         for zp, idx, r in entries:
             r *= factor
             slot = acc.setdefault((zp, idx), {})
-            for key, v in product.items():
-                slot[key] = slot.get(key, 0) + v * r
+            for ml, cl in part:
+                cl *= r
+                for mr, cr in series:
+                    key = ml + mr
+                    slot[key] = slot.get(key, 0) + cl * cr
     return den, acc
 
 
@@ -253,6 +268,7 @@ def solve_star(state: UnfoldingState, floor: int = -2) -> PrimitiveFormResult:
     for k in range(1, order + 1):
         den, acc = _reduced_products(state, floor, zeta_slices, k, 1)
         known = dict(graded(acc))
+        del acc  # not held while the next order's products are formed
         nonneg = {slot: terms for slot, terms in known.items() if slot[0] >= 0}
         g = gcd(den, *(v for terms in nonneg.values() for _, v in terms))
         zeta_k = {slot: [(p, -v // g) for p, v in terms] for slot, terms in nonneg.items()}
@@ -270,8 +286,9 @@ def defect(result: PrimitiveFormResult) -> list:
 
     Every product E_m zeta_j with m + j <= order, m = 0 included, is formed
     again from the result's slices through the solve's own kernel,
-    `_reduced_products`, with the result's floor and
-    `exp_parts(result.floor)`: what lands below the floor, and J there, is
+    `_reduced_products`, with the result's floor, `exp_parts(result.floor)`
+    and the solve's table of classes, so only the m = 0 pairs the solve
+    never met are looked up: what lands below the floor, and J there, is
     not checked.  The parts rest on the grading of zeta; a zeta perturbed
     off it is still caught at its lowest perturbed s-degree, where every
     other product reads only unperturbed slices.  Slice k runs over D_k,
@@ -294,6 +311,7 @@ def defect(result: PrimitiveFormResult) -> list:
             for p, v in terms:
                 acc_slot[p] = acc_slot.get(p, 0) - v * factor
         left = dict(graded(acc))
+        del acc  # not held while the next order's products are formed
         if left:
             remainder.append((den, left))
     return remainder

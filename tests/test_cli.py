@@ -163,6 +163,48 @@ class TestInfo:
         assert record["polynomial"] == "1000*x^3 + y^7"
         assert (record["variables"], record["milnor_number"]) == (["x", "y"], 12)
 
+    @pytest.mark.parametrize(
+        "where, coeff",
+        [
+            (where, coeff)
+            for where in ("verify", "weights", "catalog")
+            for coeff in ("1e-5000", "1e5000")
+        ]
+        + [("poly", "1e5000")],
+    )
+    def test_huge_decimal_exponent_rejected(self, capsys, tmp_path, where, coeff):
+        # Fraction builds 10^e for any decimal exponent e, although Python
+        # refuses a digit string that long; 1e-999999 once hung verify.
+        # --poly splits terms at a minus sign, so it takes only 1e5000.
+        path = tmp_path / "input.json"
+        if where == "verify":
+            record = json.loads((RECORDS / "sweep-o4" / "A4.json").read_text())
+            record["terms"][0]["coeff"] = coeff
+            path.write_text(json.dumps(record))
+            argv = ["verify", str(path)]
+            prefix = "malformed record: ValueError("
+        elif where == "catalog":
+            entry = {
+                "name": "A2",
+                "variables": ["x"],
+                "weights": ["1/3"],
+                "polynomial": [{"exponents": [3], "coeff": coeff}],
+            }
+            path.write_text(json.dumps({"entries": [entry]}))
+            argv = ["info", "--catalog", str(path), "--singularity", "A2"]
+            prefix = f"malformed catalog {path}: ValueError("
+        elif where == "weights":
+            argv = ["info", "--poly", "x^3+y^7", "--weights", f"{coeff},1/7"]
+            prefix = ""
+        else:
+            argv = ["info", "--poly", f"{coeff}*x^3+y^7"]
+            prefix = ""
+        code, out, err = run_cli(argv, capsys)
+        limit = sys.get_int_max_str_digits()
+        message = f"the exponent of '{coeff}' makes a number of more than {limit} digits"
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {prefix}") and message in err and err.count("\n") == 1
+
 
 class TestCompute:
     def test_a1_cubic_only(self, capsys, tmp_path):
@@ -319,11 +361,11 @@ class TestCompute:
         [
             (
                 "1,x,y,x*y",
-                "designated basis monomial (1, 1) is not independent modulo the Jacobian ideal",
+                "designated basis monomial x*y is not independent modulo the Jacobian ideal",
             ),
             (
                 "1,x,y,x^3",
-                "designated basis has 0 monomials at scaled degree 2, "
+                "designated basis has 0 monomials at weighted degree 2/3, "
                 "but the quotient there has dimension 1",
             ),
             # x^5 lies above every degree the division visits; it once
@@ -333,7 +375,7 @@ class TestCompute:
             ("1,x,y,x^2,x^4", "designated basis has monomials above the socle degree"),
             (
                 "1,x,y,x^2,x*y^2",
-                "designated basis has 1 monomials at scaled degree 3, "
+                "designated basis has 1 monomials at weighted degree 1, "
                 "but the quotient there has dimension 0",
             ),
         ],

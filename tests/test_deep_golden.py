@@ -7,7 +7,8 @@ flat-coordinate inversion and the J_(-2) substitution at order 6 are gated
 outside the benchmark too.  The library path must also run on the
 solve's int slices alone, build no Fraction series between the solve and
 F0, and release the parts of exp(F - f) in the prepotential, with or
-without a defect before it.
+without a defect before it, and with them the table of lattice classes
+the solve and the defect share.
 """
 
 import json
@@ -69,7 +70,8 @@ def test_library_path_reads_only_the_slices(catalog, milnor_cache, monkeypatch):
     result = solve_star(build_unfolding(catalog["E12"].weighted_polynomial(), data, 6))
     assert library_record("E12", data, result) == (GOLDEN / "E12.json").read_bytes()
     assert builds == [-2]
-    assert result.state._parts == {}
+    state = result.state
+    assert state._parts == state._classes == state._x_sdegs == {}
 
 
 def test_prepotential_drops_the_parts(catalog, milnor_cache):
@@ -81,18 +83,29 @@ def test_prepotential_drops_the_parts(catalog, milnor_cache):
     result.state.exp_parts(-6)
     assert sorted(result.state._parts) == [-6, -2]
     f0 = prepotential(result, data).prepotential
-    assert result.state._parts == {}
+    state = result.state
+    assert state._parts == state._classes == state._x_sdegs == {}
     assert f0.to_records() == json.loads((GOLDEN / "E12.json").read_text())["terms"]
 
 
 def test_defects_share_the_parts(catalog, milnor_cache, monkeypatch):
-    # The defect reads the solve's parts and leaves them: a second defect on
-    # the same solved state builds none, as only the prepotential drops them.
+    # The defect reads the solve's parts and class table and leaves them: a
+    # second defect on the same solved state builds no part and looks up no
+    # class, as only the prepotential drops them.
     builds = count_part_builds(monkeypatch)
     data = milnor_cache("E12")
     result = solve_star(build_unfolding(catalog["E12"].weighted_polynomial(), data, 4))
-    assert defect(result) == [] and defect(result) == []
+    assert defect(result) == []
+    lookups, original = [], primitive.monomial_class
+
+    def counted(mono, data):
+        lookups.append(mono)
+        return original(mono, data)
+
+    monkeypatch.setattr(primitive, "monomial_class", counted)
+    assert defect(result) == []
     assert builds == [-2]
+    assert lookups == []
 
 
 def test_prepotential_builds_no_fraction_series(milnor_cache, solved_cache, monkeypatch):

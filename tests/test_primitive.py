@@ -9,7 +9,13 @@ from primform import milnor, primitive
 from primform.algebra import LaurentBlock, SSeries, mono_mul, unpack_monomial, weighted_degree
 from primform.frobenius import prepotential
 from primform.milnor import milnor_basis
-from primform.primitive import UnfoldingState, build_unfolding, defect_is_zero, solve_star
+from primform.primitive import (
+    UnfoldingState,
+    build_unfolding,
+    defect,
+    defect_is_zero,
+    solve_star,
+)
 
 F = Fraction
 
@@ -182,12 +188,14 @@ class TestSolveStar:
     def test_work_counters_pinned(self, catalog, monkeypatch):
         # Series products, J terms, reduction-cache entries, the total
         # echelon size of the Jacobian division and the monomial_class
-        # calls answered from the cache, in a cold order-4 solve; and the
-        # generator columns eliminated in milnor_basis and that solve.  A
-        # rise in any of them is more work for the same J.  The solve gets
-        # every class through monomial_class, so the hits are every memo
-        # hit: the solve's own repeats and those inside the recursion.
-        calls, hits, columns = [], [], []
+        # calls answered from the cache, in a cold order-4 solve; the
+        # generator columns eliminated in milnor_basis and that solve; and
+        # the monomial_class calls of a defect right after it.  A rise in
+        # any of them is more work for the same J.  The solve gets every
+        # class through monomial_class, so the hits are every memo hit:
+        # products x-monomial * phi_beta of distinct pairs that meet, and
+        # those inside the recursion.
+        calls, hits, columns, lookups = [], [], [], []
         original = SSeries.__mul__
         original_class = milnor.monomial_class
         original_eliminate = milnor.eliminate
@@ -197,6 +205,7 @@ class TestSolveStar:
             return original(a, b)
 
         def counting_class(mono, data):
+            lookups.append(None)
             if mono in data._reduce_cache:
                 hits.append(None)
             return original_class(mono, data)
@@ -206,7 +215,7 @@ class TestSolveStar:
                 columns.append(None)
             return original_eliminate(vec, combo, echelon)
 
-        counts, eliminated = {}, {}
+        counts, eliminated, defect_lookups = {}, {}, {}
         for name in ("E12", "U12"):
             f = catalog[name].weighted_polynomial()
             columns.clear()
@@ -221,14 +230,20 @@ class TestSolveStar:
                 patch.setattr(milnor, "monomial_class", counting_class)
                 patch.setattr(primitive, "monomial_class", counting_class)
                 result = solve_star(state, floor=-4)
+                solve_hits = len(hits)
+                lookups.clear()
+                assert defect(result) == []
+                defect_lookups[name] = len(lookups)
             j_terms = sum(len(series.terms) for _, _, series in j_block(result).iter_terms())
             echelon = sum(len(system.echelon) for system in data._divider._systems.values())
-            counts[name] = (len(calls), j_terms, len(data._reduce_cache), echelon, len(hits))
+            counts[name] = (len(calls), j_terms, len(data._reduce_cache), echelon, solve_hits)
             eliminated[name] = len(columns)
-        # The solve forms no series product: it runs on ints, and looks up
-        # each lattice class once per call.
-        assert counts == {"E12": (0, 1054, 105, 28, 203), "U12": (0, 643, 225, 46, 351)}
+        # The solve forms no series product: it runs on ints, and takes the
+        # class of each (x-monomial, beta) pair once per unfolding state, so
+        # the defect looks up only the pairs of its m = 0 items that are new.
+        assert counts == {"E12": (0, 1054, 105, 28, 82), "U12": (0, 643, 225, 46, 170)}
         assert eliminated == {"E12": 16, "U12": 37}
+        assert defect_lookups == {"E12": 0, "U12": 3}
 
     def test_no_system_above_the_band(self, catalog):
         # milnor_basis builds the systems of every degree through the top
