@@ -11,8 +11,10 @@ divides back to reduced Fractions only for the values it returns; the
 substitution and the WDVV check form their products with the kernel
 ``graded_dot``, and the solve and the defect add each product's term
 pairs straight into the lattice slots it lands in.  exp(F - f) is built
-on packed x-monomials too.  The Jacobian division and the WDVV generating
-set share one fraction-free int echelon (`eliminate`, `echelon_row`).
+on packed x-monomials too.  One fraction-free int echelon (`eliminate`,
+`echelon_row`) does every exact elimination: the Jacobian division, the
+WDVV generating set, the inferred weights, and, from the rows of eta by
+`row_echelon`, the rank of the residue pairing eta and eta^-1.
 
 Representations:
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import Iterable, Iterator
 
 
@@ -190,6 +192,22 @@ def echelon_row(pivot, vec, combo):
         g = -g
     vec, combo = ({k: c // g for k, c in part.items()} for part in (vec, combo))
     return vec[pivot], vec, combo
+
+
+def row_echelon(rows) -> dict | None:
+    """The `eliminate` echelon of the rows of a rational matrix, each row
+    scaled to ints with its combination {row index: int}, so that every
+    echelon vector is its combination of the rows; None when the rows are
+    dependent."""
+    echelon: dict = {}
+    for a, row in enumerate(rows):
+        den = lcm(*(v.denominator for v in row))
+        vec, combo = {b: int(v * den) for b, v in enumerate(row) if v}, {a: den}
+        pivot = eliminate(vec, combo, echelon)
+        if pivot is None:
+            return None
+        echelon[pivot] = echelon_row(pivot, vec, combo)
+    return echelon
 
 
 def mono_str(exps: tuple[int, ...], names: Iterable[str]) -> str:
@@ -392,68 +410,6 @@ class LaurentBlock:
 
     def __repr__(self):
         return f"LaurentBlock(z in {sorted(self.z_terms)})"
-
-
-def _gauss_jordan(m: list[list[Fraction]], ncols: int) -> tuple[list[int], Fraction]:
-    """Reduce the rows of m in place over their first ncols columns.
-
-    Each pivot is the first nonzero entry at or below the next pivot row;
-    its row is scaled to 1 and the column is cleared from every other row.
-    Returns the pivot columns and the determinant of those columns when
-    they are square: the product of the pivots, with the sign of the row
-    swaps, or 0 when a column has no pivot.
-    """
-    pivots: list[int] = []
-    det = Fraction(1)
-    for col in range(ncols):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(m)) if m[i][col]), None)
-        if pivot is None:
-            det = Fraction(0)
-            continue
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-            det = -det
-        det *= m[r][col]
-        inv = 1 / m[r][col]
-        # Zero entries are skipped: the pairings reduced here are sparse.
-        m[r] = [a * inv if a else a for a in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b if b else a for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-    return pivots, det
-
-
-def mat_det(rows: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix."""
-    return _gauss_jordan([list(map(Fraction, r)) for r in rows], len(rows))[1]
-
-
-def mat_inv(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a square rational matrix."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
-    if not _gauss_jordan(m, n)[1]:
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
-
-
-def mat_solve(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """The unique solution of a (possibly rectangular) exact linear system.
-
-    Returns None when the system is inconsistent, and raises ValueError
-    when it has many solutions.
-    """
-    ncols = len(rows[0]) if rows else 0
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    pivots, _ = _gauss_jordan(m, ncols)
-    if any(row[ncols] for row in m[len(pivots):]):
-        return None
-    if len(pivots) < ncols:
-        raise ValueError("the linear system has many solutions")
-    return [row[ncols] for row in m[:ncols]]
 
 
 def parse_monomial(text: str, variables: list[str]) -> tuple[tuple[int, ...], Fraction]:

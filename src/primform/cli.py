@@ -28,11 +28,11 @@ from .primitive import build_unfolding, defect_is_zero, solve_star
 
 
 def _infer_variable_order(text: str) -> list[str]:
-    """The names in text in order of first use.  A name is a run of letters
-    and digits that starts with a letter; a run that starts with a digit,
-    such as 1e3, is a number."""
-    runs = "".join(ch if ch.isalpha() or ch.isdigit() else " " for ch in text).split()
-    return list(dict.fromkeys(run for run in runs if not run[0].isdigit()))
+    """The names in text in order of first use.  A name is a run of letters,
+    digits and "_" that does not start with a digit, such as x_1; a run
+    that starts with a digit, such as 1e3, is a number."""
+    runs = "".join(ch if ch.isalpha() or ch.isdigit() or ch == "_" else " " for ch in text)
+    return list(dict.fromkeys(run for run in runs.split() if not run[0].isdigit()))
 
 
 def _resolve_target(args, catalog):

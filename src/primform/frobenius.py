@@ -32,10 +32,10 @@ from .algebra import (
     format_rational,
     graded,
     graded_dot,
-    mat_inv,
     mono_key,
     parse_basis,
     parse_rational,
+    row_echelon,
     unpack_monomial,
     variable_names,
     weighted_degree,
@@ -389,12 +389,29 @@ def _pairing_key(a: int, b: int, c: int, d: int) -> tuple:
     return tuple(sorted(((min(a, b), max(a, b)), (min(c, d), max(c, d)))))
 
 
-def _pairing_inverse(eta) -> list:
-    """eta^-1; ValueError unless the pairing eta is symmetric and invertible."""
+def _pairing_inverse(eta) -> tuple:
+    """(E, rows), rows[f] = [(e, E eta^{fe})] over the nonzero entries in
+    index order and E the lcm of the denominators of eta^-1; ValueError
+    unless the pairing eta is symmetric and invertible.
+
+    Each unit vector e_f reduces to zero against the `row_echelon` of
+    eta: lam e_f + combo . eta = 0, so row f of eta^-1 is -combo / lam."""
     mu = len(eta)
     if any(eta[i][j] != eta[j][i] for i in range(mu) for j in range(i)):
         raise ValueError("the pairing eta is not symmetric")
-    return mat_inv([list(row) for row in eta])
+    echelon = row_echelon(eta)
+    if echelon is None:
+        raise ValueError("matrix is singular")
+    rows, dens = [], []
+    for f in range(mu):
+        combo = {mu: 1}
+        eliminate({f: 1}, combo, echelon)
+        lam = combo.pop(mu)
+        g = gcd(lam, *combo.values())
+        rows.append(sorted((e, -c // g) for e, c in combo.items()))
+        dens.append(lam // g)
+    e_scale = lcm(*dens)
+    return e_scale, [[(e, c * (e_scale // den)) for e, c in row] for row, den in zip(rows, dens)]
 
 
 def _generating_set(cubic: list, raising: list) -> list:
@@ -490,15 +507,9 @@ def wdvv_check(f0: SSeries, eta) -> CheckReport:
     check_order = f0.order - 3
     if f0.nvars != mu:
         raise ValueError(f"prepotential has {f0.nvars} variables, pairing has {mu}")
-    eta_inv = _pairing_inverse(eta)
+    e_scale, sparse = _pairing_inverse(eta)
     d_scale = lcm(*(c.denominator for c in f0.terms.values()))
-    e_scale = lcm(*(v.denominator for row in eta_inv for v in row))
-    # sparse[f] = [(e, E eta^{fe}), ...] where it is nonzero; raising holds
-    # the same entries as constant series.
-    sparse = [
-        [(e, v.numerator * (e_scale // v.denominator)) for e, v in enumerate(row) if v]
-        for row in eta_inv
-    ]
+    # raising holds the entries of sparse as constant series.
     raising = [[(e, [(0, [(0, g)])]) for e, g in row] for row in sparse]
 
     # tensor[c][d][f] is F_fcd, None where it is zero; cubic[c][d][f] is its

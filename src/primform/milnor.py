@@ -17,11 +17,10 @@ from .algebra import (
     echelon_row,
     eliminate,
     format_rational,
-    mat_det,
-    mat_solve,
     mono_key,
     mono_mul,
     mono_str,
+    row_echelon,
     weighted_degree,
 )
 
@@ -76,18 +75,28 @@ class WeightedPolynomial:
 def infer_weights(poly: SSeries) -> tuple[Fraction, ...]:
     """Solve for the unique weights giving every term weighted degree 1.
 
-    Whether the weights lie in (0, 1/2] is left to the caller.
+    The all-ones vector over the terms is reduced by `eliminate` against
+    the exponent matrix's columns, one per variable; the zero polynomial
+    gives no weights.  Whether the weights lie in (0, 1/2] is left to the
+    caller.
     """
-    rows = [[Fraction(e) for e in m] for m in poly.terms]
-    try:
-        solution = mat_solve(rows, [Fraction(1)] * len(rows))
-    except ValueError:
-        raise ValueError(
-            "weights are not determined by the polynomial; pass them explicitly"
-        ) from None
-    if solution is None:
+    if not poly:
+        return ()
+    n, echelon, free = poly.nvars, {}, False
+    for j in range(n):
+        vec, combo = {i: m[j] for i, m in enumerate(poly.terms) if m[j]}, {j: 1}
+        pivot = eliminate(vec, combo, echelon)
+        if pivot is None:
+            free = True
+        else:
+            echelon[pivot] = echelon_row(pivot, vec, combo)
+    # lam * ones - sum_j q_j lam * column_j = 0, lam = combo[n] > 0.
+    combo = {n: 1}
+    if eliminate(dict.fromkeys(range(len(poly.terms)), 1), combo, echelon) is not None:
         raise ValueError("no weight system makes every term homogeneous of degree 1")
-    return tuple(solution)
+    if free:
+        raise ValueError("weights are not determined by the polynomial; pass them explicitly")
+    return tuple(Fraction(-combo.get(j, 0), combo[n]) for j in range(n))
 
 
 def central_charge(weights) -> Fraction:
@@ -461,7 +470,8 @@ def residue_pairing(data: MilnorData):
 
     eta[a][b] = r_ab * mu / h, where phi_a*phi_b = r_ab*socle and
     hess(f) = h*socle modulo the Jacobian ideal: h is the socle coefficient
-    of divide_by_jacobian(hessian_determinant(f), data).  Returns eta.
+    of divide_by_jacobian(hessian_determinant(f), data).  Returns eta,
+    whose rank `row_echelon` checks on ints.
     """
     hess = hessian_determinant(data.f)
     socle_idx = data.basis_index[data.socle]
@@ -482,6 +492,6 @@ def residue_pairing(data: MilnorData):
             r = basis_part.get(data.socle)
             if r:
                 eta[a][b] = eta[b][a] = Fraction(r, den) * scale
-    if not mat_det(eta):
+    if row_echelon(eta) is None:
         raise ArithmeticError("residue pairing is degenerate; data is inconsistent")
     return tuple(tuple(row) for row in eta)

@@ -11,7 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 from exact_forms import const, j_block, j_components, verify_exact_class, zeta_block
-from primform.algebra import SSeries, mat_det, parse_rational
+from fraction_reference import det as reference_det
+from primform.algebra import SSeries, parse_rational
 from primform.catalog import EXCEPTIONAL_NAMES, load_catalog
 from primform.frobenius import euler_check, normalization_check, prepotential, wdvv_check
 from primform.milnor import (
@@ -210,7 +211,7 @@ def test_criterion_7_transpose_closure_and_symmetry_orders(catalog):
         assert partner == TRANSPOSE_PAIRS[name], (name, partner)
 
         group = diagonal_symmetries(w)
-        det = abs(int(mat_det(w.exponent_matrix)))
+        det = abs(int(reference_det(w.exponent_matrix)))
         assert group.order == det, name
         if det <= 100:
             count = _brute_force_symmetry_count(w, det)

@@ -1,19 +1,19 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from exact_forms import const
+from fraction_reference import det, inverse, solve
+from primform import frobenius
 from primform.algebra import (
     LaurentBlock,
     SSeries,
     format_rational,
     graded,
     graded_dot,
-    mat_det,
-    mat_inv,
-    mat_solve,
     mono_mul,
     pack_monomial,
     parse_monomial,
@@ -21,6 +21,7 @@ from primform.algebra import (
     parse_rational,
     unpack_monomial,
 )
+from primform.milnor import infer_weights
 
 
 def P(text, variables):
@@ -288,43 +289,118 @@ class TestLaurentBlock:
 
 
 class TestMatrixHelpers:
+    """Known answers of the tests' Fraction reference, which stands in for
+    the engine's int elimination wherever a test needs a determinant, an
+    inverse or a solve."""
+
     def test_det_and_inv(self):
         m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(4)]]
-        assert mat_det(m) == 7
-        inv = mat_inv(m)
+        assert det(m) == 7
+        inv = inverse(m)
         assert inv == [[Fraction(4, 7), Fraction(-1, 7)], [Fraction(-1, 7), Fraction(2, 7)]]
 
     def test_solve(self):
         m = [[Fraction(3), Fraction(0)], [Fraction(1), Fraction(5)]]
-        sol = mat_solve(m, [Fraction(1), Fraction(1)])
+        sol = solve(m, [Fraction(1), Fraction(1)])
         assert sol == [Fraction(1, 3), Fraction(2, 15)]
 
     def test_solve_inconsistent(self):
         m = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-        assert mat_solve(m, [Fraction(1), Fraction(3)]) is None
+        assert solve(m, [Fraction(1), Fraction(3)]) is None
 
     def test_singular(self):
         m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        assert mat_det(m) == 0
+        assert det(m) == 0
         with pytest.raises(ValueError, match="singular"):
-            mat_inv(m)
+            inverse(m)
 
     def test_row_swap_sign(self):
-        assert mat_det([[0, 1], [1, 0]]) == -1
+        assert det([[0, 1], [1, 0]]) == -1
 
     def test_s12_exponent_matrix(self):
         # x^2*y + y^2*z + x*z^3: |det| is the order of the symmetry group.
-        det = mat_det([[2, 1, 0], [0, 2, 1], [1, 0, 3]])
-        assert det == 13 and det.denominator == 1
+        value = det([[2, 1, 0], [0, 2, 1], [1, 0, 3]])
+        assert value == 13 and value.denominator == 1
 
     def test_solve_overdetermined_consistent(self):
         rows = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)], [Fraction(1), Fraction(1)]]
-        assert mat_solve(rows, [Fraction(2), Fraction(3), Fraction(5)]) == [2, 3]
+        assert solve(rows, [Fraction(2), Fraction(3), Fraction(5)]) == [2, 3]
 
     def test_solve_underdetermined_raises(self):
         # Free unknowns were once set to zero.
         with pytest.raises(ValueError, match="many solutions"):
-            mat_solve([[Fraction(1), Fraction(1)]], [Fraction(1)])
+            solve([[Fraction(1), Fraction(1)]], [Fraction(1)])
+
+
+class TestIntEliminationAgainstReference:
+    """The engine's eliminations on ints, `eliminate` behind the inferred
+    weights and eta^-1, against the Fraction reference on seeded input."""
+
+    NOT_DETERMINED = "weights are not determined by the polynomial; pass them explicitly"
+    INCONSISTENT = "no weight system makes every term homogeneous of degree 1"
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except ValueError as error:
+            return str(error)
+
+    def test_infer_weights_matches_reference_solve(self):
+        rng = random.Random(39)
+        outcomes = {"weights": 0, self.NOT_DETERMINED: 0, self.INCONSISTENT: 0}
+        for _ in range(1500):
+            nvars = rng.randint(1, 4)
+            terms = {
+                tuple(rng.randint(0, 5) for _ in range(nvars)): Fraction(rng.randint(1, 3))
+                for _ in range(rng.randint(0, 5))
+            }
+            poly = SSeries(nvars, None, terms)
+            rows = [list(m) for m in poly.terms]
+            want = self._outcome(lambda: solve(rows, [1] * len(rows)))
+            if want is None:
+                want = self.INCONSISTENT
+            elif want == "the linear system has many solutions":
+                want = self.NOT_DETERMINED
+            else:
+                want = tuple(want)
+            got = self._outcome(lambda: infer_weights(poly))
+            assert got == want, terms
+            outcomes["weights" if isinstance(got, tuple) else got] += 1
+        # Every outcome is drawn often, so no branch is tested vacuously.
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_pairing_inverse_matches_reference_inverse(self):
+        # E must be the least common denominator of eta^-1, and the rows
+        # its nonzero entries scaled by E, in index order.
+        rng = random.Random(39)
+        values = [Fraction(0)] * 4 + [Fraction(p, q) for p in (-3, -1, 1, 2, 5) for q in (1, 2, 3, 7)]
+        singular = 0
+        for trial in range(800):
+            mu = rng.randint(1, 6)
+            eta = [[Fraction(0)] * mu for _ in range(mu)]
+            for i in range(mu):
+                for j in range(i, mu):
+                    eta[i][j] = eta[j][i] = rng.choice(values)
+            if trial % 5 == 0 and mu > 1:
+                # A symmetric matrix of rank below mu: A^T diag(d) A.
+                k = rng.randint(1, mu - 1)
+                a = [[rng.choice(values) for _ in range(mu)] for _ in range(k)]
+                d = [rng.choice(values[4:]) for _ in range(k)]
+                eta = [
+                    [sum(a[r][i] * d[r] * a[r][j] for r in range(k)) for j in range(mu)]
+                    for i in range(mu)
+                ]
+            want = self._outcome(lambda: inverse(eta))
+            got = self._outcome(lambda: frobenius._pairing_inverse(eta))
+            if isinstance(want, str):
+                assert got == want == "matrix is singular", eta
+                singular += 1
+                continue
+            e_scale = lcm(*(v.denominator for row in want for v in row))
+            rows = [[(e, int(v * e_scale)) for e, v in enumerate(row) if v] for row in want]
+            assert got == (e_scale, rows), eta
+        assert 100 <= singular <= 700, singular
 
 
 class TestParsing:

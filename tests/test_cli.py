@@ -164,6 +164,20 @@ class TestInfo:
         assert (record["variables"], record["milnor_number"]) == (["x", "y"], 12)
 
     @pytest.mark.parametrize(
+        "poly, names",
+        [("x_1^3+x_2^7", "x_1,x_2"), ("1e3*x^3+y^7", "x,y"), ("_a^3*b_+b_^4", "_a,b_")],
+        ids=["underscore", "exponent", "edge underscores"],
+    )
+    def test_inferred_variables_read_as_given_ones(self, capsys, poly, names):
+        # A "_" once split a name, so that x_1^3+x_2^7 ended in
+        # "unknown variable 'x_1'" although --vars x_1,x_2 read it.
+        argv = ["info", "--poly", poly, "--format", "json"]
+        inferred = run_cli(argv, capsys)
+        assert inferred == run_cli([*argv, "--vars", names], capsys)
+        assert inferred[0] == 0
+        assert json.loads(inferred[1])["variables"] == names.split(",")
+
+    @pytest.mark.parametrize(
         "where, coeff",
         [
             (where, coeff)

@@ -20,7 +20,8 @@ from exact_forms import (
     unspell,
     zeta_block,
 )
-from primform.algebra import SSeries, format_rational, mat_inv, mono_mul, unpack_monomial
+from fraction_reference import inverse
+from primform.algebra import SSeries, format_rational, mono_mul, unpack_monomial
 from primform.frobenius import (
     IntegrabilityError,
     euler_check,
@@ -646,7 +647,7 @@ class TestIntegrability:
         for name, order in self.CASES:
             result, data = solved_cache(name, order), milnor_cache(name)
             mu = data.mu
-            eta_inv = mat_inv([list(row) for row in data.eta])
+            eta_inv = inverse(data.eta)
             base = prepotential(result, data).prepotential
             assert two_pass_prepotential(result, data) == base
             for degree in (1, 2, 3, order):

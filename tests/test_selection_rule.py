@@ -23,7 +23,8 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from primform.algebra import SSeries, mat_det
+from fraction_reference import det
+from primform.algebra import SSeries
 from primform.catalog import load_catalog
 from primform.milnor import central_charge
 from primform.mirror import InvertiblePolynomial
@@ -35,7 +36,7 @@ def symmetry_group(entry) -> tuple[int, list]:
     """(D, every k in [0, D)^n with E k = 0 mod D), D = |det E|: G_f as
     the thetas k / D."""
     matrix = InvertiblePolynomial.from_poly(entry.poly, entry.variables).exponent_matrix
-    d = abs(int(mat_det(matrix)))
+    d = abs(int(det(matrix)))
     group = [
         k for k in product(range(d), repeat=len(matrix))
         if all(sum(e * x for e, x in zip(row, k)) % d == 0 for row in matrix)

@@ -10,6 +10,10 @@ order h + 3 adds no term to it, and the WDVV equations hold for it with no
 truncation, which `wdvv_check` tests once the same terms are read at order
 2(h + 1), where no product of two third derivatives is cut.
 
+The flat degrees are those of the Weyl group: h times the flat degree
+1 - deg_q(phi_a) of each basis entry runs through its degrees, the
+degrees of its basic invariants, read from `WEYL_DEGREES`.
+
 Each polynomial is built here, so the catalog and the records do not
 change.  A2 has mu = 2, where WDVV holds for every potential, so only the
 others carry the negative control: one top-degree coefficient perturbed.
@@ -29,6 +33,29 @@ SIMPLE = {
     "E7": (["x", "y"], "x^3+x*y^3", 18),
     "E8": (["x", "y"], "x^3+y^5", 30),
 }
+
+# The degrees of the basic invariants of each Weyl group.
+WEYL_DEGREES = {
+    "A2": [2, 3],
+    "A3": [2, 3, 4],
+    "A4": [2, 3, 4, 5],
+    "A5": [2, 3, 4, 5, 6],
+    "A6": [2, 3, 4, 5, 6, 7],
+    "D4": [2, 4, 4, 6],
+    "D5": [2, 4, 5, 6, 8],
+    "D6": [2, 4, 6, 6, 8, 10],
+    "E6": [2, 5, 6, 8, 9, 12],
+    "E7": [2, 6, 8, 10, 12, 14, 18],
+    "E8": [2, 8, 12, 14, 18, 20, 24, 30],
+}
+
+
+@pytest.mark.parametrize("name", SIMPLE)
+def test_h_times_flat_degrees_are_the_weyl_degrees(name):
+    variables, text, h = SIMPLE[name]
+    poly = parse_polynomial(text, variables)
+    data = milnor_basis(WeightedPolynomial(variables, infer_weights(poly), poly))
+    assert sorted(h * (1 - d) for d in data.degrees) == WEYL_DEGREES[name]
 
 
 @pytest.mark.parametrize("name", SIMPLE)

@@ -12,7 +12,8 @@ from math import lcm
 
 import pytest
 
-from primform.algebra import SSeries, format_rational, mat_inv
+from fraction_reference import inverse
+from primform.algebra import SSeries, format_rational
 from primform.frobenius import wdvv_check
 
 
@@ -20,7 +21,7 @@ def dense_wdvv(f0: SSeries, eta, order: int):
     """(violations, checked) of the dense quadruple loop."""
     mu = len(eta)
     check_order = order - 3
-    eta_inv = mat_inv([list(row) for row in eta])
+    eta_inv = inverse(eta)
 
     third = {}
     for a in range(mu):
